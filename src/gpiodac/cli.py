@@ -116,11 +116,14 @@ def _integer(obj: dict, where: str, key: str, default: int | None = None) -> int
     return value
 
 
-def _parse_device(obj: Any, where: str) -> MosfetParams | None:
+def _parse_device(obj: Any, where: str, polarity: Polarity) -> MosfetParams:
+    """One explicit device; its slot fixes the polarity, so the optional key must agree."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     _require_keys(obj, where, required=("vth", "k"), optional=("polarity",))
-    polarity = Polarity(obj.get("polarity", "nmos"))
+    given = obj.get("polarity", polarity.value)
+    if given != polarity.value:
+        raise ConfigError(f"{where}.polarity must be {polarity.value!r}, got {given!r}")
     return MosfetParams(polarity, _number(obj, where, "vth"), _number(obj, where, "k"))
 
 
@@ -129,8 +132,8 @@ def _parse_devices(obj: Any, where: str, vdd: float) -> DevicePair:
         raise ConfigError(f"{where} must be an object")
     if "pmos" in obj or "nmos" in obj:
         _require_keys(obj, where, required=("pmos", "nmos"), optional=())
-        pmos = _parse_device(obj["pmos"], f"{where}.pmos")
-        nmos = _parse_device(obj["nmos"], f"{where}.nmos")
+        pmos = _parse_device(obj["pmos"], f"{where}.pmos", Polarity.PMOS)
+        nmos = _parse_device(obj["nmos"], f"{where}.nmos", Polarity.NMOS)
         return DevicePair(pmos=pmos, nmos=nmos)
     # symmetric shorthand: threshold plus mid-scale unit resistance
     _require_keys(obj, where, required=("vth", "ron_midrange"), optional=())

@@ -10,6 +10,10 @@ parameter. All voltages handled here are source-referenced magnitudes; the
 ``LinearSwitch`` is the ideal counterpart (a fixed on-conductance with no
 threshold); it turns the network into a plain resistor divider and is used to
 check that the nonlinear solver degenerates to the ideal DAC.
+
+``current_and_derivatives`` and ``classify_region`` also take arrays, one
+element per solver lane, so a whole batch of operating points is evaluated in
+one call.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 
 class Polarity(enum.Enum):
@@ -75,20 +81,24 @@ class DevicePair:
     nmos: UnitDevice
 
 
-def classify_region(p: UnitDevice, vgs_mag: float, vds_mag: float) -> OperatingRegion:
+_REGIONS = np.array(
+    [OperatingRegion.CUTOFF, OperatingRegion.TRIODE, OperatingRegion.SATURATION], dtype=object
+)
+
+
+def classify_region(p: UnitDevice, vgs_mag: float | np.ndarray, vds_mag: float | np.ndarray):
     """Operating region at (vgs, vds), both source-referenced magnitudes.
 
     The vds == vgs - vth boundary is assigned to saturation (both current
-    formulas agree there, but reporting must be deterministic).
+    formulas agree there, but reporting must be deterministic). Array inputs
+    give an object array holding one region per element.
     """
-    _check_domain(vgs_mag, vds_mag)
+    _check_domain(np.min(vgs_mag), np.min(vds_mag))
     if isinstance(p, LinearSwitch):
-        return OperatingRegion.TRIODE
-    if vgs_mag < p.vth:
-        return OperatingRegion.CUTOFF
-    if vds_mag >= vgs_mag - p.vth:
-        return OperatingRegion.SATURATION
-    return OperatingRegion.TRIODE
+        index = np.ones(np.broadcast(vgs_mag, vds_mag).shape, dtype=int)
+    else:
+        index = np.where(vgs_mag < p.vth, 0, np.where(vds_mag >= vgs_mag - p.vth, 2, 1))
+    return _REGIONS[index]
 
 
 def drain_current(p: UnitDevice, vgs_mag: float, vds_mag: float) -> float:
@@ -150,29 +160,39 @@ def calibrated_pair(vdd: float, vth: float, ron_midrange: float) -> DevicePair:
 
 
 def current_and_derivatives(
-    p: UnitDevice, vgs: float, vds: float
-) -> tuple[float, float, float]:
+    p: UnitDevice, vgs: float | np.ndarray, vds: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, di/dvgs, di/dvds) with a signed extension for solver iterations.
 
     Off-solution trial points may momentarily put vds < 0 or vgs < 0; the
     current is extended antisymmetrically in vds and clamped to cutoff for
     vgs <= 0 so the branch stays continuous and monotone for Newton/bisection.
+    vds is a float or an array, one element per solver lane, and sets the
+    shape of the results; vgs is a float or an array of the same shape. Every
+    element is the float a one-element call gives, signed zeros included.
     """
-    if vds < 0.0:
-        i, dvgs, dvds = current_and_derivatives(p, vgs, -vds)
-        return -i, -dvgs, dvds
+    shape = np.shape(vds)
+    neg = np.less(vds, 0.0)
+    vds = np.array(vds, dtype=float, ndmin=1)
+    np.negative(vds, out=vds, where=neg)
     if isinstance(p, LinearSwitch):
-        return p.g * vds, 0.0, p.g
-    vov = vgs - p.vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0
-    if vds >= vov:
-        return 0.5 * p.k * vov * vov, p.k * vov, 0.0
-    return (
-        p.k * (vov * vds - 0.5 * vds * vds),
-        p.k * vds,
-        p.k * (vov - vds),
-    )
+        i, dvgs, dvds = p.g * vds, np.zeros_like(vds), np.full_like(vds, p.g)
+    else:
+        vov = np.subtract(vgs, p.vth)
+        # Triode everywhere, then saturation and cutoff written over it.
+        i = p.k * (vov * vds - 0.5 * vds * vds)
+        dvgs = p.k * vds
+        dvds = p.k * (vov - vds)
+        sat = vds >= vov
+        np.copyto(i, 0.5 * p.k * vov * vov, where=sat)
+        np.copyto(dvgs, p.k * vov, where=sat)
+        np.copyto(dvds, 0.0, where=sat)
+        cut = vov <= 0.0
+        for out in (i, dvgs, dvds):
+            np.copyto(out, 0.0, where=cut)
+    np.negative(i, out=i, where=neg)
+    np.negative(dvgs, out=dvgs, where=neg)
+    return i.reshape(shape), dvgs.reshape(shape), dvds.reshape(shape)
 
 
 def _check_domain(vgs_mag: float, vds_mag: float) -> None:

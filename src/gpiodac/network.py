@@ -1,4 +1,4 @@
-"""DC operating point of the shorted-GPIO DAC network.
+"""DC operating points of the shorted-GPIO DAC network, solved in lane batches.
 
 For an input code m out of d_max = 2^n - 1 unit cells, m drivers pull up and
 d_max - m pull down into the common output node. Three topologies are solved:
@@ -11,18 +11,22 @@ d_max - m pull down into the common output node. Three topologies are solved:
   vgs = vd - vs for both device groups), plus the two parallel resistors.
 
 The nonlinear system is the KCL balance at the floating nodes (output, and
-vd/vs when series resistors are present). It is solved with damped Newton
-iterations using analytic branch derivatives; every branch current is monotone
-in its node voltages, so a per-node bisection sweep is a guaranteed fallback
-when Newton stalls.
+vd/vs when series resistors are present). One solve takes an array of
+pull-up counts, one lane per count: one array evaluation of the device model
+gives every lane's residuals and 1x1/2x2/3x3 Jacobian, and damped Newton
+steps all unfinished lanes at once, each with its own step size, iteration
+count and outcome. A lane's result therefore does not depend on its batch.
+Every branch current is monotone in its node voltages, so lanes where Newton
+stalls fall back to per-node bisection sweeps for the rest of their budget.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Union
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -155,234 +159,240 @@ class TransferCurve:
         return np.array([r.i_total for r in self.rows])
 
 
-class _Network:
-    """Residuals, Jacobian and bookkeeping for one (config, unit count) solve."""
+class _Lanes:
+    """KCL residuals and Jacobians of one config at an array of pull-up counts.
 
-    def __init__(self, config: DacConfig, n_up: int):
+    Lane j is the network with counts[j] drivers pulling up. Unknowns are
+    ordered [vdac, vd?, vs?] and x holds one row per lane.
+    """
+
+    def __init__(self, config: DacConfig, counts: np.ndarray):
         self.cfg = config
-        self.n_up = n_up
-        self.n_dn = config.d_max - n_up
         topo = config.topology
         self.four = isinstance(topo, FourResistor)
         self.has_vs = self.four and topo.rsn > 0.0
-        if isinstance(topo, Standalone):
-            self.gpp = self.gpn = 0.0
-        else:
-            self.gpp = 1.0 / topo.rpp
-            self.gpn = 1.0 / topo.rpn
+        standalone = isinstance(topo, Standalone)
+        self.gpp, self.gpn = (0.0, 0.0) if standalone else (1.0 / topo.rpp, 1.0 / topo.rpn)
         self.inner = (not self.four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
         self.gsp = 1.0 / topo.rsp if self.four else 0.0
         self.gsn = 1.0 / topo.rsn if self.has_vs else 0.0
-
-    # Unknown ordering: [vdac, vd?, vs?]
-    @property
-    def n_vars(self) -> int:
-        return 1 + (1 if self.four else 0) + (1 if self.has_vs else 0)
-
-    def unpack(self, x: np.ndarray) -> tuple[float, float, float]:
-        vdac = float(x[0])
-        vd = float(x[1]) if self.four else self.cfg.vdd
-        vs = float(x[-1]) if self.has_vs else 0.0
-        return vdac, vd, vs
-
-    def residual_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vdac, vd, vs = self.unpack(x)
-        cfg = self.cfg
-        vgs = vd - vs
-
-        ip, dip_g, dip_d = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
-        in_, din_g, din_d = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
-        Ip, In = self.n_up * ip, self.n_dn * in_
-
-        # Pull-up group: d(Ip)/d(vdac, vd, vs)
-        dIp = (
-            -self.n_up * dip_d,
-            self.n_up * (dip_g + dip_d),
-            -self.n_up * dip_g,
-        )
-        dIn = (
-            self.n_dn * din_d,
-            self.n_dn * din_g,
-            -self.n_dn * (din_g + din_d),
-        )
-
-        vtop = vd if self.inner else cfg.vdd
-        vbot = vs if self.inner else 0.0
-        i_rpp = self.gpp * (vtop - vdac)
-        i_rpn = self.gpn * (vdac - vbot)
-        drpp = (-self.gpp, self.gpp if self.inner else 0.0, 0.0)
-        drpn = (self.gpn, 0.0, -self.gpn if self.inner else 0.0)
-
-        f = [Ip + i_rpp - In - i_rpn]
-        rows = [tuple(dIp[j] + drpp[j] - dIn[j] - drpn[j] for j in range(3))]
-
-        if self.four:
-            f_vd = self.gsp * (cfg.vdd - vd) - Ip - (i_rpp if self.inner else 0.0)
-            row_vd = [
-                -dIp[j] - (drpp[j] if self.inner else 0.0) for j in range(3)
-            ]
-            row_vd[1] -= self.gsp
-            f.append(f_vd)
-            rows.append(tuple(row_vd))
-        if self.has_vs:
-            f_vs = In + (i_rpn if self.inner else 0.0) - self.gsn * vs
-            row_vs = [dIn[j] + (drpn[j] if self.inner else 0.0) for j in range(3)]
-            row_vs[2] -= self.gsn
-            f.append(f_vs)
-            rows.append(tuple(row_vs))
-
-        cols = [0] + ([1] if self.four else []) + ([2] if self.has_vs else [])
-        jac = np.array([[row[c] for c in cols] for row in rows])
-        return np.array(f), jac
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.residual_and_jacobian(x)[0]
+        self.cols = [0] + ([1] if self.four else []) + ([2] if self.has_vs else [])
+        self.counts = counts
+        n_dn = config.d_max - counts
+        self.up, self.dn = counts.astype(float), n_dn.astype(float)
+        # Negated as ints, so a zero count keeps +0.0 products as a Python int does.
+        self.neg_up, self.neg_dn = (-counts).astype(float), (-n_dn).astype(float)
 
     def initial_guess(self) -> np.ndarray:
-        vdac0 = (self.n_up / self.cfg.d_max) * self.cfg.vdd
-        x = [vdac0]
+        x = np.zeros((len(self.counts), len(self.cols)))  # vs starts at 0
+        x[:, 0] = (self.counts / self.cfg.d_max) * self.cfg.vdd
         if self.four:
-            x.append(self.cfg.vdd)
-        if self.has_vs:
-            x.append(0.0)
-        return np.array(x)
+            x[:, 1] = self.cfg.vdd
+        return x
 
-    def solution(self, x: np.ndarray) -> NodeSolution:
-        vdac, vd, vs = self.unpack(x)
+    def branches(self, x: np.ndarray):
+        """Node voltages, (i, di/dvgs, di/dvds) of both groups, parallel-resistor currents."""
         cfg = self.cfg
+        vdac = x[:, 0]
+        vd = x[:, 1] if self.four else cfg.vdd
+        vs = x[:, -1] if self.has_vs else 0.0
         vgs = vd - vs
-        ip = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)[0]
-        in_ = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)[0]
-        vtop = vd if self.inner else cfg.vdd
-        vbot = vs if self.inner else 0.0
-        i_rpp = self.gpp * (vtop - vdac)
-        i_rpn = self.gpn * (vdac - vbot)
+        p = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
+        n = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
+        i_rpp = self.gpp * ((vd if self.inner else cfg.vdd) - vdac)
+        i_rpn = self.gpn * (vdac - (vs if self.inner else 0.0))
+        return vdac, vd, vs, p, n, i_rpp, i_rpn
 
+    def residual(self, x: np.ndarray, lanes: np.ndarray, jac: np.ndarray | None = None):
+        """KCL residuals of the given lanes at x; also fills jac when one is passed."""
+        _, vd, vs, (ip, dip_g, dip_d), (in_, din_g, din_d), i_rpp, i_rpn = self.branches(x)
+        up, dn = self.up[lanes], self.dn[lanes]
+        Ip, In = up * ip, dn * in_
+        f = np.empty_like(x)
+        f[:, 0] = Ip + i_rpp - In - i_rpn
+        if self.four:
+            f[:, 1] = self.gsp * (self.cfg.vdd - vd) - Ip - (i_rpp if self.inner else 0.0)
+        if self.has_vs:
+            f[:, -1] = In + (i_rpn if self.inner else 0.0) - self.gsn * vs
+        if jac is None:
+            return f
+
+        neg_up, neg_dn = self.neg_up[lanes], self.neg_dn[lanes]
+        # Group currents and resistor branches: d/d(vdac, vd, vs)
+        dIp = (neg_up * dip_d, up * (dip_g + dip_d), neg_up * dip_g)
+        dIn = (dn * din_d, dn * din_g, neg_dn * (din_g + din_d))
+        drpp = (-self.gpp, self.gpp if self.inner else 0.0, 0.0)
+        drpn = (self.gpn, 0.0, -self.gpn if self.inner else 0.0)
+        for c, j in enumerate(self.cols):
+            jac[:, 0, c] = dIp[j] + drpp[j] - dIn[j] - drpn[j]
+            if self.four:
+                jac[:, 1, c] = -dIp[j] - (drpp[j] if self.inner else 0.0)
+            if self.has_vs:
+                jac[:, 2, c] = dIn[j] + (drpn[j] if self.inner else 0.0)
+        if self.four:
+            jac[:, 1, 1] -= self.gsp
+        if self.has_vs:
+            jac[:, 2, 2] -= self.gsn
+        return f
+
+    def norm(self, x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(self.residual(x, lanes)), axis=1)
+
+    def rows(self, x: np.ndarray) -> tuple[NodeSolution, ...]:
+        cfg = self.cfg
+        vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = self.branches(x)
         if isinstance(cfg.topology, Standalone):
-            i_total = self.n_up * ip
+            i_total = self.up * ip
         elif isinstance(cfg.topology, TwoResistor):
-            i_total = self.n_up * ip + i_rpp
+            i_total = self.up * ip + i_rpp
         else:
             i_total = self.gsp * (cfg.vdd - vd)
             if not self.inner:
                 i_total += i_rpp
-
         # Report the region of the active groups; a group with no active units
         # has its devices' gates parked at their own source rail, i.e. cutoff.
-        vgs_mag = max(vgs, 0.0)
-        region_p = (
-            classify_region(cfg.devices.pmos, vgs_mag, max(vd - vdac, 0.0))
-            if self.n_up > 0
-            else OperatingRegion.CUTOFF
-        )
-        region_n = (
-            classify_region(cfg.devices.nmos, vgs_mag, max(vdac - vs, 0.0))
-            if self.n_dn > 0
-            else OperatingRegion.CUTOFF
-        )
-        res = self.residual(x)
-        return NodeSolution(
-            code=self.n_up,
-            vdac=vdac,
-            vd=vd,
-            vs=vs,
-            i_total=i_total,
-            i_per_pullup=ip if self.n_up > 0 else 0.0,
-            i_per_pulldown=in_ if self.n_dn > 0 else 0.0,
-            i_rpp=i_rpp,
-            i_rpn=i_rpn,
-            region_p=region_p,
-            region_n=region_n,
-            kcl_residual=float(np.max(np.abs(res))),
-        )
+        vgs_mag = np.maximum(vd - vs, 0.0)
+        region_p = classify_region(cfg.devices.pmos, vgs_mag, np.maximum(vd - vdac, 0.0))
+        region_n = classify_region(cfg.devices.nmos, vgs_mag, np.maximum(vdac - vs, 0.0))
+        has_up, has_dn = self.counts > 0, self.counts < cfg.d_max
+        cutoff = OperatingRegion.CUTOFF
+        columns = (self.counts, vdac, vd, vs, i_total, np.where(has_up, ip, 0.0),
+                   np.where(has_dn, in_, 0.0), i_rpp, i_rpn, np.where(has_up, region_p, cutoff),
+                   np.where(has_dn, region_n, cutoff), self.norm(x, np.arange(len(x))))
+        # A rail without a series resistor (vd or vs) is one shared value on every row.
+        return tuple(map(NodeSolution, *(c.tolist() if np.ndim(c) else repeat(c) for c in columns)))
 
 
-def _newton(net: _Network, x: np.ndarray, budget: int) -> tuple[np.ndarray, int, bool]:
-    """Damped Newton; returns (x, iterations used, converged)."""
-    used = 0
-    f, jac = net.residual_and_jacobian(x)
-    norm = float(np.max(np.abs(f)))
-    while used < budget:
-        if norm <= RESIDUAL_TOL:
-            return x, used, True
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return x, used, False
-        if not np.all(np.isfinite(dx)):
-            return x, used, False
-        lam = 1.0
-        while lam > 1e-8:
-            x_try = x + lam * dx
-            f_try, jac_try = net.residual_and_jacobian(x_try)
-            norm_try = float(np.max(np.abs(f_try)))
-            if norm_try < norm or norm_try <= RESIDUAL_TOL:
-                x, f, jac, norm = x_try, f_try, jac_try, norm_try
-                break
-            lam *= 0.5
-        else:
-            return x, used, False  # stalled: no damping step reduced the residual
-        used += 1
-    return x, used, norm <= RESIDUAL_TOL
+def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton steps of a stack of lanes, NaN for a lane with a singular Jacobian.
+
+    A stacked solve raises for the whole stack when one matrix is singular, so
+    that case is redone lane by lane and only the singular lanes fail."""
+    try:
+        return np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(f) == 1:
+            return np.full_like(f, np.nan)
+        return np.concatenate([_steps(jac[j : j + 1], f[j : j + 1]) for j in range(len(f))])
 
 
-def _bisect_node(net: _Network, x: np.ndarray, idx: int, lo: float, hi: float) -> None:
-    """Bisect unknown idx on its own KCL residual, others held fixed.
+def _newton_lanes(net: _Lanes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on every lane of x in place; returns (iterations used, converged).
 
-    All node residuals are strictly decreasing in their own voltage, so the
-    bracket [lo, hi] with f(lo) >= 0 >= f(hi) always closes.
+    Each lane follows its own rule: stop once the residual max-norm is within
+    RESIDUAL_TOL or MAX_ITERATIONS steps are spent; give up on a singular or
+    non-finite step, or when halving the step from 1 down to 1e-8 never
+    lowers the norm.
     """
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        x[idx] = mid
-        f = net.residual(x)[idx]
-        if f > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    x[idx] = 0.5 * (lo + hi)
+    n, k = x.shape
+    live = np.arange(n)
+    jac = np.empty((n, k, k))
+    f = net.residual(x, live, jac)
+    norm = np.max(np.abs(f), axis=1)
+    used = np.zeros(n, dtype=int)
+    while True:
+        live = live[(norm[live] > RESIDUAL_TOL) & (used[live] < MAX_ITERATIONS)]
+        if not live.size:
+            return used, norm <= RESIDUAL_TOL
+        dx = _steps(jac[live], f[live])
+        finite = np.all(np.isfinite(dx), axis=1)
+        live, dx = live[finite], dx[finite]
+        lam = np.ones(len(live))
+        moved = np.zeros(len(live), dtype=bool)
+        trial = np.arange(len(live))  # positions in live still halving their step
+        while trial.size:
+            lanes = live[trial]
+            x_try = x[lanes] + lam[trial, None] * dx[trial]
+            jac_try = np.empty((len(lanes), k, k))
+            f_try = net.residual(x_try, lanes, jac_try)
+            norm_try = np.max(np.abs(f_try), axis=1)
+            take = (norm_try < norm[lanes]) | (norm_try <= RESIDUAL_TOL)
+            done = lanes[take]
+            x[done], f[done], jac[done] = x_try[take], f_try[take], jac_try[take]
+            norm[done] = norm_try[take]
+            used[done] += 1
+            moved[trial[take]] = True
+            trial = trial[~take]
+            lam[trial] *= 0.5
+            trial = trial[lam[trial] > 1e-8]
+        live = live[moved]  # the others stalled
 
 
-def _bisection_sweeps(net: _Network, x: np.ndarray, budget: int) -> tuple[np.ndarray, bool]:
+def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.ndarray):
+    """Gauss-Seidel bisection sweeps on the given lanes of x, in place; returns converged mask.
+
+    A sweep bisects each unknown on its own KCL residual, the others held
+    fixed. All node residuals are strictly decreasing in their own voltage, so
+    the bracket with f(lo) >= 0 >= f(hi) always closes; a lane's bracket stops
+    once narrower than 1e-13 V. Lane j sweeps until it converges or has swept
+    budget[j] times.
+    """
     vdd = net.cfg.vdd
     span = 2.0 * vdd  # generous brackets; solutions live in [0, vdd]
-    for _ in range(budget):
-        _bisect_node(net, x, 0, -span, vdd + span)
-        if net.four:
-            _bisect_node(net, x, 1, -span, vdd + span)
-        if net.has_vs:
-            _bisect_node(net, x, net.n_vars - 1, -span, vdd + span)
-        norm = float(np.max(np.abs(net.residual(x))))
-        if norm <= RESIDUAL_TOL:
-            return x, True
-    return x, False
+    ok = np.zeros(len(lanes), dtype=bool)
+    live = np.flatnonzero(budget > 0)  # positions in lanes
+    sweeps = 0
+    while live.size:
+        rows = lanes[live]
+        xs = x[rows]
+        for idx in range(len(net.cols)):
+            lo, hi = np.full(len(xs), -span), np.full(len(xs), vdd + span)
+            open_ = np.ones(len(xs), dtype=bool)
+            for _ in range(80):
+                if not open_.any():
+                    break
+                mid = 0.5 * (lo + hi)
+                xs[:, idx] = mid
+                rising = net.residual(xs, rows)[:, idx] > 0.0
+                np.putmask(lo, open_ & rising, mid)
+                np.putmask(hi, open_ & ~rising, mid)
+                open_ &= ~(hi - lo < 1e-13)
+            xs[:, idx] = 0.5 * (lo + hi)
+        x[rows] = xs
+        converged = net.norm(xs, rows) <= RESIDUAL_TOL
+        ok[live[converged]] = True
+        sweeps += 1
+        live = live[~converged & (budget[live] > sweeps)]
+    return ok
 
 
-def solve_units(config: DacConfig, pullup_units: int) -> NodeSolution:
-    """Operating point with an explicit pull-up unit count (0..d_max).
-
-    ``solve_code`` is the public entry; this variant also serves transient
-    analysis, where a mid-transition pin state is a unit count that need not
-    correspond to any encodable code.
-    """
-    if not 0 <= pullup_units <= config.d_max:
-        raise ValueError(f"pullup_units {pullup_units} out of range 0..{config.d_max}")
-    net = _Network(config, pullup_units)
+def _solve_lanes(config: DacConfig, counts: np.ndarray) -> tuple[NodeSolution, ...]:
+    net = _Lanes(config, counts)
     x = net.initial_guess()
-    x, used, ok = _newton(net, x, MAX_ITERATIONS)
-    if not ok:
-        x, ok = _bisection_sweeps(net, x, MAX_ITERATIONS - used)
-    if not ok:
-        residual = float(np.max(np.abs(net.residual(x))))
-        raise SolverError(
-            f"no convergence after {MAX_ITERATIONS} iterations "
-            f"(best residual {residual:.3e} A)",
-            code=pullup_units,
-            residual=residual,
-        )
-    return net.solution(x)
+    with np.errstate(all="ignore"):  # trial points may overflow, as Python floats do silently
+        used, ok = _newton_lanes(net, x)
+        fallback = np.flatnonzero(~ok)
+        if fallback.size:
+            ok[fallback] = _bisection_lanes(net, x, fallback, MAX_ITERATIONS - used[fallback])
+        if not ok.all():
+            lane = int(np.argmin(ok))
+            residual = float(net.norm(x[lane : lane + 1], np.array([lane]))[0])
+            message = f"no convergence after {MAX_ITERATIONS} iterations"
+            raise SolverError(f"{message} (best residual {residual:.3e} A)",
+                              code=int(counts[lane]), residual=residual)
+        return net.rows(x)
+
+
+def solve_units(
+    config: DacConfig, pullup_units: int | Sequence[int]
+) -> NodeSolution | tuple[NodeSolution, ...]:
+    """Operating point at an explicit pull-up unit count (0..d_max).
+
+    An int gives one NodeSolution. A sequence of counts is solved as one
+    batch and gives one NodeSolution per count, in order, each the same as a
+    one-count call; a SolverError names the first failing count. Transient
+    analysis uses this entry: a mid-transition pin state is a unit count that
+    need not correspond to any encodable code.
+    """
+    counts = np.asarray(pullup_units)
+    if counts.size and counts.dtype.kind not in "iu":
+        raise ValueError(f"pullup_units must be integers, got {pullup_units!r}")
+    for count in counts.reshape(-1).tolist():
+        if not 0 <= count <= config.d_max:
+            raise ValueError(f"pullup_units {count} out of range 0..{config.d_max}")
+    lanes = counts.reshape(-1).astype(np.int64)
+    rows = _solve_lanes(config, lanes) if lanes.size else ()
+    return rows[0] if counts.ndim == 0 else rows
 
 
 def solve_code(config: DacConfig, code: int) -> NodeSolution:
@@ -393,18 +403,14 @@ def solve_code(config: DacConfig, code: int) -> NodeSolution:
 
 
 def transfer_curve(config: DacConfig) -> TransferCurve:
-    """Full static sweep code = 0..d_max; codes are independent solves."""
-    rows = []
-    for code in range(config.d_max + 1):
-        try:
-            rows.append(solve_code(config, code))
-        except SolverError as exc:
-            raise SolverError(
-                f"transfer curve failed at code {code}: {exc}",
-                code=code,
-                residual=exc.residual,
-            ) from exc
-    return TransferCurve(config=config, rows=tuple(rows))
+    """Full static sweep code = 0..d_max, solved as one batch."""
+    try:
+        rows = solve_units(config, np.arange(config.d_max + 1))
+    except SolverError as exc:
+        raise SolverError(
+            f"transfer curve failed at code {exc.code}: {exc}", code=exc.code, residual=exc.residual
+        ) from exc
+    return TransferCurve(config=config, rows=rows)
 
 
 def complement_check(curve: TransferCurve) -> float:
@@ -418,8 +424,3 @@ def complement_check(curve: TransferCurve) -> float:
     vdd = curve.config.vdd
     v = curve.vdac
     return float(np.max(np.abs(v[::-1] - (vdd - v))))
-
-
-def with_topology(config: DacConfig, topology: Topology) -> DacConfig:
-    """Copy of config with a different resistor topology."""
-    return replace(config, topology=topology)

@@ -8,9 +8,10 @@ glitches; thermometer decoding flips pins in one direction only and cannot
 glitch regardless of the edge ordering.
 
 The pin model is two-state: a pin holds its old value until its event time,
-then commits to the new one. Each distinct intermediate pin state is resolved
-with the static operating-point solver, so the transient waveform and the
-static transfer curve can never disagree on settled levels. Rise/fall times
+then commits to the new one. The unit counts of all intermediate pin states
+are collected first and then resolved together in one batched call of the
+static operating-point solver, so the transient waveform and the static
+transfer curve can never disagree on settled levels. Rise/fall times
 are carried for documentation and sampling-rate checks; edge shapes are not
 modeled because the glitch mechanism is purely an ordering effect.
 """
@@ -122,22 +123,13 @@ def synthesize(
         raise ValueError(f"unknown skew mode {skew_mode!r}")
 
     rng = np.random.default_rng(seed) if skew_mode == "random" else None
-    level_cache: dict[int, float] = {}
-
-    def level(count: int) -> float:
-        if count not in level_cache:
-            level_cache[count] = solve_units(config, count).vdac
-        return level_cache[count]
-
-    v0 = level(d_max)
-    vfs = v0 - level(0)
-    lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
-
-    times = [0.0]
-    values = [level(sum(pin_states(codes[0], config.n_bits, config.encoding)))]
-    annotations = [(0.0, codes[0])]
-
+    # Pass 1: the asserted unit count held from each event on. `needed` keeps the
+    # distinct counts in first-use order; events share its one int per count.
     state = list(pin_states(codes[0], config.n_bits, config.encoding))
+    times = [0.0]
+    counts = [sum(state)]
+    needed = {n: n for n in (d_max, 0, counts[0])}
+    annotations = [(0.0, codes[0])]
     for step, code in enumerate(codes[1:], start=1):
         t_code = step * timing.sample_period
         annotations.append((t_code, code))
@@ -150,15 +142,21 @@ def synthesize(
         for t_event in sorted(events):
             for pin in events[t_event]:
                 state[pin] = target[pin]
-            v = level(sum(state))
+            count = sum(state)
+            count = needed.setdefault(count, count)
             if t_event == times[-1]:
-                values[-1] = v  # simultaneous events collapse to one sample
+                counts[-1] = count  # simultaneous events collapse to one sample
             else:
                 times.append(t_event)
-                values.append(v)
+                counts.append(count)
+
+    # Pass 2: one batched solve resolves every distinct count to its level.
+    level = {n: row.vdac for n, row in zip(needed, solve_units(config, list(needed)))}
+    vfs = level[d_max] - level[0]
+    lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
     return Waveform(
         times=tuple(times),
-        values=tuple(values),
+        values=tuple(map(level.__getitem__, counts)),
         annotations=tuple(annotations),
         lsb_ref=lsb_ref,
         vdd=config.vdd,

@@ -3,10 +3,14 @@
 Everything here is deliberately dumb and slow: nested scalar bisection for
 operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
 divider arithmetic for the constant-conductance forms. These never share a
-code path with the implementations they check.
+code path with the implementations they check. The one exception is
+``per_code_solve``, the scalar per-code Newton solver that the lane-batched
+engine replaced: it is kept here as the engine's bit-for-bit reference.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from gpiodac.devices import LinearSwitch
 from gpiodac.network import DacConfig, FourResistor, ParallelAttach, TwoResistor
@@ -141,3 +145,107 @@ def transition_counts(old_pins, new_pins, order) -> list[int]:
         state[pin] = new_pins[pin]
         counts.append(sum(state))
     return counts
+
+
+def _device_derivatives(dev, vgs: float, vds: float) -> tuple[float, float, float]:
+    """(i, di/dvgs, di/dvds), extended antisymmetrically in vds, on Python floats."""
+    if vds < 0.0:
+        i, dvgs, dvds = _device_derivatives(dev, vgs, -vds)
+        return -i, -dvgs, dvds
+    if isinstance(dev, LinearSwitch):
+        return dev.g * vds, 0.0, dev.g
+    vov = vgs - dev.vth
+    if vov <= 0.0:
+        return 0.0, 0.0, 0.0
+    if vds >= vov:
+        return 0.5 * dev.k * vov * vov, dev.k * vov, 0.0
+    return dev.k * (vov * vds - 0.5 * vds * vds), dev.k * vds, dev.k * (vov - vds)
+
+
+def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol: float = 1e-9):
+    """Scalar reference of the solver: (vdac, vd, vs, residual max-norm, converged).
+
+    One unit count at a time: damped Newton from the linear guess (step
+    halved down to 1e-8 until the norm drops), then Gauss-Seidel bisection
+    sweeps for what is left of the iteration budget.
+    """
+    topo, vdd = config.topology, config.vdd
+    n_dn = config.d_max - n_up
+    four = isinstance(topo, FourResistor)
+    has_vs = four and topo.rsn > 0.0
+    gpp = gpn = 0.0
+    if isinstance(topo, (TwoResistor, FourResistor)):
+        gpp, gpn = 1.0 / topo.rpp, 1.0 / topo.rpn
+    inner = (not four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
+    gsp = 1.0 / topo.rsp if four else 0.0
+    gsn = 1.0 / topo.rsn if has_vs else 0.0
+    cols = [0] + ([1] if four else []) + ([2] if has_vs else [])
+
+    def system(x):
+        vdac = float(x[0])
+        vd = float(x[1]) if four else vdd
+        vs = float(x[-1]) if has_vs else 0.0
+        vgs = vd - vs
+        ip, dip_g, dip_d = _device_derivatives(config.devices.pmos, vgs, vd - vdac)
+        in_, din_g, din_d = _device_derivatives(config.devices.nmos, vgs, vdac - vs)
+        Ip, In = n_up * ip, n_dn * in_
+        dIp = (-n_up * dip_d, n_up * (dip_g + dip_d), -n_up * dip_g)
+        dIn = (n_dn * din_d, n_dn * din_g, -n_dn * (din_g + din_d))
+        i_rpp = gpp * ((vd if inner else vdd) - vdac)
+        i_rpn = gpn * (vdac - (vs if inner else 0.0))
+        drpp = (-gpp, gpp if inner else 0.0, 0.0)
+        drpn = (gpn, 0.0, -gpn if inner else 0.0)
+        f = [Ip + i_rpp - In - i_rpn]
+        rows = [[dIp[j] + drpp[j] - dIn[j] - drpn[j] for j in range(3)]]
+        if four:
+            f.append(gsp * (vdd - vd) - Ip - (i_rpp if inner else 0.0))
+            rows.append([-dIp[j] - (drpp[j] if inner else 0.0) for j in range(3)])
+            rows[-1][1] -= gsp
+        if has_vs:
+            f.append(In + (i_rpn if inner else 0.0) - gsn * vs)
+            rows.append([dIn[j] + (drpn[j] if inner else 0.0) for j in range(3)])
+            rows[-1][2] -= gsn
+        return np.array(f), np.array([[row[c] for c in cols] for row in rows])
+
+    def norm(x) -> float:
+        return float(np.max(np.abs(system(x)[0])))
+
+    x = [(n_up / config.d_max) * vdd] + ([vdd] if four else []) + ([0.0] if has_vs else [])
+    x = np.array(x)
+    used = 0
+    f, jac = system(x)
+    while used < max_iterations and norm(x) > tol:
+        try:
+            dx = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(dx)):
+            break
+        lam = 1.0
+        while lam > 1e-8:
+            f_try, jac_try = system(x + lam * dx)
+            if float(np.max(np.abs(f_try))) < norm(x) or float(np.max(np.abs(f_try))) <= tol:
+                x, f, jac = x + lam * dx, f_try, jac_try
+                break
+            lam *= 0.5
+        else:
+            break
+        used += 1
+    if norm(x) > tol:
+        for _ in range(max_iterations - used):
+            for idx in range(len(cols)):
+                lo, hi = -2.0 * vdd, vdd + 2.0 * vdd
+                for _ in range(80):
+                    x[idx] = 0.5 * (lo + hi)
+                    if system(x)[0][idx] > 0.0:
+                        lo = x[idx]
+                    else:
+                        hi = x[idx]
+                    if hi - lo < 1e-13:
+                        break
+                x[idx] = 0.5 * (lo + hi)
+            if norm(x) <= tol:
+                break
+    vd = float(x[1]) if four else vdd
+    vs = float(x[-1]) if has_vs else 0.0
+    return float(x[0]), vd, vs, norm(x), norm(x) <= tol

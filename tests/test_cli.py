@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gpiodac.cli import OUTPUT_DIR_ENV, load_config, main, write_atomic
+from gpiodac.devices import Polarity
 
 BASE_CONFIG = {
     "schema": 1,
@@ -33,6 +34,14 @@ BASE_CONFIG = {
         "clock_pin": "J3",
     },
 }
+
+
+def explicit_devices(**polarities) -> dict:
+    """Explicit pmos/nmos device section, with optional polarity keys."""
+    devices = {slot: {"vth": 1.15, "k": 0.0116} for slot in ("pmos", "nmos")}
+    for slot, value in polarities.items():
+        devices[slot]["polarity"] = value
+    return devices
 
 
 @pytest.fixture
@@ -247,6 +256,30 @@ class TestConfigErrors:
 
     def test_missing_file(self, workdir):
         assert main(["simulate", "-c", "nope.json"]) == 2
+
+    def test_explicit_devices_take_polarity_from_their_slot(self, workdir):
+        cfg = write_config(workdir, {"dac.devices": explicit_devices()})
+        pair = load_config(cfg).dac.devices
+        assert (pair.pmos.polarity, pair.nmos.polarity) == (Polarity.PMOS, Polarity.NMOS)
+        cfg = write_config(workdir, {"dac.devices": explicit_devices(pmos="pmos", nmos="nmos")})
+        assert main(["simulate", "-c", str(cfg)]) == 0
+
+    @pytest.mark.parametrize(
+        "slot, polarities",
+        [
+            ("pmos", {"pmos": "nmos"}),
+            ("nmos", {"nmos": "pmos"}),
+            ("pmos", {"pmos": "pnp"}),
+            ("nmos", {"nmos": 1}),
+        ],
+    )
+    def test_bad_polarity_exits_2_naming_the_key(self, workdir, capsys, slot, polarities):
+        cfg = write_config(workdir, {"dac.devices": explicit_devices(**polarities)})
+        assert main(["simulate", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gpiodac: error: config: dac.devices.{slot}.polarity must be ")
+        assert err.count("\n") == 1
+        assert not (workdir / "out" / "transfer.csv").exists()
 
     def test_unknown_key_names_location(self, workdir):
         from gpiodac.cli import ConfigError

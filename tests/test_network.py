@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpiodac import network
 from gpiodac.analytic import SwitchModel, switch_model_output, two_resistor_output
 from gpiodac.devices import (
     DevicePair,
@@ -13,6 +15,7 @@ from gpiodac.devices import (
     calibrated_pair,
 )
 from gpiodac.network import (
+    MAX_ITERATIONS,
     DacConfig,
     FourResistor,
     ParallelAttach,
@@ -24,7 +27,7 @@ from gpiodac.network import (
     solve_units,
     transfer_curve,
 )
-from oracles import oracle_curve, oracle_solve
+from oracles import oracle_curve, oracle_solve, per_code_solve
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)  # bench-calibrated symmetric devices
@@ -231,3 +234,164 @@ class TestValidation:
     def test_solver_error_carries_diagnostics(self):
         err = SolverError("no luck", code=5, residual=1e-3)
         assert err.code == 5 and err.residual == 1e-3
+
+
+MISMATCHED = DevicePair(
+    pmos=MosfetParams(Polarity.PMOS, 1.05, 0.012),
+    nmos=MosfetParams(Polarity.NMOS, 1.2, 0.010),
+)
+SUPPLY = ParallelAttach.SUPPLY_RAILS
+# Newton and the bisection fallback both miss the tolerance at code 3 only.
+FAILING = DacConfig(
+    n_bits=4,
+    vdd=1.0,
+    devices=DevicePair(
+        pmos=MosfetParams(Polarity.PMOS, 0.09, 0.045),
+        nmos=MosfetParams(Polarity.NMOS, 0.46, 1.5),
+    ),
+    topology=FourResistor(rsp=0.014, rsn=27.0, rpp=150.0, rpn=1300.0, parallel_attach=SUPPLY),
+)
+
+
+def solve_alone(cfg: DacConfig, counts) -> list:
+    """One-count solves up to the first failing count, whose SolverError ends the list."""
+    out = []
+    for count in counts:
+        try:
+            out.append(solve_units(cfg, count))
+        except SolverError as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def float_bits(rows) -> np.ndarray:
+    return np.array([[r.vdac, r.vd, r.vs, r.kcl_residual] for r in rows]).view(np.int64)
+
+
+def assert_matches_per_code_solver(curve) -> None:
+    """Every row is bit for bit what the scalar per-code solver gives."""
+    reference = [per_code_solve(curve.config, row.code) for row in curve.rows]
+    assert all(ref[4] for ref in reference)
+    want = np.array([ref[:4] for ref in reference]).view(np.int64)
+    assert np.array_equal(float_bits(curve.rows), want)
+
+
+@st.composite
+def batches(draw):
+    """A random legal config (n_bits <= 8) and a random list of pull-up counts."""
+    n_bits = draw(st.integers(1, 8))
+    vdd = draw(st.floats(0.8, 5.0))
+
+    def device(polarity):
+        vth = draw(st.floats(0.05, 0.9 * vdd))
+        return MosfetParams(polarity, vth, 10 ** draw(st.floats(-4, 1)))
+
+    def resistor():
+        return 10 ** draw(st.floats(-2, 5))
+
+    kind = draw(st.sampled_from(["standalone", "two_resistor", "four_resistor"]))
+    if kind == "standalone":
+        topology = Standalone()
+    elif kind == "two_resistor":
+        topology = TwoResistor(resistor(), resistor())
+    else:
+        rsp = resistor()
+        rsn = resistor() if draw(st.booleans()) else 0.0
+        attach = draw(st.sampled_from(list(ParallelAttach)))
+        topology = FourResistor(rsp, rsn, resistor(), resistor(), attach)
+    cfg = DacConfig(n_bits, vdd, DevicePair(device(Polarity.PMOS), device(Polarity.NMOS)), topology)
+    counts = draw(st.lists(st.integers(0, cfg.d_max), min_size=1, max_size=12))
+    return cfg, counts
+
+
+class TestLaneIndependence:
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            Standalone(),
+            TwoResistor(rpp=2.35, rpn=3.1),
+            FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0),
+            FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
+            FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0),
+            FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
+        ],
+        ids=["standalone", "two", "four_inner", "four_supply", "rsn0_inner", "rsn0_supply"],
+    )
+    def test_curve_rows_equal_single_code_solves(self, topology):
+        cfg = DacConfig(n_bits=5, vdd=VDD, devices=MISMATCHED, topology=topology)
+        curve = transfer_curve(cfg)
+        for code in range(cfg.d_max + 1):
+            assert curve.rows[code] == solve_code(cfg, code)
+        assert_matches_per_code_solver(curve)
+
+    @settings(max_examples=50)
+    @given(case=batches())
+    def test_batch_is_bitwise_the_lanes_solved_alone(self, case):
+        cfg, counts = case
+        alone = solve_alone(cfg, counts)
+        first = alone[-1]
+        if isinstance(first, SolverError):
+            with pytest.raises(SolverError) as info:
+                solve_units(cfg, counts)
+            assert (info.value.code, info.value.residual, str(info.value)) == (
+                first.code, first.residual, str(first)
+            )
+        else:
+            assert np.array_equal(float_bits(solve_units(cfg, counts)), float_bits(alone))
+
+    def test_int_and_one_element_list_agree(self):
+        assert solve_units(cfg4(), [9]) == (solve_units(cfg4(), 9),)
+        assert solve_units(cfg4(), []) == ()
+
+    def test_out_of_range_count_in_a_batch(self):
+        with pytest.raises(ValueError, match="pullup_units 16 out of range"):
+            solve_units(cfg4(), [3, 16, -1])
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            solve_units(cfg4(), 2.5)
+        with pytest.raises(ValueError, match="must be integers"):
+            solve_units(cfg4(), [1, 2.5])
+
+
+class TestFailurePaths:
+    def test_curve_names_lowest_failing_code_and_spares_the_rest(self):
+        with pytest.raises(SolverError) as info:
+            transfer_curve(FAILING)
+        assert info.value.code == 3
+        assert str(info.value) == (
+            f"transfer curve failed at code 3: no convergence after {MAX_ITERATIONS} "
+            f"iterations (best residual {info.value.residual:.3e} A)"
+        )
+        assert [per_code_solve(FAILING, code)[4] for code in range(3)] == [True] * 3
+        _, _, _, residual, converged = per_code_solve(FAILING, 3)
+        assert not converged and info.value.residual == residual
+        good = [0, 1, 2, 4, 9, 15]
+        assert solve_units(FAILING, good) == tuple(solve_code(FAILING, c) for c in good)
+
+    def test_singular_jacobian_sends_only_that_lane_to_the_fallback(self, monkeypatch):
+        vth = 2.0
+        pair = DevicePair(
+            pmos=MosfetParams(Polarity.PMOS, vth, PAIR.pmos.k),
+            nmos=MosfetParams(Polarity.NMOS, vth, PAIR.nmos.k),
+        )
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=pair)
+        # At the linear initial guess both groups saturate on these codes, so
+        # their 1x1 Jacobian is exactly zero and the stacked solve raises.
+        v0 = np.arange(16) / 15 * VDD
+        singular = [m for m in range(1, 15) if VDD - vth <= v0[m] <= vth]
+        assert singular == [6, 7, 8, 9]
+        seen = []
+        bisection = network._bisection_lanes
+
+        def spy(net, x, lanes, budget):
+            seen.append(net.counts[lanes].tolist())
+            return bisection(net, x, lanes, budget)
+
+        monkeypatch.setattr(network, "_bisection_lanes", spy)
+        curve = transfer_curve(cfg)
+        assert seen == [singular]
+        for code in range(16):
+            assert curve.rows[code] == solve_code(cfg, code)
+        assert_matches_per_code_solver(curve)

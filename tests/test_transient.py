@@ -1,10 +1,12 @@
 """Pin-skew replay: glitch generation and detection."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
 from gpiodac.devices import calibrated_pair
-from gpiodac.network import DacConfig, Encoding, solve_code
+from gpiodac.network import DacConfig, Encoding, solve_code, transfer_curve
 from gpiodac.transient import (
     TimingParams,
     detect_glitches,
@@ -76,6 +78,17 @@ class TestSynthesize:
         wave = synthesize(config(Encoding.BINARY), [3, 12], TIMING)
         assert wave.values[0] == pytest.approx(solve_code(config(Encoding.BINARY), 3).vdac)
         assert wave.values[-1] == pytest.approx(solve_code(config(Encoding.BINARY), 12).vdac)
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_settled_levels_equal_transfer_curve_exactly(self, encoding, skew_mode):
+        cfg = config(encoding)
+        codes = staircase_codes(4) + [7, 8, 3, 12, 0, 15, 9]
+        wave = synthesize(cfg, codes, TIMING, skew_mode=skew_mode, seed=3)
+        levels = transfer_curve(cfg).vdac
+        for step, code in enumerate(codes):
+            end = bisect_left(wave.times, (step + 1) * TIMING.sample_period)
+            assert wave.values[end - 1] == levels[code], (step, code)
 
     def test_times_strictly_ascending_and_bounded(self):
         wave = synthesize(config(Encoding.BINARY), staircase_codes(4), TIMING)
