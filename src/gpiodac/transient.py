@@ -8,12 +8,16 @@ glitches; thermometer decoding flips pins in one direction only and cannot
 glitch regardless of the edge ordering.
 
 The pin model is two-state: a pin holds its old value until its event time,
-then commits to the new one. The unit counts of all intermediate pin states
-are collected first and then resolved together in one batched call of the
-static operating-point solver, so the transient waveform and the static
-transfer curve can never disagree on settled levels. Rise/fall times
-are carried for documentation and sampling-rate checks; edge shapes are not
-modeled because the glitch mechanism is purely an ordering effect.
+then commits to the new one. A transition is replayed with array operations
+on the pins it changes: their event times are sorted and a cumulative sum of
+their +-1 steps gives the asserted unit count after every event, so a replay
+costs time linear in the number of changed pins (plus one d_max-long stagger
+draw per step in random mode). The unit counts of all intermediate pin states
+are then resolved together in one batched call of the static operating-point
+solver, so the transient waveform and the static transfer curve can never
+disagree on settled levels. Rise/fall times are carried for documentation and
+sampling-rate checks; edge shapes are not modeled because the glitch
+mechanism is purely an ordering effect.
 """
 
 from __future__ import annotations
@@ -66,6 +70,28 @@ class Waveform:
             raise ValueError("times must be strictly ascending")
 
 
+def _pin_owners(n_bits: int, encoding: Encoding) -> np.ndarray:
+    """What decides each of the 2^n - 1 unit pins: its bit (binary) or its own index."""
+    if encoding is Encoding.THERMOMETER:
+        return np.arange((1 << n_bits) - 1)
+    return np.repeat(np.arange(n_bits), 1 << np.arange(n_bits))
+
+
+def _asserted(code: int, owners: np.ndarray, encoding: Encoding) -> np.ndarray:
+    if encoding is Encoding.THERMOMETER:
+        return owners < code
+    return (code >> owners) & 1 == 1
+
+
+def _checked(code: int, d_max: int) -> int:
+    """The code as a Python int; ValueError unless it is an integer in 0..d_max."""
+    if isinstance(code, bool) or not isinstance(code, (int, np.integer)):
+        raise ValueError(f"code {code!r} is not an integer")
+    if not 0 <= code <= d_max:
+        raise ValueError(f"code {code} out of range 0..{d_max}")
+    return int(code)
+
+
 def pin_states(code: int, n_bits: int, encoding: Encoding) -> tuple[bool, ...]:
     """Asserted/deasserted state of each of the 2^n - 1 unit pins for a code.
 
@@ -74,28 +100,8 @@ def pin_states(code: int, n_bits: int, encoding: Encoding) -> tuple[bool, ...]:
     count equals the code, which is what makes the two encodings produce the
     same settled levels.
     """
-    d_max = (1 << n_bits) - 1
-    if not 0 <= code <= d_max:
-        raise ValueError(f"code {code} out of range 0..{d_max}")
-    if encoding is Encoding.THERMOMETER:
-        return tuple(j < code for j in range(d_max))
-    states = []
-    for bit in range(n_bits):
-        on = bool(code & (1 << bit))
-        states.extend([on] * (1 << bit))
-    return tuple(states)
-
-
-def _staggers(
-    n_pins: int, skew_max: float, mode: str, rng: np.random.Generator | None
-) -> list[float]:
-    if mode == "deterministic":
-        return [pin * skew_max / n_pins for pin in range(n_pins)]
-    if mode == "random":
-        if rng is None:
-            raise ValueError("random skew mode needs a seeded generator")
-        return list(rng.uniform(0.0, skew_max, size=n_pins))
-    raise ValueError(f"unknown skew mode {mode!r}")
+    code = _checked(code, (1 << n_bits) - 1)
+    return tuple(_asserted(code, _pin_owners(n_bits, encoding), encoding).tolist())
 
 
 def synthesize(
@@ -114,49 +120,48 @@ def synthesize(
     if len(codes) == 0:
         raise ValueError("need at least one code")
     d_max = config.d_max
-    for c in codes:
-        if not 0 <= c <= d_max:
-            raise ValueError(f"code {c} out of range 0..{d_max}")
+    codes = [_checked(c, d_max) for c in codes]
     if timing.skew_max >= timing.sample_period:
         raise ValueError("skew_max must be smaller than sample_period")
     if skew_mode not in ("deterministic", "random"):
         raise ValueError(f"unknown skew mode {skew_mode!r}")
 
     rng = np.random.default_rng(seed) if skew_mode == "random" else None
-    # Pass 1: the asserted unit count held from each event on. `needed` keeps the
-    # distinct counts in first-use order; events share its one int per count.
-    state = list(pin_states(codes[0], config.n_bits, config.encoding))
-    times = [0.0]
-    counts = [sum(state)]
-    needed = {n: n for n in (d_max, 0, counts[0])}
+    owners = _pin_owners(config.n_bits, config.encoding)
+    stagger = np.arange(d_max) * timing.skew_max / d_max
+    # Pass 1: the event times of every transition and the asserted unit count
+    # held from each on. The count before a transition is the old code, and
+    # each changed pin moves it by one, in the order of its event time.
+    state = _asserted(codes[0], owners, config.encoding)
+    times = [np.zeros(1)]
+    counts = [np.array([codes[0]])]
     annotations = [(0.0, codes[0])]
     for step, code in enumerate(codes[1:], start=1):
         t_code = step * timing.sample_period
         annotations.append((t_code, code))
-        target = pin_states(code, config.n_bits, config.encoding)
-        staggers = _staggers(d_max, timing.skew_max, skew_mode, rng)
-        events: dict[float, list[int]] = {}
-        for pin in range(d_max):
-            if state[pin] != target[pin]:
-                events.setdefault(t_code + staggers[pin], []).append(pin)
-        for t_event in sorted(events):
-            for pin in events[t_event]:
-                state[pin] = target[pin]
-            count = sum(state)
-            count = needed.setdefault(count, count)
-            if t_event == times[-1]:
-                counts[-1] = count  # simultaneous events collapse to one sample
-            else:
-                times.append(t_event)
-                counts.append(count)
+        if rng is not None:  # drawn every step, so seeded waveforms never shift
+            stagger = rng.uniform(0.0, timing.skew_max, size=d_max)
+        target = _asserted(code, owners, config.encoding)
+        pins = (state != target).nonzero()[0]
+        t_event = t_code + stagger[pins]
+        order = t_event.argsort(kind="stable")
+        times.append(t_event[order])
+        counts.append(codes[step - 1] + np.where(target[pins[order]], 1, -1).cumsum())
+        state = target
+    times, counts = np.concatenate(times), np.concatenate(counts)
+    # Simultaneous events collapse to one sample holding the last count.
+    last = np.append(times[1:] != times[:-1], True)
 
-    # Pass 2: one batched solve resolves every distinct count to its level.
-    level = {n: row.vdac for n, row in zip(needed, solve_units(config, list(needed)))}
+    # Pass 2: one batched solve resolves every distinct count. First-use order
+    # makes a SolverError name the first failing count the replay reaches.
+    needed = np.concatenate(([d_max, 0], counts))
+    needed = needed[np.sort(np.unique(needed, return_index=True)[1])].tolist()
+    level = {n: row.vdac for n, row in zip(needed, solve_units(config, needed))}
     vfs = level[d_max] - level[0]
     lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
     return Waveform(
-        times=tuple(times),
-        values=tuple(map(level.__getitem__, counts)),
+        times=tuple(times[last].tolist()),
+        values=tuple(map(level.__getitem__, counts[last].tolist())),
         annotations=tuple(annotations),
         lsb_ref=lsb_ref,
         vdd=config.vdd,

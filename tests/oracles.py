@@ -3,9 +3,11 @@
 Everything here is deliberately dumb and slow: nested scalar bisection for
 operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
 divider arithmetic for the constant-conductance forms. These never share a
-code path with the implementations they check. The one exception is
-``per_code_solve``, the scalar per-code Newton solver that the lane-batched
-engine replaced: it is kept here as the engine's bit-for-bit reference.
+code path with the implementations they check. The two exceptions are kept
+as bit-for-bit references of the code that replaced them: ``per_code_solve``,
+the scalar per-code Newton solver that the lane-batched engine replaced, and
+``per_pin_synthesize``, the per-pin transient replay that the array-based
+``synthesize`` replaced.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from gpiodac.devices import LinearSwitch
-from gpiodac.network import DacConfig, FourResistor, ParallelAttach, TwoResistor
+from gpiodac.network import DacConfig, Encoding, FourResistor, ParallelAttach, TwoResistor, solve_units
+from gpiodac.transient import Waveform
 
 
 def device_current(dev, vgs: float, vds: float) -> float:
@@ -249,3 +252,61 @@ def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol:
     vd = float(x[1]) if four else vdd
     vs = float(x[-1]) if has_vs else 0.0
     return float(x[0]), vd, vs, norm(x), norm(x) <= tol
+
+
+def per_pin_states(code: int, n_bits: int, encoding: Encoding) -> list[bool]:
+    """Pin states built pin by pin: bit i owns the 2^i pins from 2^i - 1 on."""
+    d_max = (1 << n_bits) - 1
+    if encoding is Encoding.THERMOMETER:
+        return [j < code for j in range(d_max)]
+    states = []
+    for bit in range(n_bits):
+        states.extend([bool(code & (1 << bit))] * (1 << bit))
+    return states
+
+
+def per_pin_synthesize(config: DacConfig, codes, timing, skew_mode="deterministic", seed=None):
+    """Reference of ``synthesize``: every pin of every transition in a Python loop.
+
+    Events of one transition are grouped by exact time and applied in time
+    order; an event at the time of the previous sample replaces that sample.
+    Random mode draws d_max staggers per step, repeated codes included.
+    """
+    d_max = config.d_max
+    rng = np.random.default_rng(seed) if skew_mode == "random" else None
+    state = per_pin_states(codes[0], config.n_bits, config.encoding)
+    times = [0.0]
+    counts = [sum(state)]
+    needed = {n: n for n in (d_max, 0, counts[0])}
+    annotations = [(0.0, codes[0])]
+    for step, code in enumerate(codes[1:], start=1):
+        t_code = step * timing.sample_period
+        annotations.append((t_code, code))
+        target = per_pin_states(code, config.n_bits, config.encoding)
+        if rng is None:
+            staggers = [pin * timing.skew_max / d_max for pin in range(d_max)]
+        else:
+            staggers = list(rng.uniform(0.0, timing.skew_max, size=d_max))
+        events: dict[float, list[int]] = {}
+        for pin in range(d_max):
+            if state[pin] != target[pin]:
+                events.setdefault(t_code + staggers[pin], []).append(pin)
+        for t_event in sorted(events):
+            for pin in events[t_event]:
+                state[pin] = target[pin]
+            count = sum(state)
+            needed.setdefault(count, count)
+            if t_event == times[-1]:
+                counts[-1] = count
+            else:
+                times.append(t_event)
+                counts.append(count)
+    level = {n: row.vdac for n, row in zip(needed, solve_units(config, list(needed)))}
+    vfs = level[d_max] - level[0]
+    return Waveform(
+        times=tuple(times),
+        values=tuple(level[n] for n in counts),
+        annotations=tuple(annotations),
+        lsb_ref=vfs / d_max if vfs != 0.0 else config.vdd / d_max,
+        vdd=config.vdd,
+    )

@@ -211,6 +211,13 @@ class TestTransient:
         cfg = write_config(workdir, {"timing": None})
         assert main(["transient", "-c", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("name, extra", [("deterministic", []), ("seed7", ["--seed", "7"])])
+    def test_waveform_matches_golden(self, workdir, name, extra):
+        cfg = write_config(workdir)
+        assert main(["transient", "-c", str(cfg)] + extra) == 0
+        golden = Path(__file__).parent / "golden" / f"waveform_dac4_{name}.csv"
+        assert (workdir / "out" / "waveform.csv").read_bytes() == golden.read_bytes()
+
 
 class TestHdl:
     def test_three_files_and_determinism(self, workdir):

@@ -4,6 +4,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpiodac.devices import calibrated_pair
 from gpiodac.network import DacConfig, Encoding, solve_code, transfer_curve
@@ -14,7 +15,7 @@ from gpiodac.transient import (
     staircase_codes,
     synthesize,
 )
-from oracles import transition_counts
+from oracles import per_pin_synthesize, transition_counts
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)
@@ -43,6 +44,18 @@ class TestPinStates:
         for code in range(16):
             for enc in Encoding:
                 assert sum(pin_states(code, 4, enc)) == code
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_states_are_python_bools_and_numpy_codes_are_accepted(self, encoding):
+        states = pin_states(np.uint64(9), 4, encoding)
+        assert states == pin_states(9, 4, encoding)
+        assert all(type(s) is bool for s in states)
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("code", [2.5, 3.0, "3", True])
+    def test_non_integer_code_is_rejected(self, encoding, code):
+        with pytest.raises(ValueError, match=f"code {code!r} is not an integer"):
+            pin_states(code, 4, encoding)
 
 
 class TestSynthesize:
@@ -98,6 +111,27 @@ class TestSynthesize:
     def test_repeated_code_is_a_no_op(self):
         wave = synthesize(config(Encoding.BINARY), [5, 5, 5], TIMING)
         assert len(wave.values) == 1
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_non_integer_code_is_rejected(self, encoding):
+        with pytest.raises(ValueError, match="code 2.5 is not an integer"):
+            synthesize(config(encoding), [0, 2.5], TIMING)
+        with pytest.raises(ValueError, match="code 4.0 is not an integer"):
+            synthesize(config(encoding), [4.0, 2], TIMING)
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_numpy_integer_codes_replay_like_python_ints(self, encoding):
+        codes = [7, 8, 3, 12]
+        want = synthesize(config(encoding), codes, TIMING)
+        assert synthesize(config(encoding), np.array(codes), TIMING) == want
+        assert synthesize(config(encoding), [np.uint8(c) for c in codes], TIMING) == want
+        assert synthesize(config(encoding), [np.uint64(c) for c in codes], TIMING) == want
+
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_times_are_python_floats(self, skew_mode):
+        wave = synthesize(config(Encoding.BINARY), staircase_codes(4), TIMING, skew_mode, seed=5)
+        assert all(type(t) is float for t in wave.times)
+        assert all(type(v) is float for v in wave.values)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -157,3 +191,39 @@ class TestDetectGlitches:
         magnitudes = [worst(s) for s in (0.0, 1e-9, 2e-9, 5e-9)]
         assert all(b >= a - 1e-12 for a, b in zip(magnitudes, magnitudes[1:]))
         assert magnitudes[0] == 0.0 and magnitudes[-1] > 1.0
+
+
+@st.composite
+def replays(draw):
+    """A small config, a code list with repeats, a skew mode and a skew_max."""
+    n_bits = draw(st.integers(1, 7))
+    cfg = DacConfig(n_bits, VDD, PAIR, encoding=draw(st.sampled_from(list(Encoding))))
+    runs = draw(st.lists(st.tuples(st.integers(0, cfg.d_max), st.integers(1, 3)), min_size=1, max_size=40))
+    codes = [code for code, repeat in runs for _ in range(repeat)][:40]
+    period = 50e-9
+    # 0 makes every edge of a transition simultaneous; the last is the widest legal skew.
+    skew = draw(st.sampled_from([0.0, 1e-9, 5e-9, float(np.nextafter(period, 0.0))]))
+    timing = TimingParams(30e-9, 30e-9, skew, period)
+    mode = draw(st.sampled_from(["deterministic", "random"]))
+    return cfg, codes, timing, mode, draw(st.integers(0, 2**31))
+
+
+class TestPerPinReference:
+    @settings(max_examples=50)
+    @given(case=replays())
+    def test_replay_is_bitwise_the_per_pin_loop(self, case):
+        cfg, codes, timing, mode, seed = case
+        want = per_pin_synthesize(cfg, codes, timing, mode, seed)
+        got = synthesize(cfg, codes, timing, mode, seed)
+        assert got.times == want.times
+        assert got.values == want.values
+        assert got.annotations == want.annotations
+        assert got.lsb_ref == want.lsb_ref
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_staircase_with_repeats_is_bitwise_the_per_pin_loop(self, encoding, skew_mode):
+        cfg = DacConfig(6, VDD, PAIR, encoding=encoding)
+        codes = staircase_codes(6, repeats=2) + [31, 32, 32, 0, 63, 63]
+        want = per_pin_synthesize(cfg, codes, TIMING, skew_mode, 11)
+        assert synthesize(cfg, codes, TIMING, skew_mode, 11) == want
