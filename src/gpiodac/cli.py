@@ -18,12 +18,16 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from . import __version__
 from .devices import DeviceError, DevicePair, MosfetParams, Polarity, calibrated_pair
@@ -102,7 +106,14 @@ def _number(obj: dict, where: str, key: str, default: float | None = None) -> fl
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    # JSON's NaN and Infinity literals, and integers too large for a float, are not numbers here.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(obj: dict, where: str, key: str, default: int | None = None) -> int:
@@ -373,22 +384,24 @@ def json_text(doc: Any) -> str:
 
 
 def transfer_csv(curve: TransferCurve) -> str:
-    rows = [
-        (
-            r.code,
-            r.vdac,
-            r.vd,
-            r.vs,
-            r.i_total,
-            r.i_per_pullup,
-            r.i_per_pulldown,
-            r.region_p.value,
-            r.region_n.value,
-            r.kcl_residual,
-        )
-        for r in curve.rows
-    ]
-    return csv_text(TRANSFER_COLUMNS, rows)
+    """The curve as CSV text, formatted column by column as csv_text formats rows."""
+    columns = curve.columns
+    n = len(columns["code"])
+
+    def text(name: str) -> list[str]:
+        values = columns[name]
+        if name == "code":
+            return list(map(str, values.tolist()))
+        if name.startswith("region_"):
+            return [region.value for region in values.tolist()]
+        if np.ndim(values) == 0:  # a rail shared by every code
+            return [format(values, ".12g")] * n
+        return list(map(format, values.tolist(), repeat(".12g", n)))
+
+    fields = ("code", "vdac", "vd", "vs", "i_total", "i_per_pullup", "i_per_pulldown",
+              "region_p", "region_n", "kcl_residual")
+    lines = map(",".join, zip(*map(text, fields)))
+    return "\n".join((",".join(TRANSFER_COLUMNS), *lines)) + "\n"
 
 
 def report_doc(

@@ -84,8 +84,8 @@ def summary(curve: TransferCurve) -> LinearityReport:
     d_max = curve.config.d_max
     mid_code = (d_max + 1) // 2
     return LinearityReport(
-        dnl=tuple(float(x) for x in d),
-        inl=tuple(float(x) for x in i),
+        dnl=tuple(d.tolist()),
+        inl=tuple(i.tolist()),
         dnl_max_abs=float(np.max(np.abs(d))),
         inl_max_abs=float(np.max(np.abs(i))),
         dynamic_range=float(levels[-1] - levels[0]),

@@ -18,15 +18,18 @@ steps all unfinished lanes at once, each with its own step size, iteration
 count and outcome. A lane's result therefore does not depend on its batch.
 Every branch current is monotone in its node voltages, so lanes where Newton
 stalls fall back to per-node bisection sweeps for the rest of their budget.
+A solve returns columns, one array per NodeSolution field; a TransferCurve
+keeps them and builds its NodeSolution rows only when they are first read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import repeat
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -74,7 +77,7 @@ class TwoResistor:
     rpn: float
 
     def __post_init__(self) -> None:
-        if self.rpp <= 0.0 or self.rpn <= 0.0:
+        if not (self.rpp > 0.0 and self.rpn > 0.0):
             raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
 
 
@@ -87,11 +90,11 @@ class FourResistor:
     parallel_attach: ParallelAttach = ParallelAttach.INNER_RAILS
 
     def __post_init__(self) -> None:
-        if self.rsp <= 0.0:
+        if not self.rsp > 0.0:
             raise ValueError(f"rsp must be > 0, got {self.rsp}")
-        if self.rsn < 0.0:
+        if not self.rsn >= 0.0:
             raise ValueError(f"rsn must be >= 0 (0 means the ground rail is shared), got {self.rsn}")
-        if self.rpp <= 0.0 or self.rpn <= 0.0:
+        if not (self.rpp > 0.0 and self.rpn > 0.0):
             raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
 
 
@@ -111,8 +114,8 @@ class DacConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n_bits <= MAX_BITS:
             raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
-        if self.vdd <= 0.0:
-            raise ValueError(f"vdd must be > 0, got {self.vdd}")
+        if not 0.0 < self.vdd < math.inf:
+            raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
 
     @property
     def d_max(self) -> int:
@@ -137,26 +140,51 @@ class NodeSolution:
     kcl_residual: float
 
 
-@dataclass(frozen=True)
+FIELDS = tuple(f.name for f in fields(NodeSolution))
+# One array per NodeSolution field, in field order; a rail without a series
+# resistor (vd or vs) is one shared float, and the regions are object arrays.
+Columns = Mapping[str, Union[np.ndarray, float]]
+
+
+def _rows(columns: Columns) -> tuple[NodeSolution, ...]:
+    values = (c.tolist() if np.ndim(c) else repeat(c) for c in columns.values())
+    return tuple(map(NodeSolution, *values))
+
+
+@dataclass(frozen=True, eq=False)
 class TransferCurve:
+    """Solved codes 0..d_max, kept as columns; rows are built on first access."""
+
     config: DacConfig
-    rows: tuple[NodeSolution, ...]
+    columns: Columns
 
     def __post_init__(self) -> None:
-        expected = self.config.d_max + 1
-        if len(self.rows) != expected:
-            raise ValueError(f"expected {expected} rows, got {len(self.rows)}")
-        codes = [r.code for r in self.rows]
-        if codes != list(range(expected)):
-            raise ValueError("row codes must be 0..d_max in ascending order")
+        if tuple(self.columns) != FIELDS:
+            raise ValueError(f"columns must be {FIELDS}, got {tuple(self.columns)}")
+        if not np.array_equal(self.columns["code"], np.arange(self.config.d_max + 1)):
+            raise ValueError("the code column must be 0..d_max in ascending order")
+
+    @cached_property
+    def rows(self) -> tuple[NodeSolution, ...]:
+        return _rows(self.columns)
 
     @property
     def vdac(self) -> np.ndarray:
-        return np.array([r.vdac for r in self.rows])
+        return np.array(self.columns["vdac"], dtype=np.float64)
 
     @property
     def i_total(self) -> np.ndarray:
-        return np.array([r.i_total for r in self.rows])
+        return np.array(self.columns["i_total"], dtype=np.float64)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransferCurve):
+            return NotImplemented
+        return self.config == other.config and all(
+            np.array_equal(c, other.columns[name]) for name, c in self.columns.items()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.config)
 
 
 class _Lanes:
@@ -238,7 +266,7 @@ class _Lanes:
     def norm(self, x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         return np.max(np.abs(self.residual(x, lanes)), axis=1)
 
-    def rows(self, x: np.ndarray) -> tuple[NodeSolution, ...]:
+    def columns(self, x: np.ndarray) -> Columns:
         cfg = self.cfg
         vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = self.branches(x)
         if isinstance(cfg.topology, Standalone):
@@ -259,8 +287,7 @@ class _Lanes:
         columns = (self.counts, vdac, vd, vs, i_total, np.where(has_up, ip, 0.0),
                    np.where(has_dn, in_, 0.0), i_rpp, i_rpn, np.where(has_up, region_p, cutoff),
                    np.where(has_dn, region_n, cutoff), self.norm(x, np.arange(len(x))))
-        # A rail without a series resistor (vd or vs) is one shared value on every row.
-        return tuple(map(NodeSolution, *(c.tolist() if np.ndim(c) else repeat(c) for c in columns)))
+        return dict(zip(FIELDS, columns))
 
 
 def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -356,7 +383,7 @@ def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.n
     return ok
 
 
-def _solve_lanes(config: DacConfig, counts: np.ndarray) -> tuple[NodeSolution, ...]:
+def _solve_lanes(config: DacConfig, counts: np.ndarray) -> Columns:
     net = _Lanes(config, counts)
     x = net.initial_guess()
     with np.errstate(all="ignore"):  # trial points may overflow, as Python floats do silently
@@ -370,7 +397,24 @@ def _solve_lanes(config: DacConfig, counts: np.ndarray) -> tuple[NodeSolution, .
             message = f"no convergence after {MAX_ITERATIONS} iterations"
             raise SolverError(f"{message} (best residual {residual:.3e} A)",
                               code=int(counts[lane]), residual=residual)
-        return net.rows(x)
+        return net.columns(x)
+
+
+def solve_columns(config: DacConfig, pullup_units: Sequence[int] | np.ndarray) -> Columns:
+    """Operating points of a non-empty batch of pull-up counts as columns, one lane per count.
+
+    The columns are what solve_units turns into rows, field by field; a
+    SolverError names the first failing count.
+    """
+    counts = np.asarray(pullup_units).reshape(-1)
+    if not counts.size:
+        raise ValueError("pullup_units is empty")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"pullup_units must be integers, got {pullup_units!r}")
+    if not 0 <= counts.min() <= counts.max() <= config.d_max:
+        bad = counts[(counts < 0) | (counts > config.d_max)][0]
+        raise ValueError(f"pullup_units {bad} out of range 0..{config.d_max}")
+    return _solve_lanes(config, counts.astype(np.int64))
 
 
 def solve_units(
@@ -385,13 +429,7 @@ def solve_units(
     need not correspond to any encodable code.
     """
     counts = np.asarray(pullup_units)
-    if counts.size and counts.dtype.kind not in "iu":
-        raise ValueError(f"pullup_units must be integers, got {pullup_units!r}")
-    for count in counts.reshape(-1).tolist():
-        if not 0 <= count <= config.d_max:
-            raise ValueError(f"pullup_units {count} out of range 0..{config.d_max}")
-    lanes = counts.reshape(-1).astype(np.int64)
-    rows = _solve_lanes(config, lanes) if lanes.size else ()
+    rows = _rows(solve_columns(config, pullup_units)) if counts.size else ()
     return rows[0] if counts.ndim == 0 else rows
 
 
@@ -405,12 +443,12 @@ def solve_code(config: DacConfig, code: int) -> NodeSolution:
 def transfer_curve(config: DacConfig) -> TransferCurve:
     """Full static sweep code = 0..d_max, solved as one batch."""
     try:
-        rows = solve_units(config, np.arange(config.d_max + 1))
+        columns = solve_columns(config, np.arange(config.d_max + 1))
     except SolverError as exc:
         raise SolverError(
             f"transfer curve failed at code {exc.code}: {exc}", code=exc.code, residual=exc.residual
         ) from exc
-    return TransferCurve(config=config, rows=rows)
+    return TransferCurve(config=config, columns=columns)
 
 
 def complement_check(curve: TransferCurve) -> float:

@@ -10,13 +10,13 @@ inversion and simultaneous saturation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .devices import OperatingRegion
 from .network import (
     DacConfig,
     FourResistor,
-    NodeSolution,
     Standalone,
     Topology,
     TransferCurve,
@@ -53,7 +53,7 @@ class ExtractedParams:
             raise ExtractionError(
                 f"vth must be within (0, vdd/2), got vth={self.vth}, vdd={self.vdd}"
             )
-        if self.ron <= 0.0:
+        if not self.ron > 0.0:
             raise ExtractionError(f"ron must be > 0, got {self.ron}")
         lo, hi = self.linear_range
         if not (0.0 <= lo <= hi <= self.vdd):
@@ -140,13 +140,13 @@ def extract_parameters(curve: TransferCurve) -> ExtractedParams:
     """Extraction from a simulated standalone curve."""
     if not isinstance(curve.config.topology, Standalone):
         raise ExtractionError("extraction expects a standalone (no-resistor) curve")
-    rows: tuple[NodeSolution, ...] = curve.rows
+    columns = curve.columns
     return extract_from_table(
-        codes=[r.code for r in rows],
-        vdac=[r.vdac for r in rows],
-        i_per_pullup=[r.i_per_pullup for r in rows],
-        region_p=[r.region_p.value for r in rows],
-        region_n=[r.region_n.value for r in rows],
+        codes=columns["code"].tolist(),
+        vdac=columns["vdac"].tolist(),
+        i_per_pullup=columns["i_per_pullup"].tolist(),
+        region_p=[r.value for r in columns["region_p"].tolist()],
+        region_n=[r.value for r in columns["region_n"].tolist()],
         vdd=curve.config.vdd,
     )
 
@@ -190,8 +190,8 @@ def size_four_resistor(
     resistors are vth / it on both sides, which pins one threshold of drop
     across them at the code-range ends.
     """
-    if it_target <= 0.0:
-        raise SizingError(f"it_target must be > 0, got {it_target}")
+    if not 0.0 < it_target < math.inf:
+        raise SizingError(f"it_target must be finite and > 0, got {it_target}")
     if not 0.0 <= split <= 1.0:
         raise SizingError(f"split must be in [0, 1], got {split}")
     window = p.vdd - 2.0 * p.vth
@@ -206,6 +206,8 @@ def size_four_resistor(
         notes = ("rs_total set to the midpoint of its feasible interval",)
     else:
         notes = ()
+        if math.isnan(rs_total):
+            raise SizingError("rs_total must be a number, got nan")
         if rs_total < rs_lo * (1.0 - 1e-12):
             raise SizingError(
                 f"rs_total {rs_total:.4g} below saturation-window bound {rs_lo:.4g} "
@@ -245,11 +247,7 @@ def check_saturation_window(config: DacConfig) -> list[bool]:
     nmos = config.devices.nmos
     vth_p = getattr(pmos, "vth", 0.0)
     vth_n = getattr(nmos, "vth", 0.0)
-    curve = transfer_curve(config)
-    flags = []
-    for row in curve.rows:
-        strong = row.vd - row.vs >= max(vth_n, vth_p)
-        n_sat = row.vdac >= row.vd - vth_n
-        p_sat = row.vdac <= row.vs + vth_p
-        flags.append(bool(strong and n_sat and p_sat))
-    return flags
+    columns = transfer_curve(config).columns
+    vdac, vd, vs = columns["vdac"], columns["vd"], columns["vs"]
+    strong = vd - vs >= max(vth_n, vth_p)
+    return (strong & (vdac >= vd - vth_n) & (vdac <= vs + vth_p)).tolist()

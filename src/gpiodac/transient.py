@@ -22,13 +22,13 @@ mechanism is purely an ordering effect.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import DacConfig, Encoding, solve_units
+from .network import DacConfig, Encoding, solve_columns
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,9 @@ class TimingParams:
 
     def __post_init__(self) -> None:
         for name in ("t_rise", "t_fall", "skew_max", "sample_period", "load_capacitance"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.sample_period <= max(self.t_rise, self.t_fall):
             raise ValueError(
                 "sample_period must exceed max(t_rise, t_fall) for settled sampling"
@@ -66,7 +67,7 @@ class Waveform:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(not b > a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly ascending")
 
 
@@ -155,8 +156,9 @@ def synthesize(
     # Pass 2: one batched solve resolves every distinct count. First-use order
     # makes a SolverError name the first failing count the replay reaches.
     needed = np.concatenate(([d_max, 0], counts))
-    needed = needed[np.sort(np.unique(needed, return_index=True)[1])].tolist()
-    level = {n: row.vdac for n, row in zip(needed, solve_units(config, needed))}
+    needed = needed[np.sort(np.unique(needed, return_index=True)[1])]
+    # One float object per level, shared by every sample that holds it.
+    level = dict(zip(needed.tolist(), solve_columns(config, needed)["vdac"].tolist()))
     vfs = level[d_max] - level[0]
     lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
     return Waveform(
@@ -178,27 +180,27 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     """
     if band < 0.0:
         raise ValueError(f"band must be >= 0, got {band}")
-    glitches: list[tuple[float, float]] = []
-    anns = w.annotations
-    for k in range(1, len(anns)):
-        t_start = anns[k][0]
-        t_end = anns[k + 1][0] if k + 1 < len(anns) else float("inf")
-        first = bisect_left(w.times, t_start)
-        if first == 0:
-            continue
-        v_before = w.values[first - 1]
-        last = bisect_left(w.times, t_end)
-        if last == first:
-            continue  # no pin moved for this transition
-        v_after = w.values[last - 1]
-        lo = min(v_before, v_after) - band * w.lsb_ref
-        hi = max(v_before, v_after) + band * w.lsb_ref
-        for idx in range(first, last):
-            v = w.values[idx]
-            depth = max(lo - v, v - hi)
-            if depth > 0.0:
-                glitches.append((w.times[idx], depth / w.lsb_ref + band))
-    return glitches
+    times, values = np.asarray(w.times, dtype=float), np.asarray(w.values, dtype=float)
+    starts = [t for t, _ in w.annotations[1:]]
+    # Transition k holds the samples from its own annotation time up to the next one's.
+    edges = np.searchsorted(times, np.append(starts, np.inf))
+    first, last = edges[:-1], edges[1:]
+    moved = (first > 0) & (last > first)  # a sample before it, and a pin moved
+    first, last = first[moved], last[moved]
+    v_before, v_after = values[first - 1], values[last - 1]
+    # Python's min(a, b) and max(a, b), which keep a unless b compares past it.
+    lo = np.where(v_after < v_before, v_after, v_before) - band * w.lsb_ref
+    hi = np.where(v_after > v_before, v_after, v_before) + band * w.lsb_ref
+    # Every sample of every transition, in order: owner[j] is sample idx[j]'s transition.
+    sizes = last - first
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    idx = np.arange(len(owner)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    below, above = lo[owner] - values[idx], values[idx] - hi[owner]
+    depth = np.where(above > below, above, below)
+    hit = depth > 0.0
+    # Reported times reuse the waveform's float objects instead of copying them.
+    times_hit = map(w.times.__getitem__, idx[hit].tolist())
+    return list(zip(times_hit, (depth[hit] / w.lsb_ref + band).tolist()))
 
 
 def staircase_codes(n_bits: int, repeats: int = 1) -> list[int]:

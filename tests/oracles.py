@@ -3,17 +3,23 @@
 Everything here is deliberately dumb and slow: nested scalar bisection for
 operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
 divider arithmetic for the constant-conductance forms. These never share a
-code path with the implementations they check. The two exceptions are kept
-as bit-for-bit references of the code that replaced them: ``per_code_solve``,
-the scalar per-code Newton solver that the lane-batched engine replaced, and
+code path with the implementations they check. The exceptions are kept as
+bit-for-bit references of the code that replaced them: ``per_code_solve``,
+the scalar per-code Newton solver that the lane-batched engine replaced;
 ``per_pin_synthesize``, the per-pin transient replay that the array-based
-``synthesize`` replaced.
+``synthesize`` replaced; ``per_row_transfer_csv`` and
+``per_row_saturation_flags``, which read a curve's NodeSolution rows where
+the package now reads its columns; and ``per_sample_detect_glitches``, the
+per-sample glitch scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
+from gpiodac.cli import TRANSFER_COLUMNS, csv_text
 from gpiodac.devices import LinearSwitch
 from gpiodac.network import DacConfig, Encoding, FourResistor, ParallelAttach, TwoResistor, solve_units
 from gpiodac.transient import Waveform
@@ -310,3 +316,52 @@ def per_pin_synthesize(config: DacConfig, codes, timing, skew_mode="deterministi
         lsb_ref=vfs / d_max if vfs != 0.0 else config.vdd / d_max,
         vdd=config.vdd,
     )
+
+
+def per_row_transfer_csv(curve) -> str:
+    """Reference of ``cli.transfer_csv``: one tuple per NodeSolution row through csv_text."""
+    rows = [
+        (r.code, r.vdac, r.vd, r.vs, r.i_total, r.i_per_pullup, r.i_per_pulldown,
+         r.region_p.value, r.region_n.value, r.kcl_residual)
+        for r in curve.rows
+    ]
+    return csv_text(TRANSFER_COLUMNS, rows)
+
+
+def per_row_saturation_flags(curve) -> list[bool]:
+    """Reference of ``sizing.check_saturation_window``: the window rule row by row."""
+    devices = curve.config.devices
+    vth_p = getattr(devices.pmos, "vth", 0.0)
+    vth_n = getattr(devices.nmos, "vth", 0.0)
+    flags = []
+    for row in curve.rows:
+        strong = row.vd - row.vs >= max(vth_n, vth_p)
+        n_sat = row.vdac >= row.vd - vth_n
+        p_sat = row.vdac <= row.vs + vth_p
+        flags.append(bool(strong and n_sat and p_sat))
+    return flags
+
+
+def per_sample_detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
+    """Reference of ``detect_glitches``: every sample of every transition in a Python loop."""
+    glitches = []
+    anns = w.annotations
+    for k in range(1, len(anns)):
+        t_start = anns[k][0]
+        t_end = anns[k + 1][0] if k + 1 < len(anns) else float("inf")
+        first = bisect_left(w.times, t_start)
+        if first == 0:
+            continue
+        v_before = w.values[first - 1]
+        last = bisect_left(w.times, t_end)
+        if last == first:
+            continue  # no pin moved for this transition
+        v_after = w.values[last - 1]
+        lo = min(v_before, v_after) - band * w.lsb_ref
+        hi = max(v_before, v_after) + band * w.lsb_ref
+        for idx in range(first, last):
+            v = w.values[idx]
+            depth = max(lo - v, v - hi)
+            if depth > 0.0:
+                glitches.append((w.times[idx], depth / w.lsb_ref + band))
+    return glitches

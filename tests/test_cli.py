@@ -101,6 +101,21 @@ class TestSimulate:
         assert main(["simulate", "-c", str(cfg)]) == 0
         assert (workdir / "env_out" / "transfer.csv").exists()
 
+    @pytest.mark.parametrize(
+        "golden, output, topology",
+        [
+            ("transfer_dac4_standalone.csv", "transfer.csv", None),
+            ("report_dac4_standalone.json", "report.json", None),
+            ("transfer_dac4_four_resistor.csv", "transfer.csv",
+             {"kind": "four_resistor", "rsp": 10.0, "rsn": 2.0, "rpp": 5.0, "rpn": 7.0}),
+        ],
+    )
+    def test_output_matches_golden(self, workdir, golden, output, topology):
+        cfg = write_config(workdir, {"dac.topology": topology} if topology else {})
+        assert main(["simulate", "-c", str(cfg)]) == 0
+        want = (Path(__file__).parent / "golden" / golden).read_bytes()
+        assert (workdir / "out" / output).read_bytes() == want
+
     def test_gnuplot_script_emission(self, workdir):
         cfg = write_config(workdir)
         assert main(["simulate", "-c", str(cfg), "--gnuplot"]) == 0
@@ -167,6 +182,20 @@ class TestSize:
             "-o", "out",
         ])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [
+            ("four-resistor", ["--it", "nan"]),
+            ("four-resistor", ["--it", "inf"]),
+            ("four-resistor", ["--it", "0.2", "--rs-total", "nan"]),
+            ("two-resistor", ["--ron", "nan"]),
+        ],
+    )
+    def test_non_finite_flag_is_exit_4(self, workdir, mode, extra):
+        args = ["size", mode, "--vth", "1.15", "--vdd", "3.3", "-o", "out"]
+        assert main(args + extra) == 4
+        assert not (workdir / "out" / "report.json").exists()
 
     def test_missing_arguments_is_exit_2(self, workdir):
         assert main(["size", "two-resistor", "-o", "out"]) == 2
@@ -260,6 +289,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("gpiodac: error: config:")
         assert err.count("\n") == 1  # single-line category + message
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("dac.vdd", float("nan"), "dac.vdd"),
+            ("dac.vdd", float("inf"), "dac.vdd"),
+            ("dac.topology", {"kind": "two_resistor", "rpp": float("-inf"), "rpn": 1.0},
+             "dac.topology.rpp"),
+            ("dac.devices", {"vth": float("nan"), "ron_midrange": 40.0}, "dac.devices.vth"),
+            ("timing.skew_max_s", float("nan"), "timing.skew_max_s"),
+            ("timing.sample_period_s", 10**400, "timing.sample_period_s"),
+        ],
+    )
+    def test_non_finite_number_exits_2_naming_the_key(self, workdir, capsys, key, value, named):
+        cfg = write_config(workdir, {key: value})  # json.dumps writes NaN and Infinity literals
+        assert main(["transient", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gpiodac: error: config: {named} must be a finite number, got ")
+        assert err.count("\n") == 1
+        assert not (workdir / "out" / "waveform.csv").exists()
 
     def test_missing_file(self, workdir):
         assert main(["simulate", "-c", "nope.json"]) == 2

@@ -27,7 +27,16 @@ from gpiodac.network import (
     solve_units,
     transfer_curve,
 )
-from oracles import oracle_curve, oracle_solve, per_code_solve
+from gpiodac.cli import transfer_csv
+from gpiodac.metrics import summary
+from gpiodac.sizing import check_saturation_window
+from oracles import (
+    oracle_curve,
+    oracle_solve,
+    per_code_solve,
+    per_row_saturation_flags,
+    per_row_transfer_csv,
+)
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)  # bench-calibrated symmetric devices
@@ -215,6 +224,19 @@ class TestSolveUnits:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("vdd", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_vdd(self, vdd):
+        with pytest.raises(ValueError, match="^vdd must be finite and > 0"):
+            DacConfig(n_bits=4, vdd=vdd, devices=PAIR)
+
+    def test_nan_resistances(self):
+        for slot in range(2):
+            with pytest.raises(ValueError):
+                TwoResistor(*[float("nan") if k == slot else 1.0 for k in range(2)])
+        for slot in range(4):
+            with pytest.raises(ValueError):
+                FourResistor(*[float("nan") if k == slot else 1.0 for k in range(4)])
+
     def test_bad_bit_width(self):
         with pytest.raises(ValueError):
             DacConfig(n_bits=0, vdd=VDD, devices=PAIR)
@@ -251,6 +273,17 @@ FAILING = DacConfig(
     ),
     topology=FourResistor(rsp=0.014, rsn=27.0, rpp=150.0, rpn=1300.0, parallel_attach=SUPPLY),
 )
+
+
+# Every topology, both attach modes, and rsn = 0 (a shared ground rail).
+TOPOLOGIES = {
+    "standalone": Standalone(),
+    "two": TwoResistor(rpp=2.35, rpn=3.1),
+    "four_inner": FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0),
+    "four_supply": FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
+    "rsn0_inner": FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0),
+    "rsn0_supply": FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
+}
 
 
 def solve_alone(cfg: DacConfig, counts) -> list:
@@ -306,18 +339,7 @@ def batches(draw):
 
 
 class TestLaneIndependence:
-    @pytest.mark.parametrize(
-        "topology",
-        [
-            Standalone(),
-            TwoResistor(rpp=2.35, rpn=3.1),
-            FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0),
-            FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
-            FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0),
-            FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
-        ],
-        ids=["standalone", "two", "four_inner", "four_supply", "rsn0_inner", "rsn0_supply"],
-    )
+    @pytest.mark.parametrize("topology", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
     def test_curve_rows_equal_single_code_solves(self, topology):
         cfg = DacConfig(n_bits=5, vdd=VDD, devices=MISMATCHED, topology=topology)
         curve = transfer_curve(cfg)
@@ -344,9 +366,17 @@ class TestLaneIndependence:
         assert solve_units(cfg4(), [9]) == (solve_units(cfg4(), 9),)
         assert solve_units(cfg4(), []) == ()
 
+    def test_solve_columns_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError, match="empty"):
+            network.solve_columns(cfg4(), [])
+
     def test_out_of_range_count_in_a_batch(self):
         with pytest.raises(ValueError, match="pullup_units 16 out of range"):
             solve_units(cfg4(), [3, 16, -1])
+        with pytest.raises(ValueError, match=r"pullup_units -1 out of range 0\.\.15$"):
+            solve_units(cfg4(), [0, 5, 15, -1, 16])
+        with pytest.raises(ValueError, match="pullup_units 17 out of range"):
+            solve_units(cfg4(), np.array([15, 0, 17, 2**63], dtype=np.uint64))
 
     def test_fractional_count_rejected(self):
         with pytest.raises(ValueError, match="must be integers"):
@@ -395,3 +425,67 @@ class TestFailurePaths:
         for code in range(16):
             assert curve.rows[code] == solve_code(cfg, code)
         assert_matches_per_code_solver(curve)
+
+
+class TestCurveColumns:
+    """A curve keeps the solver's columns; rows, vdac and i_total derive from them."""
+
+    def test_rows_are_built_once_and_equal_solve_units(self):
+        curve = transfer_curve(cfg4(TOPOLOGIES["four_inner"]))
+        assert curve.rows is curve.rows
+        assert curve.rows == solve_units(curve.config, list(range(16)))
+
+    def test_vdac_and_i_total_are_fresh_copies(self):
+        cfg = cfg4(TOPOLOGIES["two"])
+        curve = transfer_curve(cfg)
+        vdac, i_total = curve.vdac, curve.i_total
+        assert vdac.dtype == np.float64 and i_total.dtype == np.float64
+        vdac[:] = -1.0
+        i_total[:] = -1.0
+        assert curve.vdac.tolist() == [r.vdac for r in curve.rows] != vdac.tolist()
+        assert curve.i_total.tolist() == [r.i_total for r in curve.rows] != i_total.tolist()
+        assert curve == transfer_curve(cfg)
+
+    def test_equality_and_hash(self):
+        a, b = transfer_curve(cfg4()), transfer_curve(cfg4())
+        assert a == b and hash(a) == hash(b)
+        assert a != transfer_curve(cfg4(TOPOLOGIES["two"]))
+        assert a != a.rows
+        assert len({a, b}) == 1
+
+    def test_constructor_checks_columns(self):
+        curve = transfer_curve(cfg4())
+        columns = dict(curve.columns)
+        network.TransferCurve(curve.config, columns)
+        with pytest.raises(ValueError, match="code column"):
+            network.TransferCurve(curve.config, {**columns, "code": np.arange(16)[::-1]})
+        with pytest.raises(ValueError, match="columns must be"):
+            network.TransferCurve(curve.config, {k: v for k, v in columns.items() if k != "vs"})
+
+    def test_shared_rails_are_one_float(self):
+        assert transfer_curve(cfg4()).columns["vd"] == VDD
+        rsn0 = transfer_curve(cfg4(TOPOLOGIES["rsn0_inner"])).columns
+        assert rsn0["vs"] == 0.0 and np.ndim(rsn0["vd"]) == 1
+
+
+class TestColumnReaders:
+    """Every reader of a curve gives exactly what its row-by-row reference gives."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    @pytest.mark.parametrize("devices", [PAIR, MISMATCHED], ids=["matched", "mismatched"])
+    def test_transfer_csv_and_window_flags(self, topology, devices):
+        # 8 bits put codes of the supply-attached configs on the window's edges.
+        cfg = DacConfig(n_bits=8, vdd=VDD, devices=devices, topology=topology)
+        curve = transfer_curve(cfg)
+        assert transfer_csv(curve) == per_row_transfer_csv(curve)
+        assert check_saturation_window(cfg) == per_row_saturation_flags(curve)
+
+    def test_window_flags_are_python_bools_on_both_sides_of_the_window(self):
+        cfg = DacConfig(n_bits=5, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["rsn0_inner"])
+        flags = check_saturation_window(cfg)
+        assert all(type(f) is bool for f in flags)
+        assert True in flags and False in flags
+
+    def test_summary_tuples_are_python_floats(self):
+        report = summary(transfer_curve(cfg4()))
+        assert all(type(x) is float for x in report.dnl + report.inl)

@@ -166,6 +166,16 @@ class TestFourResistorSizing:
         with pytest.raises(SizingError):
             size_four_resistor(REF_PARAMS, it_target=0.2, split=1.5)
 
+    def test_non_finite_inputs_are_sizing_errors(self):
+        nan, inf = float("nan"), float("inf")
+        for it_target in (nan, inf):
+            with pytest.raises(SizingError, match="it_target must be finite"):
+                size_four_resistor(REF_PARAMS, it_target=it_target)
+        with pytest.raises(SizingError, match="rs_total must be a number"):
+            size_four_resistor(REF_PARAMS, it_target=0.2, rs_total=nan)
+        with pytest.raises(ExtractionError, match="ron must be > 0"):
+            ExtractedParams(vth=1.15, ron=nan, vdd=VDD, linear_range=(1.15, 2.15))
+
 
 class TestSaturationWindow:
     def test_standalone_window_is_empty(self):

@@ -10,12 +10,13 @@ from gpiodac.devices import calibrated_pair
 from gpiodac.network import DacConfig, Encoding, solve_code, transfer_curve
 from gpiodac.transient import (
     TimingParams,
+    Waveform,
     detect_glitches,
     pin_states,
     staircase_codes,
     synthesize,
 )
-from oracles import per_pin_synthesize, transition_counts
+from oracles import per_pin_synthesize, per_sample_detect_glitches, transition_counts
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)
@@ -143,6 +144,20 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(config(Encoding.BINARY), [1], TIMING, skew_mode="bogus")
 
+    @pytest.mark.parametrize("field", ["t_rise", "t_fall", "skew_max", "sample_period",
+                                       "load_capacitance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+    def test_timing_rejects_non_finite_and_negative_values(self, field, value):
+        args = {"t_rise": 30e-9, "t_fall": 30e-9, "skew_max": 5e-9, "sample_period": 50e-9}
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            TimingParams(**{**args, field: value})
+
+    def test_waveform_rejects_nan_times(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Waveform((0.0, float("nan"), 2.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Waveform((float("nan"), 1.0), (0.0, 1.0), (), 1.0, VDD)
+
 
 class TestDetectGlitches:
     def test_thermometer_staircase_is_clean(self):
@@ -227,3 +242,39 @@ class TestPerPinReference:
         codes = staircase_codes(6, repeats=2) + [31, 32, 32, 0, 63, 63]
         want = per_pin_synthesize(cfg, codes, TIMING, skew_mode, 11)
         assert synthesize(cfg, codes, TIMING, skew_mode, 11) == want
+
+
+@st.composite
+def scanned_waveforms(draw):
+    """A random piecewise-constant waveform, annotations on and off its sample times, a band."""
+    n = draw(st.integers(0, 30))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n, max_size=n))
+    times = tuple(np.cumsum(steps).tolist())
+    # A NaN level compares false both ways, so it tells Python's min/max from np.minimum/maximum.
+    level = st.one_of(st.floats(-5.0, 5.0), st.just(float("nan")))
+    values = tuple(draw(st.lists(level, min_size=n, max_size=n)))
+    marks = draw(st.lists(st.one_of(st.sampled_from(times) if times else st.nothing(),
+                                    st.floats(-1.0, 62.0)), max_size=12))
+    annotations = tuple((t, k) for k, t in enumerate(sorted(marks)))
+    lsb_ref = draw(st.floats(1e-3, 3.0))
+    band = draw(st.sampled_from([0.0, 0.5, float("inf")]))
+    return Waveform(times, values, annotations, lsb_ref, VDD), band
+
+
+class TestPerSampleReference:
+    @settings(max_examples=200)
+    @given(case=scanned_waveforms())
+    def test_scan_is_the_per_sample_loop(self, case):
+        wave, band = case
+        got = detect_glitches(wave, band)
+        assert got == per_sample_detect_glitches(wave, band)
+        assert all(type(t) is float and type(d) is float for t, d in got)
+
+    @pytest.mark.parametrize("band", [0.0, 0.5, float("inf")])
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_staircase_scan_is_the_per_sample_loop(self, band, skew_mode):
+        wave = synthesize(DacConfig(7, VDD, PAIR), staircase_codes(7, repeats=2) + [64, 63, 63],
+                          TIMING, skew_mode, seed=3)
+        got = detect_glitches(wave, band)
+        assert got == per_sample_detect_glitches(wave, band)
+        assert bool(got) == (band < float("inf"))
