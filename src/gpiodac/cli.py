@@ -380,7 +380,7 @@ def csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def transfer_csv(curve: TransferCurve) -> str:
@@ -691,6 +691,17 @@ def _cmd_hdl(args: argparse.Namespace) -> int:
 # Entry point
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a number that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpiodac",
@@ -714,21 +725,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ext = subs.add_parser("extract", help="device parameters from a transfer-curve CSV")
     ext.add_argument("--curve", required=True, help="transfer.csv to read")
-    ext.add_argument("--vdd", type=float, required=True, help="supply voltage of the measurement")
+    ext.add_argument("--vdd", type=_finite_float, required=True,
+                     help="supply voltage of the measurement")
     add_common(ext, config=False)
     ext.set_defaults(func=_cmd_extract)
 
     size = subs.add_parser("size", help="correction-resistor sizing")
     size.add_argument("mode", choices=("two-resistor", "four-resistor"))
     size.add_argument("--params", default=None, help="params.json from extract")
-    size.add_argument("--vth", type=float, default=None, help="threshold voltage [V]")
-    size.add_argument("--ron", type=float, default=None, help="unit resistance at mid-scale [ohm]")
-    size.add_argument("--vdd", type=float, default=None, help="supply voltage [V]")
+    size.add_argument("--vth", type=_finite_float, default=None, help="threshold voltage [V]")
+    size.add_argument("--ron", type=_finite_float, default=None,
+                      help="unit resistance at mid-scale [ohm]")
+    size.add_argument("--vdd", type=_finite_float, default=None, help="supply voltage [V]")
     size.add_argument("--n-bits", type=int, default=4, help="resolution for two-resistor sizing")
-    size.add_argument("--it", type=float, default=None, help="target total current [A]")
-    size.add_argument("--split", type=float, default=1.0,
+    size.add_argument("--it", type=_finite_float, default=None, help="target total current [A]")
+    size.add_argument("--split", type=_finite_float, default=1.0,
                       help="fraction of series resistance on the supply side")
-    size.add_argument("--rs-total", type=float, default=None,
+    size.add_argument("--rs-total", type=_finite_float, default=None,
                       help="explicit series total [ohm] instead of the midpoint rule")
     add_common(size, config=False)
     size.set_defaults(func=_cmd_size)

@@ -19,6 +19,7 @@ one call.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,6 +41,12 @@ class DeviceError(ValueError):
     """Invalid device parameters or an evaluation outside the model's domain."""
 
 
+def _check_positive(name: str, value: float) -> None:
+    # Written so that NaN fails it as well as infinities and values <= 0.
+    if not 0.0 < value < math.inf:
+        raise DeviceError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class MosfetParams:
     """Square-law device: threshold magnitude [V] and transconductance [A/V^2]."""
@@ -49,10 +56,8 @@ class MosfetParams:
     k: float
 
     def __post_init__(self) -> None:
-        if not self.vth > 0.0:
-            raise DeviceError(f"vth must be > 0, got {self.vth}")
-        if not self.k > 0.0:
-            raise DeviceError(f"k must be > 0, got {self.k}")
+        for name in ("vth", "k"):
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,7 @@ class LinearSwitch:
     g: float
 
     def __post_init__(self) -> None:
-        if not self.g > 0.0:
-            raise DeviceError(f"g must be > 0, got {self.g}")
+        _check_positive("g", self.g)
 
 
 UnitDevice = Union[MosfetParams, LinearSwitch]

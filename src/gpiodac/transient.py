@@ -8,14 +8,18 @@ glitches; thermometer decoding flips pins in one direction only and cannot
 glitch regardless of the edge ordering.
 
 The pin model is two-state: a pin holds its old value until its event time,
-then commits to the new one. A transition is replayed with array operations
-on the pins it changes: their event times are sorted and a cumulative sum of
-their +-1 steps gives the asserted unit count after every event, so a replay
-costs time linear in the number of changed pins (plus one d_max-long stagger
-draw per step in random mode). The unit counts of all intermediate pin states
-are then resolved together in one batched call of the static operating-point
-solver, so the transient waveform and the static transfer curve can never
-disagree on settled levels. Rise/fall times are carried for documentation and
+then commits to the new one. The pins a transition changes form contiguous
+ranges (thermometer: the pins between the two codes; binary: the 2^i pins of
+each flipped bit i), so a whole code sequence is replayed in one pass of array
+operations: the ranges expand into pin events, one sort orders them by
+transition and event time, and one running sum of their +-1 steps gives the
+asserted unit count after every event. Random mode draws staggers only for
+the span of pins each transition changes and skips the rest of the seeded
+stream, so a replay costs time linear in the number of changed pins in both
+skew modes. The unit counts of all intermediate pin states are then resolved
+together in one batched call of the static operating-point solver, so the
+transient waveform and the static transfer curve can never disagree on
+settled levels. Rise/fall times are carried for documentation and
 sampling-rate checks; edge shapes are not modeled because the glitch
 mechanism is purely an ordering effect.
 """
@@ -71,19 +75,6 @@ class Waveform:
             raise ValueError("times must be strictly ascending")
 
 
-def _pin_owners(n_bits: int, encoding: Encoding) -> np.ndarray:
-    """What decides each of the 2^n - 1 unit pins: its bit (binary) or its own index."""
-    if encoding is Encoding.THERMOMETER:
-        return np.arange((1 << n_bits) - 1)
-    return np.repeat(np.arange(n_bits), 1 << np.arange(n_bits))
-
-
-def _asserted(code: int, owners: np.ndarray, encoding: Encoding) -> np.ndarray:
-    if encoding is Encoding.THERMOMETER:
-        return owners < code
-    return (code >> owners) & 1 == 1
-
-
 def _checked(code: int, d_max: int) -> int:
     """The code as a Python int; ValueError unless it is an integer in 0..d_max."""
     if isinstance(code, bool) or not isinstance(code, (int, np.integer)):
@@ -102,7 +93,74 @@ def pin_states(code: int, n_bits: int, encoding: Encoding) -> tuple[bool, ...]:
     same settled levels.
     """
     code = _checked(code, (1 << n_bits) - 1)
-    return tuple(_asserted(code, _pin_owners(n_bits, encoding), encoding).tolist())
+    if encoding is Encoding.THERMOMETER:
+        return tuple((np.arange((1 << n_bits) - 1) < code).tolist())
+    bit = np.arange(n_bits)
+    return tuple(np.repeat(code >> bit & 1 == 1, 1 << bit).tolist())
+
+
+def _drawn_staggers(
+    rng: np.random.Generator, step: np.ndarray, pin: np.ndarray, d_max: int, skew_max: float
+) -> np.ndarray:
+    """The random staggers of events given in (step, pin) order.
+
+    Step s owns draws (s - 1) * d_max up to s * d_max of the stream, one per
+    pin. Only the span from a step's first to its last changed pin is drawn;
+    advance() skips the rest, which leaves every drawn double the same.
+    """
+    first = np.flatnonzero(np.diff(step, prepend=0))  # steps count from 1
+    last = np.flatnonzero(np.diff(step, append=0))
+    lo, size = pin[first], pin[last] + 1 - pin[first]
+    drawn, position = [np.empty(0)], 0
+    for begin, n in zip(((step[first] - 1) * d_max + lo).tolist(), size.tolist()):
+        rng.bit_generator.advance(begin - position)
+        drawn.append(rng.uniform(0.0, skew_max, size=n))
+        position = begin + n
+    offset = size.cumsum() - size - lo
+    return np.concatenate(drawn)[pin + np.repeat(offset, last + 1 - first)]
+
+
+def _pin_events(
+    config: DacConfig,
+    codes: list[int],
+    t_code: np.ndarray,
+    skew_max: float,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1 of a replay: the time of every pin event and the unit count after it.
+
+    Both arrays start with the first code at time 0. The pins a transition
+    changes form contiguous ranges, so every event of every transition comes
+    from one pass of array operations; its temporaries die with this call.
+    """
+    code = np.array(codes)
+    old, new = code[:-1], code[1:]
+    if config.encoding is Encoding.THERMOMETER:
+        # The pins between the two codes, all moving the same way.
+        seg_step = np.arange(1, len(codes))
+        seg_start, seg_size, seg_rise = np.minimum(old, new), abs(new - old), new > old
+    else:
+        # Bit i owns the 2^i pins from 2^i - 1; a flipped bit moves all of them.
+        bit = np.arange(config.n_bits)
+        flip_step, flip_bit = ((old ^ new)[:, None] >> bit & 1).nonzero()
+        seg_step = flip_step + 1
+        seg_start, seg_size = (1 << flip_bit) - 1, 1 << flip_bit
+        seg_rise = new[flip_step] >> flip_bit & 1 == 1
+    # Events in (step, pin) order: pin ranges expanded with repeat/arange.
+    pin = np.arange(seg_size.sum()) - np.repeat(seg_size.cumsum() - seg_size - seg_start, seg_size)
+    step = np.repeat(seg_step, seg_size)
+    if rng is None:
+        stagger = pin * skew_max / config.d_max
+    else:
+        stagger = _drawn_staggers(rng, step, pin, config.d_max, skew_max)
+    t_event = t_code[step] + stagger
+    # Stable, so simultaneous events of one transition keep their pin order.
+    order = np.lexsort((t_event, step))
+    # The count before a transition is the old code and each changed pin
+    # moves it by one, so one running sum from the first code gives every count.
+    rise = np.repeat(seg_rise, seg_size)[order]
+    times = np.append(0.0, t_event[order])
+    return times, codes[0] + np.append(0, np.where(rise, 1, -1).cumsum())
 
 
 def synthesize(
@@ -115,8 +173,12 @@ def synthesize(
     """Replay a code sequence through per-pin switching events.
 
     Deterministic mode staggers pin j by j * skew_max / pin_count, which is
-    reproducible and places lower-indexed (LSB-group) edges first; random mode
-    draws per-transition staggers from U(0, skew_max) with the given seed.
+    reproducible and places lower-indexed (LSB-group) edges first. Random mode
+    gives pin j of transition s the j-th of the pin_count U(0, skew_max) draws
+    that transition s owns in the stream seeded with ``seed`` (a repeated code
+    owns its draws too), but draws only the span of pins the transition
+    changes. Either way the cost is linear in the number of changed pins, and
+    no step does work in proportion to pin_count.
     """
     if len(codes) == 0:
         raise ValueError("need at least one code")
@@ -128,28 +190,8 @@ def synthesize(
         raise ValueError(f"unknown skew mode {skew_mode!r}")
 
     rng = np.random.default_rng(seed) if skew_mode == "random" else None
-    owners = _pin_owners(config.n_bits, config.encoding)
-    stagger = np.arange(d_max) * timing.skew_max / d_max
-    # Pass 1: the event times of every transition and the asserted unit count
-    # held from each on. The count before a transition is the old code, and
-    # each changed pin moves it by one, in the order of its event time.
-    state = _asserted(codes[0], owners, config.encoding)
-    times = [np.zeros(1)]
-    counts = [np.array([codes[0]])]
-    annotations = [(0.0, codes[0])]
-    for step, code in enumerate(codes[1:], start=1):
-        t_code = step * timing.sample_period
-        annotations.append((t_code, code))
-        if rng is not None:  # drawn every step, so seeded waveforms never shift
-            stagger = rng.uniform(0.0, timing.skew_max, size=d_max)
-        target = _asserted(code, owners, config.encoding)
-        pins = (state != target).nonzero()[0]
-        t_event = t_code + stagger[pins]
-        order = t_event.argsort(kind="stable")
-        times.append(t_event[order])
-        counts.append(codes[step - 1] + np.where(target[pins[order]], 1, -1).cumsum())
-        state = target
-    times, counts = np.concatenate(times), np.concatenate(counts)
+    t_code = np.arange(len(codes)) * timing.sample_period
+    times, counts = _pin_events(config, codes, t_code, timing.skew_max, rng)
     # Simultaneous events collapse to one sample holding the last count.
     last = np.append(times[1:] != times[:-1], True)
 
@@ -164,7 +206,7 @@ def synthesize(
     return Waveform(
         times=tuple(times[last].tolist()),
         values=tuple(map(level.__getitem__, counts[last].tolist())),
-        annotations=tuple(annotations),
+        annotations=tuple(zip(t_code.tolist(), codes)),
         lsb_ref=lsb_ref,
         vdd=config.vdd,
     )

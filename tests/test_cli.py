@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gpiodac.cli import OUTPUT_DIR_ENV, load_config, main, write_atomic
+from gpiodac.cli import OUTPUT_DIR_ENV, json_text, load_config, main, write_atomic
 from gpiodac.devices import Polarity
 
 BASE_CONFIG = {
@@ -145,6 +145,13 @@ class TestExtractRoundTrip:
         report = json.loads((workdir / "sized" / "report.json").read_text())
         assert report["sizing"]["topology"]["rpp_ohm"] == pytest.approx(2.32, rel=0.15)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_vdd_is_exit_2_naming_the_flag(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--curve", "missing.csv", "--vdd", value, "-o", "out"])
+        assert exc.value.code == 2
+        assert f"argument --vdd: must be a finite number, got '{value}'" in capsys.readouterr().err
+
     def test_missing_column_is_config_error(self, workdir):
         bad = workdir / "bad.csv"
         bad.write_text("code,vdac_v\n0,0.0\n")
@@ -183,18 +190,14 @@ class TestSize:
         ])
         assert code == 4
 
-    @pytest.mark.parametrize(
-        "mode, extra",
-        [
-            ("four-resistor", ["--it", "nan"]),
-            ("four-resistor", ["--it", "inf"]),
-            ("four-resistor", ["--it", "0.2", "--rs-total", "nan"]),
-            ("two-resistor", ["--ron", "nan"]),
-        ],
-    )
-    def test_non_finite_flag_is_exit_4(self, workdir, mode, extra):
-        args = ["size", mode, "--vth", "1.15", "--vdd", "3.3", "-o", "out"]
-        assert main(args + extra) == 4
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--vth", "--ron", "--vdd", "--it", "--split", "--rs-total"])
+    def test_non_finite_flag_is_exit_2_naming_the_flag(self, workdir, capsys, flag, value):
+        flags = {"--vth": "1.15", "--vdd": "3.3", "--it": "0.2", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["size", "four-resistor", *(t for kv in flags.items() for t in kv), "-o", "out"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
         assert not (workdir / "out" / "report.json").exists()
 
     def test_missing_arguments_is_exit_2(self, workdir):
@@ -343,6 +346,12 @@ class TestConfigErrors:
         cfg = write_config(workdir, {"dac.topology.rpp": 1.0})
         with pytest.raises(ConfigError, match=r"dac\.topology\.rpp"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_json_text_refuses_non_finite_numbers(self, value):
+        # Strict JSON has no NaN or Infinity; a report must never carry them.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_text({"ron_ohm": value})
 
 
 class TestAtomicity:

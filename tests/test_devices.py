@@ -150,3 +150,12 @@ class TestCalibration:
             MosfetParams(Polarity.NMOS, vth=1.0, k=0.0)
         with pytest.raises(DeviceError):
             LinearSwitch(g=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["vth", "k", "g"])
+    def test_non_finite_parameters_are_rejected(self, field, value):
+        with pytest.raises(DeviceError, match=f"^{field} must be finite and > 0"):
+            if field == "g":
+                LinearSwitch(g=value)
+            else:
+                MosfetParams(Polarity.PMOS, **{"vth": 1.15, "k": 0.01, field: value})

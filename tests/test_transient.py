@@ -243,6 +243,61 @@ class TestPerPinReference:
         want = per_pin_synthesize(cfg, codes, TIMING, skew_mode, 11)
         assert synthesize(cfg, codes, TIMING, skew_mode, 11) == want
 
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_random_9_bit_sequence_is_bitwise_the_per_pin_loop(self, encoding, skew_mode):
+        cfg = DacConfig(9, VDD, PAIR, encoding=encoding)
+        codes = np.random.default_rng(9).integers(0, cfg.d_max + 1, size=200).tolist()
+        want = per_pin_synthesize(cfg, codes, TIMING, skew_mode, 23)
+        assert synthesize(cfg, codes, TIMING, skew_mode, 23) == want
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_idle_steps_still_consume_their_draws(self, encoding):
+        # Repeated codes move no pin, yet each takes its d_max doubles of the
+        # stream, so the staggers of the 9 -> 2 step come from the fifth block.
+        cfg = DacConfig(4, VDD, PAIR, encoding=encoding)
+        codes = [5, 5, 5, 9, 9, 2]
+        want = per_pin_synthesize(cfg, codes, TIMING, "random", 4)
+        assert synthesize(cfg, codes, TIMING, "random", 4) == want
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_random_mode_with_zero_skew_is_bitwise_the_per_pin_loop(self, encoding):
+        cfg = DacConfig(5, VDD, PAIR, encoding=encoding)
+        timing = TimingParams(30e-9, 30e-9, 0.0, 50e-9)
+        codes = staircase_codes(5) + [31, 0, 16, 15, 15]
+        want = per_pin_synthesize(cfg, codes, timing, "random", 2)
+        got = synthesize(cfg, codes, timing, "random", 2)
+        assert got == want
+        # every edge of a step lands at once: one sample per code change
+        assert len(got.times) == 1 + sum(a != b for a, b in zip(codes, codes[1:]))
+
+
+class TestStaggerStream:
+    """The seeded stream contract behind synthesize's random skew mode.
+
+    Step s of a replay owns d_max uniform draws of a PCG64 stream, one per pin,
+    but synthesize draws only the span [lo, hi) of pins the step changes and
+    skips the rest with bit_generator.advance(). That must give the same
+    doubles, bit for bit, and leave the stream where the full draw leaves it.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**31 - 1])
+    @pytest.mark.parametrize("d_max, lo, hi", [
+        (1, 0, 1), (1, 0, 0), (1, 1, 1), (15, 0, 15), (15, 3, 9), (15, 7, 7),
+        (15, 0, 0), (15, 15, 15), (1023, 511, 1023), (1023, 1023, 1023),
+    ])
+    def test_advance_then_span_draw_is_the_full_draw(self, seed, d_max, lo, hi):
+        broke = "numpy's PCG64 stream no longer skips uniform draws with advance(); " \
+                "synthesize's random skew mode relies on it"
+        full, part = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # two steps, so the second starts from an advanced state
+            want = full.uniform(0.0, 5e-9, size=d_max)[lo:hi]
+            part.bit_generator.advance(lo)
+            got = part.uniform(0.0, 5e-9, size=hi - lo)
+            part.bit_generator.advance(d_max - hi)
+            assert got.tobytes() == want.tobytes(), broke
+            assert part.bit_generator.state == full.bit_generator.state, broke
+
 
 @st.composite
 def scanned_waveforms(draw):
