@@ -30,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .devices import DeviceError, DevicePair, MosfetParams, Polarity, calibrated_pair
+from .devices import DevicePair, MosfetParams, Polarity, calibrated_pair
 from .explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows
 from .hdlgen import (
     GenerationError,
@@ -42,6 +42,7 @@ from .hdlgen import (
 )
 from .metrics import LinearityReport, MetricsError, summary
 from .network import (
+    MAX_BITS,
     DacConfig,
     Encoding,
     FourResistor,
@@ -66,18 +67,13 @@ from .transient import TimingParams, export_rows, parse_code_list, synthesize
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GPIODAC_OUTPUT_DIR"
 
-TRANSFER_COLUMNS = (
-    "code",
-    "vdac_v",
-    "vd_v",
-    "vs_v",
-    "itotal_a",
-    "i_pullup_a",
-    "i_pulldown_a",
-    "region_p",
-    "region_n",
-    "kcl_residual_a",
+# transfer.csv: (column, TransferCurve column it is written from), in file order.
+_TRANSFER_KEYS = (
+    ("code", "code"), ("vdac_v", "vdac"), ("vd_v", "vd"), ("vs_v", "vs"),
+    ("itotal_a", "i_total"), ("i_pullup_a", "i_per_pullup"), ("i_pulldown_a", "i_per_pulldown"),
+    ("region_p", "region_p"), ("region_n", "region_n"), ("kcl_residual_a", "kcl_residual"),
 )
+TRANSFER_COLUMNS = tuple(column for column, _ in _TRANSFER_KEYS)
 WAVEFORM_COLUMNS = ("time_s", "volts")
 
 
@@ -87,195 +83,182 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config parsing
+#
+# Every JSON input is checked against a section spec: key -> (kind, default).
+# A kind is one of the names below, a tuple of allowed values, or an Enum
+# class whose values are allowed (parsed to its member).
+
+REQUIRED = object()  # the default of a key that must be given
+NUMBER, INTEGER, TEXT = "a finite number", "an integer", "a string"
+TEXTS, OBJECT, PAIR = "a list of strings", "an object", "a pair of finite numbers"
 
 
-def _require_keys(obj: dict, where: str, required: Sequence[str], optional: Sequence[str]) -> None:
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown key {where}.{key}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"missing key {where}.{key}")
-
-
-def _number(obj: dict, where: str, key: str, default: float | None = None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing key {where}.{key}")
-        return default
-    value = obj[key]
+def _is_number(value: Any) -> bool:
+    # JSON's NaN and Infinity literals, and integers too large for a float, are not numbers here:
+    # NaN compares false, and an int compares with the largest float exactly.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    # JSON's NaN and Infinity literals, and integers too large for a float, are not numbers here.
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return number
+        return False
+    return abs(value) <= sys.float_info.max
 
 
-def _integer(obj: dict, where: str, key: str, default: int | None = None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing key {where}.{key}")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    return value
+_KINDS = {
+    NUMBER: _is_number,
+    INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    TEXT: lambda v: isinstance(v, str),
+    TEXTS: lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    OBJECT: lambda v: isinstance(v, dict),
+    PAIR: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+}
+
+_CONFIG = {
+    "schema": ((SCHEMA_VERSION,), REQUIRED),
+    "dac": (OBJECT, REQUIRED),
+    "timing": (OBJECT, None),
+    "hdl": (OBJECT, None),
+    "transient": (OBJECT, {}),
+    "output_dir": (TEXT, "out"),
+}
+_DAC = {
+    "n_bits": (INTEGER, REQUIRED),
+    "vdd": (NUMBER, REQUIRED),
+    "encoding": (Encoding, Encoding.BINARY),
+    "devices": (OBJECT, REQUIRED),
+    "topology": (OBJECT, REQUIRED),
+}
+# dac.devices is the symmetric shorthand, or one explicit device per slot
+# whose polarity key, if given, must name its slot.
+_SHORTHAND = {"vth": (NUMBER, REQUIRED), "ron_midrange": (NUMBER, REQUIRED)}
+_SLOTS = {"pmos": (OBJECT, REQUIRED), "nmos": (OBJECT, REQUIRED)}
+_DEVICE = {"vth": (NUMBER, REQUIRED), "k": (NUMBER, REQUIRED)}
+# dac.topology.kind -> (class, its keys); report.json names the resistors with an _ohm suffix.
+_OHMS = (NUMBER, REQUIRED)
+_TOPOLOGIES = {
+    "standalone": (Standalone, {}),
+    "two_resistor": (TwoResistor, {"rpp": _OHMS, "rpn": _OHMS}),
+    "four_resistor": (FourResistor, {
+        "rsp": _OHMS, "rsn": _OHMS, "rpp": _OHMS, "rpn": _OHMS,
+        "parallel_attach": (ParallelAttach, ParallelAttach.INNER_RAILS),
+    }),
+}
+# Each timing key is a TimingParams field with its unit suffix.
+_TIMING = {
+    "t_rise_s": (NUMBER, 30e-9),
+    "t_fall_s": (NUMBER, 30e-9),
+    "skew_max_s": (NUMBER, 5e-9),
+    "sample_period_s": (NUMBER, REQUIRED),
+}
+_HDL = {
+    "module_name": (TEXT, REQUIRED),
+    "clock_hz": (INTEGER, REQUIRED),
+    "staircase_step_cycles": (INTEGER, 1),
+    "pin_assignments": (TEXTS, None),
+    "clock_pin": (TEXT, "CLK"),
+}
+_TRANSIENT = {
+    "codes": (TEXT, "staircase"),
+    "skew_mode": (("deterministic", "random"), "deterministic"),
+}
+# params.json, as extract writes it and size --params reads it: each
+# ExtractedParams field with its unit suffix, plus the run record.
+_PARAM_FIELDS = {
+    "vth_v": (NUMBER, REQUIRED),
+    "ron_ohm": (NUMBER, REQUIRED),
+    "vdd_v": (NUMBER, REQUIRED),
+    "linear_range_v": (PAIR, REQUIRED),
+}
+_PARAMS = {"schema": ((SCHEMA_VERSION,), SCHEMA_VERSION), "run": (OBJECT, None), **_PARAM_FIELDS}
 
 
-def _parse_device(obj: Any, where: str, polarity: Polarity) -> MosfetParams:
-    """One explicit device; its slot fixes the polarity, so the optional key must agree."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(obj, where, required=("vth", "k"), optional=("polarity",))
-    given = obj.get("polarity", polarity.value)
-    if given != polarity.value:
-        raise ConfigError(f"{where}.polarity must be {polarity.value!r}, got {given!r}")
-    return MosfetParams(polarity, _number(obj, where, "vth"), _number(obj, where, "k"))
+def _field(key: str) -> str:
+    """The attribute a JSON key names: the key without its unit suffix (vth_v -> vth)."""
+    return key.rpartition("_")[0]
 
 
-def _parse_devices(obj: Any, where: str, vdd: float) -> DevicePair:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    if "pmos" in obj or "nmos" in obj:
-        _require_keys(obj, where, required=("pmos", "nmos"), optional=())
-        pmos = _parse_device(obj["pmos"], f"{where}.pmos", Polarity.PMOS)
-        nmos = _parse_device(obj["nmos"], f"{where}.nmos", Polarity.NMOS)
-        return DevicePair(pmos=pmos, nmos=nmos)
-    # symmetric shorthand: threshold plus mid-scale unit resistance
-    _require_keys(obj, where, required=("vth", "ron_midrange"), optional=())
-    try:
-        return calibrated_pair(
-            vdd, _number(obj, where, "vth"), _number(obj, where, "ron_midrange")
-        )
-    except DeviceError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_topology(obj: Any, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = obj.get("kind")
-    try:
-        if kind == "standalone":
-            _require_keys(obj, where, required=("kind",), optional=())
-            return Standalone()
-        if kind == "two_resistor":
-            _require_keys(obj, where, required=("kind", "rpp", "rpn"), optional=())
-            return TwoResistor(_number(obj, where, "rpp"), _number(obj, where, "rpn"))
-        if kind == "four_resistor":
-            _require_keys(
-                obj,
-                where,
-                required=("kind", "rsp", "rsn", "rpp", "rpn"),
-                optional=("parallel_attach",),
-            )
-            attach = ParallelAttach(obj.get("parallel_attach", "inner"))
-            return FourResistor(
-                _number(obj, where, "rsp"),
-                _number(obj, where, "rsn"),
-                _number(obj, where, "rpp"),
-                _number(obj, where, "rpn"),
-                attach,
-            )
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(
-        f"{where}.kind must be standalone, two_resistor or four_resistor, got {kind!r}"
-    )
-
-
-def _parse_dac(obj: Any, where: str) -> DacConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(
-        obj,
-        where,
-        required=("n_bits", "vdd", "devices", "topology"),
-        optional=("encoding",),
-    )
-    vdd = _number(obj, where, "vdd")
-    try:
-        encoding = Encoding(obj.get("encoding", "binary"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}.encoding: {exc}") from exc
-    try:
-        return DacConfig(
-            n_bits=_integer(obj, where, "n_bits"),
-            vdd=vdd,
-            devices=_parse_devices(obj["devices"], f"{where}.devices", vdd),
-            topology=_parse_topology(obj["topology"], f"{where}.topology"),
-            encoding=encoding,
-        )
-    except (ValueError, DeviceError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_timing(obj: Any, where: str) -> TimingParams:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(
-        obj,
-        where,
-        required=("sample_period_s",),
-        optional=("t_rise_s", "t_fall_s", "skew_max_s", "load_capacitance_f"),
-    )
-    try:
-        return TimingParams(
-            t_rise=_number(obj, where, "t_rise_s", 30e-9),
-            t_fall=_number(obj, where, "t_fall_s", 30e-9),
-            skew_max=_number(obj, where, "skew_max_s", 5e-9),
-            sample_period=_number(obj, where, "sample_period_s"),
-            load_capacitance=_number(obj, where, "load_capacitance_f", 0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_hdl(obj: Any, where: str, dac: DacConfig) -> HdlSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(
-        obj,
-        where,
-        required=("module_name", "clock_hz"),
-        optional=("staircase_step_cycles", "pin_assignments", "clock_pin"),
-    )
-    module_name = obj["module_name"]
-    if not isinstance(module_name, str):
-        raise ConfigError(f"{where}.module_name must be a string")
-    pins_obj = obj.get("pin_assignments")
-    if pins_obj is None:
-        pins = default_pin_assignments(dac.n_bits)
+def _check(value: Any, key: str, kind: Any) -> Any:
+    """value as kind parses it (numbers to float); a ConfigError naming key if it is not of kind."""
+    if isinstance(kind, str):
+        ok, want = _KINDS[kind](value), kind
     else:
-        if not isinstance(pins_obj, list) or not all(isinstance(p, str) for p in pins_obj):
-            raise ConfigError(f"{where}.pin_assignments must be a list of package pin names")
-        pins = tuple((i, name) for i, name in enumerate(pins_obj))
-    clock_pin = obj.get("clock_pin", "CLK")
-    if not isinstance(clock_pin, str):
-        raise ConfigError(f"{where}.clock_pin must be a string")
+        allowed = [getattr(a, "value", a) for a in kind]
+        ok = any(value == a and type(value) is type(a) for a in allowed)
+        want = " or ".join(map(repr, allowed))
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    if kind == NUMBER:
+        return float(value)
+    if kind == PAIR:
+        return tuple(map(float, value))
+    return kind(value) if isinstance(kind, type) else value
+
+
+def _section(obj: Any, where: str, spec: dict) -> dict:
+    """The values of an object checked against spec, with defaults for the keys it lacks."""
+    _check(obj, where, OBJECT)
+    for key in obj:
+        if key not in spec:
+            raise ConfigError(f"unknown key {where}.{key}")
+    values = {}
+    for key, (kind, default) in spec.items():
+        if key in obj:
+            values[key] = _check(obj[key], f"{where}.{key}", kind)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {where}.{key}")
+        else:
+            values[key] = default
+    return values
+
+
+def _build(where: str, ctor: Any, *args: Any, **kwargs: Any) -> Any:
+    """ctor(*args, **kwargs), its ValueError for bad values a ConfigError naming the section."""
     try:
-        return HdlSpec(
-            n_bits=dac.n_bits,
-            encoding=dac.encoding,
-            module_name=module_name,
-            clock_hz=_integer(obj, where, "clock_hz"),
-            staircase_step_cycles=_integer(obj, where, "staircase_step_cycles", 1),
-            pin_assignments=pins,
-            clock_pin=clock_pin,
-        )
-    except GenerationError as exc:
+        return ctor(*args, **kwargs)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read_json(path: str | Path, what: str) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _parse_devices(obj: dict, where: str, vdd: float) -> DevicePair:
+    if "pmos" not in obj and "nmos" not in obj:
+        values = _section(obj, where, _SHORTHAND)
+        return _build(where, calibrated_pair, vdd, values["vth"], values["ron_midrange"])
+    slots = _section(obj, where, _SLOTS)
+    devices = {}
+    for polarity in (Polarity.PMOS, Polarity.NMOS):
+        slot = f"{where}.{polarity.value}"
+        spec = {**_DEVICE, "polarity": ((polarity.value,), polarity.value)}
+        values = _section(slots[polarity.value], slot, spec)
+        devices[polarity.value] = _build(slot, MosfetParams, polarity, values["vth"], values["k"])
+    return DevicePair(**devices)
+
+
+def _parse_topology(obj: dict, where: str):
+    kind = _check(obj.get("kind"), f"{where}.kind", tuple(_TOPOLOGIES))
+    cls, spec = _TOPOLOGIES[kind]
+    values = _section(obj, where, {"kind": (TEXT, REQUIRED), **spec})
+    del values["kind"]
+    return _build(where, cls, **values)
+
+
+def _parse_dac(obj: Any) -> DacConfig:
+    values = _section(obj, "dac", _DAC)
+    values["devices"] = _parse_devices(values["devices"], "dac.devices", values["vdd"])
+    values["topology"] = _parse_topology(values["topology"], "dac.topology")
+    return _build("dac", DacConfig, **values)
+
+
+def _parse_hdl(obj: Any, dac: DacConfig) -> HdlSpec:
+    values = _section(obj, "hdl", _HDL)
+    pins = values["pin_assignments"]
+    values["pin_assignments"] = (
+        default_pin_assignments(dac.n_bits) if pins is None else tuple(enumerate(pins))
+    )
+    return _build("hdl", HdlSpec, n_bits=dac.n_bits, encoding=dac.encoding, **values)
 
 
 @dataclass(frozen=True)
@@ -287,49 +270,18 @@ class ProjectConfig:
     transient_skew_mode: str
     output_dir: str
     digest: str
-    raw: dict
 
 
 def load_config(path: str | Path) -> ProjectConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(
-        doc,
-        "config",
-        required=("schema", "dac"),
-        optional=("timing", "hdl", "transient", "output_dir"),
-    )
-    schema = _integer(doc, "config", "schema")
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"config.schema must be {SCHEMA_VERSION}, got {schema}")
-    dac = _parse_dac(doc["dac"], "dac")
-    timing = _parse_timing(doc["timing"], "timing") if "timing" in doc else None
-    hdl = _parse_hdl(doc["hdl"], "hdl", dac) if "hdl" in doc else None
-
-    codes_spec = "staircase"
-    skew_mode = "deterministic"
-    if "transient" in doc:
-        tr = doc["transient"]
-        if not isinstance(tr, dict):
-            raise ConfigError("transient must be an object")
-        _require_keys(tr, "transient", required=(), optional=("codes", "skew_mode"))
-        codes_spec = tr.get("codes", codes_spec)
-        skew_mode = tr.get("skew_mode", skew_mode)
-        if skew_mode not in ("deterministic", "random"):
-            raise ConfigError(f"transient.skew_mode must be deterministic or random, got {skew_mode!r}")
-
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string")
-
+    doc = _read_json(path, "config")
+    top = _section(doc, "config", _CONFIG)
+    dac = _parse_dac(top["dac"])
+    timing = None
+    if top["timing"] is not None:
+        values = _section(top["timing"], "timing", _TIMING)
+        timing = _build("timing", TimingParams, **{_field(k): v for k, v in values.items()})
+    hdl = None if top["hdl"] is None else _parse_hdl(top["hdl"], dac)
+    transient = _section(top["transient"], "transient", _TRANSIENT)
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -337,11 +289,10 @@ def load_config(path: str | Path) -> ProjectConfig:
         dac=dac,
         timing=timing,
         hdl=hdl,
-        transient_codes=codes_spec,
-        transient_skew_mode=skew_mode,
-        output_dir=output_dir,
+        transient_codes=transient["codes"],
+        transient_skew_mode=transient["skew_mode"],
+        output_dir=top["output_dir"],
         digest=digest,
-        raw=doc,
     )
 
 
@@ -364,18 +315,12 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(value: Any) -> Any:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return value
-
-
 def csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 
@@ -398,10 +343,23 @@ def transfer_csv(curve: TransferCurve) -> str:
             return [format(values, ".12g")] * n
         return list(map(format, values.tolist(), repeat(".12g", n)))
 
-    fields = ("code", "vdac", "vd", "vs", "i_total", "i_per_pullup", "i_per_pulldown",
-              "region_p", "region_n", "kcl_residual")
-    lines = map(",".join, zip(*map(text, fields)))
+    lines = map(",".join, zip(*(text(name) for _, name in _TRANSFER_KEYS)))
     return "\n".join((",".join(TRANSFER_COLUMNS), *lines)) + "\n"
+
+
+# report.json's report and sizing blocks: (JSON key, attribute) of the
+# LinearityReport and SizingResult each is read from.
+_REPORT_KEYS = (
+    ("dnl_lsb", "dnl"), ("inl_lsb", "inl"), ("dnl_max_abs_lsb", "dnl_max_abs"),
+    ("inl_max_abs_lsb", "inl_max_abs"), ("dynamic_range_v", "dynamic_range"),
+    ("monotonic", "monotonic"), ("i_max_a", "i_max"), ("i_at_midrange_a", "i_at_midrange"),
+    ("lsb_ref_v", "lsb_ref"), ("inl_reference", "inl_reference"),
+)
+_SIZING_KEYS = (
+    ("alpha_g", "alpha_g"), ("it_bounds_a", "it_bounds"), ("rs_bounds_ohm", "rs_bounds"),
+    ("predicted_dynamic_range_v", "predicted_dynamic_range"),
+    ("strong_inversion_ok", "strong_inversion_ok"), ("notes", "notes"),
+)
 
 
 def report_doc(
@@ -412,53 +370,30 @@ def report_doc(
 ) -> dict:
     doc: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
-        "run": {"command": command, "config_digest": digest, "tool_version": __version__},
+        "run": _run(command, digest),
         "report": None,
         "sizing": None,
     }
     if report is not None:
-        doc["report"] = {
-            "dnl_lsb": list(report.dnl),
-            "inl_lsb": list(report.inl),
-            "dnl_max_abs_lsb": report.dnl_max_abs,
-            "inl_max_abs_lsb": report.inl_max_abs,
-            "dynamic_range_v": report.dynamic_range,
-            "monotonic": report.monotonic,
-            "i_max_a": report.i_max,
-            "i_at_midrange_a": report.i_at_midrange,
-            "lsb_ref_v": report.lsb_ref,
-            "inl_reference": report.inl_reference,
-        }
+        doc["report"] = {key: getattr(report, attr) for key, attr in _REPORT_KEYS}
     if sizing is not None:
         topo = sizing.topology
-        topo_doc: dict[str, Any] = {}
-        if isinstance(topo, TwoResistor):
-            topo_doc = {"kind": "two_resistor", "rpp_ohm": topo.rpp, "rpn_ohm": topo.rpn}
-        elif isinstance(topo, FourResistor):
-            topo_doc = {
-                "kind": "four_resistor",
-                "rsp_ohm": topo.rsp,
-                "rsn_ohm": topo.rsn,
-                "rpp_ohm": topo.rpp,
-                "rpn_ohm": topo.rpn,
-            }
+        kind = next(k for k, (cls, _) in _TOPOLOGIES.items() if type(topo) is cls)
+        ohms = [key for key, spec in _TOPOLOGIES[kind][1].items() if spec == _OHMS]
         doc["sizing"] = {
-            "topology": topo_doc,
-            "alpha_g": sizing.alpha_g,
-            "it_bounds_a": list(sizing.it_bounds) if sizing.it_bounds else None,
-            "rs_bounds_ohm": list(sizing.rs_bounds) if sizing.rs_bounds else None,
-            "predicted_dynamic_range_v": list(sizing.predicted_dynamic_range),
-            "strong_inversion_ok": sizing.strong_inversion_ok,
-            "notes": list(sizing.notes),
+            "topology": {"kind": kind, **{f"{key}_ohm": getattr(topo, key) for key in ohms}},
+            **{key: getattr(sizing, attr) for key, attr in _SIZING_KEYS},
         }
     return doc
 
 
+def _run(command: str, digest: str) -> dict:
+    return {"command": command, "config_digest": digest, "tool_version": __version__}
+
+
 def write_run_record(out_dir: Path, command: str, digest: str, outputs: list[str]) -> None:
     record = {
-        "command": command,
-        "config_digest": digest,
-        "tool_version": __version__,
+        **_run(command, digest),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": sorted(outputs),
     }
@@ -466,18 +401,13 @@ def write_run_record(out_dir: Path, command: str, digest: str, outputs: list[str
 
 
 def _out_dir(args: argparse.Namespace, cfg: ProjectConfig | None) -> Path:
-    if args.output_dir:
-        return Path(args.output_dir)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(cfg.output_dir if cfg else "out")
+    config_dir = cfg.output_dir if cfg else "out"
+    return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or config_dir)
 
 
+_GNUPLOT_HEAD = "set datafile separator ','\nset key autotitle columnhead\n"
 GNUPLOT_SCRIPTS = {
-    "transfer.csv": (
-        "set datafile separator ','\n"
-        "set key autotitle columnhead\n"
+    "transfer.csv": _GNUPLOT_HEAD + (
         "set xlabel 'code'\n"
         "set ylabel 'V'\n"
         "set y2label 'A'\n"
@@ -485,16 +415,12 @@ GNUPLOT_SCRIPTS = {
         "plot 'transfer.csv' using 1:2 with steps title 'vdac [V]', \\\n"
         "     'transfer.csv' using 1:5 axes x1y2 with linespoints title 'i_total [A]'\n"
     ),
-    "waveform.csv": (
-        "set datafile separator ','\n"
-        "set key autotitle columnhead\n"
+    "waveform.csv": _GNUPLOT_HEAD + (
         "set xlabel 'time [s]'\n"
         "set ylabel 'V'\n"
         "plot 'waveform.csv' using 1:2 with steps title 'vdac'\n"
     ),
-    "sweep.csv": (
-        "set datafile separator ','\n"
-        "set key autotitle columnhead\n"
+    "sweep.csv": _GNUPLOT_HEAD + (
         "set xlabel 'rp [ohm]'\n"
         "plot 'sweep.csv' using 1:3 with linespoints title 'DNL max [LSB]', \\\n"
         "     'sweep.csv' using 1:4 with linespoints title 'INL max [LSB]', \\\n"
@@ -504,11 +430,14 @@ GNUPLOT_SCRIPTS = {
 }
 
 
-def _maybe_gnuplot(args: argparse.Namespace, out: Path, csv_name: str, outputs: list[str]) -> None:
-    if getattr(args, "gnuplot", False):
-        name = csv_name.replace(".csv", ".gp")
-        write_atomic(out / name, GNUPLOT_SCRIPTS[csv_name])
-        outputs.append(name)
+def _write_outputs(args: argparse.Namespace, out: Path, command: str, digest: str,
+                   files: dict[str, str]) -> None:
+    """Each declared file, then the plot script of its CSV if --gnuplot asks, then the run record."""
+    plots = [name for name in files if name in GNUPLOT_SCRIPTS and getattr(args, "gnuplot", False)]
+    files = {**files, **{name.replace(".csv", ".gp"): GNUPLOT_SCRIPTS[name] for name in plots}}
+    for name, text in files.items():
+        write_atomic(out / name, text)
+    write_run_record(out, command, digest, list(files))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +449,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args, cfg)
     curve = transfer_curve(cfg.dac)
     report = summary(curve)
-    write_atomic(out / "transfer.csv", transfer_csv(curve))
-    write_atomic(out / "report.json", json_text(report_doc(report, None, cfg.digest, "simulate")))
-    outputs = ["transfer.csv", "report.json"]
-    _maybe_gnuplot(args, out, "transfer.csv", outputs)
-    write_run_record(out, "simulate", cfg.digest, outputs)
+    _write_outputs(args, out, "simulate", cfg.digest, {
+        "transfer.csv": transfer_csv(curve),
+        "report.json": json_text(report_doc(report, None, cfg.digest, "simulate")),
+    })
     print(f"wrote {out / 'transfer.csv'} and {out / 'report.json'}")
     return 0
 
@@ -543,9 +471,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if not rows:
         raise ExtractionError("curve CSV has no rows")
     params = extract_from_table(
-        codes=[int(r["code"]) for r in rows],
-        vdac=[float(r["vdac_v"]) for r in rows],
-        i_per_pullup=[float(r["i_pullup_a"]) for r in rows],
+        codes=_curve_cells(path, rows, "code", _integer_text),
+        vdac=_curve_cells(path, rows, "vdac_v", _finite_float),
+        i_per_pullup=_curve_cells(path, rows, "i_pullup_a", _finite_float),
         region_p=[r["region_p"] for r in rows],
         region_n=[r["region_n"] for r in rows],
         vdd=args.vdd,
@@ -554,33 +482,29 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     doc = {
         "schema": SCHEMA_VERSION,
-        "vth_v": params.vth,
-        "ron_ohm": params.ron,
-        "vdd_v": params.vdd,
-        "linear_range_v": list(params.linear_range),
-        "run": {"command": "extract", "config_digest": digest, "tool_version": __version__},
+        **{key: getattr(params, _field(key)) for key in _PARAM_FIELDS},
+        "run": _run("extract", digest),
     }
-    write_atomic(out / "params.json", json_text(doc))
-    write_run_record(out, "extract", digest, ["params.json"])
+    _write_outputs(args, out, "extract", digest, {"params.json": json_text(doc)})
     print(f"wrote {out / 'params.json'}")
     return 0
 
 
+def _curve_cells(path: Path, rows: list[dict], column: str, parse: Any) -> list:
+    """One column of a curve CSV parsed cell by cell; a bad cell is a ConfigError naming it."""
+    values = []
+    for row, cells in enumerate(rows, start=2):  # row 1 is the header
+        try:
+            values.append(parse(cells[column]))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"curve {path} row {row}, column {column}: {exc}") from exc
+    return values
+
+
 def _load_extracted(args: argparse.Namespace) -> ExtractedParams:
     if args.params:
-        try:
-            doc = json.loads(Path(args.params).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
-        try:
-            return ExtractedParams(
-                vth=float(doc["vth_v"]),
-                ron=float(doc["ron_ohm"]),
-                vdd=float(doc["vdd_v"]),
-                linear_range=tuple(doc["linear_range_v"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"params file {args.params} malformed: {exc}") from exc
+        values = _section(_read_json(args.params, "params"), "params", _PARAMS)
+        return ExtractedParams(**{_field(key): values[key] for key in _PARAM_FIELDS})
     if args.vth is None or args.vdd is None:
         raise ConfigError("either --params or both --vth and --vdd are required")
     ron = args.ron if args.ron is not None else 1.0
@@ -603,23 +527,11 @@ def _cmd_size(args: argparse.Namespace) -> int:
             params, it_target=args.it, split=args.split, rs_total=args.rs_total
         )
     out = _out_dir(args, None)
-    digest = hashlib.sha256(
-        json.dumps(
-            {
-                "mode": args.mode,
-                "vth": params.vth,
-                "ron": params.ron,
-                "vdd": params.vdd,
-                "n_bits": args.n_bits,
-                "it": args.it,
-                "split": args.split,
-                "rs_total": args.rs_total,
-            },
-            sort_keys=True,
-        ).encode()
-    ).hexdigest()
-    write_atomic(out / "report.json", json_text(report_doc(None, result, digest, "size")))
-    write_run_record(out, "size", digest, ["report.json"])
+    knobs = {key: getattr(params, key) for key in ("vth", "ron", "vdd")}
+    knobs.update({key: getattr(args, key) for key in ("mode", "n_bits", "it", "split", "rs_total")})
+    digest = hashlib.sha256(json.dumps(knobs, sort_keys=True).encode()).hexdigest()
+    report = json_text(report_doc(None, result, digest, "size"))
+    _write_outputs(args, out, "size", digest, {"report.json": report})
     print(f"wrote {out / 'report.json'}")
     return 0
 
@@ -627,9 +539,9 @@ def _cmd_size(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     try:
-        rp_values = [float(tok) for tok in args.rp.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --rp list {args.rp!r}: {exc}") from exc
+        rp_values = [_finite_float(tok) for tok in args.rp.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"argument --rp: {exc}") from exc
     if not rp_values:
         raise ConfigError("--rp list is empty")
     try:
@@ -637,10 +549,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(args, cfg)
-    write_atomic(out / "sweep.csv", csv_text(SWEEP_COLUMNS, sweep_rows(points)))
-    outputs = ["sweep.csv"]
-    _maybe_gnuplot(args, out, "sweep.csv", outputs)
-    write_run_record(out, "sweep", cfg.digest, outputs)
+    sweep = csv_text(SWEEP_COLUMNS, sweep_rows(points))
+    _write_outputs(args, out, "sweep", cfg.digest, {"sweep.csv": sweep})
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -649,21 +559,15 @@ def _cmd_transient(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.timing is None:
         raise ConfigError("transient needs a timing section in the config")
-    codes_spec = args.codes if args.codes else cfg.transient_codes
-    try:
-        codes = parse_code_list(codes_spec, cfg.dac.n_bits)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     skew_mode = "random" if args.seed is not None else cfg.transient_skew_mode
     try:
+        codes = parse_code_list(args.codes or cfg.transient_codes, cfg.dac.n_bits)
         wave = synthesize(cfg.dac, codes, cfg.timing, skew_mode=skew_mode, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(args, cfg)
-    write_atomic(out / "waveform.csv", csv_text(WAVEFORM_COLUMNS, list(export_rows(wave))))
-    outputs = ["waveform.csv"]
-    _maybe_gnuplot(args, out, "waveform.csv", outputs)
-    write_run_record(out, "transient", cfg.digest, outputs)
+    waveform = csv_text(WAVEFORM_COLUMNS, list(export_rows(wave)))
+    _write_outputs(args, out, "transient", cfg.digest, {"waveform.csv": waveform})
     print(f"wrote {out / 'waveform.csv'}")
     return 0
 
@@ -680,9 +584,7 @@ def _cmd_hdl(args: argparse.Namespace) -> int:
         f"{name}.pcf": artifact.constraints_text,
         f"{name}_manifest.json": manifest_text(artifact),
     }
-    for fname, text in files.items():
-        write_atomic(out / fname, text)
-    write_run_record(out, "hdl", cfg.digest, list(files))
+    _write_outputs(args, out, "hdl", cfg.digest, files)
     print(f"wrote {', '.join(str(out / f) for f in files)}")
     return 0
 
@@ -691,15 +593,24 @@ def _cmd_hdl(args: argparse.Namespace) -> int:
 # Entry point
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of the float flags: a number that is neither infinite nor NaN."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _text_type(parse: Any, ok: Any, want: str) -> Any:
+    """An argparse type: parse(text), refused as 'must be <want>' unless ok(value)."""
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (TypeError, ValueError):
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+
+    return convert
+
+
+_finite_float = _text_type(float, math.isfinite, "a finite number")
+_integer_text = _text_type(int, lambda n: True, "an integer")
+_n_bits = _text_type(int, lambda n: 1 <= n <= MAX_BITS, f"an integer in 1..{MAX_BITS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--ron", type=_finite_float, default=None,
                       help="unit resistance at mid-scale [ohm]")
     size.add_argument("--vdd", type=_finite_float, default=None, help="supply voltage [V]")
-    size.add_argument("--n-bits", type=int, default=4, help="resolution for two-resistor sizing")
+    size.add_argument("--n-bits", type=_n_bits, default=4, help="resolution for two-resistor sizing")
     size.add_argument("--it", type=_finite_float, default=None, help="target total current [A]")
     size.add_argument("--split", type=_finite_float, default=1.0,
                       help="fraction of series resistance on the supply side")
@@ -768,29 +679,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception type, stderr label, exit status); the first that matches wins.
+_FAILURES = (
+    (ConfigError, "config", 2),
+    (SolverError, "solver", 3),
+    (SizingError, "sizing", 4),
+    (ExtractionError, "sizing", 4),
+    (MetricsError, "metrics", 4),
+    (GenerationError, "hdl", 2),
+    (OSError, "io", 5),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"gpiodac: error: config: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"gpiodac: error: solver: {exc}", file=sys.stderr)
-        return 3
-    except (SizingError, ExtractionError) as exc:
-        print(f"gpiodac: error: sizing: {exc}", file=sys.stderr)
-        return 4
-    except MetricsError as exc:
-        print(f"gpiodac: error: metrics: {exc}", file=sys.stderr)
-        return 4
-    except GenerationError as exc:
-        print(f"gpiodac: error: hdl: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"gpiodac: error: io: {exc}", file=sys.stderr)
-        return 5
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        label, status = next((l, s) for kind, l, s in _FAILURES if isinstance(exc, kind))
+        print(f"gpiodac: error: {label}: {exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
-from typing import Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -400,21 +400,33 @@ def _solve_lanes(config: DacConfig, counts: np.ndarray) -> Columns:
         return net.columns(x)
 
 
+def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
+    """values as a flat int64 array; ValueError unless each is an integer in 0..d_max.
+
+    Python and numpy integers pass; bools, floats (even integral ones) and
+    strings do not, which one dtype check on the whole array decides.
+    """
+    counts = np.asarray(values).reshape(-1)
+    if counts.dtype.kind not in "iu":
+        items = np.asarray(values, dtype=object).reshape(-1)
+        bad = next((v for v in items if isinstance(v, bool) or not isinstance(v, (int, np.integer))),
+                   values)
+        raise ValueError(f"{name} {bad!r} is not an integer (all {name} values must be integers)")
+    if counts.size and not 0 <= counts.min() <= counts.max() <= d_max:
+        bad = counts[(counts < 0) | (counts > d_max)][0]
+        raise ValueError(f"{name} {bad} out of range 0..{d_max}")
+    return counts.astype(np.int64)
+
+
 def solve_columns(config: DacConfig, pullup_units: Sequence[int] | np.ndarray) -> Columns:
     """Operating points of a non-empty batch of pull-up counts as columns, one lane per count.
 
     The columns are what solve_units turns into rows, field by field; a
     SolverError names the first failing count.
     """
-    counts = np.asarray(pullup_units).reshape(-1)
-    if not counts.size:
+    if not np.size(pullup_units):
         raise ValueError("pullup_units is empty")
-    if counts.dtype.kind not in "iu":
-        raise ValueError(f"pullup_units must be integers, got {pullup_units!r}")
-    if not 0 <= counts.min() <= counts.max() <= config.d_max:
-        bad = counts[(counts < 0) | (counts > config.d_max)][0]
-        raise ValueError(f"pullup_units {bad} out of range 0..{config.d_max}")
-    return _solve_lanes(config, counts.astype(np.int64))
+    return _solve_lanes(config, _checked_counts(pullup_units, config.d_max, "pullup_units"))
 
 
 def solve_units(

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import DacConfig, Encoding, solve_columns
+from .network import DacConfig, Encoding, _checked_counts, solve_columns
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,9 @@ class TimingParams:
     t_fall: float
     skew_max: float
     sample_period: float
-    load_capacitance: float = 0.0  # oscilloscope/probe load, reporting only
 
     def __post_init__(self) -> None:
-        for name in ("t_rise", "t_fall", "skew_max", "sample_period", "load_capacitance"):
+        for name in ("t_rise", "t_fall", "skew_max", "sample_period"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -71,17 +70,8 @@ class Waveform:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
-        if any(not b > a for a, b in zip(self.times, self.times[1:])):
+        if not np.all(np.diff(self.times) > 0):  # NaN compares false
             raise ValueError("times must be strictly ascending")
-
-
-def _checked(code: int, d_max: int) -> int:
-    """The code as a Python int; ValueError unless it is an integer in 0..d_max."""
-    if isinstance(code, bool) or not isinstance(code, (int, np.integer)):
-        raise ValueError(f"code {code!r} is not an integer")
-    if not 0 <= code <= d_max:
-        raise ValueError(f"code {code} out of range 0..{d_max}")
-    return int(code)
 
 
 def pin_states(code: int, n_bits: int, encoding: Encoding) -> tuple[bool, ...]:
@@ -92,7 +82,7 @@ def pin_states(code: int, n_bits: int, encoding: Encoding) -> tuple[bool, ...]:
     count equals the code, which is what makes the two encodings produce the
     same settled levels.
     """
-    code = _checked(code, (1 << n_bits) - 1)
+    code = int(_checked_counts(code, (1 << n_bits) - 1, "code")[0])
     if encoding is Encoding.THERMOMETER:
         return tuple((np.arange((1 << n_bits) - 1) < code).tolist())
     bit = np.arange(n_bits)
@@ -122,7 +112,7 @@ def _drawn_staggers(
 
 def _pin_events(
     config: DacConfig,
-    codes: list[int],
+    code: np.ndarray,
     t_code: np.ndarray,
     skew_max: float,
     rng: np.random.Generator | None,
@@ -133,11 +123,10 @@ def _pin_events(
     changes form contiguous ranges, so every event of every transition comes
     from one pass of array operations; its temporaries die with this call.
     """
-    code = np.array(codes)
     old, new = code[:-1], code[1:]
     if config.encoding is Encoding.THERMOMETER:
         # The pins between the two codes, all moving the same way.
-        seg_step = np.arange(1, len(codes))
+        seg_step = np.arange(1, len(code))
         seg_start, seg_size, seg_rise = np.minimum(old, new), abs(new - old), new > old
     else:
         # Bit i owns the 2^i pins from 2^i - 1; a flipped bit moves all of them.
@@ -160,7 +149,7 @@ def _pin_events(
     # moves it by one, so one running sum from the first code gives every count.
     rise = np.repeat(seg_rise, seg_size)[order]
     times = np.append(0.0, t_event[order])
-    return times, codes[0] + np.append(0, np.where(rise, 1, -1).cumsum())
+    return times, code[0] + np.append(0, np.where(rise, 1, -1).cumsum())
 
 
 def synthesize(
@@ -183,7 +172,7 @@ def synthesize(
     if len(codes) == 0:
         raise ValueError("need at least one code")
     d_max = config.d_max
-    codes = [_checked(c, d_max) for c in codes]
+    codes = _checked_counts(codes, d_max, "code")
     if timing.skew_max >= timing.sample_period:
         raise ValueError("skew_max must be smaller than sample_period")
     if skew_mode not in ("deterministic", "random"):
@@ -206,7 +195,7 @@ def synthesize(
     return Waveform(
         times=tuple(times[last].tolist()),
         values=tuple(map(level.__getitem__, counts[last].tolist())),
-        annotations=tuple(zip(t_code.tolist(), codes)),
+        annotations=tuple(zip(t_code.tolist(), codes.tolist())),
         lsb_ref=lsb_ref,
         vdd=config.vdd,
     )

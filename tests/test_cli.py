@@ -3,12 +3,19 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from gpiodac.cli import OUTPUT_DIR_ENV, json_text, load_config, main, write_atomic
 from gpiodac.devices import Polarity
+
+GOLDEN = Path(__file__).parent / "golden"
+TWO_RESISTOR_FLAGS = ["--vth", "1.15", "--ron", "40.0", "--vdd", "3.3", "--n-bits", "4"]
+FOUR_RESISTOR_FLAGS = ["--vth", "1.15", "--vdd", "3.3", "--it", "0.2", "--split", "1.0"]
+PARAMS = {"schema": 1, "vth_v": 1.15, "ron_ohm": 40.0, "vdd_v": 3.3,
+          "linear_range_v": [1.15, 2.15], "run": {"command": "extract"}}
 
 BASE_CONFIG = {
     "schema": 1,
@@ -157,14 +164,41 @@ class TestExtractRoundTrip:
         bad.write_text("code,vdac_v\n0,0.0\n")
         assert main(["extract", "--curve", str(bad), "--vdd", "3.3", "-o", "out"]) == 2
 
+    def test_output_matches_golden(self, workdir):
+        curve = workdir / "transfer.csv"
+        curve.write_bytes((GOLDEN / "transfer_dac4_standalone.csv").read_bytes())
+        assert main(["extract", "--curve", str(curve), "--vdd", "3.3", "-o", "out"]) == 0
+        want = (GOLDEN / "params_dac4_standalone.json").read_bytes()
+        assert (workdir / "out" / "params.json").read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "row, column, cell, message",
+        [
+            (3, "code", "x", "must be an integer, got 'x'"),
+            (3, "code", "2.0", "must be an integer, got '2.0'"),
+            (9, "vdac_v", "nan", "must be a finite number, got 'nan'"),
+            (17, "i_pullup_a", "inf", "must be a finite number, got 'inf'"),
+            (2, "vdac_v", "", "must be a finite number, got ''"),
+        ],
+    )
+    def test_bad_cell_is_config_error_naming_file_row_and_column(
+        self, workdir, capsys, row, column, cell, message
+    ):
+        with (GOLDEN / "transfer_dac4_standalone.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[row - 1][rows[0].index(column)] = cell  # row 1 is the header
+        curve = workdir / "bad.csv"
+        with curve.open("w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        assert main(["extract", "--curve", str(curve), "--vdd", "3.3", "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gpiodac: error: config: curve {curve} row {row}, column {column}: {message}\n"
+        assert not (workdir / "out" / "params.json").exists()
+
 
 class TestSize:
     def test_two_resistor_reference_values(self, workdir):
-        assert main([
-            "size", "two-resistor",
-            "--vth", "1.15", "--ron", "40.0", "--vdd", "3.3", "--n-bits", "4",
-            "-o", "out",
-        ]) == 0
+        assert main(["size", "two-resistor", *TWO_RESISTOR_FLAGS, "-o", "out"]) == 0
         doc = json.loads((workdir / "out" / "report.json").read_text())
         sizing = doc["sizing"]
         assert sizing["alpha_g"] == pytest.approx(17.25, rel=1e-9)
@@ -172,11 +206,7 @@ class TestSize:
         assert doc["report"] is None
 
     def test_four_resistor_reference_values(self, workdir):
-        assert main([
-            "size", "four-resistor",
-            "--vth", "1.15", "--vdd", "3.3", "--it", "0.2", "--split", "1.0",
-            "-o", "out",
-        ]) == 0
+        assert main(["size", "four-resistor", *FOUR_RESISTOR_FLAGS, "-o", "out"]) == 0
         sizing = json.loads((workdir / "out" / "report.json").read_text())["sizing"]
         assert sizing["rs_bounds_ohm"] == pytest.approx([5.0, 10.75], abs=1e-9)
         assert sizing["topology"]["rpp_ohm"] == pytest.approx(5.75, abs=1e-9)
@@ -203,6 +233,29 @@ class TestSize:
     def test_missing_arguments_is_exit_2(self, workdir):
         assert main(["size", "two-resistor", "-o", "out"]) == 2
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("report_size_two_resistor.json", ["two-resistor", *TWO_RESISTOR_FLAGS]),
+            ("report_size_four_resistor.json", ["four-resistor", *FOUR_RESISTOR_FLAGS]),
+        ],
+    )
+    def test_output_matches_golden(self, workdir, golden, argv):
+        assert main(["size", *argv, "-o", "out"]) == 0
+        assert (workdir / "out" / "report.json").read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("value", ["-3", "0", "17", "4.0", "x"])
+    def test_n_bits_outside_1_to_16_is_exit_2_naming_the_flag(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["size", "two-resistor", *TWO_RESISTOR_FLAGS, "--n-bits", value, "-o", "out"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --n-bits: must be an integer in 1..16, got '{value}'" in err
+        assert not (workdir / "out" / "report.json").exists()
+
+    def test_n_bits_16_is_accepted(self, workdir):
+        assert main(["size", "two-resistor", *TWO_RESISTOR_FLAGS, "--n-bits", "16", "-o", "out"]) == 0
+
 
 class TestSweep:
     def test_sweep_csv(self, workdir):
@@ -221,6 +274,16 @@ class TestSweep:
     def test_bad_rp_list(self, workdir):
         cfg = write_config(workdir)
         assert main(["sweep", "-c", str(cfg), "--rp", "5,banana"]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_rp_is_exit_2_naming_the_flag(self, workdir, capsys, value):
+        cfg = write_config(workdir, {
+            "dac.topology": {"kind": "two_resistor", "rpp": 5.0, "rpn": 5.0},
+        })
+        assert main(["sweep", "-c", str(cfg), "--rp", f"5,{value}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gpiodac: error: config: argument --rp: must be a finite number, got '{value}'\n"
+        assert not (workdir / "out" / "sweep.csv").exists()
 
 
 class TestTransient:
@@ -312,6 +375,96 @@ class TestConfigErrors:
         assert err.startswith(f"gpiodac: error: config: {named} must be a finite number, got ")
         assert err.count("\n") == 1
         assert not (workdir / "out" / "waveform.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("transient", {"codes": 5}, "transient.codes must be a string, got 5"),
+            ("transient", {"codes": [7, 8]}, "transient.codes must be a string, got [7, 8]"),
+            ("transient", {"skew_mode": "chaotic"},
+             "transient.skew_mode must be 'deterministic' or 'random', got 'chaotic'"),
+            ("transient", [], "config.transient must be an object, got []"),
+            ("timing.load_capacitance_f", 1e-12, "unknown key timing.load_capacitance_f"),
+            ("timing.sample_period_s", None, "missing key timing.sample_period_s"),
+            ("dac.n_bits", 4.0, "dac.n_bits must be an integer, got 4.0"),
+            ("dac.n_bits", 17, "dac: n_bits must be in 1..16, got 17"),
+            ("dac.encoding", "gray", "dac.encoding must be 'binary' or 'thermometer', got 'gray'"),
+            ("dac.topology",
+             {"kind": "four_resistor", "rsp": 1, "rsn": 0, "rpp": 1, "rpn": 1,
+              "parallel_attach": "ground"},
+             "dac.topology.parallel_attach must be 'supply' or 'inner', got 'ground'"),
+            ("dac.topology", {"kind": "two_resistor", "rpp": 0.0, "rpn": 1.0},
+             "dac.topology: parallel resistors must be > 0"),
+            ("dac.devices", {"pmos": {"vth": 1.15, "k": -1.0}, "nmos": {"vth": 1.15, "k": 0.01}},
+             "dac.devices.pmos: k must be finite and > 0, got -1.0"),
+            ("hdl.pin_assignments", ["A1", 2], "hdl.pin_assignments must be a list of strings"),
+            ("hdl.pin_assignments", ["A1"], "hdl: need exactly 15 pin assignments, got 1"),
+            ("hdl.clock_hz", True, "hdl.clock_hz must be an integer, got True"),
+            ("schema", True, "config.schema must be 1, got True"),
+            ("output_dir", 5, "config.output_dir must be a string, got 5"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_key(self, workdir, capsys, key, value, message):
+        cfg = write_config(workdir, {key: value})
+        assert main(["transient", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gpiodac: error: config: {message}")
+        assert err.count("\n") == 1
+        assert not (workdir / "out" / "waveform.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("vdd_v", float("inf"), "params.vdd_v must be a finite number, got inf"),
+            ("vth_v", float("nan"), "params.vth_v must be a finite number, got nan"),
+            ("vth_v", "1.15", "params.vth_v must be a finite number, got '1.15'"),
+            ("linear_range_v", [1.15, 2.15, 9],
+             "params.linear_range_v must be a pair of finite numbers, got [1.15, 2.15, 9]"),
+            ("linear_range_v", 1.15, "params.linear_range_v must be a pair of finite numbers"),
+            ("ron_ohm", None, "missing key params.ron_ohm"),
+            ("ron", 40.0, "unknown key params.ron"),
+            ("schema", 2, "params.schema must be 1, got 2"),
+        ],
+    )
+    def test_bad_params_file_exits_2_naming_the_key(self, workdir, capsys, key, value, message):
+        doc = {**PARAMS, key: value}
+        if value is None:
+            del doc[key]
+        params = workdir / "params.json"
+        params.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity literals
+        assert main(["size", "two-resistor", "--params", str(params), "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gpiodac: error: config: {message}")
+        assert err.count("\n") == 1
+        assert not (workdir / "out" / "report.json").exists()
+
+    def test_params_file_without_schema_and_run_is_accepted(self, workdir):
+        params = workdir / "params.json"
+        params.write_text(json.dumps({k: v for k, v in PARAMS.items() if k not in ("schema", "run")}))
+        assert main(["size", "two-resistor", "--params", str(params), "-o", "out"]) == 0
+
+    def test_params_root_must_be_an_object(self, workdir, capsys):
+        params = workdir / "params.json"
+        params.write_text("[1.15, 40.0]")
+        assert main(["size", "two-resistor", "--params", str(params), "-o", "out"]) == 2
+        assert capsys.readouterr().err.startswith("gpiodac: error: config: params must be an object")
+
+    def test_readme_config_example_loads(self, workdir):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"### Config schema.*?```json\n(.*?)```", readme, re.S).group(1)
+        cfg = workdir / "readme.json"
+        cfg.write_text(example)
+        loaded = load_config(cfg)
+        assert loaded.hdl.pin_assignments[14] == (14, "J16")
+        assert (loaded.transient_codes, loaded.transient_skew_mode) == ("staircase", "deterministic")
+        assert main(["hdl", "-c", str(cfg), "-o", "out"]) == 0
+
+    def test_readme_params_example_feeds_size(self, workdir):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"writes `params.json`.*?```json\n(.*?)```", readme, re.S).group(1)
+        params = workdir / "params.json"
+        params.write_text(example)
+        assert main(["size", "two-resistor", "--params", str(params), "-o", "out"]) == 0
 
     def test_missing_file(self, workdir):
         assert main(["simulate", "-c", "nope.json"]) == 2

@@ -144,8 +144,7 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(config(Encoding.BINARY), [1], TIMING, skew_mode="bogus")
 
-    @pytest.mark.parametrize("field", ["t_rise", "t_fall", "skew_max", "sample_period",
-                                       "load_capacitance"])
+    @pytest.mark.parametrize("field", ["t_rise", "t_fall", "skew_max", "sample_period"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
     def test_timing_rejects_non_finite_and_negative_values(self, field, value):
         args = {"t_rise": 30e-9, "t_fall": 30e-9, "skew_max": 5e-9, "sample_period": 50e-9}
@@ -157,6 +156,12 @@ class TestSynthesize:
             Waveform((0.0, float("nan"), 2.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
         with pytest.raises(ValueError, match="strictly ascending"):
             Waveform((float("nan"), 1.0), (0.0, 1.0), (), 1.0, VDD)
+
+    def test_waveform_rejects_repeated_and_falling_times(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Waveform((0.0, 1.0, 1.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Waveform((0.0, 2.0, 1.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
 
 
 class TestDetectGlitches:
