@@ -611,6 +611,7 @@ def _text_type(parse: Any, ok: Any, want: str) -> Any:
 _finite_float = _text_type(float, math.isfinite, "a finite number")
 _integer_text = _text_type(int, lambda n: True, "an integer")
 _n_bits = _text_type(int, lambda n: 1 <= n <= MAX_BITS, f"an integer in 1..{MAX_BITS}")
+_seed = _text_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -666,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(trans, plot=True)
     trans.add_argument("--codes", default=None,
                        help="comma-separated codes or 'staircase' (default from config)")
-    trans.add_argument("--seed", type=int, default=None,
+    trans.add_argument("--seed", type=_seed, default=None,
                        help="seed for random per-pin skew (switches skew mode to random)")
     trans.set_defaults(func=_cmd_transient)
 

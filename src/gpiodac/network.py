@@ -15,9 +15,14 @@ vd/vs when series resistors are present). One solve takes an array of
 pull-up counts, one lane per count: one array evaluation of the device model
 gives every lane's residuals and 1x1/2x2/3x3 Jacobian, and damped Newton
 steps all unfinished lanes at once, each with its own step size, iteration
-count and outcome. A lane's result therefore does not depend on its batch.
-Every branch current is monotone in its node voltages, so lanes where Newton
-stalls fall back to per-node bisection sweeps for the rest of their budget.
+count and outcome; two full steps then polish each converged lane onto its
+fixed point. A batch of over 2 * WARM_STRIDE distinct counts starts from
+Newton solves at every WARM_STRIDE-th count, interpolated; a lane that fails
+from there restarts from the linear guess. A lane's voltages thus depend on
+its batch only within 1e-14 V, and not at all in a smaller batch. Branch
+currents are monotone in their node voltages, so lanes where Newton stalls
+fall back to per-node bisection sweeps for the rest of their budget (a warm
+start may let Newton converge such a lane instead).
 A solve returns columns, one array per NodeSolution field; a TransferCurve
 keeps them and builds its NodeSolution rows only when they are first read.
 """
@@ -27,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Any, Mapping, Sequence, Union
 
@@ -42,6 +47,7 @@ from .devices import (
 
 RESIDUAL_TOL = 1e-9  # amperes
 MAX_ITERATIONS = 200
+WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a warm-started batch
 
 
 class SolverError(RuntimeError):
@@ -264,7 +270,7 @@ class _Lanes:
         return f
 
     def norm(self, x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(self.residual(x, lanes)), axis=1)
+        return _max_norm(self.residual(x, lanes))
 
     def columns(self, x: np.ndarray) -> Columns:
         cfg = self.cfg
@@ -290,11 +296,24 @@ class _Lanes:
         return dict(zip(FIELDS, columns))
 
 
-def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Newton steps of a stack of lanes, NaN for a lane with a singular Jacobian.
+def _max_norm(f: np.ndarray) -> np.ndarray:
+    """Max-norm of each row of an (n, k <= 3) array, as elementwise maxima over its columns."""
+    return reduce(np.maximum, np.abs(f).T)
 
-    A stacked solve raises for the whole stack when one matrix is singular, so
-    that case is redone lane by lane and only the singular lanes fail."""
+
+def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton steps of a stack of lanes, non-finite for a lane with a singular Jacobian.
+
+    1x1 and 2x2 systems are solved in closed form. A stacked 3x3 solve raises
+    for the whole stack when one matrix is singular, so that case is redone
+    lane by lane."""
+    k = f.shape[1]
+    if k == 1:
+        return -f / jac[:, 0]
+    if k == 2:
+        (a, b), (c, d), (f0, f1) = jac[:, 0].T, jac[:, 1].T, f.T
+        det = a * d - b * c
+        return np.column_stack(((b * f1 - d * f0) / det, (c * f0 - a * f1) / det))
     try:
         return np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -303,24 +322,33 @@ def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.concatenate([_steps(jac[j : j + 1], f[j : j + 1]) for j in range(len(f))])
 
 
-def _newton_lanes(net: _Lanes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on every lane of x in place; returns (iterations used, converged).
+def _newton_lanes(net: _Lanes, x: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Damped Newton on every lane from x (in place) or the linear guess; returns
+    (x, iterations used, converged).
 
     Each lane follows its own rule: stop once the residual max-norm is within
     RESIDUAL_TOL or MAX_ITERATIONS steps are spent; give up on a singular or
     non-finite step, or when halving the step from 1 down to 1e-8 never
-    lowers the norm.
+    lowers the norm. A converged lane then takes two full steps onto its fixed
+    point, kept only where finite and within RESIDUAL_TOL.
     """
+    x = net.initial_guess() if x is None else x
     n, k = x.shape
     live = np.arange(n)
     jac = np.empty((n, k, k))
     f = net.residual(x, live, jac)
-    norm = np.max(np.abs(f), axis=1)
+    norm = _max_norm(f)
     used = np.zeros(n, dtype=int)
     while True:
         live = live[(norm[live] > RESIDUAL_TOL) & (used[live] < MAX_ITERATIONS)]
-        if not live.size:
-            return used, norm <= RESIDUAL_TOL
+        if not live.size:  # polish the converged lanes
+            ok = np.flatnonzero(norm <= RESIDUAL_TOL)
+            x1 = x[ok] + _steps(jac[ok], f[ok])
+            jac1 = np.empty((len(ok), k, k))
+            x2 = x1 + _steps(jac1, net.residual(x1, ok, jac1))
+            keep = np.all(np.isfinite(x2), axis=1) & (net.norm(x2, ok) <= RESIDUAL_TOL)
+            x[ok[keep]] = x2[keep]
+            return x, used, norm <= RESIDUAL_TOL
         dx = _steps(jac[live], f[live])
         finite = np.all(np.isfinite(dx), axis=1)
         live, dx = live[finite], dx[finite]
@@ -332,7 +360,7 @@ def _newton_lanes(net: _Lanes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             x_try = x[lanes] + lam[trial, None] * dx[trial]
             jac_try = np.empty((len(lanes), k, k))
             f_try = net.residual(x_try, lanes, jac_try)
-            norm_try = np.max(np.abs(f_try), axis=1)
+            norm_try = _max_norm(f_try)
             take = (norm_try < norm[lanes]) | (norm_try <= RESIDUAL_TOL)
             done = lanes[take]
             x[done], f[done], jac[done] = x_try[take], f_try[take], jac_try[take]
@@ -343,6 +371,13 @@ def _newton_lanes(net: _Lanes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             lam[trial] *= 0.5
             trial = trial[lam[trial] > 1e-8]
         live = live[moved]  # the others stalled
+
+
+def _warm_start(config: DacConfig, counts: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Starts interpolated from Newton solves at every WARM_STRIDE-th and last distinct count."""
+    grid = np.union1d(distinct[::WARM_STRIDE], distinct[-1:])
+    x = _newton_lanes(_Lanes(config, grid))[0]
+    return np.column_stack([np.interp(counts, grid, column) for column in x.T])
 
 
 def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.ndarray):
@@ -385,9 +420,13 @@ def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.n
 
 def _solve_lanes(config: DacConfig, counts: np.ndarray) -> Columns:
     net = _Lanes(config, counts)
-    x = net.initial_guess()
     with np.errstate(all="ignore"):  # trial points may overflow, as Python floats do silently
-        used, ok = _newton_lanes(net, x)
+        distinct = np.unique(counts)
+        warm = len(distinct) > 2 * WARM_STRIDE
+        x, used, ok = _newton_lanes(net, _warm_start(config, counts, distinct) if warm else None)
+        if warm and not ok.all():  # rerun from the linear guess, as a one-count solve does
+            retry = ~ok
+            x[retry], used[retry], ok[retry] = _newton_lanes(_Lanes(config, counts[retry]))
         fallback = np.flatnonzero(~ok)
         if fallback.size:
             ok[fallback] = _bisection_lanes(net, x, fallback, MAX_ITERATIONS - used[fallback])
@@ -435,10 +474,10 @@ def solve_units(
     """Operating point at an explicit pull-up unit count (0..d_max).
 
     An int gives one NodeSolution. A sequence of counts is solved as one
-    batch and gives one NodeSolution per count, in order, each the same as a
-    one-count call; a SolverError names the first failing count. Transient
-    analysis uses this entry: a mid-transition pin state is a unit count that
-    need not correspond to any encodable code.
+    batch and gives one NodeSolution per count, in order, each within 1e-14 V
+    of a one-count call (see the module docstring); a SolverError names the
+    first failing count. Transient analysis uses this entry: a mid-transition
+    pin state is a unit count that need not correspond to any encodable code.
     """
     counts = np.asarray(pullup_units)
     rows = _rows(solve_columns(config, pullup_units)) if counts.size else ()

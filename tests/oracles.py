@@ -4,13 +4,14 @@ Everything here is deliberately dumb and slow: nested scalar bisection for
 operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
 divider arithmetic for the constant-conductance forms. These never share a
 code path with the implementations they check. The exceptions are kept as
-bit-for-bit references of the code that replaced them: ``per_code_solve``,
-the scalar per-code Newton solver that the lane-batched engine replaced;
-``per_pin_synthesize``, the per-pin transient replay that the array-based
-``synthesize`` replaced; ``per_row_transfer_csv`` and
-``per_row_saturation_flags``, which read a curve's NodeSolution rows where
-the package now reads its columns; and ``per_sample_detect_glitches``, the
-per-sample glitch scan.
+references of the code that replaced them, bit for bit unless noted:
+``per_code_solve``, the scalar per-code Newton solver that the lane-batched
+engine replaced (matched within 1e-14 V, since the engine solves 2x2 steps
+in closed form and warm-starts large batches); ``per_pin_synthesize``, the
+per-pin transient replay that the array-based ``synthesize`` replaced;
+``per_row_transfer_csv`` and ``per_row_saturation_flags``, which read a
+curve's NodeSolution rows where the package now reads its columns; and
+``per_sample_detect_glitches``, the per-sample glitch scan.
 """
 
 from __future__ import annotations
@@ -171,12 +172,15 @@ def _device_derivatives(dev, vgs: float, vds: float) -> tuple[float, float, floa
     return dev.k * (vov * vds - 0.5 * vds * vds), dev.k * vds, dev.k * (vov - vds)
 
 
-def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol: float = 1e-9):
+def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol: float = 1e-9,
+                   polish: bool = True):
     """Scalar reference of the solver: (vdac, vd, vs, residual max-norm, converged).
 
     One unit count at a time: damped Newton from the linear guess (step
-    halved down to 1e-8 until the norm drops), then Gauss-Seidel bisection
-    sweeps for what is left of the iteration budget.
+    halved down to 1e-8 until the norm drops), then, if Newton converged and
+    polish is set, two full Newton steps, kept only where the result is finite
+    and within tol. Where Newton did not converge, Gauss-Seidel bisection
+    sweeps run for what is left of the iteration budget.
     """
     topo, vdd = config.topology, config.vdd
     n_dn = config.d_max - n_up
@@ -240,6 +244,15 @@ def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol:
         else:
             break
         used += 1
+    if norm(x) <= tol and polish:
+        try:
+            x1 = x + np.linalg.solve(jac, -f)
+            f1, jac1 = system(x1)
+            x2 = x1 + np.linalg.solve(jac1, -f1)
+        except np.linalg.LinAlgError:
+            x2 = x
+        if np.all(np.isfinite(x2)) and norm(x2) <= tol:
+            x = x2
     if norm(x) > tol:
         for _ in range(max_iterations - used):
             for idx in range(len(cols)):

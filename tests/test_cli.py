@@ -306,6 +306,20 @@ class TestTransient:
         cfg = write_config(workdir, {"timing": None})
         assert main(["transient", "-c", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("value", ["-1", "2.5", "x"])
+    def test_bad_seed_is_exit_2_naming_the_flag(self, workdir, capsys, value):
+        cfg = write_config(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main(["transient", "-c", str(cfg), "--seed", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be a non-negative integer, got '{value}'" in err
+        assert not (workdir / "out" / "waveform.csv").exists()
+
+    def test_seed_0_is_accepted(self, workdir):
+        cfg = write_config(workdir)
+        assert main(["transient", "-c", str(cfg), "--seed", "0"]) == 0
+
     @pytest.mark.parametrize("name, extra", [("deterministic", []), ("seed7", ["--seed", "7"])])
     def test_waveform_matches_golden(self, workdir, name, extra):
         cfg = write_config(workdir)

@@ -16,6 +16,7 @@ from gpiodac.devices import (
 )
 from gpiodac.network import (
     MAX_ITERATIONS,
+    RESIDUAL_TOL,
     DacConfig,
     FourResistor,
     ParallelAttach,
@@ -302,12 +303,21 @@ def float_bits(rows) -> np.ndarray:
     return np.array([[r.vdac, r.vd, r.vs, r.kcl_residual] for r in rows]).view(np.int64)
 
 
+def voltage_gap(rows, want) -> float:
+    """Largest |difference| in vdac, vd or vs; want holds NodeSolutions or per_code_solve tuples."""
+
+    def volts(items):
+        return np.array([w[:3] if isinstance(w, tuple) else (w.vdac, w.vd, w.vs) for w in items])
+
+    return float(np.max(np.abs(volts(rows) - volts(want))))
+
+
 def assert_matches_per_code_solver(curve) -> None:
-    """Every row is bit for bit what the scalar per-code solver gives."""
+    """Every row is within 1e-14 V of the scalar per-code solver and within RESIDUAL_TOL."""
     reference = [per_code_solve(curve.config, row.code) for row in curve.rows]
     assert all(ref[4] for ref in reference)
-    want = np.array([ref[:4] for ref in reference]).view(np.int64)
-    assert np.array_equal(float_bits(curve.rows), want)
+    assert voltage_gap(curve.rows, reference) <= 1e-14
+    assert max(row.kcl_residual for row in curve.rows) <= RESIDUAL_TOL
 
 
 @st.composite
@@ -425,6 +435,104 @@ class TestFailurePaths:
         for code in range(16):
             assert curve.rows[code] == solve_code(cfg, code)
         assert_matches_per_code_solver(curve)
+
+
+def sample_codes(codes: np.ndarray) -> list[int]:
+    """41 of the given codes: 33 evenly spaced through them and 8 random others."""
+    even = codes[np.linspace(0, len(codes) - 1, 33).round().astype(int)]
+    extra = np.random.default_rng(7).choice(np.setdiff1d(codes, even), 8, replace=False)
+    return sorted({*even.tolist(), *extra.tolist()})
+
+
+class TestWarmStart:
+    """Batches over 2 * WARM_STRIDE distinct counts start from interpolated points."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    def test_12_bit_curve_matches_one_code_solves(self, topology):
+        cfg = DacConfig(n_bits=12, vdd=VDD, devices=MISMATCHED, topology=topology)
+        curve = transfer_curve(cfg)
+        assert np.max(curve.columns["kcl_residual"]) <= RESIDUAL_TOL
+        with np.errstate(all="ignore"):  # Newton from the linear guess, as a one-code solve runs it
+            newton_ok = network._newton_lanes(network._Lanes(cfg, np.arange(cfg.d_max + 1)))[2]
+        codes = sample_codes(np.flatnonzero(newton_ok))
+        assert len(codes) == 41
+        one_code = [solve_code(cfg, c) for c in codes]
+        assert voltage_gap([curve.rows[c] for c in codes], one_code) <= 1e-14
+        # One-code solves leave these to bisection, which stops within RESIDUAL_TOL of the
+        # root; the warm-started batch may reach them by Newton and polish them.
+        bisected = np.flatnonzero(~newton_ok)[::50].tolist()
+        if bisected:
+            small_batch = solve_units(cfg, bisected)  # not warm-started: as one-code solves
+            assert voltage_gap([curve.rows[c] for c in bisected], small_batch) <= 1e-8
+
+    def test_only_batches_over_two_strides_of_distinct_counts_warm_start(self, monkeypatch):
+        calls = []
+        warm_start = network._warm_start
+
+        def spy(config, counts, distinct):
+            calls.append(len(distinct))
+            return warm_start(config, counts, distinct)
+
+        monkeypatch.setattr(network, "_warm_start", spy)
+        cfg = DacConfig(n_bits=8, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["four_inner"])
+        limit = 2 * network.WARM_STRIDE
+        solve_units(cfg, list(range(limit)) * 2)
+        assert calls == []
+        solve_units(cfg, list(range(limit + 1)) * 2)
+        assert calls == [limit + 1]
+
+    def test_the_start_is_a_solved_point_at_every_grid_count(self):
+        cfg = DacConfig(n_bits=8, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["four_inner"])
+        counts = np.arange(cfg.d_max + 1)[::-1]  # the grid is drawn from the sorted distinct counts
+        with np.errstate(all="ignore"):
+            x = network._warm_start(cfg, counts, np.unique(counts))
+        norm = network._Lanes(cfg, counts).norm(x, np.arange(len(counts)))
+        grid = np.isin(counts, [0, 64, 128, 192, cfg.d_max])
+        assert np.all(norm[grid] <= RESIDUAL_TOL)
+        assert np.all(norm[~grid] > RESIDUAL_TOL)  # interpolated, not solved
+
+    def test_lanes_that_fail_from_a_bad_start_restart_from_the_linear_guess(self, monkeypatch):
+        cfg = DacConfig(n_bits=8, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["four_inner"])
+        spoiled = np.arange(3, cfg.d_max + 1, 10)
+        warm_start, newton = network._warm_start, network._newton_lanes
+        restarted = []
+
+        def bad_start(config, counts, distinct):
+            x = warm_start(config, counts, distinct)
+            x[spoiled] = np.nan  # a NaN residual never converges
+            return x
+
+        def spy(net, x=None):
+            if x is None:
+                restarted.append(net.counts.tolist())
+            return newton(net, x)
+
+        monkeypatch.setattr(network, "_warm_start", bad_start)
+        monkeypatch.setattr(network, "_newton_lanes", spy)
+        curve = transfer_curve(cfg)
+        assert restarted[-1] == spoiled.tolist()  # after the coarse grid's run
+        monkeypatch.undo()
+        for code in spoiled:  # the restarted lanes took the one-code path
+            assert curve.rows[code] == solve_code(cfg, int(code))
+        assert_matches_per_code_solver(curve)
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    def test_a_lane_keeps_its_newton_point_if_the_polish_is_not_finite(self, topology, monkeypatch):
+        cfg = DacConfig(n_bits=5, vdd=VDD, devices=MISMATCHED, topology=topology)
+        steps = network._steps
+
+        def spoiled_steps(jac, f):
+            dx = steps(jac, f)
+            dx[np.max(np.abs(f), axis=1) <= RESIDUAL_TOL] = np.nan  # only converged lanes polish
+            return dx
+
+        monkeypatch.setattr(network, "_steps", spoiled_steps)
+        rows = transfer_curve(cfg).rows
+        newton_points = [per_code_solve(cfg, row.code, polish=False) for row in rows]
+        polished = [per_code_solve(cfg, row.code) for row in rows]
+        assert voltage_gap(rows, newton_points) <= 1e-14
+        assert voltage_gap(rows, polished) > 1e-14  # so the polish would have moved them
+        assert max(row.kcl_residual for row in rows) <= RESIDUAL_TOL
 
 
 class TestCurveColumns:
