@@ -23,7 +23,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -329,22 +328,21 @@ def json_text(doc: Any) -> str:
 
 
 def transfer_csv(curve: TransferCurve) -> str:
-    """The curve as CSV text, formatted column by column as csv_text formats rows."""
+    """The curve as CSV text as csv_text formats it, by one % template (shared rails inlined)."""
     columns = curve.columns
-    n = len(columns["code"])
-
-    def text(name: str) -> list[str]:
-        values = columns[name]
-        if name == "code":
-            return list(map(str, values.tolist()))
-        if name.startswith("region_"):
-            return [region.value for region in values.tolist()]
-        if np.ndim(values) == 0:  # a rail shared by every code
-            return [format(values, ".12g")] * n
-        return list(map(format, values.tolist(), repeat(".12g", n)))
-
-    lines = map(",".join, zip(*(text(name) for _, name in _TRANSFER_KEYS)))
-    return "\n".join((",".join(TRANSFER_COLUMNS), *lines)) + "\n"
+    template, values = [], []
+    for _, name in _TRANSFER_KEYS:
+        column = columns[name]
+        if np.ndim(column) == 0:
+            template.append(format(column, ".12g"))
+        elif name.startswith("region_"):
+            template.append("%s")
+            values.append([region.value for region in column.tolist()])
+        else:
+            template.append("%d" if name == "code" else "%.12g")
+            values.append(column.tolist())
+    row = ",".join(template) + "\n"
+    return ",".join(TRANSFER_COLUMNS) + "\n" + "".join(map(row.__mod__, zip(*values)))
 
 
 # report.json's report and sizing blocks: (JSON key, attribute) of the

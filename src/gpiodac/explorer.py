@@ -3,8 +3,8 @@
 Larger parallel resistors widen the dynamic range and cut the total current
 but weaken the stretching that keeps the devices in their well-matched region,
 so DNL/INL degrade; the sweep makes that trade-off explicit so a designer can
-pick a point. Failures are isolated per point: sweeps exist precisely to find
-the corners where the network misbehaves.
+pick a point. The points solve as one batch, but failures stay per point:
+sweeps exist precisely to find the corners where the network misbehaves.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .metrics import LinearityReport, MetricsError, summary
-from .network import (
-    DacConfig,
-    FourResistor,
-    SolverError,
-    TwoResistor,
-    transfer_curve,
-)
+from .network import DacConfig, FourResistor, SolverError, TwoResistor, _curves
 
 SWEEP_COLUMNS = (
     "rp_ohm",
@@ -58,10 +52,10 @@ def _rs_of(config: DacConfig) -> float:
 
 
 def sweep_parallel(base: DacConfig, rp_values: Sequence[float]) -> list[SweepPoint]:
-    """One full transfer curve + report per parallel resistor value.
+    """A report per parallel resistor value, bit for bit summary(transfer_curve(config)).
 
-    Output order follows the input; a diverging point is recorded in-row with
-    an error status and the sweep continues.
+    The curves solve as one lane batch; output order follows the input. A diverging
+    point is recorded in-row with an error status and the sweep continues.
     """
     if len(rp_values) == 0:
         raise ValueError("rp_values must be non-empty")
@@ -69,11 +63,11 @@ def sweep_parallel(base: DacConfig, rp_values: Sequence[float]) -> list[SweepPoi
         raise ValueError("rp values must be > 0")
     rs = _rs_of(base)
     points = []
-    for rp in rp_values:
-        cfg = _with_rp(base, rp)
+    for rp, curve in zip(rp_values, _curves([_with_rp(base, rp) for rp in rp_values])):
         try:
-            report = summary(transfer_curve(cfg))
-            points.append(SweepPoint(rp=rp, rs=rs, report=report, status="ok"))
+            if isinstance(curve, SolverError):
+                raise curve
+            points.append(SweepPoint(rp=rp, rs=rs, report=summary(curve), status="ok"))
         except (SolverError, MetricsError) as exc:
             points.append(
                 SweepPoint(rp=rp, rs=rs, report=None, status=f"error: {exc}")

@@ -15,16 +15,17 @@ vd/vs when series resistors are present). One solve takes an array of
 pull-up counts, one lane per count: one array evaluation of the device model
 gives every lane's residuals and 1x1/2x2/3x3 Jacobian, and damped Newton
 steps all unfinished lanes at once, each with its own step size, iteration
-count and outcome; two full steps then polish each converged lane onto its
-fixed point. A batch of over 2 * WARM_STRIDE distinct counts starts from
+count and outcome. Branch currents are monotone in their node voltages, so
+lanes where Newton stalls fall back to per-node bisection sweeps for the rest
+of their budget. Two full Newton steps then polish each converged lane onto
+its fixed point. A batch of over 2 * WARM_STRIDE distinct counts starts from
 Newton solves at every WARM_STRIDE-th count, interpolated; a lane that fails
 from there restarts from the linear guess. A lane's voltages thus depend on
-its batch only within 1e-14 V, and not at all in a smaller batch. Branch
-currents are monotone in their node voltages, so lanes where Newton stalls
-fall back to per-node bisection sweeps for the rest of their budget (a warm
-start may let Newton converge such a lane instead).
-A solve returns columns, one array per NodeSolution field; a TransferCurve
-keeps them and builds its NodeSolution rows only when they are first read.
+its batch only within 1e-14 V, and not at all in a smaller batch. Configs
+that differ only in rpp/rpn (an rp sweep) solve as one batch with per-lane
+conductances, each curve bit for bit as it solves alone. A solve returns
+columns, one array per NodeSolution field; a TransferCurve keeps them and
+builds its NodeSolution rows only when they are first read.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .devices import (
 RESIDUAL_TOL = 1e-9  # amperes
 MAX_ITERATIONS = 200
 WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a warm-started batch
+_MAX_LANES = 1 << 16  # lanes of one batch of whole curves (one 16-bit curve): bounds peak memory
 
 
 class SolverError(RuntimeError):
@@ -194,19 +196,27 @@ class TransferCurve:
 
 
 class _Lanes:
-    """KCL residuals and Jacobians of one config at an array of pull-up counts.
+    """KCL residuals and Jacobians at an array of pull-up counts, one config per lane.
 
-    Lane j is the network with counts[j] drivers pulling up. Unknowns are
-    ordered [vdac, vd?, vs?] and x holds one row per lane.
+    Lane j is configs[point[j]] (by default, counts under each config in turn)
+    with counts[j] drivers pulling up. The configs differ at most in rpp and
+    rpn: gpp and gpn are per-lane arrays, indexed by lanes as up and dn are.
+    Unknowns are ordered [vdac, vd?, vs?] and x holds one row per lane.
     """
 
-    def __init__(self, config: DacConfig, counts: np.ndarray):
-        self.cfg = config
+    def __init__(self, configs: Sequence[DacConfig], counts: np.ndarray, point=None):
+        if point is None:
+            point = np.repeat(np.arange(len(configs)), len(counts))
+            counts = np.tile(counts, len(configs))
+        self.cfg = config = configs[0]
+        self.point = point
         topo = config.topology
         self.four = isinstance(topo, FourResistor)
         self.has_vs = self.four and topo.rsn > 0.0
         standalone = isinstance(topo, Standalone)
-        self.gpp, self.gpn = (0.0, 0.0) if standalone else (1.0 / topo.rpp, 1.0 / topo.rpn)
+        gp = [(0.0, 0.0) if standalone else (1.0 / c.topology.rpp, 1.0 / c.topology.rpn)
+              for c in configs]
+        self.gpp, self.gpn = (np.array(g)[point] for g in zip(*gp))
         self.inner = (not self.four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
         self.gsp = 1.0 / topo.rsp if self.four else 0.0
         self.gsn = 1.0 / topo.rsn if self.has_vs else 0.0
@@ -224,8 +234,8 @@ class _Lanes:
             x[:, 1] = self.cfg.vdd
         return x
 
-    def branches(self, x: np.ndarray):
-        """Node voltages, (i, di/dvgs, di/dvds) of both groups, parallel-resistor currents."""
+    def branches(self, x: np.ndarray, gpp: np.ndarray, gpn: np.ndarray):
+        """Node voltages, (i, di/dvgs, di/dvds) of both groups, currents through gpp and gpn."""
         cfg = self.cfg
         vdac = x[:, 0]
         vd = x[:, 1] if self.four else cfg.vdd
@@ -233,13 +243,14 @@ class _Lanes:
         vgs = vd - vs
         p = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
         n = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
-        i_rpp = self.gpp * ((vd if self.inner else cfg.vdd) - vdac)
-        i_rpn = self.gpn * (vdac - (vs if self.inner else 0.0))
+        i_rpp = gpp * ((vd if self.inner else cfg.vdd) - vdac)
+        i_rpn = gpn * (vdac - (vs if self.inner else 0.0))
         return vdac, vd, vs, p, n, i_rpp, i_rpn
 
     def residual(self, x: np.ndarray, lanes: np.ndarray, jac: np.ndarray | None = None):
         """KCL residuals of the given lanes at x; also fills jac when one is passed."""
-        _, vd, vs, (ip, dip_g, dip_d), (in_, din_g, din_d), i_rpp, i_rpn = self.branches(x)
+        gpp, gpn = self.gpp[lanes], self.gpn[lanes]
+        _, vd, vs, (ip, dip_g, dip_d), (in_, din_g, din_d), i_rpp, i_rpn = self.branches(x, gpp, gpn)
         up, dn = self.up[lanes], self.dn[lanes]
         Ip, In = up * ip, dn * in_
         f = np.empty_like(x)
@@ -255,8 +266,8 @@ class _Lanes:
         # Group currents and resistor branches: d/d(vdac, vd, vs)
         dIp = (neg_up * dip_d, up * (dip_g + dip_d), neg_up * dip_g)
         dIn = (dn * din_d, dn * din_g, neg_dn * (din_g + din_d))
-        drpp = (-self.gpp, self.gpp if self.inner else 0.0, 0.0)
-        drpn = (self.gpn, 0.0, -self.gpn if self.inner else 0.0)
+        drpp = (-gpp, gpp if self.inner else 0.0, 0.0)
+        drpn = (gpn, 0.0, -gpn if self.inner else 0.0)
         for c, j in enumerate(self.cols):
             jac[:, 0, c] = dIp[j] + drpp[j] - dIn[j] - drpn[j]
             if self.four:
@@ -274,7 +285,7 @@ class _Lanes:
 
     def columns(self, x: np.ndarray) -> Columns:
         cfg = self.cfg
-        vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = self.branches(x)
+        vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = self.branches(x, self.gpp, self.gpn)
         if isinstance(cfg.topology, Standalone):
             i_total = self.up * ip
         elif isinstance(cfg.topology, TwoResistor):
@@ -341,13 +352,9 @@ def _newton_lanes(net: _Lanes, x: np.ndarray | None = None) -> tuple[np.ndarray,
     used = np.zeros(n, dtype=int)
     while True:
         live = live[(norm[live] > RESIDUAL_TOL) & (used[live] < MAX_ITERATIONS)]
-        if not live.size:  # polish the converged lanes
+        if not live.size:
             ok = np.flatnonzero(norm <= RESIDUAL_TOL)
-            x1 = x[ok] + _steps(jac[ok], f[ok])
-            jac1 = np.empty((len(ok), k, k))
-            x2 = x1 + _steps(jac1, net.residual(x1, ok, jac1))
-            keep = np.all(np.isfinite(x2), axis=1) & (net.norm(x2, ok) <= RESIDUAL_TOL)
-            x[ok[keep]] = x2[keep]
+            _polish(net, x, ok, f[ok], jac[ok])
             return x, used, norm <= RESIDUAL_TOL
         dx = _steps(jac[live], f[live])
         finite = np.all(np.isfinite(dx), axis=1)
@@ -373,11 +380,25 @@ def _newton_lanes(net: _Lanes, x: np.ndarray | None = None) -> tuple[np.ndarray,
         live = live[moved]  # the others stalled
 
 
-def _warm_start(config: DacConfig, counts: np.ndarray, distinct: np.ndarray) -> np.ndarray:
-    """Starts interpolated from Newton solves at every WARM_STRIDE-th and last distinct count."""
+def _polish(net: _Lanes, x: np.ndarray, lanes: np.ndarray, f=None, jac=None) -> None:
+    """Two full Newton steps from converged lanes of x (residuals f, Jacobians jac there if
+    known), taken in place where the result is finite and within RESIDUAL_TOL."""
+    if f is None:
+        jac = np.empty((len(lanes), x.shape[1], x.shape[1]))
+        f = net.residual(x[lanes], lanes, jac)
+    x1 = x[lanes] + _steps(jac, f)
+    x2 = x1 + _steps(jac, net.residual(x1, lanes, jac))  # jac is the lanes' own copy
+    keep = np.all(np.isfinite(x2), axis=1) & (net.norm(x2, lanes) <= RESIDUAL_TOL)
+    x[lanes[keep]] = x2[keep]
+
+
+def _warm_start(configs: Sequence[DacConfig], counts: np.ndarray, distinct: np.ndarray):
+    """Starts for counts under each config in turn, each interpolated over that config's own
+    Newton solves at every WARM_STRIDE-th and last distinct count."""
     grid = np.union1d(distinct[::WARM_STRIDE], distinct[-1:])
-    x = _newton_lanes(_Lanes(config, grid))[0]
-    return np.column_stack([np.interp(counts, grid, column) for column in x.T])
+    x = _newton_lanes(_Lanes(configs, grid))[0]
+    return np.concatenate([np.column_stack([np.interp(counts, grid, column) for column in xp.T])
+                           for xp in np.split(x, len(configs))])
 
 
 def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.ndarray):
@@ -418,25 +439,35 @@ def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.n
     return ok
 
 
-def _solve_lanes(config: DacConfig, counts: np.ndarray) -> Columns:
-    net = _Lanes(config, counts)
+def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Columns | SolverError]:
+    """counts under each config in turn as one lane batch: per config, its columns or a
+    SolverError naming its first failing count."""
+    net = _Lanes(configs, counts)
+    n = len(counts)
     with np.errstate(all="ignore"):  # trial points may overflow, as Python floats do silently
-        distinct = np.unique(counts)
+        distinct = np.sort(counts)  # np.unique hashes ints first, at ~10x the cost of a sort
+        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
         warm = len(distinct) > 2 * WARM_STRIDE
-        x, used, ok = _newton_lanes(net, _warm_start(config, counts, distinct) if warm else None)
+        x, used, ok = _newton_lanes(net, _warm_start(configs, counts, distinct) if warm else None)
         if warm and not ok.all():  # rerun from the linear guess, as a one-count solve does
             retry = ~ok
-            x[retry], used[retry], ok[retry] = _newton_lanes(_Lanes(config, counts[retry]))
+            x[retry], used[retry], ok[retry] = _newton_lanes(
+                _Lanes(configs, net.counts[retry], net.point[retry]))
         fallback = np.flatnonzero(~ok)
         if fallback.size:
             ok[fallback] = _bisection_lanes(net, x, fallback, MAX_ITERATIONS - used[fallback])
-        if not ok.all():
-            lane = int(np.argmin(ok))
+            _polish(net, x, fallback[ok[fallback]])
+        columns, solved = net.columns(x), []
+        for lanes in (slice(start, start + n) for start in range(0, len(x), n)):
+            if ok[lanes].all():
+                solved.append({name: c[lanes] if np.ndim(c) else c for name, c in columns.items()})
+                continue
+            lane = lanes.start + int(np.argmin(ok[lanes]))
             residual = float(net.norm(x[lane : lane + 1], np.array([lane]))[0])
             message = f"no convergence after {MAX_ITERATIONS} iterations"
-            raise SolverError(f"{message} (best residual {residual:.3e} A)",
-                              code=int(counts[lane]), residual=residual)
-        return net.columns(x)
+            solved.append(SolverError(f"{message} (best residual {residual:.3e} A)",
+                                      code=int(net.counts[lane]), residual=residual))
+        return solved
 
 
 def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
@@ -465,7 +496,10 @@ def solve_columns(config: DacConfig, pullup_units: Sequence[int] | np.ndarray) -
     """
     if not np.size(pullup_units):
         raise ValueError("pullup_units is empty")
-    return _solve_lanes(config, _checked_counts(pullup_units, config.d_max, "pullup_units"))
+    [columns] = _solve_lanes([config], _checked_counts(pullup_units, config.d_max, "pullup_units"))
+    if isinstance(columns, SolverError):
+        raise columns
+    return columns
 
 
 def solve_units(
@@ -491,15 +525,26 @@ def solve_code(config: DacConfig, code: int) -> NodeSolution:
     return solve_units(config, code)
 
 
+def _curves(configs: Sequence[DacConfig]) -> list[TransferCurve | SolverError]:
+    """Transfer curves (or SolverErrors) of configs that differ at most in rpp and rpn, in
+    order; consecutive configs are solved together, as many whole curves as _MAX_LANES hold."""
+    n = configs[0].d_max + 1
+    curves: list[TransferCurve | SolverError] = []
+    for start in range(0, len(configs), _MAX_LANES // n):
+        batch = configs[start : start + _MAX_LANES // n]
+        for config, solved in zip(batch, _solve_lanes(batch, np.arange(n))):
+            curves.append(SolverError(f"transfer curve failed at code {solved.code}: {solved}",
+                                      code=solved.code, residual=solved.residual)
+                          if isinstance(solved, SolverError) else TransferCurve(config, solved))
+    return curves
+
+
 def transfer_curve(config: DacConfig) -> TransferCurve:
     """Full static sweep code = 0..d_max, solved as one batch."""
-    try:
-        columns = solve_columns(config, np.arange(config.d_max + 1))
-    except SolverError as exc:
-        raise SolverError(
-            f"transfer curve failed at code {exc.code}: {exc}", code=exc.code, residual=exc.residual
-        ) from exc
-    return TransferCurve(config=config, columns=columns)
+    [curve] = _curves([config])
+    if isinstance(curve, SolverError):
+        raise curve
+    return curve
 
 
 def complement_check(curve: TransferCurve) -> float:

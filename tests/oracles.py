@@ -177,10 +177,10 @@ def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol:
     """Scalar reference of the solver: (vdac, vd, vs, residual max-norm, converged).
 
     One unit count at a time: damped Newton from the linear guess (step
-    halved down to 1e-8 until the norm drops), then, if Newton converged and
-    polish is set, two full Newton steps, kept only where the result is finite
-    and within tol. Where Newton did not converge, Gauss-Seidel bisection
-    sweeps run for what is left of the iteration budget.
+    halved down to 1e-8 until the norm drops). Where Newton did not converge,
+    Gauss-Seidel bisection sweeps run for what is left of the iteration
+    budget. A point that either converged takes, if polish is set, two full
+    Newton steps, kept only where the result is finite and within tol.
     """
     topo, vdd = config.topology, config.vdd
     n_dn = config.d_max - n_up
@@ -244,15 +244,19 @@ def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol:
         else:
             break
         used += 1
-    if norm(x) <= tol and polish:
+    def polished(x):
+        if norm(x) > tol or not polish:
+            return x
         try:
-            x1 = x + np.linalg.solve(jac, -f)
+            f0, jac0 = system(x)
+            x1 = x + np.linalg.solve(jac0, -f0)
             f1, jac1 = system(x1)
             x2 = x1 + np.linalg.solve(jac1, -f1)
         except np.linalg.LinAlgError:
-            x2 = x
-        if np.all(np.isfinite(x2)) and norm(x2) <= tol:
-            x = x2
+            return x
+        return x2 if np.all(np.isfinite(x2)) and norm(x2) <= tol else x
+
+    x = polished(x)
     if norm(x) > tol:
         for _ in range(max_iterations - used):
             for idx in range(len(cols)):
@@ -268,6 +272,7 @@ def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol:
                 x[idx] = 0.5 * (lo + hi)
             if norm(x) <= tol:
                 break
+        x = polished(x)
     vd = float(x[1]) if four else vdd
     vs = float(x[-1]) if has_vs else 0.0
     return float(x[0]), vd, vs, norm(x), norm(x) <= tol

@@ -271,6 +271,15 @@ class TestSweep:
         assert all(r["status"] == "ok" for r in rows)
         assert float(rows[0]["imax_amp"]) > float(rows[2]["imax_amp"])
 
+    def test_output_matches_golden(self, workdir):
+        cfg = write_config(workdir, {
+            "dac.topology": {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0,
+                              "rpp": 5.0, "rpn": 5.0},
+        })
+        assert main(["sweep", "-c", str(cfg), "--rp", "5,6,7,8,9,10"]) == 0
+        want = (GOLDEN / "sweep_dac4_four_resistor.csv").read_bytes()
+        assert (workdir / "out" / "sweep.csv").read_bytes() == want
+
     def test_bad_rp_list(self, workdir):
         cfg = write_config(workdir)
         assert main(["sweep", "-c", str(cfg), "--rp", "5,banana"]) == 2

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from gpiodac.devices import calibrated_pair
-from gpiodac.explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows
-from gpiodac.metrics import summary
-from gpiodac.network import DacConfig, FourResistor, Standalone, TwoResistor, transfer_curve
+from gpiodac import explorer, network
+from gpiodac.devices import DevicePair, MosfetParams, Polarity, calibrated_pair
+from gpiodac.explorer import SWEEP_COLUMNS, _with_rp, sweep_parallel, sweep_rows
+from gpiodac.metrics import MetricsError, summary
+from gpiodac.network import (
+    DacConfig,
+    FourResistor,
+    ParallelAttach,
+    SolverError,
+    Standalone,
+    TwoResistor,
+    transfer_curve,
+)
+from test_network import MISMATCHED, TOPOLOGIES
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)
@@ -87,3 +97,111 @@ class TestSweepMechanics:
         points = sweep_parallel(base, [2.0, 3.0])
         assert all(p.rs == 0.0 for p in points)
         assert all(p.status == "ok" for p in points)
+
+
+def assert_same_bits(got, want) -> None:
+    """got and want hold the same columns, bit for bit (regions by identity)."""
+    assert got.config == want.config
+    for name, column in want.columns.items():
+        if np.ndim(column) == 0:
+            assert repr(got.columns[name]) == repr(column), name
+        elif column.dtype == object:
+            assert got.columns[name].tolist() == column.tolist(), name
+        else:
+            assert got.columns[name].dtype == column.dtype, name
+            assert got.columns[name].tobytes() == column.tobytes(), name
+
+
+def solved_alone(config):
+    """transfer_curve of config (or its SolverError), that curve's report and the sweep status."""
+    try:
+        curve = transfer_curve(config)
+    except SolverError as exc:
+        return exc, None, f"error: {exc}"
+    try:
+        return curve, summary(curve), "ok"
+    except MetricsError as exc:
+        return curve, None, f"error: {exc}"
+
+
+def spy_on_batches(monkeypatch) -> list[list[float]]:
+    """The rpp of each config of each lane batch the solver is handed, filled as it runs."""
+    batches = []
+    solve_lanes = network._solve_lanes
+
+    def spy(configs, counts):
+        batches.append([c.topology.rpp for c in configs])
+        return solve_lanes(configs, counts)
+
+    monkeypatch.setattr(network, "_solve_lanes", spy)
+    return batches
+
+
+# Newton and the bisection fallback both miss the tolerance on codes 2-6 at
+# rp = 1390 ohm; rp = 0.0625 and 5.48 ohm solve.
+SOMETIMES_FAILING = DacConfig(
+    n_bits=4,
+    vdd=1.16,
+    devices=DevicePair(
+        pmos=MosfetParams(Polarity.PMOS, 0.285, 1.01),
+        nmos=MosfetParams(Polarity.NMOS, 0.629, 0.000296),
+    ),
+    topology=FourResistor(rsp=10.8, rsn=0.0, rpp=1.0, rpn=1.0,
+                          parallel_attach=ParallelAttach.SUPPLY_RAILS),
+)
+
+
+class TestBatchedSweep:
+    """A sweep solves all its points as one lane batch; each point gets its own curve's result."""
+
+    @pytest.mark.parametrize("n_bits", [5, 10], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", [name for name in TOPOLOGIES if name != "standalone"])
+    def test_each_point_is_bitwise_its_own_transfer_curve(self, monkeypatch, name, n_bits):
+        # At 10 bits every four_supply point fails, and four_inner at 2.35 ohm has a zero span.
+        base = DacConfig(n_bits=n_bits, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES[name])
+        rp_values = [7.0, 2.35, 7.0]  # unsorted, with a duplicate
+        solved = []
+        curves = explorer._curves
+
+        def spy(configs):
+            result = curves(configs)
+            solved.extend(result)
+            return result
+
+        monkeypatch.setattr(explorer, "_curves", spy)
+        points = sweep_parallel(base, rp_values)
+        assert [p.rp for p in points] == rp_values
+        alone = {rp: solved_alone(_with_rp(base, rp)) for rp in set(rp_values)}
+        for point, curve in zip(points, solved, strict=True):
+            want, report, status = alone[point.rp]
+            assert (point.report, point.status) == (report, status)
+            if isinstance(want, SolverError):
+                assert (str(curve), curve.code, curve.residual) == (str(want), want.code, want.residual)
+            else:
+                assert_same_bits(curve, want)
+
+    def test_points_are_packed_into_batches_of_whole_curves(self, monkeypatch):
+        base = DacConfig(n_bits=5, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["four_inner"])
+        rp_values = [5.0, 6.0, 7.0, 8.0, 9.0]
+        batches = spy_on_batches(monkeypatch)
+        monkeypatch.setattr(network, "_MAX_LANES", 2 * 32 + 31)  # two 5-bit curves, not three
+        points = sweep_parallel(base, rp_values)
+        assert batches == [[5.0, 6.0], [7.0, 8.0], [9.0]]
+        monkeypatch.undo()
+        for point in points:
+            assert point.report == summary(transfer_curve(_with_rp(base, point.rp)))
+
+    def test_a_batch_holds_at_most_2_to_the_16_lanes(self, monkeypatch):
+        base = DacConfig(n_bits=12, vdd=VDD, devices=PAIR, topology=TwoResistor(2.35, 2.35))
+        batches = spy_on_batches(monkeypatch)
+        points = sweep_parallel(base, [float(rp) for rp in range(1, 18)])
+        assert [len(b) for b in batches] == [16, 1]  # 16 * 4096 lanes = 2^16
+        assert all(p.status == "ok" for p in points)
+
+    def test_a_failing_point_keeps_its_own_error_and_its_neighbours_solve(self):
+        rp_values = [0.0625, 1390.0, 5.48]
+        points = sweep_parallel(SOMETIMES_FAILING, rp_values)
+        alone = [solved_alone(_with_rp(SOMETIMES_FAILING, rp)) for rp in rp_values]
+        assert [(p.report, p.status) for p in points] == [want[1:] for want in alone]
+        assert points[0].status == points[2].status == "ok"
+        assert points[1].status.startswith("error: transfer curve failed at code 2: no convergence")

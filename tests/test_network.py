@@ -453,17 +453,17 @@ class TestWarmStart:
         curve = transfer_curve(cfg)
         assert np.max(curve.columns["kcl_residual"]) <= RESIDUAL_TOL
         with np.errstate(all="ignore"):  # Newton from the linear guess, as a one-code solve runs it
-            newton_ok = network._newton_lanes(network._Lanes(cfg, np.arange(cfg.d_max + 1)))[2]
+            newton_ok = network._newton_lanes(network._Lanes([cfg], np.arange(cfg.d_max + 1)))[2]
         codes = sample_codes(np.flatnonzero(newton_ok))
         assert len(codes) == 41
         one_code = [solve_code(cfg, c) for c in codes]
         assert voltage_gap([curve.rows[c] for c in codes], one_code) <= 1e-14
-        # One-code solves leave these to bisection, which stops within RESIDUAL_TOL of the
-        # root; the warm-started batch may reach them by Newton and polish them.
+        # One-code solves leave these to bisection, which polishes them as Newton does;
+        # the warm-started batch may reach them by Newton instead.
         bisected = np.flatnonzero(~newton_ok)[::50].tolist()
         if bisected:
             small_batch = solve_units(cfg, bisected)  # not warm-started: as one-code solves
-            assert voltage_gap([curve.rows[c] for c in bisected], small_batch) <= 1e-8
+            assert voltage_gap([curve.rows[c] for c in bisected], small_batch) <= 1e-14
 
     def test_only_batches_over_two_strides_of_distinct_counts_warm_start(self, monkeypatch):
         calls = []
@@ -485,8 +485,8 @@ class TestWarmStart:
         cfg = DacConfig(n_bits=8, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["four_inner"])
         counts = np.arange(cfg.d_max + 1)[::-1]  # the grid is drawn from the sorted distinct counts
         with np.errstate(all="ignore"):
-            x = network._warm_start(cfg, counts, np.unique(counts))
-        norm = network._Lanes(cfg, counts).norm(x, np.arange(len(counts)))
+            x = network._warm_start([cfg], counts, np.unique(counts))
+        norm = network._Lanes([cfg], counts).norm(x, np.arange(len(counts)))
         grid = np.isin(counts, [0, 64, 128, 192, cfg.d_max])
         assert np.all(norm[grid] <= RESIDUAL_TOL)
         assert np.all(norm[~grid] > RESIDUAL_TOL)  # interpolated, not solved
