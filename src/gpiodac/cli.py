@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -323,8 +324,48 @@ def csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
+class _Unhandled(Exception):
+    """A value _json_lines leaves to the stdlib encoder."""
+
+
 def json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + newline, byte for byte.
+
+    With an indent, json.dumps runs its pure-Python encoder; _json_lines lays
+    out the same text and formats with the C encoder instead. A document it
+    does not handle (a non-str key, an unknown type, a cycle, a non-finite
+    float) goes to the stdlib as a whole, which encodes it or raises as
+    json.dumps does.
+    """
+    try:
+        return _json_lines(doc, "\n") + "\n"
+    except (_Unhandled, ValueError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _json_lines(value: Any, newline: str) -> str:
+    """value as json_text lays it out, nested under newline (a newline and its indent)."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(v) is float for v in value):
+            # One C-encoder call; its ", " separators are exact, since no float repr holds one.
+            body = json.dumps(value, allow_nan=False)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join([_json_lines(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise _Unhandled
+        inner = newline + "  "
+        items = [json.dumps(key) + ": " + _json_lines(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value, allow_nan=False)
+    raise _Unhandled
 
 
 def transfer_csv(curve: TransferCurve) -> str:
@@ -337,7 +378,7 @@ def transfer_csv(curve: TransferCurve) -> str:
             template.append(format(column, ".12g"))
         elif name.startswith("region_"):
             template.append("%s")
-            values.append([region.value for region in column.tolist()])
+            values.append(map(attrgetter("_value_"), column.tolist()))  # Enum's .value, in C
         else:
             template.append("%d" if name == "code" else "%.12g")
             values.append(column.tolist())

@@ -247,10 +247,15 @@ class _Lanes:
         i_rpn = gpn * (vdac - (vs if self.inner else 0.0))
         return vdac, vd, vs, p, n, i_rpp, i_rpn
 
-    def residual(self, x: np.ndarray, lanes: np.ndarray, jac: np.ndarray | None = None):
-        """KCL residuals of the given lanes at x; also fills jac when one is passed."""
+    def residual(self, x: np.ndarray, lanes: np.ndarray | slice, jac: np.ndarray | None = None,
+                 branches: tuple | None = None):
+        """KCL residuals of the given lanes at x; also fills jac when one is passed.
+
+        branches, if given, is what self.branches gives at x for these lanes."""
         gpp, gpn = self.gpp[lanes], self.gpn[lanes]
-        _, vd, vs, (ip, dip_g, dip_d), (in_, din_g, din_d), i_rpp, i_rpn = self.branches(x, gpp, gpn)
+        if branches is None:
+            branches = self.branches(x, gpp, gpn)
+        _, vd, vs, (ip, dip_g, dip_d), (in_, din_g, din_d), i_rpp, i_rpn = branches
         up, dn = self.up[lanes], self.dn[lanes]
         Ip, In = up * ip, dn * in_
         f = np.empty_like(x)
@@ -285,7 +290,8 @@ class _Lanes:
 
     def columns(self, x: np.ndarray) -> Columns:
         cfg = self.cfg
-        vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = self.branches(x, self.gpp, self.gpn)
+        branches = self.branches(x, self.gpp, self.gpn)
+        vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = branches
         if isinstance(cfg.topology, Standalone):
             i_total = self.up * ip
         elif isinstance(cfg.topology, TwoResistor):
@@ -303,7 +309,8 @@ class _Lanes:
         cutoff = OperatingRegion.CUTOFF
         columns = (self.counts, vdac, vd, vs, i_total, np.where(has_up, ip, 0.0),
                    np.where(has_dn, in_, 0.0), i_rpp, i_rpn, np.where(has_up, region_p, cutoff),
-                   np.where(has_dn, region_n, cutoff), self.norm(x, np.arange(len(x))))
+                   np.where(has_dn, region_n, cutoff),
+                   _max_norm(self.residual(x, slice(None), branches=branches)))
         return dict(zip(FIELDS, columns))
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from .devices import OperatingRegion
 from .network import (
@@ -90,24 +93,18 @@ def extract_from_table(
         raise ExtractionError("column lengths differ")
 
     triode = OperatingRegion.TRIODE.value
-    runs: list[tuple[int, int]] = []  # [start, end] inclusive index ranges
-    start = None
-    for idx in range(n):
-        both = region_p[idx] == triode and region_n[idx] == triode
-        if both and start is None:
-            start = idx
-        if not both and start is not None:
-            runs.append((start, idx - 1))
-            start = None
-    if start is not None:
-        runs.append((start, n - 1))
-    runs = [r for r in runs if r[1] - r[0] >= 1]
-    if not runs:
+    p_triode, n_triode = (np.asarray(r, dtype=object) == triode for r in (region_p, region_n))
+    # Runs of both-triode codes, [start, end] inclusive; the longest wins, the first on a tie.
+    edges = np.diff((p_triode & n_triode).astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    lengths = ends - starts
+    if lengths.max(initial=0) < 1:
         raise ExtractionError(
             "no triode-triode run of at least 2 codes found "
             "(curve too coarse, or already corrected)"
         )
-    lo_idx, hi_idx = max(runs, key=lambda r: r[1] - r[0])
+    best = int(np.argmax(lengths))
+    lo_idx, hi_idx = int(starts[best]), int(ends[best])
 
     linear_range = (vdac[lo_idx], vdac[hi_idx])
     # The true region boundary falls between the last in-run code and its
@@ -118,8 +115,10 @@ def extract_from_table(
     span = edge_hi - edge_lo
     vth = 0.5 * (vdd - span)
 
+    # The in-run code nearest mid-scale, the lowest on a tie.
     half = 0.5 * vdd
-    mid_idx = min(range(lo_idx, hi_idx + 1), key=lambda i: (abs(vdac[i] - half), i))
+    distance = np.abs(np.asarray(vdac[lo_idx : hi_idx + 1], dtype=float) - half)
+    mid_idx = lo_idx + int(np.argmin(distance))
     i_unit = i_per_pullup[mid_idx]
     if i_unit <= 0.0:
         raise ExtractionError("no pull-up current at the mid-range code")
@@ -145,8 +144,9 @@ def extract_parameters(curve: TransferCurve) -> ExtractedParams:
         codes=columns["code"].tolist(),
         vdac=columns["vdac"].tolist(),
         i_per_pullup=columns["i_per_pullup"].tolist(),
-        region_p=[r.value for r in columns["region_p"].tolist()],
-        region_n=[r.value for r in columns["region_n"].tolist()],
+        # Each region's .value, read in C instead of through Enum's Python-level property.
+        region_p=list(map(attrgetter("_value_"), columns["region_p"].tolist())),
+        region_n=list(map(attrgetter("_value_"), columns["region_n"].tolist())),
         vdd=curve.config.vdd,
     )
 

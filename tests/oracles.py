@@ -10,8 +10,10 @@ engine replaced (matched within 1e-14 V, since the engine solves 2x2 steps
 in closed form and warm-starts large batches); ``per_pin_synthesize``, the
 per-pin transient replay that the array-based ``synthesize`` replaced;
 ``per_row_transfer_csv`` and ``per_row_saturation_flags``, which read a
-curve's NodeSolution rows where the package now reads its columns; and
-``per_sample_detect_glitches``, the per-sample glitch scan.
+curve's NodeSolution rows where the package now reads its columns;
+``per_sample_detect_glitches``, the per-sample glitch scan; and
+``per_code_extract``, the code-by-code triode-run search that array
+operations replaced in ``extract_from_table``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from bisect import bisect_left
 import numpy as np
 
 from gpiodac.cli import TRANSFER_COLUMNS, csv_text
-from gpiodac.devices import LinearSwitch
+from gpiodac.devices import LinearSwitch, OperatingRegion
 from gpiodac.network import DacConfig, Encoding, FourResistor, ParallelAttach, TwoResistor, solve_units
+from gpiodac.sizing import ExtractedParams, ExtractionError
 from gpiodac.transient import Waveform
 
 
@@ -383,3 +386,63 @@ def per_sample_detect_glitches(w: Waveform, band: float) -> list[tuple[float, fl
             if depth > 0.0:
                 glitches.append((w.times[idx], depth / w.lsb_ref + band))
     return glitches
+
+
+def per_code_extract(
+    codes: list[int],
+    vdac: list[float],
+    i_per_pullup: list[float],
+    region_p: list[str],
+    region_n: list[str],
+    vdd: float,
+) -> ExtractedParams:
+    """Reference of ``sizing.extract_from_table``: triode runs found code by code."""
+    n = len(codes)
+    if not (len(vdac) == len(i_per_pullup) == len(region_p) == len(region_n) == n):
+        raise ExtractionError("column lengths differ")
+
+    triode = OperatingRegion.TRIODE.value
+    runs: list[tuple[int, int]] = []  # [start, end] inclusive index ranges
+    start = None
+    for idx in range(n):
+        both = region_p[idx] == triode and region_n[idx] == triode
+        if both and start is None:
+            start = idx
+        if not both and start is not None:
+            runs.append((start, idx - 1))
+            start = None
+    if start is not None:
+        runs.append((start, n - 1))
+    runs = [r for r in runs if r[1] - r[0] >= 1]
+    if not runs:
+        raise ExtractionError(
+            "no triode-triode run of at least 2 codes found "
+            "(curve too coarse, or already corrected)"
+        )
+    lo_idx, hi_idx = max(runs, key=lambda r: r[1] - r[0])
+
+    linear_range = (vdac[lo_idx], vdac[hi_idx])
+    # The true region boundary falls between the last in-run code and its
+    # out-of-run neighbor; take the midpoint of that bracket so the span (and
+    # the vth read off it) is not biased by a full code step.
+    edge_lo = 0.5 * (vdac[lo_idx - 1] + vdac[lo_idx]) if lo_idx > 0 else vdac[lo_idx]
+    edge_hi = 0.5 * (vdac[hi_idx] + vdac[hi_idx + 1]) if hi_idx < n - 1 else vdac[hi_idx]
+    span = edge_hi - edge_lo
+    vth = 0.5 * (vdd - span)
+
+    half = 0.5 * vdd
+    mid_idx = min(range(lo_idx, hi_idx + 1), key=lambda i: (abs(vdac[i] - half), i))
+    i_unit = i_per_pullup[mid_idx]
+    if i_unit <= 0.0:
+        raise ExtractionError("no pull-up current at the mid-range code")
+
+    # Invert the triode law at the measured point, then express the result as
+    # the mid-scale secant resistance vds/i at vds = vdd/2.
+    vov = vdd - vth
+    vsd = vdd - vdac[mid_idx]
+    denom = vov * vsd - 0.5 * vsd * vsd
+    if denom <= 0.0:
+        raise ExtractionError("mid-range point is not inside the triode region")
+    k_est = i_unit / denom
+    ron = 1.0 / (k_est * (vov - 0.25 * vdd))
+    return ExtractedParams(vth=vth, ron=ron, vdd=vdd, linear_range=linear_range)

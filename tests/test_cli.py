@@ -6,10 +6,15 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_network import PAIR, TOPOLOGIES
 
-from gpiodac.cli import OUTPUT_DIR_ENV, json_text, load_config, main, write_atomic
+import gpiodac.cli
+from gpiodac.cli import OUTPUT_DIR_ENV, json_text, load_config, main, report_doc, write_atomic
 from gpiodac.devices import Polarity
+from gpiodac.metrics import summary
+from gpiodac.network import DacConfig, transfer_curve
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_RESISTOR_FLAGS = ["--vth", "1.15", "--ron", "40.0", "--vdd", "3.3", "--n-bits", "4"]
@@ -528,6 +533,76 @@ class TestConfigErrors:
         # Strict JSON has no NaN or Infinity; a report must never carry them.
         with pytest.raises(ValueError, match="not JSON compliant"):
             json_text({"ron_ohm": value})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_text({"dnl_lsb": [0.25, value, -0.5]})
+
+
+def stdlib_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestJsonText:
+    """json_text writes what the stdlib's indented encoder writes, byte for byte."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    def test_12_bit_report(self, topology):
+        curve = transfer_curve(DacConfig(n_bits=12, vdd=3.3, devices=PAIR, topology=topology))
+        doc = report_doc(summary(curve), None, "0" * 64, "simulate")
+        assert json_text(doc) == stdlib_json(doc)
+
+    def test_every_document_the_cli_writes(self, workdir, monkeypatch):
+        docs = []
+
+        def recorded(doc):
+            docs.append(doc)
+            return stdlib_json(doc)
+
+        cfg = write_config(workdir)
+        monkeypatch.setattr(gpiodac.cli, "json_text", recorded)
+        assert main(["simulate", "-c", str(cfg)]) == 0
+        assert main(["extract", "--curve", "out/transfer.csv", "--vdd", "3.3"]) == 0
+        assert main(["size", "two-resistor", "--params", "out/params.json"]) == 0
+        assert main(["size", "four-resistor", *FOUR_RESISTOR_FLAGS]) == 0
+        # report, record, params, record, size report, record, size report, record
+        assert len(docs) == 8 and "timestamp" in docs[1] and "vth_v" in docs[2]
+        assert docs[4]["sizing"]["alpha_g"] and docs[6]["sizing"]["rs_bounds_ohm"]
+        for doc in docs:
+            assert json_text(doc) == stdlib_json(doc)
+
+    def test_edge_cases(self):
+        doc = {
+            "empty": [[], {}, ()],
+            "floats": [[0.5, -1.25], [[1e-300]], (2.0,)],
+            "mixed": [1, 2.5, True, False, None, 3],
+            "tuple": (1.0, "a", (None, 2)),
+            "numpy": [np.float64(0.1), np.float64(-2.5e-7), 1.0],
+            "extremes": [-0.0, 5e-324, 1e308, -1e308],
+            "scalars": {"zero": -0.0, "tiny": 5e-324, "huge": 1e308, "big_int": 10**30},
+            "text": ["ohm \u03a9 \u00b5A \U0001f600", 'quote " and \\ backslash', "a, b", ", "],
+            "\u00b5 key, \"quoted\"": None,
+            "nested": {"b": {"a": [{}], "c": ()}, "a": [[[]]]},
+        }
+        assert json_text(doc) == stdlib_json(doc)
+        for value in doc.values():
+            assert json_text(value) == stdlib_json(value)
+
+    @pytest.mark.parametrize("doc", [{1: "int key"}, {"a": 1, 2: "mixed keys"}, {True: [1.0]},
+                                     [np.int64(3)], {"a": object()}, [np.bool_(True)],
+                                     {"a": [1.0, float("nan")]}, {"a": ["x", float("-inf")]}])
+    def test_what_it_leaves_to_the_stdlib(self, doc):
+        def outcome(encode):
+            try:
+                return encode(doc)
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(json_text) == outcome(stdlib_json)
+
+    def test_circular_document_is_refused_as_the_stdlib_refuses_it(self):
+        doc = {"a": []}
+        doc["a"].append(doc)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json_text(doc)
 
 
 class TestAtomicity:

@@ -579,11 +579,16 @@ class TestCurveColumns:
 class TestColumnReaders:
     """Every reader of a curve gives exactly what its row-by-row reference gives."""
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    # 8 bits put codes of the supply-attached configs on the window's edges; 12 bits is the
+    # size of the benchmark's curves.
+    @pytest.mark.parametrize(
+        "n_bits, topology",
+        [pytest.param(8, topology, id=name) for name, topology in TOPOLOGIES.items()]
+        + [pytest.param(12, TOPOLOGIES["rsn0_inner"], id="rsn0_inner-12bit")],
+    )
     @pytest.mark.parametrize("devices", [PAIR, MISMATCHED], ids=["matched", "mismatched"])
-    def test_transfer_csv_and_window_flags(self, topology, devices):
-        # 8 bits put codes of the supply-attached configs on the window's edges.
-        cfg = DacConfig(n_bits=8, vdd=VDD, devices=devices, topology=topology)
+    def test_transfer_csv_and_window_flags(self, n_bits, topology, devices):
+        cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=devices, topology=topology)
         curve = transfer_curve(cfg)
         assert transfer_csv(curve) == per_row_transfer_csv(curve)
         assert check_saturation_window(cfg) == per_row_saturation_flags(curve)

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import per_code_extract
+from test_network import MISMATCHED
 
 from gpiodac.devices import calibrated_pair
 from gpiodac.metrics import summary
@@ -11,6 +15,7 @@ from gpiodac.sizing import (
     ExtractionError,
     SizingError,
     check_saturation_window,
+    extract_from_table,
     extract_parameters,
     size_four_resistor,
     size_two_resistor,
@@ -66,6 +71,96 @@ class TestExtraction:
             ExtractedParams(vth=2.0, ron=40.0, vdd=VDD, linear_range=(1.0, 2.0))
         with pytest.raises(ExtractionError):
             ExtractedParams(vth=1.0, ron=-1.0, vdd=VDD, linear_range=(1.0, 2.0))
+
+
+def outcome(extract, **columns):
+    """What an extraction gives: its ExtractedParams, or the type and message of its error."""
+    try:
+        return extract(**columns)
+    except (ExtractionError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# (region_p, region_n) of a segment of codes; the first pair is the linear region.
+REGION_PAIRS = [("triode", "triode"), ("saturation", "triode"), ("triode", "cutoff"),
+                ("cutoff", "saturation"), ("triode", "saturation")]
+# Voltages that tie around mid-scale exactly at vdd = 4 (distances 0, 0.5, 1.5 from 2 V).
+TIED_VOLTS = [0.5, 1.5, 2.0, 2.0, 2.5, 3.5]
+
+
+@st.composite
+def extraction_tables(draw):
+    """Columns for extract_from_table: runs of region pairs (ties and runs at both ends
+    included), voltages that tie around mid-scale, currents of either sign, and now and
+    then a column one entry short."""
+    pair = st.sampled_from(REGION_PAIRS[:1] * 3 + REGION_PAIRS)
+    segments = draw(st.lists(st.tuples(pair, st.integers(1, 4)), max_size=8))
+    pairs = [pair for pair, length in segments for _ in range(length)]
+    n = len(pairs)
+    vdd = draw(st.sampled_from([4.0, 3.3]) | st.floats(0.5, 10.0))
+    volts = st.sampled_from(TIED_VOLTS) | st.floats(-0.1 * vdd, 1.1 * vdd)
+    vdac = draw(st.lists(volts, min_size=n, max_size=n))
+    current = st.sampled_from([0.0, -1e-3] + [2e-2] * 4) | st.floats(-0.1, 1.0)
+    i_per_pullup = draw(st.lists(current, min_size=n, max_size=n))
+    columns = dict(codes=list(range(n)), vdac=vdac, i_per_pullup=i_per_pullup,
+                   region_p=[p for p, _ in pairs], region_n=[q for _, q in pairs], vdd=vdd)
+    short = draw(st.sampled_from([None] * 20 + list(columns)[:5]))
+    if short is not None and n:
+        columns[short] = columns[short][:-1]
+    return columns
+
+
+class TestExtractionMatchesPerCodeReference:
+    """extract_from_table gives what the code-by-code loop it replaced gives."""
+
+    @settings(max_examples=400)
+    @given(extraction_tables())
+    def test_random_tables(self, columns):
+        assert outcome(extract_from_table, **columns) == outcome(per_code_extract, **columns)
+
+    @pytest.mark.parametrize(
+        "region_p, vdac, i_per_pullup, want",
+        [
+            # Two runs of 3 codes: the first wins.
+            ("TTTsTTTs", [1.0, 1.5, 2.0, 2.2, 1.6, 2.0, 2.4, 2.6], [1e-2] * 8, (1.0, 2.0)),
+            # Runs at both ends, the later one longer.
+            ("TTssTTT", [0.5, 1.0, 1.2, 1.4, 1.5, 2.0, 2.5], [1e-2] * 7, (1.5, 2.5)),
+            # 1.5 V and 2.5 V are equally near mid-scale (2 V): the lower code wins, so the
+            # zero current at the higher one is never read.
+            ("sTTTs", [0.0, 1.5, 2.5, 3.5, 4.0], [1e-2, 1e-2, 0.0, 1e-2, 1e-2], (1.5, 3.5)),
+        ],
+    )
+    def test_ties(self, region_p, vdac, i_per_pullup, want):
+        regions = ["triode" if c == "T" else "saturation" for c in region_p]
+        columns = dict(codes=list(range(len(vdac))), vdac=vdac, i_per_pullup=i_per_pullup,
+                       region_p=regions, region_n=["triode"] * len(vdac), vdd=4.0)
+        got = outcome(extract_from_table, **columns)
+        assert got == outcome(per_code_extract, **columns)
+        assert got.linear_range == want
+
+    @pytest.mark.parametrize("columns, message", [
+        (dict(vdac=[1.0]), "column lengths differ"),
+        (dict(region_p=["triode", "saturation", "triode"]), "no triode-triode run"),
+        (dict(i_per_pullup=[0.0, 0.0, 0.0]), "no pull-up current"),
+        (dict(vdac=[4.5, 4.6, 4.7]), "not inside the triode region"),
+        (dict(vdac=[-5.0, 2.0, 9.0]), "vth must be within"),
+    ])
+    def test_each_error_keeps_its_message(self, columns, message):
+        base = dict(codes=[0, 1, 2], vdac=[1.0, 2.0, 3.0], i_per_pullup=[1e-2] * 3,
+                    region_p=["triode"] * 3, region_n=["triode"] * 3, vdd=4.0)
+        got = outcome(extract_from_table, **{**base, **columns})
+        assert got == outcome(per_code_extract, **{**base, **columns})
+        assert got[0] is ExtractionError and message in got[1]
+
+    @pytest.mark.parametrize("pair", [PAIR, MISMATCHED], ids=["matched", "mismatched"])
+    def test_12_bit_curves(self, pair):
+        curve = standalone_curve(n_bits=12, pair=pair)
+        columns = curve.columns
+        table = dict(codes=columns["code"].tolist(), vdac=columns["vdac"].tolist(),
+                     i_per_pullup=columns["i_per_pullup"].tolist(),
+                     region_p=[r.value for r in columns["region_p"]],
+                     region_n=[r.value for r in columns["region_n"]], vdd=VDD)
+        assert outcome(extract_parameters, curve=curve) == outcome(per_code_extract, **table)
 
 
 class TestTwoResistorSizing:
