@@ -4,127 +4,57 @@ Simulates the shorted-GPIO DAC from a first-order transistor model, sizes the
 external linearization resistors, quantifies DNL/INL/current trade-offs,
 replays code sequences through a pin-skew glitch model, and emits
 synthesizable Verilog plus iCE40 pin constraints for a physical build.
+
+The public names load on first use (PEP 562), each from the module that
+defines it, so ``import gpiodac`` imports no numpy and reading a config type
+or an HDL generator imports only the layers it needs.
 """
 
-from .devices import (
-    DeviceError,
-    DevicePair,
-    LinearSwitch,
-    MosfetParams,
-    OperatingRegion,
-    Polarity,
-    calibrated_pair,
-    classify_region,
-    drain_current,
-    midrange_resistance,
-    on_resistance,
-)
-from .analytic import (
-    SwitchModel,
-    error_factor_output,
-    ideal_output,
-    stretched_output,
-    switch_model_output,
-    two_resistor_output,
-)
-from .network import (
-    DacConfig,
-    Encoding,
-    FourResistor,
-    NodeSolution,
-    ParallelAttach,
-    SolverError,
-    Standalone,
-    Topology,
-    TransferCurve,
-    TwoResistor,
-    complement_check,
-    solve_code,
-    solve_units,
-    transfer_curve,
-)
-from .metrics import LinearityReport, MetricsError, dnl, inl, summary
-from .sizing import (
-    ExtractedParams,
-    ExtractionError,
-    SizingError,
-    SizingResult,
-    check_saturation_window,
-    extract_parameters,
-    size_four_resistor,
-    size_two_resistor,
-)
-from .transient import TimingParams, Waveform, detect_glitches, staircase_codes, synthesize
-from .hdlgen import (
-    GenerationError,
-    HdlArtifact,
-    HdlSpec,
-    generate_constraints,
-    generate_dac,
-    generate_staircase,
-    step_cycles_for,
-)
-from .explorer import SweepPoint, sweep_parallel
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DacConfig",
-    "DeviceError",
-    "DevicePair",
-    "Encoding",
-    "ExtractedParams",
-    "ExtractionError",
-    "FourResistor",
-    "GenerationError",
-    "HdlArtifact",
-    "HdlSpec",
-    "LinearSwitch",
-    "LinearityReport",
-    "MetricsError",
-    "MosfetParams",
-    "NodeSolution",
-    "OperatingRegion",
-    "ParallelAttach",
-    "Polarity",
-    "SizingError",
-    "SizingResult",
-    "SolverError",
-    "Standalone",
-    "SweepPoint",
-    "SwitchModel",
-    "TimingParams",
-    "Topology",
-    "TransferCurve",
-    "TwoResistor",
-    "Waveform",
-    "calibrated_pair",
-    "check_saturation_window",
-    "classify_region",
-    "complement_check",
-    "detect_glitches",
-    "dnl",
-    "drain_current",
-    "error_factor_output",
-    "extract_parameters",
-    "generate_constraints",
-    "generate_dac",
-    "generate_staircase",
-    "ideal_output",
-    "inl",
-    "midrange_resistance",
-    "on_resistance",
-    "size_four_resistor",
-    "size_two_resistor",
-    "solve_code",
-    "solve_units",
-    "staircase_codes",
-    "step_cycles_for",
-    "stretched_output",
-    "summary",
-    "sweep_parallel",
-    "switch_model_output",
-    "synthesize",
-    "transfer_curve",
-    "two_resistor_output",
-]
+# Defining module -> the public names it exports.
+_EXPORTS = {
+    "config": (
+        "DacConfig", "DeviceError", "DevicePair", "Encoding", "FourResistor", "LinearSwitch",
+        "MetricsError", "MosfetParams", "OperatingRegion", "ParallelAttach", "Polarity",
+        "SolverError", "Standalone", "TimingParams", "Topology", "TwoResistor", "calibrated_pair",
+    ),
+    "devices": ("classify_region", "drain_current", "midrange_resistance", "on_resistance"),
+    "analytic": (
+        "SwitchModel", "error_factor_output", "ideal_output", "stretched_output",
+        "switch_model_output", "two_resistor_output",
+    ),
+    "network": (
+        "NodeSolution", "TransferCurve", "complement_check", "solve_code", "solve_units",
+        "transfer_curve",
+    ),
+    "metrics": ("LinearityReport", "dnl", "inl", "summary"),
+    "sizing": (
+        "ExtractedParams", "ExtractionError", "SizingError", "SizingResult",
+        "check_saturation_window", "extract_parameters", "size_four_resistor", "size_two_resistor",
+    ),
+    "transient": ("Waveform", "detect_glitches", "staircase_codes", "synthesize"),
+    "hdlgen": (
+        "GenerationError", "HdlArtifact", "HdlSpec", "generate_constraints", "generate_dac",
+        "generate_staircase", "step_cycles_for",
+    ),
+    "explorer": ("SweepPoint", "sweep_parallel"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

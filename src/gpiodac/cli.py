@@ -25,13 +25,27 @@ import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import __version__
-from .devices import DevicePair, MosfetParams, Polarity, calibrated_pair
-from .explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows
+# Only the numpy-free layers load here: simulate, sweep and transient import their numeric layer
+# in their handler, so hdl and size start without numpy.
+from .config import (
+    MAX_BITS,
+    DacConfig,
+    DevicePair,
+    Encoding,
+    FourResistor,
+    MetricsError,
+    MosfetParams,
+    ParallelAttach,
+    Polarity,
+    SolverError,
+    Standalone,
+    TimingParams,
+    TwoResistor,
+    calibrated_pair,
+)
 from .hdlgen import (
     GenerationError,
     HdlSpec,
@@ -39,19 +53,6 @@ from .hdlgen import (
     generate_dac,
     generate_staircase,
     manifest_text,
-)
-from .metrics import LinearityReport, MetricsError, summary
-from .network import (
-    MAX_BITS,
-    DacConfig,
-    Encoding,
-    FourResistor,
-    ParallelAttach,
-    SolverError,
-    Standalone,
-    TransferCurve,
-    TwoResistor,
-    transfer_curve,
 )
 from .sizing import (
     ExtractedParams,
@@ -62,7 +63,10 @@ from .sizing import (
     size_four_resistor,
     size_two_resistor,
 )
-from .transient import TimingParams, export_rows, parse_code_list, synthesize
+
+if TYPE_CHECKING:
+    from .metrics import LinearityReport
+    from .network import TransferCurve
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GPIODAC_OUTPUT_DIR"
@@ -306,6 +310,10 @@ def write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            # mkstemp makes the file 0600; give it the mode open() would, 0666 less the umask.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -374,7 +382,7 @@ def transfer_csv(curve: TransferCurve) -> str:
     template, values = [], []
     for _, name in _TRANSFER_KEYS:
         column = columns[name]
-        if np.ndim(column) == 0:
+        if isinstance(column, float):  # a rail shared by every code (np.float64 is a float too)
             template.append(format(column, ".12g"))
         elif name.startswith("region_"):
             template.append("%s")
@@ -484,6 +492,9 @@ def _write_outputs(args: argparse.Namespace, out: Path, command: str, digest: st
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .metrics import summary  # numeric layers, imported here so hdl and size skip numpy
+    from .network import transfer_curve
+
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     curve = transfer_curve(cfg.dac)
@@ -576,6 +587,8 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows  # numeric, as in simulate
+
     cfg = load_config(args.config)
     try:
         rp_values = [_finite_float(tok) for tok in args.rp.split(",") if tok.strip()]
@@ -595,6 +608,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_transient(args: argparse.Namespace) -> int:
+    from .transient import export_rows, parse_code_list, synthesize  # numeric, as in simulate
+
     cfg = load_config(args.config)
     if cfg.timing is None:
         raise ConfigError("transient needs a timing section in the config")

@@ -1,0 +1,195 @@
+"""Validated design inputs: devices, topologies, DAC configs, timing and the errors they raise.
+
+This layer imports no numpy, so the commands that only read a config and
+write text from it (``hdl`` and ``size``) start without the numeric stack.
+``devices``, ``network``, ``transient`` and ``metrics`` import these names
+back; each class has this one definition.
+
+Device parameters are source-referenced magnitudes; ``polarity`` only records
+which sign convention the caller must apply. ``LinearSwitch`` is the ideal
+counterpart of a MOSFET unit (a fixed on-conductance with no threshold).
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass, field
+from typing import Union
+
+
+class Polarity(enum.Enum):
+    NMOS = "nmos"
+    PMOS = "pmos"
+
+
+class OperatingRegion(enum.Enum):
+    CUTOFF = "cutoff"
+    TRIODE = "triode"
+    SATURATION = "saturation"
+
+
+class DeviceError(ValueError):
+    """Invalid device parameters or an evaluation outside the model's domain."""
+
+
+def _check_positive(name: str, value: float) -> None:
+    # Written so that NaN fails it as well as infinities and values <= 0.
+    if not 0.0 < value < math.inf:
+        raise DeviceError(f"{name} must be finite and > 0, got {value}")
+
+
+@dataclass(frozen=True)
+class MosfetParams:
+    """Square-law device: threshold magnitude [V] and transconductance [A/V^2]."""
+
+    polarity: Polarity
+    vth: float
+    k: float
+
+    def __post_init__(self) -> None:
+        for name in ("vth", "k"):
+            _check_positive(name, getattr(self, name))
+
+
+@dataclass(frozen=True)
+class LinearSwitch:
+    """Constant-conductance unit cell; conducts g*vds whenever it is driven."""
+
+    g: float
+
+    def __post_init__(self) -> None:
+        _check_positive("g", self.g)
+
+
+UnitDevice = Union[MosfetParams, LinearSwitch]
+
+
+@dataclass(frozen=True)
+class DevicePair:
+    """Pull-up and pull-down unit devices of one GPIO driver.
+
+    Asymmetric pairs are legal; they are what produce the conductance-mismatch
+    error term in the transfer function.
+    """
+
+    pmos: UnitDevice
+    nmos: UnitDevice
+
+
+def calibrated_pair(vdd: float, vth: float, ron_midrange: float) -> DevicePair:
+    """Symmetric device pair whose mid-scale secant resistance equals ron_midrange.
+
+    Inverts the triode law at vds = vdd/2 with vgs = vdd:
+    k = 1 / (ron * (vdd - vth - vdd/4)). Requires vth < vdd/2 so the mid-scale
+    point actually sits in the triode region.
+    """
+    if not 0.0 < vth < 0.5 * vdd:
+        raise DeviceError(f"calibration needs 0 < vth < vdd/2, got vth={vth}, vdd={vdd}")
+    if ron_midrange <= 0.0:
+        raise DeviceError(f"ron_midrange must be > 0, got {ron_midrange}")
+    k = 1.0 / (ron_midrange * (vdd - vth - 0.25 * vdd))
+    return DevicePair(
+        pmos=MosfetParams(Polarity.PMOS, vth, k),
+        nmos=MosfetParams(Polarity.NMOS, vth, k),
+    )
+
+
+class SolverError(RuntimeError):
+    """The operating-point iteration did not reach the residual tolerance."""
+
+    def __init__(self, message: str, *, code: int | None = None, residual: float = math.nan):
+        super().__init__(message)
+        self.code = code
+        self.residual = residual
+
+
+class Encoding(enum.Enum):
+    BINARY = "binary"
+    THERMOMETER = "thermometer"
+
+
+class ParallelAttach(enum.Enum):
+    """Where the parallel resistors tie on the far side: the supply rails
+    (VDD/GND) or the derated inner rails (vd/vs)."""
+
+    SUPPLY_RAILS = "supply"
+    INNER_RAILS = "inner"
+
+
+@dataclass(frozen=True)
+class Standalone:
+    pass
+
+
+@dataclass(frozen=True)
+class TwoResistor:
+    rpp: float
+    rpn: float
+
+    def __post_init__(self) -> None:
+        if not (self.rpp > 0.0 and self.rpn > 0.0):
+            raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
+
+
+@dataclass(frozen=True)
+class FourResistor:
+    rsp: float
+    rsn: float
+    rpp: float
+    rpn: float
+    parallel_attach: ParallelAttach = ParallelAttach.INNER_RAILS
+
+    def __post_init__(self) -> None:
+        if not self.rsp > 0.0:
+            raise ValueError(f"rsp must be > 0, got {self.rsp}")
+        if not self.rsn >= 0.0:
+            raise ValueError(f"rsn must be >= 0 (0 means the ground rail is shared), got {self.rsn}")
+        if not (self.rpp > 0.0 and self.rpn > 0.0):
+            raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
+
+
+Topology = Union[Standalone, TwoResistor, FourResistor]
+
+MAX_BITS = 16  # 2^16 - 1 unit cells is the practical full-sweep ceiling
+
+
+@dataclass(frozen=True)
+class DacConfig:
+    n_bits: int
+    vdd: float
+    devices: DevicePair
+    topology: Topology = field(default_factory=Standalone)
+    encoding: Encoding = Encoding.BINARY
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_bits <= MAX_BITS:
+            raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
+        if not 0.0 < self.vdd < math.inf:
+            raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
+
+    @property
+    def d_max(self) -> int:
+        return (1 << self.n_bits) - 1
+
+
+@dataclass(frozen=True)
+class TimingParams:
+    t_rise: float
+    t_fall: float
+    skew_max: float
+    sample_period: float
+
+    def __post_init__(self) -> None:
+        for name in ("t_rise", "t_fall", "skew_max", "sample_period"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.sample_period <= max(self.t_rise, self.t_fall):
+            raise ValueError(
+                "sample_period must exceed max(t_rise, t_fall) for settled sampling"
+            )
+
+
+class MetricsError(ValueError):
+    """Degenerate curve, e.g. zero full-scale span."""

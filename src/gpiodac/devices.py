@@ -13,77 +13,25 @@ check that the nonlinear solver degenerates to the ideal DAC.
 
 ``current_and_derivatives`` and ``classify_region`` also take arrays, one
 element per solver lane, so a whole batch of operating points is evaluated in
-one call.
+one call. The device types themselves (``MosfetParams``, ``LinearSwitch``,
+``DevicePair``, ``calibrated_pair``) are defined in ``config``.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
-
-class Polarity(enum.Enum):
-    NMOS = "nmos"
-    PMOS = "pmos"
-
-
-class OperatingRegion(enum.Enum):
-    CUTOFF = "cutoff"
-    TRIODE = "triode"
-    SATURATION = "saturation"
-
-
-class DeviceError(ValueError):
-    """Invalid device parameters or an evaluation outside the model's domain."""
-
-
-def _check_positive(name: str, value: float) -> None:
-    # Written so that NaN fails it as well as infinities and values <= 0.
-    if not 0.0 < value < math.inf:
-        raise DeviceError(f"{name} must be finite and > 0, got {value}")
-
-
-@dataclass(frozen=True)
-class MosfetParams:
-    """Square-law device: threshold magnitude [V] and transconductance [A/V^2]."""
-
-    polarity: Polarity
-    vth: float
-    k: float
-
-    def __post_init__(self) -> None:
-        for name in ("vth", "k"):
-            _check_positive(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class LinearSwitch:
-    """Constant-conductance unit cell; conducts g*vds whenever it is driven."""
-
-    g: float
-
-    def __post_init__(self) -> None:
-        _check_positive("g", self.g)
-
-
-UnitDevice = Union[MosfetParams, LinearSwitch]
-
-
-@dataclass(frozen=True)
-class DevicePair:
-    """Pull-up and pull-down unit devices of one GPIO driver.
-
-    Asymmetric pairs are legal; they are what produce the conductance-mismatch
-    error term in the transfer function.
-    """
-
-    pmos: UnitDevice
-    nmos: UnitDevice
-
+# The device types are defined in the numpy-free config layer and importable from here too.
+from .config import (
+    DeviceError,
+    DevicePair,
+    LinearSwitch,
+    MosfetParams,
+    OperatingRegion,
+    Polarity,
+    UnitDevice,
+    calibrated_pair,
+)
 
 _REGIONS = np.array(
     [OperatingRegion.CUTOFF, OperatingRegion.TRIODE, OperatingRegion.SATURATION], dtype=object
@@ -143,24 +91,6 @@ def midrange_resistance(p: UnitDevice, vgs_mag: float, vdd: float) -> float:
     if i <= 0.0:
         raise DeviceError("no conduction at mid-scale; device stays cut off")
     return half / i
-
-
-def calibrated_pair(vdd: float, vth: float, ron_midrange: float) -> DevicePair:
-    """Symmetric device pair whose mid-scale secant resistance equals ron_midrange.
-
-    Inverts the triode law at vds = vdd/2 with vgs = vdd:
-    k = 1 / (ron * (vdd - vth - vdd/4)). Requires vth < vdd/2 so the mid-scale
-    point actually sits in the triode region.
-    """
-    if not 0.0 < vth < 0.5 * vdd:
-        raise DeviceError(f"calibration needs 0 < vth < vdd/2, got vth={vth}, vdd={vdd}")
-    if ron_midrange <= 0.0:
-        raise DeviceError(f"ron_midrange must be > 0, got {ron_midrange}")
-    k = 1.0 / (ron_midrange * (vdd - vth - 0.25 * vdd))
-    return DevicePair(
-        pmos=MosfetParams(Polarity.PMOS, vth, k),
-        nmos=MosfetParams(Polarity.NMOS, vth, k),
-    )
 
 
 def current_and_derivatives(

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .network import Encoding
+from .config import Encoding
 
 _VERILOG_KEYWORDS = frozenset(
     """always and assign begin buf case casex casez default defparam else end

@@ -15,16 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import MetricsError
 from .network import TransferCurve
 
 INL_REFERENCE = "endpoint"
 # Adjacent steps this far negative (in volts) still count as monotone; the
 # operating-point solver is only trusted to ~1e-9 V.
 MONOTONIC_SLACK = 1e-9
-
-
-class MetricsError(ValueError):
-    """Degenerate curve, e.g. zero full-scale span."""
 
 
 @dataclass(frozen=True)

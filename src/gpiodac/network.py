@@ -30,104 +30,32 @@ builds its NodeSolution rows only when they are first read.
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from itertools import repeat
 from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-from .devices import (
-    DevicePair,
+# The config types are defined in the numpy-free config layer and importable from here too.
+from .config import (
+    MAX_BITS,
+    DacConfig,
+    Encoding,
+    FourResistor,
     OperatingRegion,
-    classify_region,
-    current_and_derivatives,
+    ParallelAttach,
+    SolverError,
+    Standalone,
+    Topology,
+    TwoResistor,
 )
+from .devices import classify_region, current_and_derivatives
 
 RESIDUAL_TOL = 1e-9  # amperes
 MAX_ITERATIONS = 200
 WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a warm-started batch
 _MAX_LANES = 1 << 16  # lanes of one batch of whole curves (one 16-bit curve): bounds peak memory
-
-
-class SolverError(RuntimeError):
-    """The operating-point iteration did not reach the residual tolerance."""
-
-    def __init__(self, message: str, *, code: int | None = None, residual: float = math.nan):
-        super().__init__(message)
-        self.code = code
-        self.residual = residual
-
-
-class Encoding(enum.Enum):
-    BINARY = "binary"
-    THERMOMETER = "thermometer"
-
-
-class ParallelAttach(enum.Enum):
-    """Where the parallel resistors tie on the far side: the supply rails
-    (VDD/GND) or the derated inner rails (vd/vs)."""
-
-    SUPPLY_RAILS = "supply"
-    INNER_RAILS = "inner"
-
-
-@dataclass(frozen=True)
-class Standalone:
-    pass
-
-
-@dataclass(frozen=True)
-class TwoResistor:
-    rpp: float
-    rpn: float
-
-    def __post_init__(self) -> None:
-        if not (self.rpp > 0.0 and self.rpn > 0.0):
-            raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
-
-
-@dataclass(frozen=True)
-class FourResistor:
-    rsp: float
-    rsn: float
-    rpp: float
-    rpn: float
-    parallel_attach: ParallelAttach = ParallelAttach.INNER_RAILS
-
-    def __post_init__(self) -> None:
-        if not self.rsp > 0.0:
-            raise ValueError(f"rsp must be > 0, got {self.rsp}")
-        if not self.rsn >= 0.0:
-            raise ValueError(f"rsn must be >= 0 (0 means the ground rail is shared), got {self.rsn}")
-        if not (self.rpp > 0.0 and self.rpn > 0.0):
-            raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
-
-
-Topology = Union[Standalone, TwoResistor, FourResistor]
-
-MAX_BITS = 16  # 2^16 - 1 unit cells is the practical full-sweep ceiling
-
-
-@dataclass(frozen=True)
-class DacConfig:
-    n_bits: int
-    vdd: float
-    devices: DevicePair
-    topology: Topology = field(default_factory=Standalone)
-    encoding: Encoding = Encoding.BINARY
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_bits <= MAX_BITS:
-            raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
-        if not 0.0 < self.vdd < math.inf:
-            raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
-
-    @property
-    def d_max(self) -> int:
-        return (1 << self.n_bits) - 1
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .config import DacConfig, FourResistor, OperatingRegion, Standalone, Topology, TwoResistor
 
-from .devices import OperatingRegion
-from .network import (
-    DacConfig,
-    FourResistor,
-    Standalone,
-    Topology,
-    TransferCurve,
-    TwoResistor,
-    transfer_curve,
-)
+if TYPE_CHECKING:
+    from .network import TransferCurve
 
 
 class ExtractionError(ValueError):
@@ -88,6 +81,8 @@ def extract_from_table(
     groups are in triode, derives vth from its span, and inverts the triode
     law at the in-run code nearest mid-scale to get the unit resistance.
     """
+    import numpy as np  # here, so that size and hdl, which import this module, start without numpy
+
     n = len(codes)
     if not (len(vdac) == len(i_per_pullup) == len(region_p) == len(region_n) == n):
         raise ExtractionError("column lengths differ")
@@ -243,6 +238,8 @@ def check_saturation_window(config: DacConfig) -> list[bool]:
     vdd <= 2 vth, so the window is empty for any realistic device; that is
     exactly why the four-resistor correction exists.
     """
+    from .network import transfer_curve  # here, so that importing sizing loads no numpy
+
     pmos = config.devices.pmos
     nmos = config.devices.nmos
     vth_p = getattr(pmos, "vth", 0.0)

@@ -26,31 +26,13 @@ mechanism is purely an ordering effect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import DacConfig, Encoding, _checked_counts, solve_columns
-
-
-@dataclass(frozen=True)
-class TimingParams:
-    t_rise: float
-    t_fall: float
-    skew_max: float
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        for name in ("t_rise", "t_fall", "skew_max", "sample_period"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.sample_period <= max(self.t_rise, self.t_fall):
-            raise ValueError(
-                "sample_period must exceed max(t_rise, t_fall) for settled sampling"
-            )
+from .config import DacConfig, Encoding, TimingParams
+from .network import _checked_counts, solve_columns
 
 
 @dataclass(frozen=True)

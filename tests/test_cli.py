@@ -624,3 +624,29 @@ class TestAtomicity:
         blocker = workdir / "blocked"
         blocker.write_text("i am a file, not a directory")
         assert main(["simulate", "-c", str(cfg), "-o", str(blocker)]) == 5
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_written_file_has_the_mode_open_gives_under_the_umask(self, workdir, umask, mode):
+        target = workdir / "out" / "file.txt"
+        old = os.umask(umask)
+        try:
+            write_atomic(target, "payload\nline two\n")
+            with open(workdir / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == mode
+        assert (workdir / "plain.txt").stat().st_mode & 0o777 == mode
+        assert target.read_text() == "payload\nline two\n"
+        assert os.umask(old) == old  # the process umask is left as it was
+
+    def test_declared_outputs_are_not_private(self, workdir):
+        cfg = write_config(workdir)
+        old = os.umask(0o022)
+        try:
+            assert main(["hdl", "-c", str(cfg), "-o", "out"]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in (workdir / "out").iterdir()}
+        assert modes == dict.fromkeys(["dac4.v", "dac4.pcf", "dac4_manifest.json",
+                                       "run_record.json"], 0o644)
