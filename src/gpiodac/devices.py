@@ -98,35 +98,22 @@ def current_and_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, di/dvgs, di/dvds) with a signed extension for solver iterations.
 
-    Off-solution trial points may momentarily put vds < 0 or vgs < 0; the
-    current is extended antisymmetrically in vds and clamped to cutoff for
-    vgs <= 0 so the branch stays continuous and monotone for Newton/bisection.
-    vds is a float or an array, one element per solver lane, and sets the
-    shape of the results; vgs is a float or an array of the same shape. Every
-    element is the float a one-element call gives, signed zeros included.
+    Off-solution points may put vds < 0 or vgs < 0; the current is extended
+    antisymmetrically in vds and clamped to cutoff for vgs <= vth, so the
+    branch stays continuous, C1 and monotone. vgs and vds are floats or
+    arrays that broadcast together, one element per solver lane (or point),
+    and every element is the float a one-element call gives.
     """
-    shape = np.shape(vds)
-    neg = np.less(vds, 0.0)
-    vds = np.array(vds, dtype=float, ndmin=1)
-    np.negative(vds, out=vds, where=neg)
+    mag = np.abs(vds)
     if isinstance(p, LinearSwitch):
-        i, dvgs, dvds = p.g * vds, np.zeros_like(vds), np.full_like(vds, p.g)
+        i, dvgs, dvds = p.g * mag, np.zeros_like(mag), np.full_like(mag, p.g)
     else:
-        vov = np.subtract(vgs, p.vth)
-        # Triode everywhere, then saturation and cutoff written over it.
-        i = p.k * (vov * vds - 0.5 * vds * vds)
-        dvgs = p.k * vds
-        dvds = p.k * (vov - vds)
-        sat = vds >= vov
-        np.copyto(i, 0.5 * p.k * vov * vov, where=sat)
-        np.copyto(dvgs, p.k * vov, where=sat)
-        np.copyto(dvds, 0.0, where=sat)
-        cut = vov <= 0.0
-        for out in (i, dvgs, dvds):
-            np.copyto(out, 0.0, where=cut)
-    np.negative(i, out=i, where=neg)
-    np.negative(dvgs, out=dvgs, where=neg)
-    return i.reshape(shape), dvgs.reshape(shape), dvds.reshape(shape)
+        vov = np.maximum(np.subtract(vgs, p.vth), 0.0)  # no overdrive in cutoff
+        m = np.minimum(mag, vov)  # saturation holds vds at vov
+        dvgs = p.k * m
+        dvds = p.k * (vov - m)
+        i = dvgs * (vov - 0.5 * m)
+    return np.copysign(i, vds), np.copysign(dvgs, vds), dvds
 
 
 def _check_domain(vgs_mag: float, vds_mag: float) -> None:

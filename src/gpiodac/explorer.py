@@ -3,8 +3,9 @@
 Larger parallel resistors widen the dynamic range and cut the total current
 but weaken the stretching that keeps the devices in their well-matched region,
 so DNL/INL degrade; the sweep makes that trade-off explicit so a designer can
-pick a point. The points solve as one batch, but failures stay per point:
-sweeps exist precisely to find the corners where the network misbehaves.
+pick a point. The points solve as one batch, but a point whose metrics fail
+(a zero full-scale span) keeps its error in its own row: sweeps exist
+precisely to find the corners where the network misbehaves.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .metrics import LinearityReport, MetricsError, summary
-from .network import DacConfig, FourResistor, SolverError, TwoResistor, _curves
+from .network import DacConfig, FourResistor, TwoResistor, _curves
 
 SWEEP_COLUMNS = (
     "rp_ohm",
@@ -54,8 +55,9 @@ def _rs_of(config: DacConfig) -> float:
 def sweep_parallel(base: DacConfig, rp_values: Sequence[float]) -> list[SweepPoint]:
     """A report per parallel resistor value, bit for bit summary(transfer_curve(config)).
 
-    The curves solve as one lane batch; output order follows the input. A diverging
-    point is recorded in-row with an error status and the sweep continues.
+    The curves solve as one lane batch; output order follows the input. A point
+    whose metrics fail is recorded in-row with an error status and the sweep
+    continues.
     """
     if len(rp_values) == 0:
         raise ValueError("rp_values must be non-empty")
@@ -65,13 +67,9 @@ def sweep_parallel(base: DacConfig, rp_values: Sequence[float]) -> list[SweepPoi
     points = []
     for rp, curve in zip(rp_values, _curves([_with_rp(base, rp) for rp in rp_values])):
         try:
-            if isinstance(curve, SolverError):
-                raise curve
             points.append(SweepPoint(rp=rp, rs=rs, report=summary(curve), status="ok"))
-        except (SolverError, MetricsError) as exc:
-            points.append(
-                SweepPoint(rp=rp, rs=rs, report=None, status=f"error: {exc}")
-            )
+        except MetricsError as exc:
+            points.append(SweepPoint(rp=rp, rs=rs, report=None, status=f"error: {exc}"))
     return points
 
 

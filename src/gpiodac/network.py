@@ -10,28 +10,44 @@ d_max - m pull down into the common output node. Three topologies are solved:
   also lowers the gate swing (driver gates ride the local rails, so
   vgs = vd - vs for both device groups), plus the two parallel resistors.
 
-The nonlinear system is the KCL balance at the floating nodes (output, and
-vd/vs when series resistors are present). One solve takes an array of
-pull-up counts, one lane per count: one array evaluation of the device model
-gives every lane's residuals and 1x1/2x2/3x3 Jacobian, and damped Newton
-steps all unfinished lanes at once, each with its own step size, iteration
-count and outcome. Branch currents are monotone in their node voltages, so
-lanes where Newton stalls fall back to per-node bisection sweeps for the rest
-of their budget. Two full Newton steps then polish each converged lane onto
-its fixed point. A batch of over 2 * WARM_STRIDE distinct counts starts from
-Newton solves at every WARM_STRIDE-th count, interpolated; a lane that fails
-from there restarts from the linear guess. A lane's voltages thus depend on
-its batch only within 1e-14 V, and not at all in a smaller batch. Configs
-that differ only in rpp/rpn (an rp sweep) solve as one batch with per-lane
-conductances, each curve bit for bit as it solves alone. A solve returns
-columns, one array per NodeSolution field; a TransferCurve keeps them and
-builds its NodeSolution rows only when they are first read.
+The nonlinear system is the KCL balance at the floating nodes: the output,
+and the local rails vd/vs when series resistors are present. One solve takes
+an array of pull-up counts, one lane per count; every step is an array
+operation over the lanes that still need it.
+
+* The output node is solved exactly. With the rails held, each group's unit
+  current is piecewise quadratic in vdac (square law without channel-length
+  modulation, extended antisymmetrically to vds < 0), so the residual is a
+  decreasing, C1, piecewise-quadratic function of vdac. Its knees are where
+  a group saturates or its vds changes sign. The two knees that bracket the
+  root fix one quadratic, whose root the cancellation-free formula gives.
+* The rails of a four-resistor config are solved by Newton steps kept inside
+  per-lane brackets (0 <= vs <= vd <= vdd), bisecting where a step leaves its
+  bracket or stalls: vd on its own node, with vs nested inside it when
+  rsn > 0, and each evaluation puts the levels below on their balance.
+  Derivatives follow those balances by implicit differentiation. A lane
+  stops once its residual is within what rounding leaves of its currents, or
+  once its step or bracket is a few ulps of vdd.
+
+No level can fail, so a finite config never raises SolverError. A lane's
+voltages depend only on its own count and config, so a batch gives each lane
+bit for bit its one-code result, with one exception: a four-resistor batch of
+over 2 * WARM_STRIDE distinct counts starts its rails from solves at every
+WARM_STRIDE-th count, interpolated, and each output-node solve from the
+lane's last vdac. Such a batch agrees with one-code solves only as far as
+rounding defines the rails: ~1e-13 V for 12-bit curves of calibrated devices,
+more where the rails are weakly tied to the supply. Configs that differ only
+in rpp/rpn (an rp sweep) solve as one batch with per-lane conductances, each
+curve bit for bit as it solves alone. A solve returns columns, one array per
+NodeSolution field; a TransferCurve keeps them and builds its NodeSolution
+rows only when they are first read.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from typing import Any, Mapping, Sequence, Union
 
@@ -43,6 +59,8 @@ from .config import (
     DacConfig,
     Encoding,
     FourResistor,
+    LinearSwitch,
+    MosfetParams,
     OperatingRegion,
     ParallelAttach,
     SolverError,
@@ -52,9 +70,11 @@ from .config import (
 )
 from .devices import classify_region, current_and_derivatives
 
-RESIDUAL_TOL = 1e-9  # amperes
-MAX_ITERATIONS = 200
-WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a warm-started batch
+MAX_ITERATIONS = 200  # Newton or bisection steps per lane and rail level
+WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a large four-resistor batch's start
+_RTOL = 1e-15  # rounding left on a node's residual, relative to its current magnitudes
+_ATOL = 1e-18  # amperes, for nodes that carry no current
+_XTOL = 8.0 * np.finfo(float).eps  # of vdd: a rail voltage this close is as good as found
 _MAX_LANES = 1 << 16  # lanes of one batch of whole curves (one 16-bit curve): bounds peak memory
 
 
@@ -124,20 +144,18 @@ class TransferCurve:
 
 
 class _Lanes:
-    """KCL residuals and Jacobians at an array of pull-up counts, one config per lane.
+    """KCL of a batch of lanes, one pull-up count and config per lane, and its solve.
 
-    Lane j is configs[point[j]] (by default, counts under each config in turn)
-    with counts[j] drivers pulling up. The configs differ at most in rpp and
-    rpn: gpp and gpn are per-lane arrays, indexed by lanes as up and dn are.
-    Unknowns are ordered [vdac, vd?, vs?] and x holds one row per lane.
+    The lanes are the counts under each config in turn. The configs differ at
+    most in rpp and rpn, so gpp and gpn are per-lane arrays like up and dn.
+    Node voltages are floats or arrays over the lanes; take(lanes) gives the
+    batch of some lanes.
     """
 
-    def __init__(self, configs: Sequence[DacConfig], counts: np.ndarray, point=None):
-        if point is None:
-            point = np.repeat(np.arange(len(configs)), len(counts))
-            counts = np.tile(counts, len(configs))
+    def __init__(self, configs: Sequence[DacConfig], counts: np.ndarray):
+        point = np.repeat(np.arange(len(configs)), len(counts))
+        counts = np.tile(counts, len(configs))
         self.cfg = config = configs[0]
-        self.point = point
         topo = config.topology
         self.four = isinstance(topo, FourResistor)
         self.has_vs = self.four and topo.rsn > 0.0
@@ -145,89 +163,189 @@ class _Lanes:
         gp = [(0.0, 0.0) if standalone else (1.0 / c.topology.rpp, 1.0 / c.topology.rpn)
               for c in configs]
         self.gpp, self.gpn = (np.array(g)[point] for g in zip(*gp))
+        self.gp = self.gpp + self.gpn
         self.inner = (not self.four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
         self.gsp = 1.0 / topo.rsp if self.four else 0.0
         self.gsn = 1.0 / topo.rsn if self.has_vs else 0.0
-        self.cols = [0] + ([1] if self.four else []) + ([2] if self.has_vs else [])
         self.counts = counts
-        n_dn = config.d_max - counts
-        self.up, self.dn = counts.astype(float), n_dn.astype(float)
-        # Negated as ints, so a zero count keeps +0.0 products as a Python int does.
-        self.neg_up, self.neg_dn = (-counts).astype(float), (-n_dn).astype(float)
+        self.up, self.dn = counts.astype(float), (config.d_max - counts).astype(float)
 
-    def initial_guess(self) -> np.ndarray:
-        x = np.zeros((len(self.counts), len(self.cols)))  # vs starts at 0
-        x[:, 0] = (self.counts / self.cfg.d_max) * self.cfg.vdd
-        if self.four:
-            x[:, 1] = self.cfg.vdd
-        return x
+    def take(self, lanes) -> _Lanes:
+        sub = copy(self)
+        for name in ("counts", "up", "dn", "gpp", "gpn", "gp"):
+            setattr(sub, name, getattr(self, name)[lanes])
+        return sub
 
-    def branches(self, x: np.ndarray, gpp: np.ndarray, gpn: np.ndarray):
-        """Node voltages, (i, di/dvgs, di/dvds) of both groups, currents through gpp and gpn."""
+    def knees(self, vd, vs) -> list:
+        """vdac where a group's unit current changes formula: it saturates, or its vds changes
+        sign. Inner rails keep vdac within [vs, vd], where only the saturation edges fall."""
+        knees = []
+        for dev, rail, sign in ((self.cfg.devices.pmos, vd, -1.0), (self.cfg.devices.nmos, vs, 1.0)):
+            if isinstance(dev, MosfetParams):  # a LinearSwitch has no knee
+                vov = (vd - vs) - dev.vth
+                knees += [rail + sign * vov] if self.inner else [rail - vov, rail, rail + vov]
+        return knees
+
+    def output_node(self, vd, vs, guess=None) -> np.ndarray:
+        """vdac at which the output node balances, the rails held at vd and vs.
+
+        The residual f falls from >= 0 at lo to <= 0 at hi. Between the knees
+        it is quadratic, and it is C1 across them. The last point with f >= 0
+        and the next one bound the root, which f and df/dvdac there give in
+        closed form. With a guess (one vdac per lane), a lane whose quadratic
+        at its guess has its root between the same knees takes that root
+        instead, from one evaluation.
+        """
         cfg = self.cfg
-        vdac = x[:, 0]
-        vd = x[:, 1] if self.four else cfg.vdd
-        vs = x[:, -1] if self.has_vs else 0.0
+        # Inner rails keep vdac within [vs, vd]; supply-attached resistors can pull it past
+        # them, but not past the supply rails, while 0 <= vs <= vd <= vdd.
+        lo, hi = (vs, vd) if self.inner else (0.0, cfg.vdd)
+        knees = self.knees(vd, vs)
+        if guess is not None:
+            vdac = self.root_near(guess, vd, vs)
+            # A knee between the guess and vdac (or on either) means another quadratic.
+            fits = (guess > lo) & (guess < hi) & (vdac >= lo) & (vdac <= hi)
+            for knee in knees:
+                fits &= (knee - guess) * (knee - vdac) > 0.0
+            if not fits.all():
+                miss = np.flatnonzero(~fits)
+                vdac[miss] = self.take(miss).output_node(*(v[miss] if np.ndim(v) else v for v in (vd, vs)))
+            return vdac
+        # One row per point, ascending; one column per lane (or one for all lanes).
+        at = np.empty((len(knees) + 2, np.size(vd - vs)))
+        at[0], at[-1] = lo, hi
+        for row, knee in enumerate(knees, 1):
+            at[row] = knee
+        at = np.sort(np.clip(at, lo, hi), axis=0)
+        f, s = self.output_kcl(at, vd, vs)
+        lanes = np.arange(len(self.up))
+        col = lanes if len(at[0]) > 1 else 0  # at's column of each lane
+        left = np.count_nonzero(f >= 0.0, axis=0) - 1  # f falls along the rows, >= 0 at lo
+        right = np.minimum(left + 1, len(at) - 1)
+        x0, x1, f0, s0, s1 = at[left, col], at[right, col], f[left, lanes], s[left, lanes], s[right, lanes]
+        # f0 - s0*t + a*t^2 = 0 on [x0, x1], where s is linear, a = (s0 - s1) / (2 (x1 - x0));
+        # s0 > 0 <= f0, so the root 2*f0 / (sqrt(s0^2 - 4*a*f0) + s0) adds two terms of one sign.
+        # Where x1 = x0 the root is x0 (a may be nan there; fmin drops the nan).
+        a2 = (s0 - s1) / (x1 - x0)
+        t = 2.0 * f0 / (np.sqrt(np.maximum(s0 * s0 - 2.0 * a2 * f0, 0.0)) + s0)
+        return np.fmin(x0 + np.where(f0 > 0.0, t, 0.0), x1)
+
+    def output_kcl(self, vdac, vd, vs):
+        """Output-node residual f and -df/dvdac at vdac (one row per point, or one point)."""
+        cfg = self.cfg
         vgs = vd - vs
-        p = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
-        n = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
-        i_rpp = gpp * ((vd if self.inner else cfg.vdd) - vdac)
-        i_rpn = gpn * (vdac - (vs if self.inner else 0.0))
-        return vdac, vd, vs, p, n, i_rpp, i_rpn
+        ip, _, dip = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
+        in_, _, din = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
+        resistors = self.gpp * (vd if self.inner else cfg.vdd) + (self.gpn * vs if self.inner else 0.0)
+        return (self.up * ip - self.dn * in_ + (resistors - self.gp * vdac),
+                self.up * dip + self.dn * din + self.gp)
 
-    def residual(self, x: np.ndarray, lanes: np.ndarray | slice, jac: np.ndarray | None = None,
-                 branches: tuple | None = None):
-        """KCL residuals of the given lanes at x; also fills jac when one is passed.
+    def root_near(self, x, vd, vs) -> np.ndarray:
+        """Root of the quadratic that f is around x, or nan where that quadratic has none."""
+        devices, vgs = self.cfg.devices, vd - vs
+        f, s = self.output_kcl(x, vd, vs)
+        a = 0.5 * (self.up * _curvature(devices.pmos, vgs, vd - x)
+                   - self.dn * _curvature(devices.nmos, vgs, x - vs))
+        return x + 2.0 * f / (np.sqrt(s * s - 4.0 * a * f) + s)
 
-        branches, if given, is what self.branches gives at x for these lanes."""
-        gpp, gpn = self.gpp[lanes], self.gpn[lanes]
-        if branches is None:
-            branches = self.branches(x, gpp, gpn)
-        _, vd, vs, (ip, dip_g, dip_d), (in_, din_g, din_d), i_rpp, i_rpn = branches
-        up, dn = self.up[lanes], self.dn[lanes]
-        Ip, In = up * ip, dn * in_
-        f = np.empty_like(x)
-        f[:, 0] = Ip + i_rpp - In - i_rpn
-        if self.four:
-            f[:, 1] = self.gsp * (self.cfg.vdd - vd) - Ip - (i_rpp if self.inner else 0.0)
-        if self.has_vs:
-            f[:, -1] = In + (i_rpn if self.inner else 0.0) - self.gsn * vs
-        if jac is None:
-            return f
+    def rail_kcl(self, vdac, vd, vs, own: str):
+        """(residual, derivative, tolerance) of the vd node (own = "vd") or the vs node ("vs").
 
-        neg_up, neg_dn = self.neg_up[lanes], self.neg_dn[lanes]
-        # Group currents and resistor branches: d/d(vdac, vd, vs)
-        dIp = (neg_up * dip_d, up * (dip_g + dip_d), neg_up * dip_g)
-        dIn = (dn * din_d, dn * din_g, neg_dn * (din_g + din_d))
-        drpp = (-gpp, gpp if self.inner else 0.0, 0.0)
-        drpn = (gpn, 0.0, -gpn if self.inner else 0.0)
-        for c, j in enumerate(self.cols):
-            jac[:, 0, c] = dIp[j] + drpp[j] - dIn[j] - drpn[j]
-            if self.four:
-                jac[:, 1, c] = -dIp[j] - (drpp[j] if self.inner else 0.0)
-            if self.has_vs:
-                jac[:, 2, c] = dIn[j] + (drpn[j] if self.inner else 0.0)
-        if self.four:
-            jac[:, 1, 1] -= self.gsp
-        if self.has_vs:
-            jac[:, 2, 2] -= self.gsn
-        return f
-
-    def norm(self, x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return _max_norm(self.residual(x, lanes))
-
-    def columns(self, x: np.ndarray) -> Columns:
+        vdac is on its balance, and the derivative in the node's own voltage
+        follows it there by implicit differentiation; the vd node's also
+        follows vs(vd), the vs node's balance, when rsn > 0. The tolerance is
+        what rounding leaves of a residual: _RTOL times the node's branch
+        currents and its conductance to vdac times vdac, in magnitude, plus
+        _ATOL; the vd node's adds what vs's own tolerance can move it by. The
+        vd node also gives dvs/dvd.
+        """
         cfg = self.cfg
-        branches = self.branches(x, self.gpp, self.gpn)
-        vdac, vd, vs, (ip, _, _), (in_, _, _), i_rpp, i_rpn = branches
+        vgs = vd - vs
+        ip, dip_g, dip_d = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
+        in_, din_g, din_d = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
+        gpp, gpn = (self.gpp, self.gpn) if self.inner else (0.0, 0.0)  # parallel resistors on the rails
+        # Conductances of the groups and resistors seen from the nodes; f, g, h are the output,
+        # vd and vs residuals, and e.g. f_x is -df/dvdac.
+        p_d, p_g, n_d, n_g = self.up * dip_d, self.up * dip_g, self.dn * din_d, self.dn * din_g
+        f_x = p_d + n_d + self.gp
+        g_x, h_x = p_d + gpp, n_d + gpn
+        if self.has_vs:
+            x_s = (h_x + n_g - p_g) / f_x  # dvdac/dvs along the output balance
+            dh = -self.gsn - n_g - h_x * (1.0 - x_s)
+            arriving = self.dn * in_ + gpn * (vdac - vs)  # from the network into the vs node
+            h_tol = _RTOL * (np.abs(arriving) + self.gsn * vs + np.abs(h_x * vdac)) + _ATOL
+            if own == "vs":
+                return arriving - self.gsn * vs, dh, h_tol
+        x_d = (g_x + p_g - n_g) / f_x  # dvdac/dvd
+        dg = -self.gsp - p_g - g_x * (1.0 - x_d)
+        supplied, drawn = self.gsp * (cfg.vdd - vd), self.up * ip + gpp * (vd - vdac)
+        tol = _RTOL * (supplied + np.abs(drawn) + np.abs(g_x * vdac)) + _ATOL
+        s_d = 0.0
+        if self.has_vs:
+            s_d = (n_g + h_x * x_d) / -dh  # dvs/dvd along the vs balance
+            g_s = p_g + g_x * x_s  # -dg/dvs along the output balance
+            dg = dg + g_s * s_d
+            tol = tol + np.abs(g_s) * np.maximum(h_tol / -dh, _XTOL * cfg.vdd)
+        return supplied - drawn, dg, tol, s_d
+
+    def solve(self, start=None):
+        """(vdac, vd, vs) of every lane; a rail without a series resistor is one float.
+
+        vd is found by bracketed Newton on its own node in [0, vdd], from vdd
+        or the start's vd; vdac is on its balance at every step, and so is vs,
+        found the same way in [0, vd] from 0 or the start's vs, when rsn > 0.
+        Each output-node solve is guessed at the lane's last vdac (at first,
+        the start's).
+        """
+        vdd = self.cfg.vdd
+        if not self.four:
+            return self.output_node(vdd, 0.0), vdd, 0.0
+        n = len(self.counts)
+        vdac, vd, vs = start or (np.empty(n), np.full(n, vdd), np.zeros(n))
+        if not self.has_vs:
+            vs = 0.0
+
+        # Where vd moves, vs starts on its tangent at the lane's last vd.
+        last_vd, slope = vd.copy(), np.zeros(n)
+
+        def vd_node(lanes, x):
+            net = self.take(lanes)
+            if self.has_vs:
+                def vs_node(pos, y):
+                    sub, at = net.take(pos), lanes[pos]
+                    vdac[at] = v = sub.output_node(x[pos], y, vdac[at] if start else None)
+                    return sub.rail_kcl(v, x[pos], y, "vs")
+
+                vs0 = np.clip(vs[lanes] + slope[lanes] * (x - last_vd[lanes]), 0.0, x)
+                vs[lanes] = _bracketed(vs_node, vs0, 0.0, x, vdd)
+            else:
+                vdac[lanes] = net.output_node(x, 0.0, vdac[lanes] if start else None)
+            g, dg, tol, slope[lanes] = net.rail_kcl(vdac[lanes], x, vs[lanes] if self.has_vs else 0.0, "vd")
+            last_vd[lanes] = x
+            return g, dg, tol
+
+        vd = _bracketed(vd_node, vd, 0.0, vdd, vdd)
+        return vdac, vd, vs
+
+    def columns(self, vdac, vd, vs) -> Columns:
+        cfg = self.cfg
+        ip = current_and_derivatives(cfg.devices.pmos, vd - vs, vd - vdac)[0]
+        in_ = current_and_derivatives(cfg.devices.nmos, vd - vs, vdac - vs)[0]
+        i_rpp = self.gpp * ((vd if self.inner else cfg.vdd) - vdac)
+        i_rpn = self.gpn * (vdac - (vs if self.inner else 0.0))
+        Ip, In = self.up * ip, self.dn * in_
+        residual = np.abs(Ip + i_rpp - In - i_rpn)
         if isinstance(cfg.topology, Standalone):
-            i_total = self.up * ip
+            i_total = Ip
         elif isinstance(cfg.topology, TwoResistor):
-            i_total = self.up * ip + i_rpp
+            i_total = Ip + i_rpp
         else:
             i_total = self.gsp * (cfg.vdd - vd)
+            residual = np.maximum(residual, np.abs(i_total - Ip - (i_rpp if self.inner else 0.0)))
             if not self.inner:
                 i_total += i_rpp
+        if self.has_vs:
+            residual = np.maximum(residual, np.abs(In + (i_rpn if self.inner else 0.0) - self.gsn * vs))
         # Report the region of the active groups; a group with no active units
         # has its devices' gates parked at their own source rail, i.e. cutoff.
         vgs_mag = np.maximum(vd - vs, 0.0)
@@ -237,172 +355,72 @@ class _Lanes:
         cutoff = OperatingRegion.CUTOFF
         columns = (self.counts, vdac, vd, vs, i_total, np.where(has_up, ip, 0.0),
                    np.where(has_dn, in_, 0.0), i_rpp, i_rpn, np.where(has_up, region_p, cutoff),
-                   np.where(has_dn, region_n, cutoff),
-                   _max_norm(self.residual(x, slice(None), branches=branches)))
+                   np.where(has_dn, region_n, cutoff), residual)
         return dict(zip(FIELDS, columns))
 
 
-def _max_norm(f: np.ndarray) -> np.ndarray:
-    """Max-norm of each row of an (n, k <= 3) array, as elementwise maxima over its columns."""
-    return reduce(np.maximum, np.abs(f).T)
+def _curvature(dev, vgs, vds):
+    """d2i/dvds2 of current_and_derivatives: -k*sign(vds) in triode, else 0."""
+    if isinstance(dev, LinearSwitch):
+        return 0.0
+    return np.where(np.abs(vds) < vgs - dev.vth, -dev.k * np.sign(vds), 0.0)
 
 
-def _steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Newton steps of a stack of lanes, non-finite for a lane with a singular Jacobian.
+def _bracketed(level, x: np.ndarray, lo, hi, vdd: float) -> np.ndarray:
+    """Roots of per-lane decreasing functions by Newton steps kept inside brackets (rtsafe).
 
-    1x1 and 2x2 systems are solved in closed form. A stacked 3x3 solve raises
-    for the whole stack when one matrix is singular, so that case is redone
-    lane by lane."""
-    k = f.shape[1]
-    if k == 1:
-        return -f / jac[:, 0]
-    if k == 2:
-        (a, b), (c, d), (f0, f1) = jac[:, 0].T, jac[:, 1].T, f.T
-        det = a * d - b * c
-        return np.column_stack(((b * f1 - d * f0) / det, (c * f0 - a * f1) / det))
-    try:
-        return np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(f) == 1:
-            return np.full_like(f, np.nan)
-        return np.concatenate([_steps(jac[j : j + 1], f[j : j + 1]) for j in range(len(f))])
-
-
-def _newton_lanes(net: _Lanes, x: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Damped Newton on every lane from x (in place) or the linear guess; returns
-    (x, iterations used, converged).
-
-    Each lane follows its own rule: stop once the residual max-norm is within
-    RESIDUAL_TOL or MAX_ITERATIONS steps are spent; give up on a singular or
-    non-finite step, or when halving the step from 1 down to 1e-8 never
-    lowers the norm. A converged lane then takes two full steps onto its fixed
-    point, kept only where finite and within RESIDUAL_TOL.
+    level(pos, x) gives (residual, derivative, tolerance) of the lanes at
+    positions pos at points x; lo <= x <= hi (floats or arrays) bracket every
+    root. A step that leaves the bracket, or that is not under half the step
+    before last, bisects instead. A lane stops at the point it evaluated last
+    once its residual is within its tolerance, or its step or its bracket is
+    under _XTOL * vdd. Returns the roots.
     """
-    x = net.initial_guess() if x is None else x
-    n, k = x.shape
-    live = np.arange(n)
-    jac = np.empty((n, k, k))
-    f = net.residual(x, live, jac)
-    norm = _max_norm(f)
-    used = np.zeros(n, dtype=int)
-    while True:
-        live = live[(norm[live] > RESIDUAL_TOL) & (used[live] < MAX_ITERATIONS)]
-        if not live.size:
-            ok = np.flatnonzero(norm <= RESIDUAL_TOL)
-            _polish(net, x, ok, f[ok], jac[ok])
-            return x, used, norm <= RESIDUAL_TOL
-        dx = _steps(jac[live], f[live])
-        finite = np.all(np.isfinite(dx), axis=1)
-        live, dx = live[finite], dx[finite]
-        lam = np.ones(len(live))
-        moved = np.zeros(len(live), dtype=bool)
-        trial = np.arange(len(live))  # positions in live still halving their step
-        while trial.size:
-            lanes = live[trial]
-            x_try = x[lanes] + lam[trial, None] * dx[trial]
-            jac_try = np.empty((len(lanes), k, k))
-            f_try = net.residual(x_try, lanes, jac_try)
-            norm_try = _max_norm(f_try)
-            take = (norm_try < norm[lanes]) | (norm_try <= RESIDUAL_TOL)
-            done = lanes[take]
-            x[done], f[done], jac[done] = x_try[take], f_try[take], jac_try[take]
-            norm[done] = norm_try[take]
-            used[done] += 1
-            moved[trial[take]] = True
-            trial = trial[~take]
-            lam[trial] *= 0.5
-            trial = trial[lam[trial] > 1e-8]
-        live = live[moved]  # the others stalled
-
-
-def _polish(net: _Lanes, x: np.ndarray, lanes: np.ndarray, f=None, jac=None) -> None:
-    """Two full Newton steps from converged lanes of x (residuals f, Jacobians jac there if
-    known), taken in place where the result is finite and within RESIDUAL_TOL."""
-    if f is None:
-        jac = np.empty((len(lanes), x.shape[1], x.shape[1]))
-        f = net.residual(x[lanes], lanes, jac)
-    x1 = x[lanes] + _steps(jac, f)
-    x2 = x1 + _steps(jac, net.residual(x1, lanes, jac))  # jac is the lanes' own copy
-    keep = np.all(np.isfinite(x2), axis=1) & (net.norm(x2, lanes) <= RESIDUAL_TOL)
-    x[lanes[keep]] = x2[keep]
+    xtol = _XTOL * vdd
+    roots = x.copy()
+    live = np.arange(len(x))
+    lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
+    older = last = hi - lo  # the step before last and the last step
+    for _ in range(MAX_ITERATIONS):
+        g, dg, tol = level(live, x)
+        roots[live] = x
+        rising = g > 0.0
+        lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
+        step = g / -dg
+        new = x + step
+        newton = (new > lo) & (new < hi) & (np.abs(step + step) <= np.abs(older))
+        older, last = last, np.where(newton, step, 0.5 * (lo + hi) - x)
+        going = (np.abs(g) > tol) & ~(np.abs(step) <= xtol) & (hi - lo > xtol)  # nan steps bisect
+        if not going.any():
+            break
+        live, x, lo, hi, older, last = (a[going] for a in (live, x + last, lo, hi, older, last))
+    return roots
 
 
 def _warm_start(configs: Sequence[DacConfig], counts: np.ndarray, distinct: np.ndarray):
-    """Starts for counts under each config in turn, each interpolated over that config's own
-    Newton solves at every WARM_STRIDE-th and last distinct count."""
-    grid = np.union1d(distinct[::WARM_STRIDE], distinct[-1:])
-    x = _newton_lanes(_Lanes(configs, grid))[0]
-    return np.concatenate([np.column_stack([np.interp(counts, grid, column) for column in xp.T])
-                           for xp in np.split(x, len(configs))])
+    """Starts (vdac, vd, vs) for counts under each config in turn, each interpolated over
+    that config's own solves at every WARM_STRIDE-th distinct count and at the first two
+    and last two, next to where a group's count is zero and the rails move fastest."""
+    grid = np.union1d(distinct[::WARM_STRIDE], distinct[[1, -2, -1]])
+    solved = _Lanes(configs, grid).solve()
+    return tuple(np.concatenate([np.interp(counts, grid, part) for part in np.split(x, len(configs))])
+                 if np.ndim(x) else x for x in solved)
 
 
-def _bisection_lanes(net: _Lanes, x: np.ndarray, lanes: np.ndarray, budget: np.ndarray):
-    """Gauss-Seidel bisection sweeps on the given lanes of x, in place; returns converged mask.
-
-    A sweep bisects each unknown on its own KCL residual, the others held
-    fixed. All node residuals are strictly decreasing in their own voltage, so
-    the bracket with f(lo) >= 0 >= f(hi) always closes; a lane's bracket stops
-    once narrower than 1e-13 V. Lane j sweeps until it converges or has swept
-    budget[j] times.
-    """
-    vdd = net.cfg.vdd
-    span = 2.0 * vdd  # generous brackets; solutions live in [0, vdd]
-    ok = np.zeros(len(lanes), dtype=bool)
-    live = np.flatnonzero(budget > 0)  # positions in lanes
-    sweeps = 0
-    while live.size:
-        rows = lanes[live]
-        xs = x[rows]
-        for idx in range(len(net.cols)):
-            lo, hi = np.full(len(xs), -span), np.full(len(xs), vdd + span)
-            open_ = np.ones(len(xs), dtype=bool)
-            for _ in range(80):
-                if not open_.any():
-                    break
-                mid = 0.5 * (lo + hi)
-                xs[:, idx] = mid
-                rising = net.residual(xs, rows)[:, idx] > 0.0
-                np.putmask(lo, open_ & rising, mid)
-                np.putmask(hi, open_ & ~rising, mid)
-                open_ &= ~(hi - lo < 1e-13)
-            xs[:, idx] = 0.5 * (lo + hi)
-        x[rows] = xs
-        converged = net.norm(xs, rows) <= RESIDUAL_TOL
-        ok[live[converged]] = True
-        sweeps += 1
-        live = live[~converged & (budget[live] > sweeps)]
-    return ok
-
-
-def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Columns | SolverError]:
-    """counts under each config in turn as one lane batch: per config, its columns or a
-    SolverError naming its first failing count."""
+def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Columns]:
+    """counts under each config in turn as one lane batch: per config, its columns."""
     net = _Lanes(configs, counts)
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan and inf only where discarded
+        start = None
+        if net.four:
+            distinct = np.sort(counts)  # np.unique hashes ints first, at ~10x the cost of a sort
+            distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+            if len(distinct) > 2 * WARM_STRIDE:
+                start = _warm_start(configs, counts, distinct)
+        columns = net.columns(*net.solve(start))
     n = len(counts)
-    with np.errstate(all="ignore"):  # trial points may overflow, as Python floats do silently
-        distinct = np.sort(counts)  # np.unique hashes ints first, at ~10x the cost of a sort
-        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-        warm = len(distinct) > 2 * WARM_STRIDE
-        x, used, ok = _newton_lanes(net, _warm_start(configs, counts, distinct) if warm else None)
-        if warm and not ok.all():  # rerun from the linear guess, as a one-count solve does
-            retry = ~ok
-            x[retry], used[retry], ok[retry] = _newton_lanes(
-                _Lanes(configs, net.counts[retry], net.point[retry]))
-        fallback = np.flatnonzero(~ok)
-        if fallback.size:
-            ok[fallback] = _bisection_lanes(net, x, fallback, MAX_ITERATIONS - used[fallback])
-            _polish(net, x, fallback[ok[fallback]])
-        columns, solved = net.columns(x), []
-        for lanes in (slice(start, start + n) for start in range(0, len(x), n)):
-            if ok[lanes].all():
-                solved.append({name: c[lanes] if np.ndim(c) else c for name, c in columns.items()})
-                continue
-            lane = lanes.start + int(np.argmin(ok[lanes]))
-            residual = float(net.norm(x[lane : lane + 1], np.array([lane]))[0])
-            message = f"no convergence after {MAX_ITERATIONS} iterations"
-            solved.append(SolverError(f"{message} (best residual {residual:.3e} A)",
-                                      code=int(net.counts[lane]), residual=residual))
-        return solved
+    return [{name: c[first : first + n] if np.ndim(c) else c for name, c in columns.items()}
+            for first in range(0, len(net.counts), n)]
 
 
 def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
@@ -426,14 +444,11 @@ def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
 def solve_columns(config: DacConfig, pullup_units: Sequence[int] | np.ndarray) -> Columns:
     """Operating points of a non-empty batch of pull-up counts as columns, one lane per count.
 
-    The columns are what solve_units turns into rows, field by field; a
-    SolverError names the first failing count.
+    The columns are what solve_units turns into rows, field by field.
     """
     if not np.size(pullup_units):
         raise ValueError("pullup_units is empty")
     [columns] = _solve_lanes([config], _checked_counts(pullup_units, config.d_max, "pullup_units"))
-    if isinstance(columns, SolverError):
-        raise columns
     return columns
 
 
@@ -443,10 +458,11 @@ def solve_units(
     """Operating point at an explicit pull-up unit count (0..d_max).
 
     An int gives one NodeSolution. A sequence of counts is solved as one
-    batch and gives one NodeSolution per count, in order, each within 1e-14 V
-    of a one-count call (see the module docstring); a SolverError names the
-    first failing count. Transient analysis uses this entry: a mid-transition
-    pin state is a unit count that need not correspond to any encodable code.
+    batch and gives one NodeSolution per count, in order, each bit for bit
+    what a one-count call gives (a four-resistor batch that warm-starts
+    agrees with it to rounding; see the module docstring). Transient
+    analysis uses this entry: a mid-transition pin state is a unit count that
+    need not correspond to any encodable code.
     """
     counts = np.asarray(pullup_units)
     rows = _rows(solve_columns(config, pullup_units)) if counts.size else ()
@@ -460,25 +476,20 @@ def solve_code(config: DacConfig, code: int) -> NodeSolution:
     return solve_units(config, code)
 
 
-def _curves(configs: Sequence[DacConfig]) -> list[TransferCurve | SolverError]:
-    """Transfer curves (or SolverErrors) of configs that differ at most in rpp and rpn, in
-    order; consecutive configs are solved together, as many whole curves as _MAX_LANES hold."""
+def _curves(configs: Sequence[DacConfig]) -> list[TransferCurve]:
+    """Transfer curves of configs that differ at most in rpp and rpn, in order; consecutive
+    configs are solved together, as many whole curves as _MAX_LANES hold."""
     n = configs[0].d_max + 1
-    curves: list[TransferCurve | SolverError] = []
+    curves = []
     for start in range(0, len(configs), _MAX_LANES // n):
         batch = configs[start : start + _MAX_LANES // n]
-        for config, solved in zip(batch, _solve_lanes(batch, np.arange(n))):
-            curves.append(SolverError(f"transfer curve failed at code {solved.code}: {solved}",
-                                      code=solved.code, residual=solved.residual)
-                          if isinstance(solved, SolverError) else TransferCurve(config, solved))
+        curves += map(TransferCurve, batch, _solve_lanes(batch, np.arange(n)))
     return curves
 
 
 def transfer_curve(config: DacConfig) -> TransferCurve:
     """Full static sweep code = 0..d_max, solved as one batch."""
     [curve] = _curves([config])
-    if isinstance(curve, SolverError):
-        raise curve
     return curve
 
 

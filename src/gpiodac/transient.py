@@ -166,10 +166,8 @@ def synthesize(
     # Simultaneous events collapse to one sample holding the last count.
     last = np.append(times[1:] != times[:-1], True)
 
-    # Pass 2: one batched solve resolves every distinct count. First-use order
-    # makes a SolverError name the first failing count the replay reaches.
-    needed = np.concatenate(([d_max, 0], counts))
-    needed = needed[np.sort(np.unique(needed, return_index=True)[1])]
+    # Pass 2: one batched solve resolves every distinct count.
+    needed = np.unique(np.concatenate(([d_max, 0], counts)))
     # One float object per level, shared by every sample that holds it.
     level = dict(zip(needed.tolist(), solve_columns(config, needed)["vdac"].tolist()))
     vfs = level[d_max] - level[0]

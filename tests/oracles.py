@@ -3,11 +3,16 @@
 Everything here is deliberately dumb and slow: nested scalar bisection for
 operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
 divider arithmetic for the constant-conductance forms. These never share a
-code path with the implementations they check. The exceptions are kept as
-references of the code that replaced them, bit for bit unless noted:
-``per_code_solve``, the scalar per-code Newton solver that the lane-batched
-engine replaced (matched within 1e-14 V, since the engine solves 2x2 steps
-in closed form and warm-starts large batches); ``per_pin_synthesize``, the
+code path with the implementations they check. ``oracle_solve`` nests its
+levels as the package's solver does (vd outermost, then vs, then vdac), but
+bisects each where the package takes closed-form roots and Newton steps.
+
+The exceptions are kept as references of the code that replaced them, bit
+for bit unless noted: ``per_code_solve``, the scalar damped-Newton solver
+with a bisection fallback that the exact output-node and bracketed rail
+solve replaced (matched within 1e-14 V wherever it converged on small
+configs; it misses its tolerance on some configs the new solve handles, and
+``oracle_solve`` is the authority there); ``per_pin_synthesize``, the
 per-pin transient replay that the array-based ``synthesize`` replaced;
 ``per_row_transfer_csv`` and ``per_row_saturation_flags``, which read a
 curve's NodeSolution rows where the package now reads its columns;
