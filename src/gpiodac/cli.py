@@ -6,8 +6,8 @@ keys. Declared outputs are written atomically (temp file + rename) and are
 byte-deterministic for a given config and tool version; the per-run record
 (with its timestamp) lives in a separate run_record.json.
 
-Exit codes: 0 ok, 2 config error, 3 solver failure, 4 sizing/extraction
-infeasible, 5 I/O error.
+Exit codes: 0 ok, 2 config error, 4 sizing/extraction infeasible, 5 I/O
+error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .config import (
     MosfetParams,
     ParallelAttach,
     Polarity,
-    SolverError,
     Standalone,
     TimingParams,
     TwoResistor,
@@ -737,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
 # (exception type, stderr label, exit status); the first that matches wins.
 _FAILURES = (
     (ConfigError, "config", 2),
-    (SolverError, "solver", 3),
     (SizingError, "sizing", 4),
     (ExtractionError, "sizing", 4),
     (MetricsError, "metrics", 4),

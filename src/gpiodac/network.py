@@ -23,24 +23,25 @@ operation over the lanes that still need it.
   root fix one quadratic, whose root the cancellation-free formula gives.
 * The rails of a four-resistor config are solved by Newton steps kept inside
   per-lane brackets (0 <= vs <= vd <= vdd), bisecting where a step leaves its
-  bracket or stalls: vd on its own node, with vs nested inside it when
-  rsn > 0, and each evaluation puts the levels below on their balance.
-  Derivatives follow those balances by implicit differentiation. A lane
-  stops once its residual is within what rounding leaves of its currents, or
-  once its step or bracket is a few ulps of vdd.
+  bracket or stalls, each evaluation putting the levels below on their
+  balance. On inner rails, and without rsn, the level is the current through
+  rsp, which sets vd and vs; on supply rails with rsn > 0, it is vd, with vs
+  nested inside it.
+  Derivatives follow the balances by implicit differentiation. A lane stops
+  once its residual is within rounding of its currents, or once its step or
+  bracket is a few ulps of vdd.
 
 No level can fail, so a finite config never raises SolverError. A lane's
 voltages depend only on its own count and config, so a batch gives each lane
 bit for bit its one-code result, with one exception: a four-resistor batch of
 over 2 * WARM_STRIDE distinct counts starts its rails from solves at every
-WARM_STRIDE-th count, interpolated, and each output-node solve from the
-lane's last vdac. Such a batch agrees with one-code solves only as far as
-rounding defines the rails: ~1e-13 V for 12-bit curves of calibrated devices,
-more where the rails are weakly tied to the supply. Configs that differ only
-in rpp/rpn (an rp sweep) solve as one batch with per-lane conductances, each
-curve bit for bit as it solves alone. A solve returns columns, one array per
-NodeSolution field; a TransferCurve keeps them and builds its NodeSolution
-rows only when they are first read.
+WARM_STRIDE-th count, interpolated. Such a batch agrees with one-code solves
+only as far as rounding defines the rails: ~1e-13 V for 12-bit curves of
+calibrated devices, more where the rails are weakly tied to the supply.
+Configs that differ only in rpp/rpn (an rp sweep) solve as one batch with
+per-lane conductances, each curve bit for bit as it solves alone. A solve
+returns columns, one array per NodeSolution field; a TransferCurve keeps them
+and builds its NodeSolution rows only when they are first read.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ MAX_ITERATIONS = 200  # Newton or bisection steps per lane and rail level
 WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a large four-resistor batch's start
 _RTOL = 1e-15  # rounding left on a node's residual, relative to its current magnitudes
 _ATOL = 1e-18  # amperes, for nodes that carry no current
-_XTOL = 8.0 * np.finfo(float).eps  # of vdd: a rail voltage this close is as good as found
+_XTOL = 8.0 * np.finfo(float).eps  # of a level's span: a root this close is as good as found
 _MAX_LANES = 1 << 16  # lanes of one batch of whole curves (one 16-bit curve): bounds peak memory
 
 
@@ -167,6 +168,9 @@ class _Lanes:
         self.inner = (not self.four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
         self.gsp = 1.0 / topo.rsp if self.four else 0.0
         self.gsn = 1.0 / topo.rsn if self.has_vs else 0.0
+        # Inner rails carry one current from rsp through the network to rsn, so vs is tied to
+        # vd: gsn*vs = gsp*(vdd - vd), and dvs/dvd = -tie.
+        self.tie = self.gsp / self.gsn if self.has_vs and self.inner else 0.0
         self.counts = counts
         self.up, self.dn = counts.astype(float), (config.d_max - counts).astype(float)
 
@@ -176,47 +180,40 @@ class _Lanes:
             setattr(sub, name, getattr(self, name)[lanes])
         return sub
 
-    def knees(self, vd, vs) -> list:
+    def knees(self, vd, vs, wide: bool) -> list:
         """vdac where a group's unit current changes formula: it saturates, or its vds changes
-        sign. Inner rails keep vdac within [vs, vd], where only the saturation edges fall."""
+        sign. Within [vs, vd] only the saturation edges fall; wide adds those past the rails."""
         knees = []
         for dev, rail, sign in ((self.cfg.devices.pmos, vd, -1.0), (self.cfg.devices.nmos, vs, 1.0)):
             if isinstance(dev, MosfetParams):  # a LinearSwitch has no knee
                 vov = (vd - vs) - dev.vth
-                knees += [rail + sign * vov] if self.inner else [rail - vov, rail, rail + vov]
+                knees += [rail - vov, rail, rail + vov] if wide else [rail + sign * vov]
         return knees
 
-    def output_node(self, vd, vs, guess=None) -> np.ndarray:
+    def output_node(self, vd, vs, wide: bool = False) -> np.ndarray:
         """vdac at which the output node balances, the rails held at vd and vs.
 
         The residual f falls from >= 0 at lo to <= 0 at hi. Between the knees
         it is quadratic, and it is C1 across them. The last point with f >= 0
         and the next one bound the root, which f and df/dvdac there give in
-        closed form. With a guess (one vdac per lane), a lane whose quadratic
-        at its guess has its root between the same knees takes that root
-        instead, from one evaluation.
+        closed form. The root lies within [lo, hi] = [vs, vd] on inner rails.
+        Supply-attached resistors can pull it past the local rails, but not
+        past the supply rails (0 <= vs <= vd <= vdd): a lane whose root is
+        not within [vs, vd] is solved again over [0, vdd] (wide).
         """
         cfg = self.cfg
-        # Inner rails keep vdac within [vs, vd]; supply-attached resistors can pull it past
-        # them, but not past the supply rails, while 0 <= vs <= vd <= vdd.
-        lo, hi = (vs, vd) if self.inner else (0.0, cfg.vdd)
-        knees = self.knees(vd, vs)
-        if guess is not None:
-            vdac = self.root_near(guess, vd, vs)
-            # A knee between the guess and vdac (or on either) means another quadratic.
-            fits = (guess > lo) & (guess < hi) & (vdac >= lo) & (vdac <= hi)
-            for knee in knees:
-                fits &= (knee - guess) * (knee - vdac) > 0.0
-            if not fits.all():
-                miss = np.flatnonzero(~fits)
-                vdac[miss] = self.take(miss).output_node(*(v[miss] if np.ndim(v) else v for v in (vd, vs)))
-            return vdac
+        lo, hi = (0.0, cfg.vdd) if wide else (vs, vd)
+        knees = self.knees(vd, vs, wide)
+        if not wide and len(knees) == 2:
+            knees = [np.minimum(*knees), np.maximum(*knees)]  # as a sort over rows would, faster
         # One row per point, ascending; one column per lane (or one for all lanes).
         at = np.empty((len(knees) + 2, np.size(vd - vs)))
         at[0], at[-1] = lo, hi
         for row, knee in enumerate(knees, 1):
             at[row] = knee
-        at = np.sort(np.clip(at, lo, hi), axis=0)
+        at = np.clip(at, lo, hi)
+        if wide:
+            at.sort(axis=0)
         f, s = self.output_kcl(at, vd, vs)
         lanes = np.arange(len(self.up))
         col = lanes if len(at[0]) > 1 else 0  # at's column of each lane
@@ -228,7 +225,13 @@ class _Lanes:
         # Where x1 = x0 the root is x0 (a may be nan there; fmin drops the nan).
         a2 = (s0 - s1) / (x1 - x0)
         t = 2.0 * f0 / (np.sqrt(np.maximum(s0 * s0 - 2.0 * a2 * f0, 0.0)) + s0)
-        return np.fmin(x0 + np.where(f0 > 0.0, t, 0.0), x1)
+        vdac = np.fmin(x0 + np.where(f0 > 0.0, t, 0.0), x1)
+        if not (self.inner or wide):
+            miss = np.flatnonzero((f[0] < 0.0) | (f[-1] > 0.0))
+            if miss.size:
+                vd, vs = (v[miss] if np.ndim(v) else v for v in (vd, vs))
+                vdac[miss] = self.take(miss).output_node(vd, vs, wide=True)
+        return vdac
 
     def output_kcl(self, vdac, vd, vs):
         """Output-node residual f and -df/dvdac at vdac (one row per point, or one point)."""
@@ -240,24 +243,15 @@ class _Lanes:
         return (self.up * ip - self.dn * in_ + (resistors - self.gp * vdac),
                 self.up * dip + self.dn * din + self.gp)
 
-    def root_near(self, x, vd, vs) -> np.ndarray:
-        """Root of the quadratic that f is around x, or nan where that quadratic has none."""
-        devices, vgs = self.cfg.devices, vd - vs
-        f, s = self.output_kcl(x, vd, vs)
-        a = 0.5 * (self.up * _curvature(devices.pmos, vgs, vd - x)
-                   - self.dn * _curvature(devices.nmos, vgs, x - vs))
-        return x + 2.0 * f / (np.sqrt(s * s - 4.0 * a * f) + s)
+    def rails(self, vdac, vd, vs):
+        """Levels (residual, derivative, tolerance, curvature) of the vd node, with dvs/dvd,
+        and of the vs node where it is solved on its own (supply rails, rsn > 0), else None.
 
-    def rail_kcl(self, vdac, vd, vs, own: str):
-        """(residual, derivative, tolerance) of the vd node (own = "vd") or the vs node ("vs").
-
-        vdac is on its balance, and the derivative in the node's own voltage
-        follows it there by implicit differentiation; the vd node's also
-        follows vs(vd), the vs node's balance, when rsn > 0. The tolerance is
-        what rounding leaves of a residual: _RTOL times the node's branch
-        currents and its conductance to vdac times vdac, in magnitude, plus
-        _ATOL; the vd node's adds what vs's own tolerance can move it by. The
-        vd node also gives dvs/dvd.
+        vdac is on its balance; derivatives follow it, and vs(vd) (the tie or the vs
+        balance), by implicit differentiation. A tolerance is _RTOL times the node's
+        branch currents and its conductance to vdac times vdac, plus _ATOL; vd's adds what
+        vs's tolerance moves it by. The curvature is the residual's if the current through
+        the devices were the square of a linear function of the node voltage.
         """
         cfg = self.cfg
         vgs = vd - vs
@@ -269,63 +263,73 @@ class _Lanes:
         p_d, p_g, n_d, n_g = self.up * dip_d, self.up * dip_g, self.dn * din_d, self.dn * din_g
         f_x = p_d + n_d + self.gp
         g_x, h_x = p_d + gpp, n_d + gpn
-        if self.has_vs:
-            x_s = (h_x + n_g - p_g) / f_x  # dvdac/dvs along the output balance
-            dh = -self.gsn - n_g - h_x * (1.0 - x_s)
-            arriving = self.dn * in_ + gpn * (vdac - vs)  # from the network into the vs node
-            h_tol = _RTOL * (np.abs(arriving) + self.gsn * vs + np.abs(h_x * vdac)) + _ATOL
-            if own == "vs":
-                return arriving - self.gsn * vs, dh, h_tol
         x_d = (g_x + p_g - n_g) / f_x  # dvdac/dvd
         dg = -self.gsp - p_g - g_x * (1.0 - x_d)
         supplied, drawn = self.gsp * (cfg.vdd - vd), self.up * ip + gpp * (vd - vdac)
+        g = supplied - drawn
         tol = _RTOL * (supplied + np.abs(drawn) + np.abs(g_x * vdac)) + _ATOL
-        s_d = 0.0
+        s_d, vs_level = -self.tie, None  # dvs/dvd; the tie is 0 without rsn
         if self.has_vs:
-            s_d = (n_g + h_x * x_d) / -dh  # dvs/dvd along the vs balance
-            g_s = p_g + g_x * x_s  # -dg/dvs along the output balance
+            x_s = (h_x + n_g - p_g) / f_x  # dvdac/dvs along the output balance
+            g_s = p_g + g_x * x_s  # dg/dvs along the output balance
+            if not self.inner:
+                dh = -self.gsn - n_g - h_x * (1.0 - x_s)
+                arriving = self.dn * in_  # from the network into the vs node
+                h_tol = _RTOL * (np.abs(arriving) + self.gsn * vs + np.abs(h_x * vdac)) + _ATOL
+                s_d = (n_g + h_x * x_d) / -dh  # along the vs balance
+                tol = tol + np.abs(g_s) * np.maximum(h_tol / -dh, _XTOL * cfg.vdd)
+                vs_level = arriving - self.gsn * vs, dh, h_tol, _square_law(arriving, dh + self.gsn)
             dg = dg + g_s * s_d
-            tol = tol + np.abs(g_s) * np.maximum(h_tol / -dh, _XTOL * cfg.vdd)
-        return supplied - drawn, dg, tol, s_d
+        return (g, dg, tol, -_square_law(drawn, dg + self.gsp), s_d), vs_level
 
     def solve(self, start=None):
         """(vdac, vd, vs) of every lane; a rail without a series resistor is one float.
 
-        vd is found by bracketed Newton on its own node in [0, vdd], from vdd
-        or the start's vd; vdac is on its balance at every step, and so is vs,
-        found the same way in [0, vd] from 0 or the start's vs, when rsn > 0.
-        Each output-node solve is guessed at the lane's last vdac (at first,
-        the start's).
+        The vd node is solved by bracketed Newton, from vdd or the start's
+        (vd, vs); vdac is on its balance at every step. On inner rails, or
+        without rsn, the level is the current through rsp, which sets vd and
+        (tied) vs. On supply rails with rsn > 0, it is vd itself, and vs is
+        on its balance too, found the same way in [0, vd].
         """
         vdd = self.cfg.vdd
         if not self.four:
             return self.output_node(vdd, 0.0), vdd, 0.0
         n = len(self.counts)
-        vdac, vd, vs = start or (np.empty(n), np.full(n, vdd), np.zeros(n))
-        if not self.has_vs:
-            vs = 0.0
+        vd, vs = start or (np.full(n, vdd), np.zeros(n))
+        vdac = np.empty(n)
+        if self.inner or not self.has_vs:
+            # Solved in the current i through rsp, which also flows through rsn: vd = vdd - rsp*i
+            # and vs = rsn*i keep their precision whatever the ratio of rsp to rsn.
+            rsp, rsn = self.cfg.topology.rsp, self.cfg.topology.rsn
+            top = vdd / (rsp + rsn)  # where vs meets vd
 
-        # Where vd moves, vs starts on its tangent at the lane's last vd.
-        last_vd, slope = vd.copy(), np.zeros(n)
+            def i_node(lanes, i):
+                net, x, y = self.take(lanes), vdd - rsp * i, rsn * i if self.has_vs else 0.0
+                vdac[lanes] = v = net.output_node(x, y)
+                g, dg, tol, c = net.rails(v, x, y)[0][:4]
+                return -g, rsp * dg, tol, -rsp * rsp * c
+
+            i = _bracketed(i_node, np.clip((vdd - vd) / rsp, 0.0, top), 0.0, top, top)
+            return vdac, vdd - rsp * i, rsn * i if self.has_vs else 0.0
+
+        # vd's level at each lane's last vs point; where vd moves, vs starts on its tangent.
+        level, last_vd, slope = np.empty((4, n)), vd.copy(), np.zeros(n)
 
         def vd_node(lanes, x):
             net = self.take(lanes)
-            if self.has_vs:
-                def vs_node(pos, y):
-                    sub, at = net.take(pos), lanes[pos]
-                    vdac[at] = v = sub.output_node(x[pos], y, vdac[at] if start else None)
-                    return sub.rail_kcl(v, x[pos], y, "vs")
 
-                vs0 = np.clip(vs[lanes] + slope[lanes] * (x - last_vd[lanes]), 0.0, x)
-                vs[lanes] = _bracketed(vs_node, vs0, 0.0, x, vdd)
-            else:
-                vdac[lanes] = net.output_node(x, 0.0, vdac[lanes] if start else None)
-            g, dg, tol, slope[lanes] = net.rail_kcl(vdac[lanes], x, vs[lanes] if self.has_vs else 0.0, "vd")
+            def vs_node(pos, y):
+                sub, at = net.take(pos), lanes[pos]
+                vdac[at] = v = sub.output_node(x[pos], y)
+                (*level[:, at], slope[at]), vs_level = sub.rails(v, x[pos], y)
+                return vs_level
+
+            vs0 = np.clip(vs[lanes] + slope[lanes] * (x - last_vd[lanes]), 0.0, x)
+            vs[lanes] = _bracketed(vs_node, vs0, 0.0, x, vdd)
             last_vd[lanes] = x
-            return g, dg, tol
+            return level[:, lanes]
 
-        vd = _bracketed(vd_node, vd, 0.0, vdd, vdd)
-        return vdac, vd, vs
+        return vdac, _bracketed(vd_node, vd, 0.0, vdd, vdd), vs
 
     def columns(self, vdac, vd, vs) -> Columns:
         cfg = self.cfg
@@ -359,34 +363,36 @@ class _Lanes:
         return dict(zip(FIELDS, columns))
 
 
-def _curvature(dev, vgs, vds):
-    """d2i/dvds2 of current_and_derivatives: -k*sign(vds) in triode, else 0."""
-    if isinstance(dev, LinearSwitch):
-        return 0.0
-    return np.where(np.abs(vds) < vgs - dev.vth, -dev.k * np.sign(vds), 0.0)
+def _square_law(current, slope):
+    """Second derivative of the square of a linear function with this value and slope."""
+    return np.where(current > 0.0, slope * slope / (4.0 * current), 0.0)
 
 
-def _bracketed(level, x: np.ndarray, lo, hi, vdd: float) -> np.ndarray:
+def _bracketed(level, x: np.ndarray, lo, hi, span: float) -> np.ndarray:
     """Roots of per-lane decreasing functions by Newton steps kept inside brackets (rtsafe).
 
-    level(pos, x) gives (residual, derivative, tolerance) of the lanes at
-    positions pos at points x; lo <= x <= hi (floats or arrays) bracket every
-    root. A step that leaves the bracket, or that is not under half the step
-    before last, bisects instead. A lane stops at the point it evaluated last
-    once its residual is within its tolerance, or its step or its bracket is
-    under _XTOL * vdd. Returns the roots.
+    level(pos, x) gives (residual, derivative, tolerance, curvature) of the
+    lanes at positions pos at points x; lo <= x <= hi (floats or arrays)
+    bracket every root. Where the curvature lengthens the Newton step (it has
+    the sign of the residual), a step goes to the nearer root of the
+    quadratic with that value, slope and curvature instead. A step that
+    leaves the bracket, or that is not under half the step before last,
+    bisects instead. A lane stops at the point it evaluated last once its
+    residual is within its tolerance, or its step or its bracket is under
+    _XTOL * span. Returns the roots.
     """
-    xtol = _XTOL * vdd
+    xtol = _XTOL * span
     roots = x.copy()
     live = np.arange(len(x))
     lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
-    older = last = hi - lo  # the step before last and the last step
+    older = last = 2.0 * (hi - lo)  # the step before last and the last step: any first step fits
     for _ in range(MAX_ITERATIONS):
-        g, dg, tol = level(live, x)
+        g, dg, tol, c = level(live, x)
         roots[live] = x
         rising = g > 0.0
         lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
-        step = g / -dg
+        # g + dg*t + c*t^2 = 0, dg < 0, c*g >= 0: the root of the sign of g, free of cancellation.
+        step = -2.0 * g / (dg - np.sqrt(np.maximum(dg * dg - 4.0 * np.maximum(c * g, 0.0), 0.0)))
         new = x + step
         newton = (new > lo) & (new < hi) & (np.abs(step + step) <= np.abs(older))
         older, last = last, np.where(newton, step, 0.5 * (lo + hi) - x)
@@ -398,11 +404,11 @@ def _bracketed(level, x: np.ndarray, lo, hi, vdd: float) -> np.ndarray:
 
 
 def _warm_start(configs: Sequence[DacConfig], counts: np.ndarray, distinct: np.ndarray):
-    """Starts (vdac, vd, vs) for counts under each config in turn, each interpolated over
+    """Starts (vd, vs) for counts under each config in turn, each interpolated over
     that config's own solves at every WARM_STRIDE-th distinct count and at the first two
     and last two, next to where a group's count is zero and the rails move fastest."""
     grid = np.union1d(distinct[::WARM_STRIDE], distinct[[1, -2, -1]])
-    solved = _Lanes(configs, grid).solve()
+    solved = _Lanes(configs, grid).solve()[1:]
     return tuple(np.concatenate([np.interp(counts, grid, part) for part in np.split(x, len(configs))])
                  if np.ndim(x) else x for x in solved)
 

@@ -4,8 +4,10 @@ Everything here is deliberately dumb and slow: nested scalar bisection for
 operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
 divider arithmetic for the constant-conductance forms. These never share a
 code path with the implementations they check. ``oracle_solve`` nests its
-levels as the package's solver does (vd outermost, then vs, then vdac), but
-bisects each where the package takes closed-form roots and Newton steps.
+levels vd outermost, then vs, then vdac, and bisects each. The package takes
+a closed-form root for vdac and bracketed Newton steps for the rails, nests vs
+inside vd only on supply rails, and on inner rails ties vs to vd, since one
+current flows through rsp and rsn.
 
 The exceptions are kept as references of the code that replaced them, bit
 for bit unless noted: ``per_code_solve``, the scalar damped-Newton solver

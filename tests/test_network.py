@@ -30,6 +30,7 @@ from gpiodac.cli import transfer_csv
 from gpiodac.metrics import summary
 from gpiodac.sizing import check_saturation_window
 from oracles import (
+    device_current,
     oracle_curve,
     oracle_solve,
     per_code_solve,
@@ -313,9 +314,12 @@ def assert_matches_oracle(config, rows, tol=1e-6) -> None:
     assert voltage_gap(rows, [oracle_solve(config, row.code) for row in rows]) <= tol
 
 
-def device_pair(draw, vdd):
+def device_pair(draw, vdd, open_vth=False):
+    """Devices with vth in [0.05, 0.9 vdd] V (the open interval if open_vth) and k
+    log-uniform on 1e-4..10 A/V^2."""
+
     def device(polarity):
-        vth = draw(st.floats(0.05, 0.9 * vdd, exclude_min=True, exclude_max=True))
+        vth = draw(st.floats(0.05, 0.9 * vdd, exclude_min=open_vth, exclude_max=open_vth))
         return MosfetParams(polarity, vth, 10 ** draw(st.floats(-4, 1)))
 
     return DevicePair(device(Polarity.PMOS), device(Polarity.NMOS))
@@ -341,7 +345,8 @@ def batches(draw):
     """A random legal config (n_bits <= 8) and a random list of pull-up counts."""
     n_bits = draw(st.integers(1, 8))
     vdd = draw(st.floats(0.8, 5.0))
-    cfg = DacConfig(n_bits, vdd, device_pair(draw, vdd), topology(draw))
+    topo = topology(draw)
+    cfg = DacConfig(n_bits, vdd, device_pair(draw, vdd), topo)
     counts = draw(st.lists(st.integers(0, cfg.d_max), min_size=1, max_size=12))
     return cfg, counts
 
@@ -357,14 +362,15 @@ def fuzz_cases(draw):
     """
     n_bits = draw(st.integers(1, 16))
     vdd = draw(st.floats(0.8, 5.0, exclude_min=True, exclude_max=True))
-    cfg = DacConfig(n_bits, vdd, device_pair(draw, vdd), topology(draw))
+    cfg = DacConfig(n_bits, vdd, device_pair(draw, vdd, open_vth=True), topology(draw))
     codes = draw(st.lists(st.integers(0, cfg.d_max), min_size=1, max_size=4))
     whole = n_bits <= 10 and draw(st.integers(0, 3)) == 0
     return cfg, codes, whole, draw(st.integers(0, 3)) == 0
 
 
 class TestFuzz:
-    """No config the constructors accept fails to solve, and every solution is the oracle's."""
+    """No config the constructors accept fails to solve, and every solution balances and is
+    the oracle's."""
 
     @settings(max_examples=600)
     @given(case=fuzz_cases())
@@ -378,6 +384,10 @@ class TestFuzz:
             rows = solve_units(cfg, codes)
             vdac = np.array([row.vdac for row in rows])
         assert np.all((vdac >= 0.0) & (vdac <= cfg.vdd))
+        for row in rows:  # balanced within rounding of the currents it carries
+            carried = (abs(row.i_total) + abs(row.i_rpp) + abs(row.i_rpn) + row.code * abs(
+                row.i_per_pullup) + (cfg.d_max - row.code) * abs(row.i_per_pulldown))
+            assert row.kcl_residual <= 1e-6 * carried + 1e-18
         if check:
             assert_matches_oracle(cfg, rows[:1])
 
@@ -397,6 +407,18 @@ class TestLaneIndependence:
         cfg, counts = case
         alone = [solve_units(cfg, count) for count in counts]
         assert np.array_equal(float_bits(solve_units(cfg, counts)), float_bits(alone))
+
+    @pytest.mark.parametrize("vth_share", [0.05 / VDD, 0.9])
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_vth_at_either_end_of_its_range(self, name, vth_share):
+        # The ends of the batches strategy's closed vth interval, 0.05 V and 0.9 vdd.
+        pair = DevicePair(MosfetParams(Polarity.PMOS, vth_share * VDD, 2e-3),
+                          MosfetParams(Polarity.NMOS, vth_share * VDD, 3e-3))
+        cfg = DacConfig(6, VDD, pair, TOPOLOGIES[name])
+        counts = list(range(cfg.d_max + 1))  # 64 distinct counts: no warm start
+        rows = solve_units(cfg, counts)
+        assert np.array_equal(float_bits(rows), float_bits([solve_units(cfg, c) for c in counts]))
+        assert_matches_oracle(cfg, rows[::9])
 
     @pytest.mark.parametrize("name", ["standalone", "two"])
     def test_12_bit_curve_is_bitwise_one_code_solves(self, name):
@@ -495,6 +517,44 @@ class TestFormerFailures:
         assert_matches_oracle(cfg, [curve.rows[code] for code in sample_codes(np.arange(1 << 16))[::8]])
 
 
+class TestRails:
+    """The output node at any held rails, and the rails' tie on inner rails."""
+
+    @pytest.mark.parametrize("name", ["four_supply", "rsn0_supply", "four_inner"])
+    def test_output_node_at_off_balance_rails_is_the_bisected_root(self, name):
+        # Off the rails' balance, supply-attached resistors can put the root outside [vs, vd].
+        cfg = DacConfig(6, VDD, MISMATCHED, TOPOLOGIES[name])
+        pmos, nmos, topo = cfg.devices.pmos, cfg.devices.nmos, cfg.topology
+        counts = np.arange(cfg.d_max + 1)
+        rng = np.random.default_rng(5)
+        vd = rng.uniform(0.0, VDD, len(counts))
+        vs = rng.uniform(0.0, 1.0, len(counts)) * vd
+        with np.errstate(all="ignore"):
+            got = network._Lanes([cfg], counts).output_node(vd, vs)
+        supply = topo.parallel_attach is SUPPLY
+        for m, x, y, v in zip(counts, vd, vs, got):
+            top, bottom = (VDD, 0.0) if supply else (x, y)
+
+            def f(vdac):
+                return (m * device_current(pmos, x - y, x - vdac) - (cfg.d_max - m) * device_current(
+                    nmos, x - y, vdac - y) + (top - vdac) / topo.rpp - (vdac - bottom) / topo.rpn)
+
+            lo, hi = (bottom, top)
+            for _ in range(100):
+                lo, hi = (0.5 * (lo + hi), hi) if f(0.5 * (lo + hi)) > 0.0 else (lo, 0.5 * (lo + hi))
+            assert abs(v - 0.5 * (lo + hi)) <= 1e-12
+        if supply:
+            assert np.any((got > vd) | (got < vs))
+
+    @pytest.mark.parametrize("n_bits", [4, 12])
+    def test_inner_rails_carry_one_current(self, n_bits):
+        cfg = DacConfig(n_bits, VDD, MISMATCHED, TOPOLOGIES["four_inner"])
+        curve = transfer_curve(cfg)
+        vd, vs = curve.columns["vd"], curve.columns["vs"]
+        assert np.allclose((VDD - vd) / 10.0, vs / 2.0, rtol=1e-14, atol=0.0)  # rsp 10, rsn 2
+        assert np.max(curve.columns["kcl_residual"]) <= 1e-12 * np.max(curve.i_total)
+
+
 def sample_codes(codes: np.ndarray) -> list[int]:
     """41 of the given codes: 33 evenly spaced through them and 8 random others."""
     even = codes[np.linspace(0, len(codes) - 1, 33).round().astype(int)]
@@ -544,7 +604,7 @@ class TestWarmStart:
         grid = [0, 1, 64, 128, 192, 254, 255]
         solved = solve_units(cfg, grid)
         at_grid = np.isin(counts, grid)
-        for name, column in zip(("vdac", "vd", "vs"), start):
+        for name, column in zip(("vd", "vs"), start):
             want = {row.code: getattr(row, name) for row in solved}
             assert column[at_grid].tolist() == [want[c] for c in counts[at_grid]]
             between = [float(np.interp(c, grid, [want[g] for g in grid])) for c in counts[~at_grid]]
@@ -557,10 +617,8 @@ class TestWarmStart:
         rng = np.random.default_rng(11)
 
         def scrambled(configs, counts, distinct):
-            n = len(counts)
-            vd = rng.uniform(0.0, VDD, n)
-            vdac = np.where(rng.random(n) < 0.5, np.nan, rng.uniform(0.0, VDD, n))
-            return vdac, vd, rng.uniform(0.0, 1.0, n) * vd
+            vd = rng.uniform(0.0, VDD, len(counts))
+            return vd, rng.uniform(0.0, 1.0, len(counts)) * vd
 
         monkeypatch.setattr(network, "_warm_start", scrambled)
         got = transfer_curve(cfg)
