@@ -16,6 +16,8 @@ solve replaced (matched within 1e-14 V wherever it converged on small
 configs; it misses its tolerance on some configs the new solve handles, and
 ``oracle_solve`` is the authority there); ``per_pin_synthesize``, the
 per-pin transient replay that the array-based ``synthesize`` replaced;
+``per_draw_staggers``, which takes each random skew draw with advance() and
+uniform() where the package computes the PCG64 state by jump-ahead;
 ``per_row_transfer_csv`` and ``per_row_saturation_flags``, which read a
 curve's NodeSolution rows where the package now reads its columns;
 ``per_sample_detect_glitches``, the per-sample glitch scan; and
@@ -304,13 +306,16 @@ def per_pin_synthesize(config: DacConfig, codes, timing, skew_mode="deterministi
 
     Events of one transition are grouped by exact time and applied in time
     order; an event at the time of the previous sample replaces that sample.
-    Random mode draws d_max staggers per step, repeated codes included.
+    Random mode draws d_max staggers per step, repeated codes included. Each
+    pin moves the count by one, and the count is checked against the pin
+    states after every step, so a 16-bit transition costs O(d_max).
     """
     d_max = config.d_max
     rng = np.random.default_rng(seed) if skew_mode == "random" else None
     state = per_pin_states(codes[0], config.n_bits, config.encoding)
     times = [0.0]
     counts = [sum(state)]
+    count = counts[0]
     needed = {n: n for n in (d_max, 0, counts[0])}
     annotations = [(0.0, codes[0])]
     for step, code in enumerate(codes[1:], start=1):
@@ -328,13 +333,14 @@ def per_pin_synthesize(config: DacConfig, codes, timing, skew_mode="deterministi
         for t_event in sorted(events):
             for pin in events[t_event]:
                 state[pin] = target[pin]
-            count = sum(state)
+                count += 1 if target[pin] else -1
             needed.setdefault(count, count)
             if t_event == times[-1]:
                 counts[-1] = count
             else:
                 times.append(t_event)
                 counts.append(count)
+        assert count == sum(state) == sum(target)
     level = {n: row.vdac for n, row in zip(needed, solve_units(config, list(needed)))}
     vfs = level[d_max] - level[0]
     return Waveform(
@@ -344,6 +350,20 @@ def per_pin_synthesize(config: DacConfig, codes, timing, skew_mode="deterministi
         lsb_ref=vfs / d_max if vfs != 0.0 else config.vdd / d_max,
         vdd=config.vdd,
     )
+
+
+def per_draw_staggers(seed, step, pin, d_max: int, skew_max: float) -> np.ndarray:
+    """Reference of ``transient._drawn_staggers``: every draw taken on its own.
+
+    Event (s, j) is draw (s - 1) * d_max + j of the stream default_rng(seed)
+    gives: a fresh generator skips to it with advance() and draws one double.
+    """
+    staggers = []
+    for s, j in zip(step, pin):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance((int(s) - 1) * d_max + int(j))
+        staggers.append(rng.uniform(0.0, skew_max, size=1)[0])
+    return np.array(staggers, dtype=float)
 
 
 def per_row_transfer_csv(curve) -> str:

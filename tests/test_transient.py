@@ -11,12 +11,13 @@ from gpiodac.network import DacConfig, Encoding, solve_code, transfer_curve
 from gpiodac.transient import (
     TimingParams,
     Waveform,
+    _drawn_staggers,
     detect_glitches,
     pin_states,
     staircase_codes,
     synthesize,
 )
-from oracles import per_pin_synthesize, per_sample_detect_glitches, transition_counts
+from oracles import per_draw_staggers, per_pin_synthesize, per_sample_detect_glitches, transition_counts
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)
@@ -276,14 +277,32 @@ class TestPerPinReference:
         # every edge of a step lands at once: one sample per code change
         assert len(got.times) == 1 + sum(a != b for a, b in zip(codes, codes[1:]))
 
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("codes", [[9], [9, 9, 9]])
+    def test_random_replay_without_events_is_the_per_pin_loop(self, encoding, codes):
+        cfg = DacConfig(4, VDD, PAIR, encoding=encoding)
+        want = per_pin_synthesize(cfg, codes, TIMING, "random", 6)
+        got = synthesize(cfg, codes, TIMING, "random", 6)
+        assert got == want
+        assert got.times == (0.0,)
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_16_bit_full_swings_and_major_carry_are_the_per_pin_loop(self, encoding):
+        cfg = DacConfig(16, VDD, PAIR, encoding=encoding)
+        codes = [0, 65535, 32767, 32768, 32768, 0]
+        want = per_pin_synthesize(cfg, codes, TIMING, "random", 2**63)
+        assert synthesize(cfg, codes, TIMING, "random", 2**63) == want
+
 
 class TestStaggerStream:
     """The seeded stream contract behind synthesize's random skew mode.
 
-    Step s of a replay owns d_max uniform draws of a PCG64 stream, one per pin,
-    but synthesize draws only the span [lo, hi) of pins the step changes and
-    skips the rest with bit_generator.advance(). That must give the same
-    doubles, bit for bit, and leave the stream where the full draw leaves it.
+    Step s of a replay owns d_max uniform draws of the PCG64 stream that
+    default_rng(seed) gives, one per pin, and pin j of step s takes draw
+    (s - 1) * d_max + j. synthesize computes each draw it needs from the
+    seeded 128-bit state by LCG jump-ahead instead of drawing; the reference
+    per_draw_staggers skips to each draw with bit_generator.advance() and
+    takes it with uniform(). Both must give numpy's doubles bit for bit.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**31 - 1])
@@ -293,7 +312,7 @@ class TestStaggerStream:
     ])
     def test_advance_then_span_draw_is_the_full_draw(self, seed, d_max, lo, hi):
         broke = "numpy's PCG64 stream no longer skips uniform draws with advance(); " \
-                "synthesize's random skew mode relies on it"
+                "the per_draw_staggers reference relies on it"
         full, part = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):  # two steps, so the second starts from an advanced state
             want = full.uniform(0.0, 5e-9, size=d_max)[lo:hi]
@@ -302,6 +321,23 @@ class TestStaggerStream:
             part.bit_generator.advance(d_max - hi)
             assert got.tobytes() == want.tobytes(), broke
             assert part.bit_generator.state == full.bit_generator.state, broke
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**63])
+    def test_jump_ahead_draws_are_the_advanced_draws_at_far_positions(self, seed):
+        # 16-bit steps reach draw ~2^32; the pins straddle the byte split of j + 1.
+        d_max = 65535
+        steps = [1, 2, 255, 256, 257, 4097, 65535, 65536]
+        pins = [0, 1, 254, 255, 256, 511, 4095, 65279, 65534]
+        step = np.repeat(steps, len(pins))
+        pin = np.tile(pins, len(steps))
+        got = _drawn_staggers(np.random.PCG64(seed).state["state"], step, pin, d_max, 5e-9)
+        want = per_draw_staggers(seed, step, pin, d_max, 5e-9)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_synthesize_seeds_the_generator_default_rng_seeds(self, seed):
+        # per_pin_synthesize draws from default_rng(seed); synthesize reads PCG64(seed).
+        assert np.random.default_rng(seed).bit_generator.state == np.random.PCG64(seed).state
 
 
 @st.composite
