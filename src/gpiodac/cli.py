@@ -613,6 +613,8 @@ def _cmd_transient(args: argparse.Namespace) -> int:
     if cfg.timing is None:
         raise ConfigError("transient needs a timing section in the config")
     skew_mode = "random" if args.seed is not None else cfg.transient_skew_mode
+    if skew_mode == "random" and args.seed is None:  # an unseeded draw would differ run to run
+        raise ConfigError("transient.skew_mode 'random' needs --seed")
     try:
         codes = parse_code_list(args.codes or cfg.transient_codes, cfg.dac.n_bits)
         wave = synthesize(cfg.dac, codes, cfg.timing, skew_mode=skew_mode, seed=args.seed)

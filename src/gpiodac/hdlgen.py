@@ -8,11 +8,13 @@ stage so the pins switch as simultaneously as placement allows, which is the
 cheapest defense against decode glitches at high sample rates.
 
 All generated text is a pure function of the HdlSpec: same inputs, same bytes.
+Both modules come from one scaffold; one pin rule gives each pin's group and decode.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -50,13 +52,12 @@ class HdlSpec:
                 f"staircase_step_cycles must be >= 1, got {self.staircase_step_cycles}"
             )
         _check_identifier(self.module_name)
-        d_max = (1 << self.n_bits) - 1
-        if len(self.pin_assignments) != d_max:
+        if len(self.pin_assignments) != self.d_max:
             raise GenerationError(
-                f"need exactly {d_max} pin assignments, got {len(self.pin_assignments)}"
+                f"need exactly {self.d_max} pin assignments, got {len(self.pin_assignments)}"
             )
         indices = [i for i, _ in self.pin_assignments]
-        if sorted(indices) != list(range(d_max)):
+        if sorted(indices) != list(range(self.d_max)):
             raise GenerationError("logical pin indices must cover 0..d_max-1 exactly once")
         pins = [p for _, p in self.pin_assignments] + [self.clock_pin]
         if len(set(pins)) != len(pins):
@@ -82,49 +83,23 @@ def _check_identifier(name: str) -> None:
         raise GenerationError(f"{name!r} is not a valid HDL identifier")
 
 
+def _pin_rule(index: int, n_bits: int, encoding: Encoding) -> tuple[str, str]:
+    """(decode group, decode expression) of a logical pin.
+
+    Binary: bit i owns the 2^i pins from 2^i - 1, so pin j's bit is
+    (j + 1).bit_length() - 1. Thermometer: pin j is its own cell, on while code > j.
+    """
+    if not 0 <= index < (1 << n_bits) - 1:
+        raise GenerationError(f"pin index {index} out of range")
+    if encoding is Encoding.THERMOMETER:
+        return f"cell{index}", f"(code > {n_bits}'d{index})"
+    bit = (index + 1).bit_length() - 1
+    return f"bit{bit}", f"code[{bit}]"
+
+
 def pin_group(index: int, n_bits: int, encoding: Encoding) -> str:
     """Which decode group a logical pin belongs to."""
-    if encoding is Encoding.THERMOMETER:
-        return f"cell{index}"
-    start = 0
-    for bit in range(n_bits):
-        size = 1 << bit
-        if index < start + size:
-            return f"bit{bit}"
-        start += size
-    raise GenerationError(f"pin index {index} out of range")
-
-
-def _decode_lines(spec: HdlSpec, indent: str) -> list[str]:
-    lines = []
-    if spec.encoding is Encoding.THERMOMETER:
-        for j in range(spec.d_max):
-            lines.append(f"{indent}dac_out[{j}] <= (code > {spec.n_bits}'d{j});")
-    else:
-        j = 0
-        for bit in range(spec.n_bits):
-            for _ in range(1 << bit):
-                lines.append(f"{indent}dac_out[{j}] <= code[{bit}];")
-                j += 1
-    return lines
-
-
-def _manifest(spec: HdlSpec, has_code_port: bool) -> dict:
-    pins = {}
-    for index, pkg in sorted(spec.pin_assignments):
-        pins[str(index)] = {
-            "group": pin_group(index, spec.n_bits, spec.encoding),
-            "package_pin": pkg,
-            "port": f"dac_out[{index}]",
-        }
-    return {
-        "module": spec.module_name,
-        "n_bits": spec.n_bits,
-        "encoding": spec.encoding.value,
-        "clock": {"port": "clk", "package_pin": spec.clock_pin, "hz": spec.clock_hz},
-        "has_code_port": has_code_port,
-        "pins": pins,
-    }
+    return _pin_rule(index, n_bits, encoding)[0]
 
 
 def generate_constraints(spec: HdlSpec) -> str:
@@ -136,53 +111,46 @@ def generate_constraints(spec: HdlSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _module(spec: HdlSpec, headline: str, note: str, has_code_port: bool,
+            body: list[str]) -> HdlArtifact:
+    """A module and its pin manifest: two title lines, ports, body, the registered decode."""
+    code = [("input  wire", f"[{spec.n_bits - 1}:0]", "code")] if has_code_port else []
+    ports = [("input  wire", "", "clk"), *code, ("output reg ", f"[{spec.d_max - 1}:0]", "dac_out")]
+    width = max(len(rng) for _, rng, _ in ports)
+    lines = [f"// {spec.module_name}: {headline}", f"// {note}", f"module {spec.module_name} ("]
+    lines.append(",\n".join(f"    {kind} {rng:<{width}} {name}" for kind, rng, name in ports))
+    lines += [");", "", *body, "    always @(posedge clk) begin"]
+    pins = {}
+    for index, pkg in sorted(spec.pin_assignments):
+        group, expr = _pin_rule(index, spec.n_bits, spec.encoding)
+        lines.append(f"        dac_out[{index}] <= {expr};")
+        pins[str(index)] = {"group": group, "package_pin": pkg, "port": f"dac_out[{index}]"}
+    lines += ["    end", "", "endmodule"]
+    manifest = {
+        "module": spec.module_name,
+        "n_bits": spec.n_bits,
+        "encoding": spec.encoding.value,
+        "clock": {"port": "clk", "package_pin": spec.clock_pin, "hz": spec.clock_hz},
+        "has_code_port": has_code_port,
+        "pins": pins,
+    }
+    return HdlArtifact("\n".join(lines) + "\n", generate_constraints(spec), manifest)
+
+
 def generate_dac(spec: HdlSpec) -> HdlArtifact:
     """Decode module: code bus in, 2^N - 1 registered unit pins out."""
-    d_max = spec.d_max
-    enc = spec.encoding.value
-    rng_code = f"[{spec.n_bits - 1}:0]"
-    rng_out = f"[{d_max - 1}:0]"
-    width = max(len(rng_code), len(rng_out))
-    lines = [
-        f"// {spec.module_name}: {spec.n_bits}-bit GPIO DAC decode ({enc})",
-        f"// drives {d_max} shorted unit pins; outputs registered in one stage",
-        f"module {spec.module_name} (",
-        f"    input  wire {'':<{width}} clk,",
-        f"    input  wire {rng_code:<{width}} code,",
-        f"    output reg  {rng_out:<{width}} dac_out",
-        ");",
-        "",
-        "    always @(posedge clk) begin",
-    ]
-    lines += _decode_lines(spec, indent=" " * 8)
-    lines += [
-        "    end",
-        "",
-        "endmodule",
-    ]
-    return HdlArtifact(
-        rtl_text="\n".join(lines) + "\n",
-        constraints_text=generate_constraints(spec),
-        manifest=_manifest(spec, has_code_port=True),
-    )
+    headline = f"{spec.n_bits}-bit GPIO DAC decode ({spec.encoding.value})"
+    note = f"drives {spec.d_max} shorted unit pins; outputs registered in one stage"
+    return _module(spec, headline, note, has_code_port=True, body=[])
 
 
 def generate_staircase(spec: HdlSpec) -> HdlArtifact:
     """Self-contained staircase generator: free-running code ramp into the decode."""
-    d_max = spec.d_max
     step = spec.staircase_step_cycles
     ctr_bits = max(1, (step - 1).bit_length())
-    enc = spec.encoding.value
-    rng_out = f"[{d_max - 1}:0]"
-    width = len(rng_out)
-    lines = [
-        f"// {spec.module_name}: staircase source for a {spec.n_bits}-bit GPIO DAC ({enc})",
-        f"// code advances every {step} clock cycle(s)",
-        f"module {spec.module_name} (",
-        f"    input  wire {'':<{width}} clk,",
-        f"    output reg  {rng_out:<{width}} dac_out",
-        ");",
-        "",
+    headline = f"staircase source for a {spec.n_bits}-bit GPIO DAC ({spec.encoding.value})"
+    note = f"code advances every {step} clock cycle(s)"
+    counter = [
         f"    reg [{ctr_bits - 1}:0] step_ctr = 0;",
         f"    reg [{spec.n_bits - 1}:0] code = 0;",
         "",
@@ -195,19 +163,8 @@ def generate_staircase(spec: HdlSpec) -> HdlArtifact:
         "        end",
         "    end",
         "",
-        "    always @(posedge clk) begin",
     ]
-    lines += _decode_lines(spec, indent=" " * 8)
-    lines += [
-        "    end",
-        "",
-        "endmodule",
-    ]
-    return HdlArtifact(
-        rtl_text="\n".join(lines) + "\n",
-        constraints_text=generate_constraints(spec),
-        manifest=_manifest(spec, has_code_port=False),
-    )
+    return _module(spec, headline, note, has_code_port=False, body=counter)
 
 
 def manifest_text(artifact: HdlArtifact) -> str:
@@ -217,8 +174,8 @@ def manifest_text(artifact: HdlArtifact) -> str:
 
 def step_cycles_for(clock_hz: int, step_seconds: float) -> int:
     """Clock cycles per staircase step for a wanted dwell time."""
-    if clock_hz < 1 or step_seconds <= 0.0:
-        raise GenerationError("clock_hz must be >= 1 and step_seconds > 0")
+    if clock_hz < 1 or not 0.0 < clock_hz * step_seconds < math.inf:  # NaN fails it too
+        raise GenerationError("clock_hz must be >= 1 and step_seconds finite and > 0")
     return max(1, round(clock_hz * step_seconds))
 
 

@@ -269,7 +269,7 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     sample further than band LSB outside that span is reported as
     (time, excursion in LSB beyond the span edge).
     """
-    if band < 0.0:
+    if not band >= 0.0:  # NaN fails it too
         raise ValueError(f"band must be >= 0, got {band}")
     times, values = np.asarray(w.times, dtype=float), np.asarray(w.values, dtype=float)
     starts = [t for t, _ in w.annotations[1:]]

@@ -316,6 +316,20 @@ class TestTransient:
         assert main(["transient", "-c", str(cfg), "--codes", "7,8", "--seed", "3"]) == 0
         assert (workdir / "out" / "waveform.csv").exists()
 
+    def test_random_skew_without_seed_is_exit_2_naming_key_and_flag(self, workdir, capsys):
+        # an unseeded draw would give a different waveform.csv on every run
+        cfg = write_config(workdir, {"transient": {"skew_mode": "random"}})
+        assert main(["transient", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "gpiodac: error: config: transient.skew_mode 'random' needs --seed\n"
+        assert not (workdir / "out" / "waveform.csv").exists()
+
+    def test_random_skew_with_seed_is_the_seeded_golden(self, workdir):
+        cfg = write_config(workdir, {"transient": {"skew_mode": "random"}})
+        assert main(["transient", "-c", str(cfg), "--seed", "7"]) == 0
+        golden = GOLDEN / "waveform_dac4_seed7.csv"
+        assert (workdir / "out" / "waveform.csv").read_bytes() == golden.read_bytes()
+
     def test_missing_timing_section(self, workdir):
         cfg = write_config(workdir, {"timing": None})
         assert main(["transient", "-c", str(cfg)]) == 2

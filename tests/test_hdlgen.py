@@ -17,6 +17,7 @@ from gpiodac.hdlgen import (
     step_cycles_for,
 )
 from gpiodac.network import Encoding
+from gpiodac.transient import pin_states
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,6 +115,15 @@ class TestDecodeTables:
         for code in range((1 << n_bits) - 1):
             assert table[code] <= table[code + 1]
 
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_rtl_asserts_the_pins_the_transient_model_switches(self, n_bits, encoding):
+        # the glitch model replays transient.pin_states; the hardware must drive the same pins
+        table = decode_table(generate_dac(spec_for("dut", encoding, n_bits)).rtl_text, n_bits)
+        for code in range(1 << n_bits):
+            states = pin_states(code, n_bits, encoding)
+            assert table[code] == {pin for pin, on in enumerate(states) if on}
+
     def test_staircase_carries_the_same_decode(self):
         dac = generate_dac(spec_for("dut", Encoding.BINARY))
         stair = generate_staircase(spec_for("dut", Encoding.BINARY))
@@ -178,6 +188,10 @@ class TestValidation:
         assert pin_group(2, 4, Encoding.BINARY) == "bit1"
         assert pin_group(14, 4, Encoding.BINARY) == "bit3"
         assert pin_group(3, 4, Encoding.THERMOMETER) == "cell3"
+        for encoding in Encoding:
+            for index in (-1, 15, 99):
+                with pytest.raises(GenerationError, match=f"pin index {index} out of range"):
+                    pin_group(index, 4, encoding)
 
 
 class TestHelpers:
@@ -187,6 +201,12 @@ class TestHelpers:
 
     def test_full_rate_stepping(self):
         assert step_cycles_for(20_000_000, 1 / 20e6) == 1
+
+    @pytest.mark.parametrize("step_seconds", [float("nan"), float("inf"), 0.0, -1e-6, 1e307])
+    def test_step_seconds_must_give_a_finite_positive_count(self, step_seconds):
+        # 1e307 s is finite, but its cycle count at 100 Hz overflows to inf
+        with pytest.raises(GenerationError, match="step_seconds finite and > 0"):
+            step_cycles_for(100, step_seconds)
 
     def test_one_bit_staircase_is_a_square_wave(self):
         spec = HdlSpec(

@@ -144,6 +144,10 @@ class TestSynthesize:
             TimingParams(60e-9, 30e-9, 5e-9, 50e-9)  # rise slower than a sample
         with pytest.raises(ValueError):
             synthesize(config(Encoding.BINARY), [1], TIMING, skew_mode="bogus")
+        wave = synthesize(config(Encoding.BINARY), [7, 8], TIMING)
+        for band in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="band must be >= 0"):
+                detect_glitches(wave, band)
 
     @pytest.mark.parametrize("field", ["t_rise", "t_fall", "skew_max", "sample_period"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
