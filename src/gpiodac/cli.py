@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import __version__
 # Only the numpy-free layers load here: simulate, sweep and transient import their numeric layer
@@ -322,7 +322,7 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def csv_text(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -437,20 +437,6 @@ def _run(command: str, digest: str) -> dict:
     return {"command": command, "config_digest": digest, "tool_version": __version__}
 
 
-def write_run_record(out_dir: Path, command: str, digest: str, outputs: list[str]) -> None:
-    record = {
-        **_run(command, digest),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
-    }
-    write_atomic(out_dir / "run_record.json", json_text(record))
-
-
-def _out_dir(args: argparse.Namespace, cfg: ProjectConfig | None) -> Path:
-    config_dir = cfg.output_dir if cfg else "out"
-    return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or config_dir)
-
-
 _GNUPLOT_HEAD = "set datafile separator ','\nset key autotitle columnhead\n"
 GNUPLOT_SCRIPTS = {
     "transfer.csv": _GNUPLOT_HEAD + (
@@ -476,37 +462,40 @@ GNUPLOT_SCRIPTS = {
 }
 
 
-def _write_outputs(args: argparse.Namespace, out: Path, command: str, digest: str,
-                   files: dict[str, str]) -> None:
+def _write_outputs(args: argparse.Namespace, out: Path, digest: str, files: dict[str, str]) -> None:
     """Each declared file, then the plot script of its CSV if --gnuplot asks, then the run record."""
-    plots = [name for name in files if name in GNUPLOT_SCRIPTS and getattr(args, "gnuplot", False)]
-    files = {**files, **{name.replace(".csv", ".gp"): GNUPLOT_SCRIPTS[name] for name in plots}}
+    if getattr(args, "gnuplot", False):
+        plots = {name.replace(".csv", ".gp"): GNUPLOT_SCRIPTS[name]
+                 for name in files if name in GNUPLOT_SCRIPTS}
+        files = {**files, **plots}
     for name, text in files.items():
         write_atomic(out / name, text)
-    write_run_record(out, command, digest, list(files))
+    record = {
+        **_run(args.cmd, digest),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": sorted(files),
+    }
+    write_atomic(out / "run_record.json", json_text(record))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each handler takes the parsed flags and the loaded config (None for extract
+# and size) and returns the digest of its inputs and its declared files,
+# name -> text; main writes them.
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
     from .metrics import summary  # numeric layers, imported here so hdl and size skip numpy
     from .network import transfer_curve
 
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     curve = transfer_curve(cfg.dac)
-    report = summary(curve)
-    _write_outputs(args, out, "simulate", cfg.digest, {
-        "transfer.csv": transfer_csv(curve),
-        "report.json": json_text(report_doc(report, None, cfg.digest, "simulate")),
-    })
-    print(f"wrote {out / 'transfer.csv'} and {out / 'report.json'}")
-    return 0
+    report = report_doc(summary(curve), None, cfg.digest, "simulate")
+    return cfg.digest, {"transfer.csv": transfer_csv(curve), "report.json": json_text(report)}
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _cmd_extract(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, str]]:
     path = Path(args.curve)
     try:
         with path.open(newline="") as handle:
@@ -527,16 +516,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         region_n=[r["region_n"] for r in rows],
         vdd=args.vdd,
     )
-    out = _out_dir(args, None)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     doc = {
         "schema": SCHEMA_VERSION,
         **{key: getattr(params, _field(key)) for key in _PARAM_FIELDS},
         "run": _run("extract", digest),
     }
-    _write_outputs(args, out, "extract", digest, {"params.json": json_text(doc)})
-    print(f"wrote {out / 'params.json'}")
-    return 0
+    return digest, {"params.json": json_text(doc)}
 
 
 def _curve_cells(path: Path, rows: list[dict], column: str, parse: Any) -> list:
@@ -562,7 +548,7 @@ def _load_extracted(args: argparse.Namespace) -> ExtractedParams:
     )
 
 
-def _cmd_size(args: argparse.Namespace) -> int:
+def _cmd_size(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, str]]:
     params = _load_extracted(args)
     if args.mode == "two-resistor":
         if args.ron is None and not args.params:
@@ -575,20 +561,15 @@ def _cmd_size(args: argparse.Namespace) -> int:
         result = size_four_resistor(
             params, it_target=args.it, split=args.split, rs_total=args.rs_total
         )
-    out = _out_dir(args, None)
     knobs = {key: getattr(params, key) for key in ("vth", "ron", "vdd")}
     knobs.update({key: getattr(args, key) for key in ("mode", "n_bits", "it", "split", "rs_total")})
     digest = hashlib.sha256(json.dumps(knobs, sort_keys=True).encode()).hexdigest()
-    report = json_text(report_doc(None, result, digest, "size"))
-    _write_outputs(args, out, "size", digest, {"report.json": report})
-    print(f"wrote {out / 'report.json'}")
-    return 0
+    return digest, {"report.json": json_text(report_doc(None, result, digest, "size"))}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
     from .explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows  # numeric, as in simulate
 
-    cfg = load_config(args.config)
     try:
         rp_values = [_finite_float(tok) for tok in args.rp.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as exc:
@@ -599,17 +580,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points = sweep_parallel(cfg.dac, rp_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _out_dir(args, cfg)
-    sweep = csv_text(SWEEP_COLUMNS, sweep_rows(points))
-    _write_outputs(args, out, "sweep", cfg.digest, {"sweep.csv": sweep})
-    print(f"wrote {out / 'sweep.csv'}")
-    return 0
+    return cfg.digest, {"sweep.csv": csv_text(SWEEP_COLUMNS, sweep_rows(points))}
 
 
-def _cmd_transient(args: argparse.Namespace) -> int:
-    from .transient import export_rows, parse_code_list, synthesize  # numeric, as in simulate
+def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
+    from .transient import parse_code_list, synthesize  # numeric, as in simulate
 
-    cfg = load_config(args.config)
     if cfg.timing is None:
         raise ConfigError("transient needs a timing section in the config")
     skew_mode = "random" if args.seed is not None else cfg.transient_skew_mode
@@ -620,28 +596,19 @@ def _cmd_transient(args: argparse.Namespace) -> int:
         wave = synthesize(cfg.dac, codes, cfg.timing, skew_mode=skew_mode, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _out_dir(args, cfg)
-    waveform = csv_text(WAVEFORM_COLUMNS, list(export_rows(wave)))
-    _write_outputs(args, out, "transient", cfg.digest, {"waveform.csv": waveform})
-    print(f"wrote {out / 'waveform.csv'}")
-    return 0
+    return cfg.digest, {"waveform.csv": csv_text(WAVEFORM_COLUMNS, zip(wave.times, wave.values))}
 
 
-def _cmd_hdl(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _cmd_hdl(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
     if cfg.hdl is None:
         raise ConfigError("hdl needs an hdl section in the config")
     artifact = generate_staircase(cfg.hdl) if args.staircase else generate_dac(cfg.hdl)
-    out = _out_dir(args, cfg)
     name = cfg.hdl.module_name
-    files = {
+    return cfg.digest, {
         f"{name}.v": artifact.rtl_text,
         f"{name}.pcf": artifact.constraints_text,
         f"{name}_manifest.json": manifest_text(artifact),
     }
-    _write_outputs(args, out, "hdl", cfg.digest, files)
-    print(f"wrote {', '.join(str(out / f) for f in files)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -669,35 +636,28 @@ _n_bits = _text_type(int, lambda n: 1 <= n <= MAX_BITS, f"an integer in 1..{MAX_
 _seed = _text_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
+# name -> (handler, help, reads a config, has --gnuplot), in the order gpiodac -h lists them.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "static transfer curve and linearity report", True, True),
+    "extract": (_cmd_extract, "device parameters from a transfer-curve CSV", False, False),
+    "size": (_cmd_size, "correction-resistor sizing", False, False),
+    "sweep": (_cmd_sweep, "parallel-resistor trade-off sweep", True, True),
+    "transient": (_cmd_transient, "code-sequence replay with pin skew", True, True),
+    "hdl": (_cmd_hdl, "Verilog + PCF + manifest generation", True, False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gpiodac",
-        description="GPIO-based FPGA DAC design toolkit",
-    )
+    parser = argparse.ArgumentParser(prog="gpiodac", description="GPIO-based FPGA DAC design toolkit")
     parser.add_argument("--version", action="version", version=f"gpiodac {__version__}")
     subs = parser.add_subparsers(dest="cmd", required=True)
+    cmd = {name: subs.add_parser(name, help=row[1]) for name, row in _COMMANDS.items()}
 
-    def add_common(p: argparse.ArgumentParser, config: bool = True, plot: bool = False) -> None:
-        if config:
-            p.add_argument("-c", "--config", required=True, help="JSON config file")
-        p.add_argument("-o", "--output-dir", default=None,
-                       help=f"output directory (overrides config and ${OUTPUT_DIR_ENV})")
-        if plot:
-            p.add_argument("--gnuplot", action="store_true",
-                           help="also write a gnuplot script next to the CSV")
-
-    sim = subs.add_parser("simulate", help="static transfer curve and linearity report")
-    add_common(sim, plot=True)
-    sim.set_defaults(func=_cmd_simulate)
-
-    ext = subs.add_parser("extract", help="device parameters from a transfer-curve CSV")
-    ext.add_argument("--curve", required=True, help="transfer.csv to read")
-    ext.add_argument("--vdd", type=_finite_float, required=True,
-                     help="supply voltage of the measurement")
-    add_common(ext, config=False)
-    ext.set_defaults(func=_cmd_extract)
-
-    size = subs.add_parser("size", help="correction-resistor sizing")
+    # Usage lines show flags as added: extract's and size's own come before the shared ones.
+    cmd["extract"].add_argument("--curve", required=True, help="transfer.csv to read")
+    cmd["extract"].add_argument("--vdd", type=_finite_float, required=True,
+                                help="supply voltage of the measurement")
+    size = cmd["size"]
     size.add_argument("mode", choices=("two-resistor", "four-resistor"))
     size.add_argument("--params", default=None, help="params.json from extract")
     size.add_argument("--vth", type=_finite_float, default=None, help="threshold voltage [V]")
@@ -710,28 +670,24 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fraction of series resistance on the supply side")
     size.add_argument("--rs-total", type=_finite_float, default=None,
                       help="explicit series total [ohm] instead of the midpoint rule")
-    add_common(size, config=False)
-    size.set_defaults(func=_cmd_size)
 
-    sweep = subs.add_parser("sweep", help="parallel-resistor trade-off sweep")
-    add_common(sweep, plot=True)
-    sweep.add_argument("--rp", required=True, help="comma-separated parallel resistances [ohm]")
-    sweep.set_defaults(func=_cmd_sweep)
+    for name, (_, _, reads_config, plot) in _COMMANDS.items():
+        if reads_config:
+            cmd[name].add_argument("-c", "--config", required=True, help="JSON config file")
+        cmd[name].add_argument("-o", "--output-dir", default=None,
+                               help=f"output directory (overrides config and ${OUTPUT_DIR_ENV})")
+        if plot:
+            cmd[name].add_argument("--gnuplot", action="store_true",
+                                   help="also write a gnuplot script next to the CSV")
 
-    trans = subs.add_parser("transient", help="code-sequence replay with pin skew")
-    add_common(trans, plot=True)
+    cmd["sweep"].add_argument("--rp", required=True, help="comma-separated parallel resistances [ohm]")
+    trans = cmd["transient"]
     trans.add_argument("--codes", default=None,
                        help="comma-separated codes or 'staircase' (default from config)")
     trans.add_argument("--seed", type=_seed, default=None,
                        help="seed for random per-pin skew (switches skew mode to random)")
-    trans.set_defaults(func=_cmd_transient)
-
-    hdl = subs.add_parser("hdl", help="Verilog + PCF + manifest generation")
-    add_common(hdl)
-    hdl.add_argument("--staircase", action="store_true",
-                     help="emit the free-running staircase module instead of the decode")
-    hdl.set_defaults(func=_cmd_hdl)
-
+    cmd["hdl"].add_argument("--staircase", action="store_true",
+                            help="emit the free-running staircase module instead of the decode")
     return parser
 
 
@@ -747,13 +703,21 @@ _FAILURES = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand: load its config, run its handler, write its files and a run record."""
     args = build_parser().parse_args(argv)
+    handler, _, reads_config, _ = _COMMANDS[args.cmd]
     try:
-        return args.func(args)
+        cfg = load_config(args.config) if reads_config else None
+        digest, files = handler(args, cfg)
+        config_dir = cfg.output_dir if cfg else "out"
+        out = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or config_dir)
+        _write_outputs(args, out, digest, files)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         label, status = next((l, s) for kind, l, s in _FAILURES if isinstance(exc, kind))
         print(f"gpiodac: error: {label}: {exc}", file=sys.stderr)
         return status
+    print("wrote " + ", ".join(str(out / name) for name in files))
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .config import Encoding
@@ -174,7 +175,8 @@ def manifest_text(artifact: HdlArtifact) -> str:
 
 def step_cycles_for(clock_hz: int, step_seconds: float) -> int:
     """Clock cycles per staircase step for a wanted dwell time."""
-    if clock_hz < 1 or not 0.0 < clock_hz * step_seconds < math.inf:  # NaN fails it too
+    # A clock_hz beyond float range is refused before the product converts it; NaN fails too.
+    if not 1 <= clock_hz <= sys.float_info.max or not 0.0 < clock_hz * step_seconds < math.inf:
         raise GenerationError("clock_hz must be >= 1 and step_seconds finite and > 0")
     return max(1, round(clock_hz * step_seconds))
 

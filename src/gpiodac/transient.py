@@ -27,7 +27,7 @@ not modeled because the glitch mechanism is purely an ordering effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -222,10 +222,10 @@ def synthesize(
     Deterministic mode staggers pin j by j * skew_max / pin_count, which is
     reproducible and places lower-indexed (LSB-group) edges first. Random mode
     gives pin j of transition s the j-th of the pin_count U(0, skew_max) draws
-    that transition s owns in the stream seeded with ``seed`` (a repeated code
-    owns its draws too). Only the draws of changed pins are computed, by
-    jump-ahead from the seeded state in array operations, each bit for bit
-    what the stream gives. Either way the cost is linear in the number of
+    that transition s owns in the stream seeded with ``seed``, which it
+    requires (a repeated code owns its draws too). Only the draws of changed
+    pins are computed, by jump-ahead from the seeded state in array
+    operations, each bit for bit what the stream gives. Either way the cost is linear in the number of
     changed pins and codes, and no step does work in proportion to pin_count.
     """
     if len(codes) == 0:
@@ -236,6 +236,8 @@ def synthesize(
         raise ValueError("skew_max must be smaller than sample_period")
     if skew_mode not in ("deterministic", "random"):
         raise ValueError(f"unknown skew mode {skew_mode!r}")
+    if skew_mode == "random" and seed is None:  # PCG64(None) seeds from OS entropy
+        raise ValueError("random skew mode needs a seed")
 
     # The 128-bit state and increment of the PCG64 that default_rng(seed) seeds too; the
     # draws are PCG64 arithmetic, and NEP 19 keeps its stream fixed across numpy versions.
@@ -308,8 +310,3 @@ def parse_code_list(text: str, n_bits: int) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"bad code list {text!r}: {exc}") from exc
-
-
-def export_rows(w: Waveform) -> Iterable[tuple[float, float]]:
-    """(time_s, volts) rows for CSV export."""
-    return zip(w.times, w.values)

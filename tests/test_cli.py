@@ -664,3 +664,52 @@ class TestAtomicity:
         modes = {p.name: p.stat().st_mode & 0o777 for p in (workdir / "out").iterdir()}
         assert modes == dict.fromkeys(["dac4.v", "dac4.pcf", "dac4_manifest.json",
                                        "run_record.json"], 0o644)
+
+
+# Each subcommand: (flags of a run that succeeds, the files it declares in the order the
+# wrote line lists them, its gnuplot scripts with --gnuplot, flags of a run that fails).
+RUNS = {
+    "simulate": (["-c", "config.json"], ["transfer.csv", "report.json"], ["transfer.gp"],
+                 ["-c", "missing.json"]),
+    "extract": (["--curve", "curve/transfer.csv", "--vdd", "3.3"], ["params.json"], None,
+                ["--curve", "missing.csv", "--vdd", "3.3"]),
+    "size": (["two-resistor", *TWO_RESISTOR_FLAGS], ["report.json"], None,
+             ["four-resistor", "--vth", "1.15", "--vdd", "3.3"]),
+    "sweep": (["-c", "sweep.json", "--rp", "5,6"], ["sweep.csv"], ["sweep.gp"],
+              ["-c", "sweep.json", "--rp", "5,nan"]),
+    "transient": (["-c", "config.json", "--codes", "7,8"], ["waveform.csv"], ["waveform.gp"],
+                  ["-c", "config.json", "--codes", "1,99"]),
+    "hdl": (["-c", "config.json"], ["dac4.v", "dac4.pcf", "dac4_manifest.json"], None,
+            ["-c", "no_hdl.json"]),
+}
+
+
+class TestRunner:
+    @pytest.fixture
+    def inputs(self, workdir):
+        """config.json, a two-resistor sweep.json, a no_hdl.json and curve/transfer.csv."""
+        write_config(workdir)
+        two_resistor = {"kind": "two_resistor", "rpp": 5.0, "rpn": 5.0}
+        sweep = {**BASE_CONFIG, "dac": {**BASE_CONFIG["dac"], "topology": two_resistor}}
+        (workdir / "sweep.json").write_text(json.dumps(sweep))
+        no_hdl = {key: value for key, value in BASE_CONFIG.items() if key != "hdl"}
+        (workdir / "no_hdl.json").write_text(json.dumps(no_hdl))
+        assert main(["simulate", "-c", "config.json", "-o", "curve"]) == 0
+        return workdir
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_one_wrote_line_one_record_and_nothing_on_failure(self, inputs, capsys, name):
+        flags, declared, scripts, failing = RUNS[name]
+        capsys.readouterr()
+        runs = [("plain", [], [])] + ([("plot", ["--gnuplot"], scripts)] if scripts else [])
+        for out, extra, written_scripts in runs:
+            assert main([name, *flags, "-o", out, *extra]) == 0
+            assert capsys.readouterr().out == f"wrote {', '.join(f'{out}/{f}' for f in declared)}\n"
+            record = json.loads((inputs / out / "run_record.json").read_text())
+            assert record["command"] == name
+            assert record["outputs"] == sorted(declared + written_scripts)
+            written = sorted(path.name for path in (inputs / out).iterdir())
+            assert written == sorted([*declared, *written_scripts, "run_record.json"])
+        assert main([name, *failing, "-o", "failed"]) == 2
+        assert capsys.readouterr().out == ""
+        assert not (inputs / "failed").exists()

@@ -208,6 +208,11 @@ class TestHelpers:
         with pytest.raises(GenerationError, match="step_seconds finite and > 0"):
             step_cycles_for(100, step_seconds)
 
+    def test_clock_beyond_float_range_is_refused(self):
+        # 10**400 has no float value, so the cycle count cannot be formed from it
+        with pytest.raises(GenerationError, match="clock_hz must be >= 1"):
+            step_cycles_for(10**400, 1e-9)
+
     def test_one_bit_staircase_is_a_square_wave(self):
         spec = HdlSpec(
             n_bits=1,

@@ -149,6 +149,13 @@ class TestSynthesize:
             with pytest.raises(ValueError, match="band must be >= 0"):
                 detect_glitches(wave, band)
 
+    def test_random_skew_needs_a_seed(self):
+        # An unseeded PCG64 seeds from OS entropy, so no two replays would agree.
+        with pytest.raises(ValueError, match="random skew mode needs a seed"):
+            synthesize(config(Encoding.BINARY), [7, 8], TIMING, "random")
+        seeded = synthesize(config(Encoding.BINARY), [7, 8], TIMING, "random", 0)
+        assert synthesize(config(Encoding.BINARY), [7, 8], TIMING, "random", 0) == seeded
+
     @pytest.mark.parametrize("field", ["t_rise", "t_fall", "skew_max", "sample_period"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
     def test_timing_rejects_non_finite_and_negative_values(self, field, value):
