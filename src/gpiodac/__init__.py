@@ -17,9 +17,10 @@ __version__ = "0.1.0"
 # Defining module -> the public names it exports.
 _EXPORTS = {
     "config": (
-        "DacConfig", "DeviceError", "DevicePair", "Encoding", "FourResistor", "LinearSwitch",
-        "MetricsError", "MosfetParams", "OperatingRegion", "ParallelAttach", "Polarity",
-        "SolverError", "Standalone", "TimingParams", "Topology", "TwoResistor", "calibrated_pair",
+        "DacConfig", "DeviceError", "DevicePair", "Encoding", "ExtractionError", "FourResistor",
+        "GenerationError", "HdlSpec", "LinearSwitch", "MetricsError", "MosfetParams",
+        "OperatingRegion", "ParallelAttach", "Polarity", "SizingError", "SolverError", "Standalone",
+        "TimingParams", "Topology", "TwoResistor", "calibrated_pair",
     ),
     "devices": ("classify_region", "drain_current", "midrange_resistance", "on_resistance"),
     "analytic": (
@@ -32,13 +33,13 @@ _EXPORTS = {
     ),
     "metrics": ("LinearityReport", "dnl", "inl", "summary"),
     "sizing": (
-        "ExtractedParams", "ExtractionError", "SizingError", "SizingResult",
-        "check_saturation_window", "extract_parameters", "size_four_resistor", "size_two_resistor",
+        "ExtractedParams", "SizingResult", "check_saturation_window", "extract_parameters",
+        "size_four_resistor", "size_two_resistor",
     ),
     "transient": ("Waveform", "detect_glitches", "staircase_codes", "synthesize"),
     "hdlgen": (
-        "GenerationError", "HdlArtifact", "HdlSpec", "generate_constraints", "generate_dac",
-        "generate_staircase", "step_cycles_for",
+        "HdlArtifact", "generate_constraints", "generate_dac", "generate_staircase",
+        "step_cycles_for",
     ),
     "explorer": ("SweepPoint", "sweep_parallel"),
 }

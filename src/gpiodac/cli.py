@@ -28,44 +28,33 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import __version__
-# Only the numpy-free layers load here: simulate, sweep and transient import their numeric layer
-# in their handler, so hdl and size start without numpy.
+# Only the config layer loads here: it parses the config and holds every error main reports.
+# Each handler imports the layers it runs, so extract, size and hdl start without numpy.
 from .config import (
     MAX_BITS,
     DacConfig,
     DevicePair,
     Encoding,
+    ExtractionError,
     FourResistor,
+    GenerationError,
+    HdlSpec,
     MetricsError,
     MosfetParams,
     ParallelAttach,
     Polarity,
+    SizingError,
     Standalone,
     TimingParams,
     TwoResistor,
     calibrated_pair,
-)
-from .hdlgen import (
-    GenerationError,
-    HdlSpec,
     default_pin_assignments,
-    generate_dac,
-    generate_staircase,
-    manifest_text,
-)
-from .sizing import (
-    ExtractedParams,
-    ExtractionError,
-    SizingError,
-    SizingResult,
-    extract_from_table,
-    size_four_resistor,
-    size_two_resistor,
 )
 
 if TYPE_CHECKING:
     from .metrics import LinearityReport
     from .network import TransferCurve
+    from .sizing import ExtractedParams, SizingResult
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "GPIODAC_OUTPUT_DIR"
@@ -487,7 +476,7 @@ def _write_outputs(args: argparse.Namespace, out: Path, digest: str, files: dict
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
-    from .metrics import summary  # numeric layers, imported here so hdl and size skip numpy
+    from .metrics import summary  # each handler imports the layers it runs
     from .network import transfer_curve
 
     curve = transfer_curve(cfg.dac)
@@ -496,6 +485,8 @@ def _cmd_simulate(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, di
 
 
 def _cmd_extract(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, str]]:
+    from .sizing import extract_from_table  # as in simulate
+
     path = Path(args.curve)
     try:
         with path.open(newline="") as handle:
@@ -537,6 +528,8 @@ def _curve_cells(path: Path, rows: list[dict], column: str, parse: Any) -> list:
 
 
 def _load_extracted(args: argparse.Namespace) -> ExtractedParams:
+    from .sizing import ExtractedParams  # as in simulate
+
     if args.params:
         values = _section(_read_json(args.params, "params"), "params", _PARAMS)
         return ExtractedParams(**{_field(key): values[key] for key in _PARAM_FIELDS})
@@ -549,6 +542,8 @@ def _load_extracted(args: argparse.Namespace) -> ExtractedParams:
 
 
 def _cmd_size(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, str]]:
+    from .sizing import size_four_resistor, size_two_resistor  # as in simulate
+
     params = _load_extracted(args)
     if args.mode == "two-resistor":
         if args.ron is None and not args.params:
@@ -568,7 +563,7 @@ def _cmd_size(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, str]]
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
-    from .explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows  # numeric, as in simulate
+    from .explorer import SWEEP_COLUMNS, sweep_parallel, sweep_rows  # as in simulate
 
     try:
         rp_values = [_finite_float(tok) for tok in args.rp.split(",") if tok.strip()]
@@ -584,7 +579,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[
 
 
 def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
-    from .transient import parse_code_list, synthesize  # numeric, as in simulate
+    from .transient import parse_code_list, synthesize  # as in simulate
 
     if cfg.timing is None:
         raise ConfigError("transient needs a timing section in the config")
@@ -600,6 +595,8 @@ def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, d
 
 
 def _cmd_hdl(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
+    from .hdlgen import generate_dac, generate_staircase, manifest_text  # as in simulate
+
     if cfg.hdl is None:
         raise ConfigError("hdl needs an hdl section in the config")
     artifact = generate_staircase(cfg.hdl) if args.staircase else generate_dac(cfg.hdl)

@@ -1,9 +1,11 @@
-"""Validated design inputs: devices, topologies, DAC configs, timing and the errors they raise.
+"""Validated design inputs: devices, topologies, DAC configs, timing, the HDL spec and the
+errors they and the layers built on them raise.
 
-This layer imports no numpy, so the commands that only read a config and
-write text from it (``hdl`` and ``size``) start without the numeric stack.
-``devices``, ``network``, ``transient`` and ``metrics`` import these names
-back; each class has this one definition.
+This layer imports no numpy, so parsing a config and reporting its failures
+need nothing else, and the commands that only read a config or a curve and
+write text (``extract``, ``size`` and ``hdl``) start without the numeric stack.
+``devices``, ``network``, ``transient``, ``metrics``, ``sizing`` and ``hdlgen``
+import these names back; each class has this one definition.
 
 Device parameters are source-referenced magnitudes; ``polarity`` only records
 which sign convention the caller must apply. ``LinearSwitch`` is the ideal
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -193,3 +197,73 @@ class TimingParams:
 
 class MetricsError(ValueError):
     """Degenerate curve, e.g. zero full-scale span."""
+
+
+class ExtractionError(ValueError):
+    """The curve does not expose the features extraction needs."""
+
+
+class SizingError(ValueError):
+    """The requested correction is infeasible; the message names the constraint."""
+
+
+class GenerationError(ValueError):
+    """Invalid HdlSpec; raised before any text is produced."""
+
+
+_VERILOG_KEYWORDS = frozenset(
+    """always and assign begin buf case casex casez default defparam else end
+    endcase endfunction endmodule endtask for function if initial inout input
+    integer localparam module negedge not or output parameter posedge reg
+    repeat task tri wand while wire wor xor""".split()
+)
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
+
+
+def _check_identifier(name: str) -> None:
+    if not _IDENTIFIER_RE.fullmatch(name) or name in _VERILOG_KEYWORDS:
+        raise GenerationError(f"{name!r} is not a valid HDL identifier")
+
+
+@dataclass(frozen=True)
+class HdlSpec:
+    n_bits: int
+    encoding: Encoding
+    module_name: str
+    clock_hz: int
+    staircase_step_cycles: int
+    pin_assignments: tuple[tuple[int, str], ...]
+    clock_pin: str
+
+    def __post_init__(self) -> None:
+        if self.n_bits < 1:
+            raise GenerationError(f"n_bits must be >= 1, got {self.n_bits}")
+        if self.clock_hz < 1:
+            raise GenerationError(f"clock_hz must be >= 1, got {self.clock_hz}")
+        if self.clock_hz > sys.float_info.max:  # the manifest's hz is read as a float
+            raise GenerationError("clock_hz must be >= 1 and within float range")
+        if self.staircase_step_cycles < 1:
+            raise GenerationError(
+                f"staircase_step_cycles must be >= 1, got {self.staircase_step_cycles}"
+            )
+        _check_identifier(self.module_name)
+        if len(self.pin_assignments) != self.d_max:
+            raise GenerationError(
+                f"need exactly {self.d_max} pin assignments, got {len(self.pin_assignments)}"
+            )
+        indices = [i for i, _ in self.pin_assignments]
+        if sorted(indices) != list(range(self.d_max)):
+            raise GenerationError("logical pin indices must cover 0..d_max-1 exactly once")
+        pins = [p for _, p in self.pin_assignments] + [self.clock_pin]
+        if len(set(pins)) != len(pins):
+            raise GenerationError("package pins must be unique (clock included)")
+
+    @property
+    def d_max(self) -> int:
+        return (1 << self.n_bits) - 1
+
+
+def default_pin_assignments(n_bits: int) -> tuple[tuple[int, str], ...]:
+    """Placeholder package pins (IOB_0...); replace with real board pins."""
+    d_max = (1 << n_bits) - 1
+    return tuple((j, f"IOB_{j}") for j in range(d_max))

@@ -15,58 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 
-from .config import Encoding
-
-_VERILOG_KEYWORDS = frozenset(
-    """always and assign begin buf case casex casez default defparam else end
-    endcase endfunction endmodule endtask for function if initial inout input
-    integer localparam module negedge not or output parameter posedge reg
-    repeat task tri wand while wire wor xor""".split()
-)
-
-
-class GenerationError(ValueError):
-    """Invalid HdlSpec; raised before any text is produced."""
-
-
-@dataclass(frozen=True)
-class HdlSpec:
-    n_bits: int
-    encoding: Encoding
-    module_name: str
-    clock_hz: int
-    staircase_step_cycles: int
-    pin_assignments: tuple[tuple[int, str], ...]
-    clock_pin: str
-
-    def __post_init__(self) -> None:
-        if self.n_bits < 1:
-            raise GenerationError(f"n_bits must be >= 1, got {self.n_bits}")
-        if self.clock_hz < 1:
-            raise GenerationError(f"clock_hz must be >= 1, got {self.clock_hz}")
-        if self.staircase_step_cycles < 1:
-            raise GenerationError(
-                f"staircase_step_cycles must be >= 1, got {self.staircase_step_cycles}"
-            )
-        _check_identifier(self.module_name)
-        if len(self.pin_assignments) != self.d_max:
-            raise GenerationError(
-                f"need exactly {self.d_max} pin assignments, got {len(self.pin_assignments)}"
-            )
-        indices = [i for i, _ in self.pin_assignments]
-        if sorted(indices) != list(range(self.d_max)):
-            raise GenerationError("logical pin indices must cover 0..d_max-1 exactly once")
-        pins = [p for _, p in self.pin_assignments] + [self.clock_pin]
-        if len(set(pins)) != len(pins):
-            raise GenerationError("package pins must be unique (clock included)")
-
-    @property
-    def d_max(self) -> int:
-        return (1 << self.n_bits) - 1
+# The spec, its error and the default pins are defined in the numpy-free config layer, so that
+# parsing a config needs no HDL generator; they are importable from here too.
+from .config import Encoding, GenerationError, HdlSpec, default_pin_assignments
 
 
 @dataclass
@@ -74,14 +28,6 @@ class HdlArtifact:
     rtl_text: str
     constraints_text: str
     manifest: dict
-
-
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
-
-
-def _check_identifier(name: str) -> None:
-    if not _IDENTIFIER_RE.fullmatch(name) or name in _VERILOG_KEYWORDS:
-        raise GenerationError(f"{name!r} is not a valid HDL identifier")
 
 
 def _pin_rule(index: int, n_bits: int, encoding: Encoding) -> tuple[str, str]:
@@ -179,9 +125,3 @@ def step_cycles_for(clock_hz: int, step_seconds: float) -> int:
     if not 1 <= clock_hz <= sys.float_info.max or not 0.0 < clock_hz * step_seconds < math.inf:
         raise GenerationError("clock_hz must be >= 1 and step_seconds finite and > 0")
     return max(1, round(clock_hz * step_seconds))
-
-
-def default_pin_assignments(n_bits: int) -> tuple[tuple[int, str], ...]:
-    """Placeholder package pins (IOB_0...); replace with real board pins."""
-    d_max = (1 << n_bits) - 1
-    return tuple((j, f"IOB_{j}") for j in range(d_max))

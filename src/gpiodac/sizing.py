@@ -12,21 +12,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .config import DacConfig, FourResistor, OperatingRegion, Standalone, Topology, TwoResistor
+# The errors are defined in the numpy-free config layer, which the CLI reports failures from;
+# they are importable from here too.
+from .config import (
+    DacConfig,
+    ExtractionError,
+    FourResistor,
+    OperatingRegion,
+    SizingError,
+    Standalone,
+    Topology,
+    TwoResistor,
+)
 
 if TYPE_CHECKING:
     from .network import TransferCurve
-
-
-class ExtractionError(ValueError):
-    """The curve does not expose the features extraction needs."""
-
-
-class SizingError(ValueError):
-    """The requested correction is infeasible; the message names the constraint."""
 
 
 @dataclass(frozen=True)
@@ -81,25 +85,25 @@ def extract_from_table(
     groups are in triode, derives vth from its span, and inverts the triode
     law at the in-run code nearest mid-scale to get the unit resistance.
     """
-    import numpy as np  # here, so that size and hdl, which import this module, start without numpy
-
     n = len(codes)
     if not (len(vdac) == len(i_per_pullup) == len(region_p) == len(region_n) == n):
         raise ExtractionError("column lengths differ")
 
+    # Runs of both-triode codes; the longest wins, the first on a tie.
     triode = OperatingRegion.TRIODE.value
-    p_triode, n_triode = (np.asarray(r, dtype=object) == triode for r in (region_p, region_n))
-    # Runs of both-triode codes, [start, end] inclusive; the longest wins, the first on a tie.
-    edges = np.diff((p_triode & n_triode).astype(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
-    lengths = ends - starts
-    if lengths.max(initial=0) < 1:
+    both = (p == triode and q == triode for p, q in zip(region_p, region_n))
+    start = lo_idx = length = 0
+    for in_run, cells in groupby(both):
+        size = sum(1 for _ in cells)
+        if in_run and size > length:
+            lo_idx, length = start, size
+        start += size
+    if length < 2:
         raise ExtractionError(
             "no triode-triode run of at least 2 codes found "
             "(curve too coarse, or already corrected)"
         )
-    best = int(np.argmax(lengths))
-    lo_idx, hi_idx = int(starts[best]), int(ends[best])
+    hi_idx = lo_idx + length - 1
 
     linear_range = (vdac[lo_idx], vdac[hi_idx])
     # The true region boundary falls between the last in-run code and its
@@ -110,10 +114,11 @@ def extract_from_table(
     span = edge_hi - edge_lo
     vth = 0.5 * (vdd - span)
 
-    # The in-run code nearest mid-scale, the lowest on a tie.
+    # The in-run code nearest mid-scale, the lowest on a tie. A NaN distance comes first, so
+    # a NaN voltage in the run is the code read, and fails below rather than being passed over.
     half = 0.5 * vdd
-    distance = np.abs(np.asarray(vdac[lo_idx : hi_idx + 1], dtype=float) - half)
-    mid_idx = lo_idx + int(np.argmin(distance))
+    distance = {i: abs(vdac[i] - half) for i in range(lo_idx, hi_idx + 1)}
+    mid_idx = min(distance, key=lambda i: (not math.isnan(distance[i]), distance[i]))
     i_unit = i_per_pullup[mid_idx]
     if i_unit <= 0.0:
         raise ExtractionError("no pull-up current at the mid-range code")

@@ -373,6 +373,14 @@ class TestHdl:
         text = (workdir / "out" / "dac4.v").read_text()
         assert "step_ctr" in text
 
+    @pytest.mark.parametrize("staircase", [[], ["--staircase"]], ids=["decode", "staircase"])
+    def test_clock_beyond_float_range_is_exit_2_naming_it(self, workdir, capsys, staircase):
+        cfg = write_config(workdir, {"hdl.clock_hz": 10**400})  # a 401-digit JSON integer
+        assert main(["hdl", "-c", str(cfg), *staircase]) == 2
+        err = capsys.readouterr().err
+        assert err == "gpiodac: error: config: hdl: clock_hz must be >= 1 and within float range\n"
+        assert not (workdir / "out").exists()
+
     def test_thermometer_encoding_flows_from_dac_section(self, workdir):
         cfg = write_config(workdir, {"dac.encoding": "thermometer"})
         assert main(["hdl", "-c", str(cfg)]) == 0

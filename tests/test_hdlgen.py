@@ -1,6 +1,7 @@
 """HDL generation: golden files, decode truth tables, constraint format."""
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,24 @@ class TestValidation:
                 pin_assignments=((0, "A1"),),
                 clock_pin="J3",
             )
+
+    @pytest.mark.parametrize("clock_hz, message", [
+        (0, "clock_hz must be >= 1, got 0"),
+        (int(sys.float_info.max) + 1, "clock_hz must be >= 1 and within float range"),
+        (10**400, "clock_hz must be >= 1 and within float range"),
+    ])
+    def test_clock_out_of_range_is_refused(self, clock_hz, message):
+        # The manifest's hz and step_cycles_for both need the clock as a float.
+        with pytest.raises(GenerationError) as info:
+            HdlSpec(n_bits=1, encoding=Encoding.BINARY, module_name="dut", clock_hz=clock_hz,
+                    staircase_step_cycles=1, pin_assignments=((0, "A1"),), clock_pin="J3")
+        assert str(info.value) == message
+
+    def test_largest_float_clock_is_accepted(self):
+        clock_hz = int(sys.float_info.max)
+        spec = HdlSpec(n_bits=1, encoding=Encoding.BINARY, module_name="dut", clock_hz=clock_hz,
+                       staircase_step_cycles=1, pin_assignments=((0, "A1"),), clock_pin="J3")
+        assert generate_dac(spec).manifest["clock"]["hz"] == clock_hz
 
     def test_pin_groups(self):
         assert pin_group(0, 4, Encoding.BINARY) == "bit0"

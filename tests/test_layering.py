@@ -1,8 +1,9 @@
 """Import layering: which gpiodac modules, and whether numpy, each entry point loads.
 
-hdl and size only read a config and write text, so they must start without
-numpy; the commands that solve load only the layers they run. Each check runs
-in a fresh interpreter, since this process has long since imported everything.
+extract, size and hdl only read a config or a curve and write text, so they
+must start, and run, without numpy; every command loads only the layers it
+runs. Each check runs in a fresh interpreter, since this process has long
+since imported everything.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from test_cli import FOUR_RESISTOR_FLAGS, GOLDEN, PARAMS, write_config
 import gpiodac
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NUMPY_FREE = {"gpiodac", "gpiodac.cli", "gpiodac.config", "gpiodac.hdlgen", "gpiodac.sizing"}
+NUMPY_FREE = {"gpiodac", "gpiodac.cli", "gpiodac.config"}
 SWEEP_TOPOLOGY = {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0, "rpp": 5.0, "rpn": 5.0}
 
 # Run the body, then print its status and the sorted gpiodac modules (and numpy, if loaded).
@@ -27,7 +28,8 @@ _PROBE = """
 import json, sys
 status = 0
 {body}
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "gpiodac")
+loaded = sorted(m for m, module in sys.modules.items()
+                if module is not None and (m == "numpy" or m.split(".")[0] == "gpiodac"))
 print(json.dumps([status, loaded]))
 """
 _MAIN = """
@@ -37,6 +39,8 @@ try:
 except SystemExit as exc:
     status = exc.code
 """
+# A None entry in sys.modules makes every import of numpy fail.
+_MAIN_WITHOUT_NUMPY = 'sys.modules["numpy"] = None\n' + _MAIN
 
 
 def probe(body: str, *argv: str, cwd: Path | None = None) -> tuple[int, set[str]]:
@@ -71,18 +75,20 @@ CONFIG, OUT = ("-c", "config.json"), ("-o", "out")
 SOLVE = {"devices", "network", "numpy"}
 # name -> (argv, config overrides, modules besides NUMPY_FREE, {output: golden}).
 COMMANDS = {
-    "hdl": (["hdl", *CONFIG, *OUT], {"hdl.module_name": "dac4_binary"}, set(),
+    "hdl": (["hdl", *CONFIG, *OUT], {"hdl.module_name": "dac4_binary"}, {"hdlgen"},
             {f"dac4_binary{s}": f"dac4_binary{s}" for s in (".v", ".pcf", "_manifest.json")}),
-    "hdl_staircase": (["hdl", *CONFIG, "--staircase", *OUT], {"hdl.module_name": "stair4"}, set(),
-                      {"stair4.v": "stair4.v"}),
-    "size_two_resistor": (["size", "two-resistor", "--params", "params.json", *OUT], {}, set(), {}),
-    "size_four_resistor": (["size", "four-resistor", *FOUR_RESISTOR_FLAGS, *OUT], {}, set(),
+    "hdl_staircase": (["hdl", *CONFIG, "--staircase", *OUT], {"hdl.module_name": "stair4"},
+                      {"hdlgen"}, {"stair4.v": "stair4.v"}),
+    # params.json holds the knobs of test_cli.TWO_RESISTOR_FLAGS, so the report is their golden.
+    "size_two_resistor": (["size", "two-resistor", "--params", "params.json", *OUT], {},
+                          {"sizing"}, {"report.json": "report_size_two_resistor.json"}),
+    "size_four_resistor": (["size", "four-resistor", *FOUR_RESISTOR_FLAGS, *OUT], {}, {"sizing"},
                            {"report.json": "report_size_four_resistor.json"}),
     "version": (["--version"], {}, set(), {}),
     "simulate": (["simulate", *CONFIG, *OUT], {}, SOLVE | {"metrics"},
                  {"transfer.csv": "transfer_dac4_standalone.csv",
                   "report.json": "report_dac4_standalone.json"}),
-    "extract": (["extract", "--curve", "transfer.csv", "--vdd", "3.3", *OUT], {}, {"numpy"},
+    "extract": (["extract", "--curve", "transfer.csv", "--vdd", "3.3", *OUT], {}, {"sizing"},
                 {"params.json": "params_dac4_standalone.json"}),
     "sweep": (["sweep", *CONFIG, "--rp", "5,6,7,8,9,10", *OUT], {"dac.topology": SWEEP_TOPOLOGY},
               SOLVE | {"explorer", "metrics"}, {"sweep.csv": "sweep_dac4_four_resistor.csv"}),
@@ -91,17 +97,30 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", COMMANDS)
-def test_each_command_loads_only_its_layers_and_writes_its_goldens(tmp_path, name):
-    argv, overrides, extra, goldens = COMMANDS[name]
+def run_command(tmp_path: Path, name: str, body: str) -> set[str]:
+    """The modules a fresh interpreter loads running COMMANDS[name] after body; it must exit 0
+    and write its goldens."""
+    argv, overrides, _, goldens = COMMANDS[name]
     write_config(tmp_path, overrides)
     (tmp_path / "params.json").write_text(json.dumps(PARAMS))
     (tmp_path / "transfer.csv").write_bytes((GOLDEN / "transfer_dac4_standalone.csv").read_bytes())
-    status, modules = probe(_MAIN, *argv, cwd=tmp_path)
+    status, modules = probe(body, *argv, cwd=tmp_path)
     assert status == 0
-    assert modules == NUMPY_FREE | {m if m == "numpy" else f"gpiodac.{m}" for m in extra}
     for output, golden in goldens.items():
         assert (tmp_path / "out" / output).read_bytes() == (GOLDEN / golden).read_bytes(), output
+    return modules
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_command_loads_only_its_layers_and_writes_its_goldens(tmp_path, name):
+    extra = COMMANDS[name][2]
+    modules = run_command(tmp_path, name, _MAIN)
+    assert modules == NUMPY_FREE | {m if m == "numpy" else f"gpiodac.{m}" for m in extra}
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if "numpy" not in COMMANDS[name][2]])
+def test_numpy_free_commands_run_where_numpy_cannot_be_imported(tmp_path, name):
+    assert "numpy" not in run_command(tmp_path, name, _MAIN_WITHOUT_NUMPY)
 
 
 class TestLazyExports:
@@ -114,7 +133,7 @@ class TestLazyExports:
                 assert value.__module__ == module.__name__, name
 
     def test_moved_types_keep_one_definition_under_their_old_modules(self):
-        from gpiodac import config, devices, metrics, network, transient
+        from gpiodac import config, devices, hdlgen, metrics, network, sizing, transient
 
         old_homes = {
             devices: ("Polarity", "OperatingRegion", "DeviceError", "MosfetParams", "LinearSwitch",
@@ -123,6 +142,8 @@ class TestLazyExports:
                       "Topology", "MAX_BITS", "DacConfig", "SolverError"),
             transient: ("TimingParams",),
             metrics: ("MetricsError",),
+            sizing: ("ExtractionError", "SizingError"),
+            hdlgen: ("GenerationError", "HdlSpec", "default_pin_assignments"),
         }
         for module, names in old_homes.items():
             for name in names:

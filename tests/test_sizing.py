@@ -1,8 +1,10 @@
 """Parameter extraction and correction-resistor sizing."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import per_code_extract
 from test_network import MISMATCHED
@@ -22,6 +24,7 @@ from gpiodac.sizing import (
 )
 
 VDD = 3.3
+NAN = float("nan")
 PAIR = calibrated_pair(VDD, 1.15, 40.0)
 REF_PARAMS = ExtractedParams(vth=1.15, ron=40.0, vdd=VDD, linear_range=(1.15, 2.15))
 
@@ -151,6 +154,37 @@ class TestExtractionMatchesPerCodeReference:
         got = outcome(extract_from_table, **{**base, **columns})
         assert got == outcome(per_code_extract, **{**base, **columns})
         assert got[0] is ExtractionError and message in got[1]
+
+    @settings(max_examples=200)
+    @given(extraction_tables(), st.sampled_from([tuple, np.asarray]))
+    def test_tuple_and_ndarray_columns_match_list_columns(self, columns, container):
+        want = outcome(extract_from_table, **columns)
+        # A float division by zero raises on Python floats but gives inf on numpy scalars.
+        assume(container is tuple or not isinstance(want, tuple) or want[0] is ExtractionError)
+        given_as = {k: v if k == "vdd" else container(v) for k, v in columns.items()}
+        got = outcome(extract_from_table, **given_as)
+        if isinstance(got, tuple):  # numpy 2 writes a scalar in a message as np.float64(x)
+            got = got[0], re.sub(r"np\.float64\(([^()]*)\)", r"\1", got[1])
+        assert got == want
+
+    # A NaN voltage in the run is the mid-scale code read, as the first NaN was for the
+    # np.argmin this search replaced; a search that passed over it would read the finite code
+    # nearest mid-scale, whose current is 0 in the edge cases. Outcomes recorded from that
+    # numpy version.
+    @pytest.mark.parametrize("vdac, i_per_pullup, message", [
+        ([0.2, 1.0, 1.8, NAN, 2.6, 3.5], [1e-2] * 6, "ron must be > 0, got nan"),
+        ([0.2, 1.0, NAN, 2.3, 2.6, 3.5], [1e-2, 1e-2, 1e-2, 0.0, 1e-2, 1e-2],
+         "ron must be > 0, got nan"),
+        ([0.2, NAN, 1.8, 2.3, 2.6, 3.5], [1e-2, 1e-2, 0.0, 1e-2, 1e-2, 1e-2],
+         "vth must be within (0, vdd/2), got vth=nan, vdd=4.0"),
+        ([0.2, 1.0, 1.8, 2.3, NAN, 3.5], [1e-2, 1e-2, 0.0, 1e-2, 1e-2, 1e-2],
+         "vth must be within (0, vdd/2), got vth=nan, vdd=4.0"),
+    ], ids=["inside", "inside_next_to_a_zero_current", "low_edge", "high_edge"])
+    def test_nan_voltage_in_the_run_keeps_its_error(self, vdac, i_per_pullup, message):
+        regions = ["saturation"] + ["triode"] * 4 + ["saturation"]
+        columns = dict(codes=list(range(6)), vdac=vdac, i_per_pullup=i_per_pullup,
+                       region_p=regions, region_n=["triode"] * 6, vdd=4.0)
+        assert outcome(extract_from_table, **columns) == (ExtractionError, message)
 
     @pytest.mark.parametrize("pair", [PAIR, MISMATCHED], ids=["matched", "mismatched"])
     def test_12_bit_curves(self, pair):
