@@ -19,28 +19,20 @@ _EXPORTS = {
     "config": (
         "DacConfig", "DeviceError", "DevicePair", "Encoding", "ExtractionError", "FourResistor",
         "GenerationError", "HdlSpec", "LinearSwitch", "MetricsError", "MosfetParams",
-        "OperatingRegion", "ParallelAttach", "Polarity", "SizingError", "SolverError", "Standalone",
-        "TimingParams", "Topology", "TwoResistor", "calibrated_pair",
+        "OperatingRegion", "ParallelAttach", "Polarity", "SizingError", "Standalone", "TimingParams",
+        "Topology", "TwoResistor", "calibrated_pair",
     ),
-    "devices": ("classify_region", "drain_current", "midrange_resistance", "on_resistance"),
-    "analytic": (
-        "SwitchModel", "error_factor_output", "ideal_output", "stretched_output",
-        "switch_model_output", "two_resistor_output",
-    ),
+    "devices": ("classify_region",),
     "network": (
-        "NodeSolution", "TransferCurve", "complement_check", "solve_code", "solve_units",
-        "transfer_curve",
+        "NodeSolution", "TransferCurve", "complement_check", "solve_units", "transfer_curve",
     ),
-    "metrics": ("LinearityReport", "dnl", "inl", "summary"),
+    "metrics": ("LinearityReport", "summary"),
     "sizing": (
         "ExtractedParams", "SizingResult", "check_saturation_window", "extract_parameters",
         "size_four_resistor", "size_two_resistor",
     ),
     "transient": ("Waveform", "detect_glitches", "staircase_codes", "synthesize"),
-    "hdlgen": (
-        "HdlArtifact", "generate_constraints", "generate_dac", "generate_staircase",
-        "step_cycles_for",
-    ),
+    "hdlgen": ("HdlArtifact", "generate_constraints", "generate_dac", "generate_staircase"),
     "explorer": ("SweepPoint", "sweep_parallel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

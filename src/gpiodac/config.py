@@ -99,15 +99,6 @@ def calibrated_pair(vdd: float, vth: float, ron_midrange: float) -> DevicePair:
     )
 
 
-class SolverError(RuntimeError):
-    """The operating-point iteration did not reach the residual tolerance."""
-
-    def __init__(self, message: str, *, code: int | None = None, residual: float = math.nan):
-        super().__init__(message)
-        self.code = code
-        self.residual = residual
-
-
 class Encoding(enum.Enum):
     BINARY = "binary"
     THERMOMETER = "thermometer"

@@ -11,10 +11,11 @@ parameter. All voltages handled here are source-referenced magnitudes; the
 threshold); it turns the network into a plain resistor divider and is used to
 check that the nonlinear solver degenerates to the ideal DAC.
 
-``current_and_derivatives`` and ``classify_region`` also take arrays, one
-element per solver lane, so a whole batch of operating points is evaluated in
-one call. The device types themselves (``MosfetParams``, ``LinearSwitch``,
-``DevicePair``, ``calibrated_pair``) are defined in ``config``.
+``current_and_derivatives``, the package's one square law, and
+``classify_region`` take floats or arrays, one element per solver lane, so a
+whole batch of operating points is evaluated in one call. The device types
+themselves (``MosfetParams``, ``LinearSwitch``, ``DevicePair``,
+``calibrated_pair``) are defined in ``config``.
 """
 
 from __future__ import annotations
@@ -51,46 +52,6 @@ def classify_region(p: UnitDevice, vgs_mag: float | np.ndarray, vds_mag: float |
     else:
         index = np.where(vgs_mag < p.vth, 0, np.where(vds_mag >= vgs_mag - p.vth, 2, 1))
     return _REGIONS[index]
-
-
-def drain_current(p: UnitDevice, vgs_mag: float, vds_mag: float) -> float:
-    """Drain current [A] of one unit device at source-referenced magnitudes."""
-    _check_domain(vgs_mag, vds_mag)
-    if isinstance(p, LinearSwitch):
-        return p.g * vds_mag
-    vov = vgs_mag - p.vth
-    if vov <= 0.0:
-        return 0.0
-    if vds_mag >= vov:
-        return 0.5 * p.k * vov * vov
-    return p.k * (vov * vds_mag - 0.5 * vds_mag * vds_mag)
-
-
-def on_resistance(p: UnitDevice, vgs_mag: float) -> float:
-    """Small-signal triode resistance 1/(k*(vgs - vth)) at vds -> 0 [ohm]."""
-    if isinstance(p, LinearSwitch):
-        return 1.0 / p.g
-    if vgs_mag <= p.vth:
-        raise DeviceError(
-            f"no conduction: vgs {vgs_mag} V does not exceed vth {p.vth} V"
-        )
-    return 1.0 / (p.k * (vgs_mag - p.vth))
-
-
-def midrange_resistance(p: UnitDevice, vgs_mag: float, vdd: float) -> float:
-    """Secant resistance vds/i of one unit at vds = vdd/2 [ohm].
-
-    This is the quantity a bench extraction sees when dividing the mid-scale
-    output voltage by the per-GPIO current; it is larger than the small-signal
-    on-resistance because the triode curve bends over.
-    """
-    if isinstance(p, LinearSwitch):
-        return 1.0 / p.g
-    half = 0.5 * vdd
-    i = drain_current(p, vgs_mag, half)
-    if i <= 0.0:
-        raise DeviceError("no conduction at mid-scale; device stays cut off")
-    return half / i
 
 
 def current_and_derivatives(

@@ -14,8 +14,6 @@ Both modules come from one scaffold; one pin rule gives each pin's group and dec
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass
 
 # The spec, its error and the default pins are defined in the numpy-free config layer, so that
@@ -35,18 +33,12 @@ def _pin_rule(index: int, n_bits: int, encoding: Encoding) -> tuple[str, str]:
 
     Binary: bit i owns the 2^i pins from 2^i - 1, so pin j's bit is
     (j + 1).bit_length() - 1. Thermometer: pin j is its own cell, on while code > j.
+    HdlSpec has already checked that the index is in 0..d_max-1.
     """
-    if not 0 <= index < (1 << n_bits) - 1:
-        raise GenerationError(f"pin index {index} out of range")
     if encoding is Encoding.THERMOMETER:
         return f"cell{index}", f"(code > {n_bits}'d{index})"
     bit = (index + 1).bit_length() - 1
     return f"bit{bit}", f"code[{bit}]"
-
-
-def pin_group(index: int, n_bits: int, encoding: Encoding) -> str:
-    """Which decode group a logical pin belongs to."""
-    return _pin_rule(index, n_bits, encoding)[0]
 
 
 def generate_constraints(spec: HdlSpec) -> str:
@@ -118,10 +110,3 @@ def manifest_text(artifact: HdlArtifact) -> str:
     """Deterministic JSON rendering of the pin manifest."""
     return json.dumps(artifact.manifest, indent=2, sort_keys=True) + "\n"
 
-
-def step_cycles_for(clock_hz: int, step_seconds: float) -> int:
-    """Clock cycles per staircase step for a wanted dwell time."""
-    # A clock_hz beyond float range is refused before the product converts it; NaN fails too.
-    if not 1 <= clock_hz <= sys.float_info.max or not 0.0 < clock_hz * step_seconds < math.inf:
-        raise GenerationError("clock_hz must be >= 1 and step_seconds finite and > 0")
-    return max(1, round(clock_hz * step_seconds))

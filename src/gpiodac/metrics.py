@@ -64,14 +64,6 @@ def inl_from_levels(levels: Sequence[float]) -> np.ndarray:
     return (v - line) / lsb
 
 
-def dnl(curve: TransferCurve) -> np.ndarray:
-    return dnl_from_levels(curve.vdac)
-
-
-def inl(curve: TransferCurve) -> np.ndarray:
-    return inl_from_levels(curve.vdac)
-
-
 def summary(curve: TransferCurve) -> LinearityReport:
     levels = curve.vdac
     currents = curve.i_total

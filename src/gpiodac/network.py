@@ -31,7 +31,7 @@ operation over the lanes that still need it.
   once its residual is within rounding of its currents, or once its step or
   bracket is a few ulps of vdd.
 
-No level can fail, so a finite config never raises SolverError. A lane's
+No level can fail, so no finite config fails to solve. A lane's
 voltages depend only on its own count and config, so a batch gives each lane
 bit for bit its one-code result, with one exception: a four-resistor batch of
 over 2 * WARM_STRIDE distinct counts starts its rails from solves at every
@@ -64,7 +64,6 @@ from .config import (
     MosfetParams,
     OperatingRegion,
     ParallelAttach,
-    SolverError,
     Standalone,
     Topology,
     TwoResistor,
@@ -473,13 +472,6 @@ def solve_units(
     counts = np.asarray(pullup_units)
     rows = _rows(solve_columns(config, pullup_units)) if counts.size else ()
     return rows[0] if counts.ndim == 0 else rows
-
-
-def solve_code(config: DacConfig, code: int) -> NodeSolution:
-    """DC operating point for one input code."""
-    if not 0 <= code <= config.d_max:
-        raise ValueError(f"code {code} out of range 0..{config.d_max}")
-    return solve_units(config, code)
 
 
 def _curves(configs: Sequence[DacConfig]) -> list[TransferCurve]:

@@ -53,8 +53,8 @@ class ExtractedParams:
             raise ExtractionError(
                 f"vth must be within (0, vdd/2), got vth={self.vth}, vdd={self.vdd}"
             )
-        if not self.ron > 0.0:
-            raise ExtractionError(f"ron must be > 0, got {self.ron}")
+        if not 0.0 < self.ron < math.inf:
+            raise ExtractionError(f"ron must be finite and > 0, got {self.ron}")
         lo, hi = self.linear_range
         if not (0.0 <= lo <= hi <= self.vdd):
             raise ExtractionError(f"linear_range {self.linear_range} outside [0, vdd]")
@@ -131,7 +131,10 @@ def extract_from_table(
     if denom <= 0.0:
         raise ExtractionError("mid-range point is not inside the triode region")
     k_est = i_unit / denom
-    ron = 1.0 / (k_est * (vov - 0.25 * vdd))
+    # No conductance (vth = 3/4 vdd, or an underflow) makes ron infinite, which ExtractedParams
+    # refuses, naming the vth beyond vdd/2 first.
+    conductance = k_est * (vov - 0.25 * vdd)
+    ron = 1.0 / conductance if conductance else math.inf
     return ExtractedParams(vth=vth, ron=ron, vdd=vdd, linear_range=linear_range)
 
 
@@ -201,8 +204,13 @@ def size_four_resistor(
         )
     rs_lo = window / it_target
     rs_hi = (p.vdd - p.vth) / it_target
+    if rs_hi == math.inf:
+        raise SizingError(
+            f"it_target {it_target:.4g} A is too small: the series bound "
+            f"(vdd - vth)/it_target overflows"
+        )
     if rs_total is None:
-        rs_total = 0.5 * (rs_lo + rs_hi)
+        rs_total = 0.5 * rs_lo + 0.5 * rs_hi  # halved first, so the sum cannot overflow
         notes = ("rs_total set to the midpoint of its feasible interval",)
     else:
         notes = ()

@@ -56,21 +56,6 @@ class Waveform:
             raise ValueError("times must be strictly ascending")
 
 
-def pin_states(code: int, n_bits: int, encoding: Encoding) -> tuple[bool, ...]:
-    """Asserted/deasserted state of each of the 2^n - 1 unit pins for a code.
-
-    Binary: bit i owns the 2^i pins starting at index 2^i - 1.
-    Thermometer: pin j is asserted iff j < code. Either way the asserted
-    count equals the code, which is what makes the two encodings produce the
-    same settled levels.
-    """
-    code = int(_checked_counts(code, (1 << n_bits) - 1, "code")[0])
-    if encoding is Encoding.THERMOMETER:
-        return tuple((np.arange((1 << n_bits) - 1) < code).tolist())
-    bit = np.arange(n_bits)
-    return tuple(np.repeat(code >> bit & 1 == 1, 1 << bit).tolist())
-
-
 _MASK = (1 << 128) - 1
 _LOW = (1 << 64) - 1
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy PCG64's LCG multiplier A

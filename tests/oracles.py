@@ -1,13 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately dumb and slow: nested scalar bisection for
-operating points (no Newton, no Jacobians), two-pass loops for metrics, plain
-divider arithmetic for the constant-conductance forms. These never share a
-code path with the implementations they check. ``oracle_solve`` nests its
-levels vd outermost, then vs, then vdac, and bisects each. The package takes
-a closed-form root for vdac and bracketed Newton steps for the rails, nests vs
-inside vd only on supply rails, and on inner rails ties vs to vd, since one
-current flows through rsp and rsn.
+operating points (no Newton, no Jacobians), two-pass loops for metrics, and
+plain divider arithmetic, the reference of the solver fed ``LinearSwitch``
+devices. These never share a code path with the implementations they check.
+``oracle_solve`` nests its levels vd outermost, then vs, then vdac, and
+bisects each. The package takes a closed-form root for vdac and bracketed
+Newton steps for the rails, nests vs inside vd only on supply rails, and on
+inner rails ties vs to vd, since one current flows through rsp and rsn.
 
 The exceptions are kept as references of the code that replaced them, bit
 for bit unless noted: ``per_code_solve``, the scalar damped-Newton solver
@@ -21,8 +21,8 @@ uniform() where the package computes the PCG64 state by jump-ahead;
 ``per_row_transfer_csv`` and ``per_row_saturation_flags``, which read a
 curve's NodeSolution rows where the package now reads its columns;
 ``per_sample_detect_glitches``, the per-sample glitch scan; and
-``per_code_extract``, the code-by-code triode-run search that array
-operations replaced in ``extract_from_table``.
+``per_code_extract``, the code-by-code triode-run search that one plain-Python
+pass over runs of region pairs replaced in ``extract_from_table``.
 """
 
 from __future__ import annotations
@@ -152,10 +152,12 @@ def naive_inl(levels) -> list[float]:
     return out
 
 
-def divider(n_up: int, n_dn: int, gop: float, gon: float, vdd: float) -> float:
-    """Plain conductance-divider arithmetic."""
-    g_up = n_up * gop
-    g_dn = n_dn * gon
+def divider(n_up: int, n_dn: int, gop: float, gon: float, vdd: float, *,
+            gpp: float = 0.0, gpn: float = 0.0) -> float:
+    """Plain conductance-divider arithmetic; gpp and gpn are parallel conductances from the
+    supply and to ground (the two-resistor topology)."""
+    g_up = n_up * gop + gpp
+    g_dn = n_dn * gon + gpn
     return g_up / (g_up + g_dn) * vdd
 
 
@@ -471,5 +473,6 @@ def per_code_extract(
     if denom <= 0.0:
         raise ExtractionError("mid-range point is not inside the triode region")
     k_est = i_unit / denom
-    ron = 1.0 / (k_est * (vov - 0.25 * vdd))
+    conductance = k_est * (vov - 0.25 * vdd)
+    ron = 1.0 / conductance if conductance else float("inf")
     return ExtractedParams(vth=vth, ron=ron, vdd=vdd, linear_range=linear_range)

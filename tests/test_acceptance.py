@@ -9,7 +9,6 @@ threshold, 40 ohm unit resistance at mid-scale.
 import numpy as np
 import pytest
 
-from gpiodac.analytic import ideal_output
 from gpiodac.devices import (
     DevicePair,
     LinearSwitch,
@@ -26,7 +25,7 @@ from gpiodac.network import (
     ParallelAttach,
     Standalone,
     TwoResistor,
-    solve_code,
+    solve_units,
     transfer_curve,
 )
 from gpiodac.sizing import (
@@ -66,10 +65,10 @@ def test_criterion_01_ideal_reduction():
             topology=FourResistor(rsp=1e-6, rsn=0.0, rpp=1e6, rpn=1e6),
         )
         for code in range(d_max + 1):
-            ideal = ideal_output(d_max, code, VDD)
-            assert solve_code(standalone, code).vdac == pytest.approx(ideal, abs=1e-9)
-            assert solve_code(two_r, code).vdac == pytest.approx(ideal, abs=1e-4)
-            assert solve_code(four_r, code).vdac == pytest.approx(ideal, abs=1e-4)
+            ideal = code / d_max * VDD
+            assert solve_units(standalone, code).vdac == pytest.approx(ideal, abs=1e-9)
+            assert solve_units(two_r, code).vdac == pytest.approx(ideal, abs=1e-4)
+            assert solve_units(four_r, code).vdac == pytest.approx(ideal, abs=1e-4)
     announce(1, "constant-conductance solver collapses to the ideal divider, N=1..8")
 
 
@@ -101,7 +100,7 @@ def test_criterion_02_oracle_equivalence():
             )
         cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=pair, topology=topo)
         for code in rng.integers(0, cfg.d_max + 1, size=3):
-            sol = solve_code(cfg, int(code))
+            sol = solve_units(cfg, int(code))
             vdac, vd, vs = oracle_solve(cfg, int(code))
             assert sol.vdac == pytest.approx(vdac, abs=1e-6)
             assert sol.vd == pytest.approx(vd, abs=1e-6)
@@ -111,7 +110,7 @@ def test_criterion_02_oracle_equivalence():
 
 
 def test_criterion_03_midrange_current():
-    sol = solve_code(CAL_STANDALONE, 8)
+    sol = solve_units(CAL_STANDALONE, 8)
     assert sol.i_total == pytest.approx(0.30, rel=0.20)
     announce(3, f"calibrated 4-bit mid-range current {sol.i_total * 1e3:.0f} mA ~ 300 mA")
 
@@ -121,7 +120,7 @@ def test_criterion_04_two_resistor_sizing():
     sized = size_two_resistor(params, 15)
     assert sized.topology.rpp == pytest.approx(2.32, rel=0.05)
     corrected = DacConfig(n_bits=4, vdd=VDD, devices=CAL_PAIR, topology=sized.topology)
-    mid = solve_code(corrected, 8).i_total
+    mid = solve_units(corrected, 8).i_total
     assert mid == pytest.approx(1.0, rel=0.25)
     announce(4, f"rp = {sized.topology.rpp:.3f} ohm, corrected mid-range {mid:.2f} A ~ 1 A")
 

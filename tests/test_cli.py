@@ -11,7 +11,15 @@ import pytest
 from test_network import PAIR, TOPOLOGIES
 
 import gpiodac.cli
-from gpiodac.cli import OUTPUT_DIR_ENV, json_text, load_config, main, report_doc, write_atomic
+from gpiodac.cli import (
+    OUTPUT_DIR_ENV,
+    TRANSFER_COLUMNS,
+    json_text,
+    load_config,
+    main,
+    report_doc,
+    write_atomic,
+)
 from gpiodac.devices import Polarity
 from gpiodac.metrics import summary
 from gpiodac.network import DacConfig, transfer_curve
@@ -201,6 +209,32 @@ class TestExtractRoundTrip:
         assert not (workdir / "out" / "params.json").exists()
 
 
+    def test_vth_at_three_quarters_vdd_is_exit_4_naming_it(self, workdir, capsys):
+        # The run's span is -2 V, so vth = 3 V = 3/4 vdd, where the resistance formula has no
+        # conductance left to invert.
+        curve = workdir / "curve.csv"
+        curve.write_text(",".join(TRANSFER_COLUMNS) + "\n"
+                         "0,2.5,4,0,0.01,0.01,0.01,triode,triode,0\n"
+                         "1,0.5,4,0,0.01,0.01,0.01,triode,triode,0\n")
+        assert main(["extract", "--curve", str(curve), "--vdd", "4", "-o", "out"]) == 4
+        err = capsys.readouterr().err
+        assert err == "gpiodac: error: sizing: vth must be within (0, vdd/2), got vth=3.0, vdd=4.0\n"
+        assert not (workdir / "out").exists()
+
+    def test_infinite_ron_is_exit_4(self, workdir, capsys):
+        # Row 9 holds code 7, the in-run code nearest mid-scale; its subnormal current makes
+        # 1 / (k * (vov - vdd/4)) overflow to inf.
+        with (GOLDEN / "transfer_dac4_standalone.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[8][rows[0].index("i_pullup_a")] = "1e-320"
+        curve = workdir / "curve.csv"
+        with curve.open("w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        assert main(["extract", "--curve", str(curve), "--vdd", "3.3", "-o", "out"]) == 4
+        assert capsys.readouterr().err == "gpiodac: error: sizing: ron must be finite and > 0, got inf\n"
+        assert not (workdir / "out").exists()
+
+
 class TestSize:
     def test_two_resistor_reference_values(self, workdir):
         assert main(["size", "two-resistor", *TWO_RESISTOR_FLAGS, "-o", "out"]) == 0
@@ -224,6 +258,15 @@ class TestSize:
             "-o", "out",
         ])
         assert code == 4
+
+    def test_target_current_too_small_for_float_range_is_exit_4_naming_it(self, workdir, capsys):
+        assert main(["size", "four-resistor", "--vth", "1.15", "--vdd", "3.3", "--it", "1e-320",
+                     "-o", "out"]) == 4
+        assert capsys.readouterr().err == (
+            "gpiodac: error: sizing: it_target 1e-320 A is too small: "
+            "the series bound (vdd - vth)/it_target overflows\n"
+        )
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", ["--vth", "--ron", "--vdd", "--it", "--split", "--rs-total"])

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import device_current
 
 from gpiodac.devices import (
     DeviceError,
@@ -14,40 +16,35 @@ from gpiodac.devices import (
     calibrated_pair,
     classify_region,
     current_and_derivatives,
-    drain_current,
-    midrange_resistance,
-    on_resistance,
 )
 
 VDD = 3.3
 REF = MosfetParams(Polarity.NMOS, vth=1.15, k=0.01163)
 
 
-class TestDrainCurrent:
+def current(p, vgs, vds):
+    return current_and_derivatives(p, vgs, vds)[0]
+
+
+class TestSquareLaw:
     def test_cutoff_is_zero(self):
-        assert drain_current(REF, 0.5, 1.0) == 0.0
+        assert current(REF, 0.5, 1.0) == 0.0
 
     def test_triode_saturation_boundary_value(self):
         # vds = vov = 2.15: both formulas give (k/2) * vov^2
         expected = 0.5 * REF.k * 2.15**2
-        assert drain_current(REF, 3.3, 2.15) == pytest.approx(expected, rel=1e-12)
+        assert current(REF, 3.3, 2.15) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(26.88e-3, rel=1e-3)
 
     def test_deep_triode_value_and_ron_crosscheck(self):
-        i = drain_current(REF, 3.3, 0.05)
+        i = current(REF, 3.3, 0.05)
         assert i == pytest.approx(1.2356875e-3, rel=1e-12)
         # at vds << vov the current is close to vds / ron
         assert i == pytest.approx(0.05 / 40.0, rel=0.02)
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(DeviceError):
-            drain_current(REF, -0.1, 1.0)
-        with pytest.raises(DeviceError):
-            drain_current(REF, 1.0, -0.1)
-
     def test_linear_switch_has_no_threshold(self):
         sw = LinearSwitch(g=0.05)
-        assert drain_current(sw, 0.0, 1.0) == pytest.approx(0.05)
+        assert current(sw, 0.0, 1.0) == pytest.approx(0.05)
 
 
 class TestClassifyRegion:
@@ -65,21 +62,11 @@ class TestClassifyRegion:
     def test_linear_switch_is_resistive(self):
         assert classify_region(LinearSwitch(0.05), 0.0, 1.0) is OperatingRegion.TRIODE
 
-
-class TestOnResistance:
-    def test_reference_device_is_40_ohm(self):
-        assert on_resistance(REF, 3.3) == pytest.approx(40.0, rel=1e-3)
-
-    def test_doubling_k_halves_ron(self):
-        doubled = MosfetParams(Polarity.NMOS, vth=1.15, k=2 * REF.k)
-        assert on_resistance(doubled, 3.3) == pytest.approx(
-            0.5 * on_resistance(REF, 3.3), rel=1e-12
-        )
-        assert on_resistance(doubled, 3.3) == pytest.approx(20.0, rel=1e-3)
-
-    def test_zero_overdrive_errors(self):
+    def test_negative_inputs_rejected(self):
         with pytest.raises(DeviceError):
-            on_resistance(REF, 1.15)
+            classify_region(REF, -0.1, 1.0)
+        with pytest.raises(DeviceError):
+            classify_region(REF, 1.0, -0.1)
 
 
 mosfets = st.builds(
@@ -96,10 +83,10 @@ class TestInvariants:
         vov = vgs - p.vth
         if vov <= 0:
             return
-        below = drain_current(p, vgs, vov * (1 - 1e-9))
-        at = drain_current(p, vgs, vov)
+        below = current(p, vgs, vov * (1 - 1e-9))
+        at = current(p, vgs, vov)
         assert at == pytest.approx(below, rel=1e-6)
-        assert at == pytest.approx(0.5 * p.k * vov * vov, rel=1e-12)
+        assert at == pytest.approx(device_current(p, vgs, vov), rel=1e-12)
 
     @given(p=mosfets)
     def test_monotone_in_vds_and_vgs(self, p):
@@ -108,36 +95,34 @@ class TestInvariants:
             return all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(seq, seq[1:]))
 
         n = 25
-        grid = [2 * VDD * i / (n - 1) for i in range(n)]
-        for vgs in grid:
-            assert monotone([drain_current(p, vgs, vds) for vds in grid])
-        for vds in grid:
-            assert monotone([drain_current(p, vgs, vds) for vgs in grid])
+        grid = np.linspace(0.0, 2 * VDD, n)
+        for v in grid:
+            assert monotone(current(p, v, grid).tolist())
+            assert monotone(current(p, grid, v).tolist())
 
     @given(p=mosfets, frac=st.floats(1e-4, 0.01))
     def test_small_signal_matches_ron(self, p, frac):
         vgs = p.vth + 1.0
         vds = frac * (vgs - p.vth)
-        i = drain_current(p, vgs, vds)
-        assert i == pytest.approx(vds / on_resistance(p, vgs), rel=0.01)
+        ron = 1.0 / (p.k * (vgs - p.vth))  # small-signal triode resistance at vds -> 0
+        assert current(p, vgs, vds) == pytest.approx(vds / ron, rel=0.01)
 
     @given(p=mosfets, vgs=st.floats(0.0, 2 * VDD), vds=st.floats(-VDD, VDD))
     def test_derivative_helper_matches_current(self, p, vgs, vds):
-        i, _, _ = current_and_derivatives(p, vgs, vds)
-        expected = math.copysign(drain_current(p, vgs, abs(vds)), vds) if vds else 0.0
-        assert i == pytest.approx(expected, abs=1e-15)
+        assert current(p, vgs, vds) == pytest.approx(device_current(p, vgs, vds), abs=1e-15)
 
 
 class TestCalibration:
     def test_midrange_secant_round_trip(self):
         pair = calibrated_pair(VDD, 1.15, 40.0)
-        assert midrange_resistance(pair.nmos, VDD, VDD) == pytest.approx(40.0, rel=1e-12)
-        assert midrange_resistance(pair.pmos, VDD, VDD) == pytest.approx(40.0, rel=1e-12)
+        for dev in (pair.nmos, pair.pmos):
+            assert 0.5 * VDD / current(dev, VDD, 0.5 * VDD) == pytest.approx(40.0, rel=1e-12)
+            assert 0.5 * VDD / device_current(dev, VDD, 0.5 * VDD) == pytest.approx(40.0, rel=1e-12)
 
     def test_secant_exceeds_small_signal(self):
         # the triode curve bends over, so the secant at vdd/2 reads high
         pair = calibrated_pair(VDD, 1.15, 40.0)
-        assert on_resistance(pair.nmos, VDD) < 40.0
+        assert 1.0 / (pair.nmos.k * (VDD - pair.nmos.vth)) < 40.0
 
     def test_rejects_large_threshold(self):
         with pytest.raises(DeviceError):

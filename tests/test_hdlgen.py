@@ -14,11 +14,9 @@ from gpiodac.hdlgen import (
     generate_dac,
     generate_staircase,
     manifest_text,
-    pin_group,
-    step_cycles_for,
 )
 from gpiodac.network import Encoding
-from gpiodac.transient import pin_states
+from oracles import per_pin_states
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -119,10 +117,11 @@ class TestDecodeTables:
     @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("encoding", list(Encoding))
     def test_rtl_asserts_the_pins_the_transient_model_switches(self, n_bits, encoding):
-        # the glitch model replays transient.pin_states; the hardware must drive the same pins
+        # the glitch model is checked against the pin rule of oracles.per_pin_states; the
+        # hardware must drive the same pins
         table = decode_table(generate_dac(spec_for("dut", encoding, n_bits)).rtl_text, n_bits)
         for code in range(1 << n_bits):
-            states = pin_states(code, n_bits, encoding)
+            states = per_pin_states(code, n_bits, encoding)
             assert table[code] == {pin for pin, on in enumerate(states) if on}
 
     def test_staircase_carries_the_same_decode(self):
@@ -190,7 +189,7 @@ class TestValidation:
         (10**400, "clock_hz must be >= 1 and within float range"),
     ])
     def test_clock_out_of_range_is_refused(self, clock_hz, message):
-        # The manifest's hz and step_cycles_for both need the clock as a float.
+        # The manifest's hz needs the clock as a float.
         with pytest.raises(GenerationError) as info:
             HdlSpec(n_bits=1, encoding=Encoding.BINARY, module_name="dut", clock_hz=clock_hz,
                     staircase_step_cycles=1, pin_assignments=((0, "A1"),), clock_pin="J3")
@@ -202,36 +201,9 @@ class TestValidation:
                        staircase_step_cycles=1, pin_assignments=((0, "A1"),), clock_pin="J3")
         assert generate_dac(spec).manifest["clock"]["hz"] == clock_hz
 
-    def test_pin_groups(self):
-        assert pin_group(0, 4, Encoding.BINARY) == "bit0"
-        assert pin_group(2, 4, Encoding.BINARY) == "bit1"
-        assert pin_group(14, 4, Encoding.BINARY) == "bit3"
-        assert pin_group(3, 4, Encoding.THERMOMETER) == "cell3"
-        for encoding in Encoding:
-            for index in (-1, 15, 99):
-                with pytest.raises(GenerationError, match=f"pin index {index} out of range"):
-                    pin_group(index, 4, encoding)
 
 
 class TestHelpers:
-    def test_bench_dwell_time(self):
-        # 100 MHz clock, 500 us dwell: 50000 cycles per staircase step
-        assert step_cycles_for(100_000_000, 500e-6) == 50_000
-
-    def test_full_rate_stepping(self):
-        assert step_cycles_for(20_000_000, 1 / 20e6) == 1
-
-    @pytest.mark.parametrize("step_seconds", [float("nan"), float("inf"), 0.0, -1e-6, 1e307])
-    def test_step_seconds_must_give_a_finite_positive_count(self, step_seconds):
-        # 1e307 s is finite, but its cycle count at 100 Hz overflows to inf
-        with pytest.raises(GenerationError, match="step_seconds finite and > 0"):
-            step_cycles_for(100, step_seconds)
-
-    def test_clock_beyond_float_range_is_refused(self):
-        # 10**400 has no float value, so the cycle count cannot be formed from it
-        with pytest.raises(GenerationError, match="clock_hz must be >= 1"):
-            step_cycles_for(10**400, 1e-9)
-
     def test_one_bit_staircase_is_a_square_wave(self):
         spec = HdlSpec(
             n_bits=1,

@@ -21,6 +21,11 @@ import gpiodac
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NUMPY_FREE = {"gpiodac", "gpiodac.cli", "gpiodac.config"}
+# Public names retired with no replacement under their name: each duplicated a remaining path.
+RETIRED = ("SwitchModel", "ideal_output", "switch_model_output", "error_factor_output",
+           "two_resistor_output", "stretched_output", "drain_current", "on_resistance",
+           "midrange_resistance", "SolverError", "solve_code", "dnl", "inl", "pin_states",
+           "pin_group", "step_cycles_for")
 SWEEP_TOPOLOGY = {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0, "rpp": 5.0, "rpn": 5.0}
 
 # Run the body, then print its status and the sorted gpiodac modules (and numpy, if loaded).
@@ -139,7 +144,7 @@ class TestLazyExports:
             devices: ("Polarity", "OperatingRegion", "DeviceError", "MosfetParams", "LinearSwitch",
                       "DevicePair", "UnitDevice", "calibrated_pair"),
             network: ("Encoding", "ParallelAttach", "Standalone", "TwoResistor", "FourResistor",
-                      "Topology", "MAX_BITS", "DacConfig", "SolverError"),
+                      "Topology", "MAX_BITS", "DacConfig"),
             transient: ("TimingParams",),
             metrics: ("MetricsError",),
             sizing: ("ExtractionError", "SizingError"),
@@ -161,6 +166,17 @@ class TestLazyExports:
     def test_unknown_name_is_an_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="'nope'"):
             gpiodac.nope
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_retired_name_is_defined_nowhere(self, name):
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            getattr(gpiodac, name)
+        for module in ("cli", *gpiodac._EXPORTS):
+            assert not hasattr(importlib.import_module(f"gpiodac.{module}"), name), module
+
+    def test_analytic_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError, match="gpiodac.analytic"):
+            importlib.import_module("gpiodac.analytic")
 
     def test_from_import_still_loads_submodules(self):
         body = ("from gpiodac import cli, explorer\n"

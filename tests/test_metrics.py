@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from gpiodac.devices import calibrated_pair
 from gpiodac.metrics import (
     MetricsError,
-    dnl,
     dnl_from_levels,
-    inl,
     inl_from_levels,
     summary,
 )
@@ -73,8 +71,8 @@ class TestAgainstModel:
         assert rep.i_at_midrange == pytest.approx(curve.rows[8].i_total, rel=1e-12)
         assert rep.i_max >= rep.i_at_midrange
         assert rep.inl_reference == "endpoint"
-        assert dnl(curve) == pytest.approx(list(rep.dnl), rel=1e-12)
-        assert inl(curve) == pytest.approx(list(rep.inl), rel=1e-12)
+        assert dnl_from_levels(curve.vdac) == pytest.approx(list(rep.dnl), rel=1e-12)
+        assert inl_from_levels(curve.vdac) == pytest.approx(list(rep.inl), rel=1e-12)
 
 
 monotone_levels = st.lists(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpiodac import network
-from gpiodac.analytic import SwitchModel, switch_model_output, two_resistor_output
 from gpiodac.devices import (
     DevicePair,
     LinearSwitch,
@@ -18,11 +17,9 @@ from gpiodac.network import (
     DacConfig,
     FourResistor,
     ParallelAttach,
-    SolverError,
     Standalone,
     TwoResistor,
     complement_check,
-    solve_code,
     solve_units,
     transfer_curve,
 )
@@ -31,6 +28,7 @@ from gpiodac.metrics import summary
 from gpiodac.sizing import check_saturation_window
 from oracles import (
     device_current,
+    divider,
     oracle_curve,
     oracle_solve,
     per_code_solve,
@@ -52,33 +50,33 @@ def cfg4(topology=None) -> DacConfig:
 
 class TestSolveCode:
     def test_rail_codes_float_to_rails_with_zero_current(self):
-        lo = solve_code(cfg4(), 0)
+        lo = solve_units(cfg4(), 0)
         assert lo.vdac == pytest.approx(0.0, abs=1e-9)
         assert lo.i_total == 0.0
-        hi = solve_code(cfg4(), 15)
+        hi = solve_units(cfg4(), 15)
         assert hi.vdac == pytest.approx(VDD, abs=1e-9)
         assert hi.i_total == 0.0
 
     def test_midrange_current_near_300mA(self):
-        sol = solve_code(cfg4(), 8)
+        sol = solve_units(cfg4(), 8)
         assert sol.i_total == pytest.approx(0.30, rel=0.20)
         assert sol.kcl_residual <= 1e-9
 
     def test_midrange_matches_oracle(self):
-        sol = solve_code(cfg4(), 8)
+        sol = solve_units(cfg4(), 8)
         vdac, _, _ = oracle_solve(cfg4(), 8)
         assert sol.vdac == pytest.approx(vdac, abs=1e-6)
 
     def test_invalid_code_rejected(self):
         with pytest.raises(ValueError):
-            solve_code(cfg4(), 16)
+            solve_units(cfg4(), 16)
         with pytest.raises(ValueError):
-            solve_code(cfg4(), -1)
+            solve_units(cfg4(), -1)
 
     def test_node_ordering_invariant(self):
         cfg = cfg4(FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=5.0))
         for code in range(16):
-            sol = solve_code(cfg, code)
+            sol = solve_units(cfg, code)
             assert sol.vs - 1e-9 <= sol.vdac <= sol.vd + 1e-9
             assert 0.0 <= sol.vdac <= VDD
             assert sol.kcl_residual <= 1e-9
@@ -139,19 +137,17 @@ class TestTransferCurve:
 
 class TestConstantConductanceReduction:
     def test_standalone_matches_divider_exactly(self):
-        m = SwitchModel(gop=0.05, gon=0.05, vdd=VDD, d_max=15)
         cfg = DacConfig(n_bits=4, vdd=VDD, devices=switch_pair(0.05))
         for row in transfer_curve(cfg).rows:
-            expected = switch_model_output(m, row.code, inverting=False)
+            expected = divider(row.code, 15 - row.code, 0.05, 0.05, VDD)
             assert row.vdac == pytest.approx(expected, abs=1e-9)
 
     def test_two_resistor_matches_divider_form(self):
-        m = SwitchModel(gop=0.05, gon=0.05, vdd=VDD, d_max=15)
         cfg = DacConfig(
             n_bits=4, vdd=VDD, devices=switch_pair(0.05), topology=TwoResistor(2.0, 4.0)
         )
         for row in transfer_curve(cfg).rows:
-            expected = two_resistor_output(m, row.code, gpp=0.5, gnn=0.25)
+            expected = divider(row.code, 15 - row.code, 0.05, 0.05, VDD, gpp=0.5, gpn=0.25)
             assert row.vdac == pytest.approx(expected, abs=1e-9)
 
 
@@ -206,21 +202,11 @@ class TestOracleEquivalence:
             cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=pair, topology=topo)
             codes = rng.integers(0, cfg.d_max + 1, size=3)
             for code in codes:
-                sol = solve_code(cfg, int(code))
+                sol = solve_units(cfg, int(code))
                 vdac, vd, vs = oracle_solve(cfg, int(code))
                 assert sol.vdac == pytest.approx(vdac, abs=1e-6), (trial, code)
                 assert sol.vd == pytest.approx(vd, abs=1e-6), (trial, code)
                 assert sol.vs == pytest.approx(vs, abs=1e-6), (trial, code)
-
-
-class TestSolveUnits:
-    def test_counts_match_codes(self):
-        for count in range(16):
-            assert solve_units(cfg4(), count).vdac == solve_code(cfg4(), count).vdac
-
-    def test_out_of_range_count(self):
-        with pytest.raises(ValueError):
-            solve_units(cfg4(), 16)
 
 
 class TestValidation:
@@ -252,10 +238,6 @@ class TestValidation:
             FourResistor(rsp=1.0, rsn=-1.0, rpp=1.0, rpn=1.0)
         # the shared-ground board case: rsn = 0 is legal
         FourResistor(rsp=1.0, rsn=0.0, rpp=1.0, rpn=1.0)
-
-    def test_solver_error_carries_diagnostics(self):
-        err = SolverError("no luck", code=5, residual=1e-3)
-        assert err.code == 5 and err.residual == 1e-3
 
 
 MISMATCHED = DevicePair(
@@ -398,7 +380,7 @@ class TestLaneIndependence:
         cfg = DacConfig(n_bits=5, vdd=VDD, devices=MISMATCHED, topology=topology)
         curve = transfer_curve(cfg)
         for code in range(cfg.d_max + 1):
-            assert curve.rows[code] == solve_code(cfg, code)
+            assert curve.rows[code] == solve_units(cfg, code)
         assert_matches_per_code_solver(curve)
 
     @settings(max_examples=50)
@@ -427,7 +409,7 @@ class TestLaneIndependence:
         curve = transfer_curve(cfg)
         codes = sample_codes(np.arange(cfg.d_max + 1))
         rows = [curve.rows[code] for code in codes]
-        assert np.array_equal(float_bits(rows), float_bits([solve_code(cfg, code) for code in codes]))
+        assert np.array_equal(float_bits(rows), float_bits([solve_units(cfg, code) for code in codes]))
         assert_matches_oracle(cfg, rows[::8])
 
     def test_int_and_one_element_list_agree(self):
@@ -454,7 +436,7 @@ class TestLaneIndependence:
 
 
 class TestFormerFailures:
-    """Configs where the damped-Newton solver and its bisection fallback raised SolverError."""
+    """Configs where the damped-Newton solver and its bisection fallback failed."""
 
     def test_failing_config_solves_code_3_and_matches_the_oracle(self):
         curve = transfer_curve(FAILING)
@@ -479,7 +461,7 @@ class TestFormerFailures:
         # Code 435 at rpp 5, rpn 7 and codes 439-451 at rpp = rpn from 2.35 to 12 ohm.
         base = DacConfig(n_bits=10, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES["four_supply"])
         assert not per_code_solve(base, 435)[4]
-        assert_matches_oracle(base, [solve_code(base, 435)])
+        assert_matches_oracle(base, [solve_units(base, 435)])
         for rp in (2.35, 5.0, 12.0):
             cfg = DacConfig(10, VDD, MISMATCHED, FourResistor(10.0, 2.0, rp, rp, SUPPLY))
             rows = solve_units(cfg, list(range(439, 452)))

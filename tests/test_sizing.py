@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import per_code_extract
 from test_network import MISMATCHED
@@ -74,6 +74,22 @@ class TestExtraction:
             ExtractedParams(vth=2.0, ron=40.0, vdd=VDD, linear_range=(1.0, 2.0))
         with pytest.raises(ExtractionError):
             ExtractedParams(vth=1.0, ron=-1.0, vdd=VDD, linear_range=(1.0, 2.0))
+
+    @pytest.mark.parametrize("vdac, i_per_pullup, message", [
+        # The run's span is -2 V, so vth = 3 V = 3/4 vdd and vov - vdd/4 is 0.
+        ([2.5, 0.5], [1e-2, 1e-2], "vth must be within (0, vdd/2), got vth=3.0, vdd=4.0"),
+        # The least subnormal current over a 3.125 V^2 triode term rounds k to 0: ron is inf.
+        ([1.5, 2.5], [5e-324, 5e-324], "ron must be finite and > 0, got inf"),
+    ], ids=["vth_three_quarters_vdd", "subnormal_current"])
+    def test_no_conductance_is_an_extraction_error(self, vdac, i_per_pullup, message):
+        columns = dict(codes=[0, 1], vdac=vdac, i_per_pullup=i_per_pullup,
+                       region_p=["triode"] * 2, region_n=["triode"] * 2, vdd=4.0)
+        for container in (list, tuple, np.asarray):
+            with pytest.raises(ExtractionError) as info:
+                extract_from_table(**{k: v if k == "vdd" else container(v)
+                                      for k, v in columns.items()})
+            assert str(info.value) == message
+        assert outcome(per_code_extract, **columns) == (ExtractionError, message)
 
 
 def outcome(extract, **columns):
@@ -159,8 +175,6 @@ class TestExtractionMatchesPerCodeReference:
     @given(extraction_tables(), st.sampled_from([tuple, np.asarray]))
     def test_tuple_and_ndarray_columns_match_list_columns(self, columns, container):
         want = outcome(extract_from_table, **columns)
-        # A float division by zero raises on Python floats but gives inf on numpy scalars.
-        assume(container is tuple or not isinstance(want, tuple) or want[0] is ExtractionError)
         given_as = {k: v if k == "vdd" else container(v) for k, v in columns.items()}
         got = outcome(extract_from_table, **given_as)
         if isinstance(got, tuple):  # numpy 2 writes a scalar in a message as np.float64(x)
@@ -172,9 +186,9 @@ class TestExtractionMatchesPerCodeReference:
     # nearest mid-scale, whose current is 0 in the edge cases. Outcomes recorded from that
     # numpy version.
     @pytest.mark.parametrize("vdac, i_per_pullup, message", [
-        ([0.2, 1.0, 1.8, NAN, 2.6, 3.5], [1e-2] * 6, "ron must be > 0, got nan"),
+        ([0.2, 1.0, 1.8, NAN, 2.6, 3.5], [1e-2] * 6, "ron must be finite and > 0, got nan"),
         ([0.2, 1.0, NAN, 2.3, 2.6, 3.5], [1e-2, 1e-2, 1e-2, 0.0, 1e-2, 1e-2],
-         "ron must be > 0, got nan"),
+         "ron must be finite and > 0, got nan"),
         ([0.2, NAN, 1.8, 2.3, 2.6, 3.5], [1e-2, 1e-2, 0.0, 1e-2, 1e-2, 1e-2],
          "vth must be within (0, vdd/2), got vth=nan, vdd=4.0"),
         ([0.2, 1.0, 1.8, 2.3, NAN, 3.5], [1e-2, 1e-2, 0.0, 1e-2, 1e-2, 1e-2],
@@ -302,8 +316,21 @@ class TestFourResistorSizing:
                 size_four_resistor(REF_PARAMS, it_target=it_target)
         with pytest.raises(SizingError, match="rs_total must be a number"):
             size_four_resistor(REF_PARAMS, it_target=0.2, rs_total=nan)
-        with pytest.raises(ExtractionError, match="ron must be > 0"):
-            ExtractedParams(vth=1.15, ron=nan, vdd=VDD, linear_range=(1.15, 2.15))
+        for ron in (nan, inf):
+            with pytest.raises(ExtractionError, match="ron must be finite and > 0"):
+                ExtractedParams(vth=1.15, ron=ron, vdd=VDD, linear_range=(1.15, 2.15))
+
+    def test_series_bounds_beyond_float_range_are_sizing_errors(self):
+        # (vdd - vth) / 1e-320 overflows; the midpoint rule would then make rsn 0 * inf = nan
+        with pytest.raises(SizingError, match=r"^it_target 1e-320 A is too small"):
+            size_four_resistor(REF_PARAMS, it_target=1e-320)
+
+    def test_largest_finite_series_bounds_size_finite_resistors(self):
+        # rs_lo + rs_hi overflows here, though each bound and their midpoint are finite
+        it_target = (VDD - REF_PARAMS.vth) / 1.7e308
+        sized = size_four_resistor(REF_PARAMS, it_target=it_target)
+        assert sized.rs_bounds[0] < sized.topology.rsp < sized.rs_bounds[1] < float("inf")
+        assert sized.topology.rsn == 0.0
 
 
 class TestSaturationWindow:

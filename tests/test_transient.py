@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpiodac.devices import calibrated_pair
-from gpiodac.network import DacConfig, Encoding, solve_code, transfer_curve
+from gpiodac.network import DacConfig, Encoding, solve_units, transfer_curve
 from gpiodac.transient import (
     TimingParams,
     Waveform,
     _drawn_staggers,
     detect_glitches,
-    pin_states,
     staircase_codes,
     synthesize,
 )
-from oracles import per_draw_staggers, per_pin_synthesize, per_sample_detect_glitches, transition_counts
+from oracles import (
+    per_draw_staggers,
+    per_pin_states,
+    per_pin_synthesize,
+    per_sample_detect_glitches,
+    transition_counts,
+)
 
 VDD = 3.3
 PAIR = calibrated_pair(VDD, 1.15, 40.0)
@@ -26,38 +31,6 @@ TIMING = TimingParams(t_rise=30e-9, t_fall=30e-9, skew_max=5e-9, sample_period=5
 
 def config(encoding: Encoding) -> DacConfig:
     return DacConfig(n_bits=4, vdd=VDD, devices=PAIR, encoding=encoding)
-
-
-class TestPinStates:
-    def test_binary_weighting(self):
-        # code 0b1010 asserts the bit-1 pair and the bit-3 group of eight
-        states = pin_states(0b1010, 4, Encoding.BINARY)
-        assert sum(states) == 10
-        assert states[0] is False          # bit 0 group
-        assert states[1] and states[2]     # bit 1 group
-        assert not any(states[3:7])        # bit 2 group
-        assert all(states[7:15])           # bit 3 group
-
-    def test_thermometer_prefix(self):
-        states = pin_states(5, 4, Encoding.THERMOMETER)
-        assert states == tuple(j < 5 for j in range(15))
-
-    def test_asserted_count_equals_code_for_both_encodings(self):
-        for code in range(16):
-            for enc in Encoding:
-                assert sum(pin_states(code, 4, enc)) == code
-
-    @pytest.mark.parametrize("encoding", list(Encoding))
-    def test_states_are_python_bools_and_numpy_codes_are_accepted(self, encoding):
-        states = pin_states(np.uint64(9), 4, encoding)
-        assert states == pin_states(9, 4, encoding)
-        assert all(type(s) is bool for s in states)
-
-    @pytest.mark.parametrize("encoding", list(Encoding))
-    @pytest.mark.parametrize("code", [2.5, 3.0, "3", True])
-    def test_non_integer_code_is_rejected(self, encoding, code):
-        with pytest.raises(ValueError, match=f"code {code!r} is not an integer"):
-            pin_states(code, 4, encoding)
 
 
 class TestSynthesize:
@@ -69,8 +42,8 @@ class TestSynthesize:
     def test_binary_major_carry_dips_through_zero_state(self):
         # the low-indexed (LSB) pins fall before the bit-3 group rises, so the
         # asserted count passes through zero exactly as the ordering oracle says
-        old = pin_states(7, 4, Encoding.BINARY)
-        new = pin_states(8, 4, Encoding.BINARY)
+        old = per_pin_states(7, 4, Encoding.BINARY)
+        new = per_pin_states(8, 4, Encoding.BINARY)
         counts = transition_counts(old, new, order=range(15))
         assert min(counts) == 0
         wave = synthesize(config(Encoding.BINARY), [7, 8], TIMING)
@@ -91,8 +64,8 @@ class TestSynthesize:
 
     def test_settled_levels_match_static_solver(self):
         wave = synthesize(config(Encoding.BINARY), [3, 12], TIMING)
-        assert wave.values[0] == pytest.approx(solve_code(config(Encoding.BINARY), 3).vdac)
-        assert wave.values[-1] == pytest.approx(solve_code(config(Encoding.BINARY), 12).vdac)
+        assert wave.values[0] == pytest.approx(solve_units(config(Encoding.BINARY), 3).vdac)
+        assert wave.values[-1] == pytest.approx(solve_units(config(Encoding.BINARY), 12).vdac)
 
     @pytest.mark.parametrize("encoding", list(Encoding))
     @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
