@@ -69,6 +69,29 @@ class TestClassifyRegion:
             classify_region(REF, 1.0, -0.1)
 
 
+def small_signal_ron(p, vgs):
+    """1 / (di/dvds) at vds = 0, read from the solver's square law."""
+    return 1.0 / current_and_derivatives(p, vgs, 0.0)[2]
+
+
+class TestOnResistance:
+    def test_reference_device_is_40_ohm(self):
+        assert small_signal_ron(REF, 3.3) == pytest.approx(40.0, rel=1e-3)
+
+    def test_doubling_k_halves_ron(self):
+        doubled = MosfetParams(Polarity.NMOS, vth=1.15, k=2 * REF.k)
+        assert small_signal_ron(doubled, 3.3) == pytest.approx(
+            0.5 * small_signal_ron(REF, 3.3), rel=1e-12
+        )
+        assert small_signal_ron(doubled, 3.3) == pytest.approx(20.0, rel=1e-3)
+
+    def test_zero_overdrive_has_no_conductance(self):
+        # at and below vth the unit is cut off: no current and no slope in vds
+        for vgs in (1.15, 1.0, 0.0):
+            i, di_dvgs, di_dvds = current_and_derivatives(REF, vgs, np.array([0.0, 0.5, 3.3]))
+            assert not i.any() and not di_dvgs.any() and not di_dvds.any()
+
+
 mosfets = st.builds(
     MosfetParams,
     polarity=st.sampled_from(list(Polarity)),

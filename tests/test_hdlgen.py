@@ -201,6 +201,21 @@ class TestValidation:
                        staircase_step_cycles=1, pin_assignments=((0, "A1"),), clock_pin="J3")
         assert generate_dac(spec).manifest["clock"]["hz"] == clock_hz
 
+    def test_pin_groups(self):
+        def group(index, encoding):
+            return generate_dac(spec_for("dut", encoding)).manifest["pins"][str(index)]["group"]
+
+        assert group(0, Encoding.BINARY) == "bit0"
+        assert group(2, Encoding.BINARY) == "bit1"
+        assert group(14, Encoding.BINARY) == "bit3"
+        assert group(3, Encoding.THERMOMETER) == "cell3"
+
+    @pytest.mark.parametrize("index", [-1, 15, 99])
+    def test_pin_index_out_of_range_is_refused(self, index):
+        pins = tuple((j, f"A{j + 1}") for j in range(14)) + ((index, "B1"),)
+        with pytest.raises(GenerationError, match=r"must cover 0\.\.d_max-1 exactly once"):
+            HdlSpec(n_bits=4, encoding=Encoding.BINARY, module_name="dut", clock_hz=1,
+                    staircase_step_cycles=1, pin_assignments=pins, clock_pin="J3")
 
 
 class TestHelpers:
@@ -217,6 +232,19 @@ class TestHelpers:
         art = generate_staircase(spec)
         table = decode_table(art.rtl_text, 1)
         assert table == {0: set(), 1: {0}}
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 50_000, 65_536, 65_537])
+    def test_staircase_counter_wraps_after_step_cycles(self, step):
+        # the code advances when the counter reads step - 1, held in the narrowest register
+        spec = HdlSpec(n_bits=2, encoding=Encoding.BINARY, module_name="st", clock_hz=1000,
+                       staircase_step_cycles=step,
+                       pin_assignments=((0, "A1"), (1, "A2"), (2, "A3")), clock_pin="J3")
+        rtl = generate_staircase(spec).rtl_text
+        top = int(re.search(r"reg \[(\d+):0\] step_ctr = 0;", rtl).group(1))
+        width, last = map(int, re.search(r"step_ctr == (\d+)'d(\d+)\)", rtl).groups())
+        assert width == top + 1
+        assert last == step - 1 < 1 << width
+        assert width == 1 or last >= 1 << (width - 1)
 
     def test_default_pins_are_unique(self):
         pins = default_pin_assignments(4)

@@ -25,7 +25,7 @@ from gpiodac.network import (
 )
 from gpiodac.cli import transfer_csv
 from gpiodac.metrics import summary
-from gpiodac.sizing import check_saturation_window
+from gpiodac.sizing import ExtractedParams, check_saturation_window, size_two_resistor
 from oracles import (
     device_current,
     divider,
@@ -149,6 +149,65 @@ class TestConstantConductanceReduction:
         for row in transfer_curve(cfg).rows:
             expected = divider(row.code, 15 - row.code, 0.05, 0.05, VDD, gpp=0.5, gpn=0.25)
             assert row.vdac == pytest.approx(expected, abs=1e-9)
+
+    def test_rails(self):
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=switch_pair(0.025))
+        assert solve_units(cfg, 0).vdac == pytest.approx(0.0, abs=1e-12)
+        assert solve_units(cfg, 15).vdac == pytest.approx(VDD, rel=1e-15)
+
+    def test_code_5_of_15(self):
+        # matched switches are the ideal DAC: code / d_max * vdd
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=switch_pair(0.025))
+        assert solve_units(cfg, 5).vdac == pytest.approx(1.1, rel=1e-12)
+
+    def test_mid_code_with_mismatch(self):
+        # 8 * gop / (8 * gop + 7 * gon) * 3.3
+        pair = DevicePair(pmos=LinearSwitch(0.025), nmos=LinearSwitch(0.0225))
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=pair)
+        expected = divider(8, 7, 0.025, 0.0225, VDD)
+        assert expected == pytest.approx(1.8461538461538463, rel=1e-12)
+        assert solve_units(cfg, 8).vdac == pytest.approx(expected, rel=1e-12)
+
+    def test_rail_code_collapses_divider(self):
+        pair = DevicePair(pmos=LinearSwitch(0.025), nmos=LinearSwitch(0.0225))
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=pair)
+        assert solve_units(cfg, 15).vdac == pytest.approx(VDD, rel=1e-15)
+        assert solve_units(cfg, 0).vdac == pytest.approx(0.0, abs=1e-12)
+
+    def test_vanishing_parallel_conductance_approaches_ideal(self):
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=switch_pair(0.025),
+                        topology=TwoResistor(rpp=1e12, rpn=1e12))
+        assert solve_units(cfg, 5).vdac == pytest.approx(5 / 15 * VDD, abs=1e-9)
+
+    @pytest.mark.parametrize("n_bits", [1, 4, 8])
+    def test_sized_two_resistor_pins_the_rails_at_vth(self, n_bits):
+        # alpha_g from the sizing rule maps codes 0 and d_max onto (vth, vdd - vth)
+        vth, g = 1.15, 0.025
+        params = ExtractedParams(vth=vth, ron=1.0 / g, vdd=VDD, linear_range=(vth, VDD - vth))
+        sized = size_two_resistor(params, (1 << n_bits) - 1)
+        cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=switch_pair(g), topology=sized.topology)
+        lo, hi = solve_units(cfg, [0, cfg.d_max])
+        assert lo.vdac == pytest.approx(vth, abs=1e-12)
+        assert hi.vdac == pytest.approx(VDD - vth, abs=1e-12)
+        assert sized.predicted_dynamic_range == pytest.approx((vth, VDD - vth), abs=1e-15)
+
+    @given(
+        gop=st.floats(1e-3, 1.0),
+        mismatch=st.floats(-0.9, 0.9),
+        rpp=st.floats(0.1, 1e3),
+        rpn=st.floats(0.1, 1e3),
+        n_bits=st.integers(1, 10),
+        data=st.data(),
+    )
+    def test_two_resistor_matches_divider_for_any_conductances(
+        self, gop, mismatch, rpp, rpn, n_bits, data
+    ):
+        gon = gop * (1.0 - mismatch)
+        pair = DevicePair(pmos=LinearSwitch(gop), nmos=LinearSwitch(gon))
+        cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=pair, topology=TwoResistor(rpp, rpn))
+        code = data.draw(st.integers(0, cfg.d_max))
+        expected = divider(code, cfg.d_max - code, gop, gon, VDD, gpp=1 / rpp, gpn=1 / rpn)
+        assert solve_units(cfg, code).vdac == pytest.approx(expected, abs=1e-9)
 
 
 class TestComplementCheck:

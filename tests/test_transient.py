@@ -12,6 +12,7 @@ from gpiodac.transient import (
     TimingParams,
     Waveform,
     _drawn_staggers,
+    _pin_events,
     detect_glitches,
     staircase_codes,
     synthesize,
@@ -31,6 +32,39 @@ TIMING = TimingParams(t_rise=30e-9, t_fall=30e-9, skew_max=5e-9, sample_period=5
 
 def config(encoding: Encoding) -> DacConfig:
     return DacConfig(n_bits=4, vdd=VDD, devices=PAIR, encoding=encoding)
+
+
+def pin_events(encoding: Encoding, old: int, new: int) -> tuple[list[int], list[int]]:
+    """(pins in event order, unit counts) of one transition of ``_pin_events``.
+
+    A skew of d_max staggers pin j by exactly j seconds, so each event time is its pin.
+    """
+    cfg = config(encoding)
+    times, counts = _pin_events(cfg, np.array([old, new]), np.zeros(2), float(cfg.d_max), None)
+    assert times[0] == 0.0 and all(t.is_integer() for t in times.tolist())
+    return [int(t) for t in times[1:]], counts.tolist()
+
+
+class TestPinEvents:
+    def test_binary_weighting(self):
+        # code 0b1010 asserts the bit-1 pair and the bit-3 group of eight
+        pins, counts = pin_events(Encoding.BINARY, 0, 0b1010)
+        assert pins == [1, 2, *range(7, 15)]
+        assert counts == list(range(11))
+
+    def test_thermometer_prefix(self):
+        assert pin_events(Encoding.THERMOMETER, 0, 5) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5])
+        assert pin_events(Encoding.THERMOMETER, 5, 2) == ([2, 3, 4], [5, 4, 3, 2])
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_changed_pins_are_the_pins_whose_state_differs(self, encoding):
+        for old in range(16):
+            for new in range(16):
+                was, now = per_pin_states(old, 4, encoding), per_pin_states(new, 4, encoding)
+                pins, counts = pin_events(encoding, old, new)
+                assert pins == [j for j in range(15) if was[j] != now[j]], (old, new)
+                assert counts == [old, *transition_counts(was, now, order=pins)], (old, new)
+                assert counts[-1] == new
 
 
 class TestSynthesize:
