@@ -162,6 +162,10 @@ class DacConfig:
             raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
         if not 0.0 < self.vdd < math.inf:
             raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
+        for name in ("rsp", "rsn", "rpp", "rpn"):
+            r = float(getattr(self.topology, name, 0.0))  # rsn = 0 is the shared ground rail
+            if r != 0.0 and not float(self.vdd) / r < math.inf:
+                raise ValueError(f"{name} = {r} ohm is too small: vdd / {name} is not finite")
 
     @property
     def d_max(self) -> int:

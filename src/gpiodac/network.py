@@ -415,7 +415,8 @@ def _warm_start(configs: Sequence[DacConfig], counts: np.ndarray, distinct: np.n
 def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Columns]:
     """counts under each config in turn as one lane batch: per config, its columns."""
     net = _Lanes(configs, counts)
-    with np.errstate(divide="ignore", invalid="ignore"):  # nan and inf only where discarded
+    # nan and inf only where discarded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         start = None
         if net.four:
             distinct = np.sort(counts)  # np.unique hashes ints first, at ~10x the cost of a sort

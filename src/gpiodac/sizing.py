@@ -169,6 +169,11 @@ def size_two_resistor(p: ExtractedParams, d_max: int) -> SizingResult:
         )
     alpha_g = d_max * p.vth / window
     rp = p.ron / alpha_g
+    if not (rp > 0.0 and p.vdd / rp < math.inf):
+        raise SizingError(
+            f"ron = {p.ron:.4g} ohm is too small: it sizes rpp = rpn = {rp:.4g} ohm, "
+            "and vdd / rp is not finite"
+        )
     return SizingResult(
         topology=TwoResistor(rpp=rp, rpn=rp),
         predicted_dynamic_range=(p.vth, p.vdd - p.vth),

@@ -26,7 +26,8 @@ not modeled because the glitch mechanism is purely an ordering effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,25 +36,89 @@ from .config import DacConfig, Encoding, TimingParams
 from .network import _checked_counts, solve_columns
 
 
-@dataclass(frozen=True)
 class Waveform:
     """Piecewise-constant output: values[i] holds from times[i] to times[i+1].
 
     annotations mark the commanded code instants; lsb_ref is the static
     full-scale LSB so excursions can be reported in code units.
+
+    A waveform is kept as arrays: the sample times, the distinct levels with
+    each sample's level index, and the annotation times and codes. The tuples
+    times, values and annotations are built on first access; values shares
+    one float object per level. Like a frozen dataclass of those five fields,
+    it refuses assignment and compares and hashes by their values.
     """
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    annotations: tuple[tuple[float, int], ...]
-    lsb_ref: float
-    vdd: float
+    _FIELDS = ("times", "values", "annotations", "lsb_ref", "vdd")
 
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.values):
+    def __init__(
+        self,
+        times: Sequence[float],
+        values: Sequence[float],
+        annotations: Sequence[tuple[float, int]],
+        lsb_ref: float,
+        vdd: float,
+    ) -> None:
+        values = np.array(values, dtype=np.float64)
+        marks = tuple(annotations)
+        self._fill(
+            np.array(times, dtype=np.float64),
+            values,
+            np.arange(len(values)),
+            np.array([t for t, _ in marks], dtype=np.float64),
+            np.array([code for _, code in marks], dtype=np.int64),
+            lsb_ref,
+            vdd,
+        )
+
+    @classmethod
+    def _of_arrays(cls, *fields) -> Waveform:
+        """The waveform of _fill's arrays, taken as they are."""
+        wave = cls.__new__(cls)
+        wave._fill(*fields)
+        return wave
+
+    def _fill(self, times, levels, index, mark_times, mark_codes, lsb_ref, vdd) -> None:
+        if len(times) != len(index):
             raise ValueError("times and values must have equal length")
-        if not np.all(np.diff(self.times) > 0):  # NaN compares false
+        if not np.all(np.diff(times) > 0):  # NaN compares false
             raise ValueError("times must be strictly ascending")
+        self.__dict__.update(
+            _times=times, _levels=levels, _index=index, _mark_times=mark_times,
+            _mark_codes=mark_codes, lsb_ref=lsb_ref, vdd=vdd,
+        )
+
+    @cached_property
+    def times(self) -> tuple[float, ...]:
+        return tuple(self._times.tolist())
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(map(self._levels.tolist().__getitem__, self._index.tolist()))
+
+    @cached_property
+    def annotations(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(self._mark_times.tolist(), self._mark_codes.tolist()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Waveform({', '.join(f'{name}={getattr(self, name)!r}' for name in self._FIELDS)})"
 
 
 _MASK = (1 << 128) - 1
@@ -235,17 +300,11 @@ def synthesize(
     # Pass 2: one batched solve resolves every distinct count.
     needed = np.sort(np.concatenate(([d_max, 0], counts)))  # np.unique hashes, at ~4x the cost
     needed = needed[np.append(True, needed[1:] != needed[:-1])]
-    # One float object per level, shared by every sample that holds it.
-    level = dict(zip(needed.tolist(), solve_columns(config, needed)["vdac"].tolist()))
-    vfs = level[d_max] - level[0]
+    levels = solve_columns(config, needed)["vdac"]
+    vfs = float(levels[-1]) - float(levels[0])  # needed runs from 0 to d_max
     lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
-    return Waveform(
-        times=tuple(times[last].tolist()),
-        values=tuple(map(level.__getitem__, counts[last].tolist())),
-        annotations=tuple(zip(t_code.tolist(), codes.tolist())),
-        lsb_ref=lsb_ref,
-        vdd=config.vdd,
-    )
+    index = np.searchsorted(needed, counts[last])
+    return Waveform._of_arrays(times[last], levels, index, t_code, codes, lsb_ref, config.vdd)
 
 
 def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
@@ -258,10 +317,9 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     """
     if not band >= 0.0:  # NaN fails it too
         raise ValueError(f"band must be >= 0, got {band}")
-    times, values = np.asarray(w.times, dtype=float), np.asarray(w.values, dtype=float)
-    starts = [t for t, _ in w.annotations[1:]]
+    times, values = w._times, w._levels[w._index]
     # Transition k holds the samples from its own annotation time up to the next one's.
-    edges = np.searchsorted(times, np.append(starts, np.inf))
+    edges = np.searchsorted(times, np.append(w._mark_times[1:], np.inf))
     first, last = edges[:-1], edges[1:]
     moved = (first > 0) & (last > first)  # a sample before it, and a pin moved
     first, last = first[moved], last[moved]
@@ -276,9 +334,11 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     below, above = lo[owner] - values[idx], values[idx] - hi[owner]
     depth = np.where(above > below, above, below)
     hit = depth > 0.0
+    samples = idx[hit].tolist()
+    if not samples:  # w.times is built only for a report
+        return []
     # Reported times reuse the waveform's float objects instead of copying them.
-    times_hit = map(w.times.__getitem__, idx[hit].tolist())
-    return list(zip(times_hit, (depth[hit] / w.lsb_ref + band).tolist()))
+    return list(zip(map(w.times.__getitem__, samples), (depth[hit] / w.lsb_ref + band).tolist()))
 
 
 def staircase_codes(n_bits: int, repeats: int = 1) -> list[int]:

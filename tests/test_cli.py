@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +270,16 @@ class TestSize:
         )
         assert not (workdir / "out").exists()
 
+    def test_on_resistance_too_small_for_float_range_is_exit_4_naming_it(self, workdir, capsys):
+        # rp = ron / alpha_g = 5.8e-322 ohm, whose conductance times vdd overflows.
+        assert main(["size", "two-resistor", "--vth", "1.15", "--vdd", "3.3", "--ron", "1e-320",
+                     "-o", "out"]) == 4
+        assert capsys.readouterr().err == (
+            "gpiodac: error: sizing: ron = 1e-320 ohm is too small: it sizes rpp = rpn = "
+            "5.781e-322 ohm, and vdd / rp is not finite\n"
+        )
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", ["--vth", "--ron", "--vdd", "--it", "--split", "--rs-total"])
     def test_non_finite_flag_is_exit_2_naming_the_flag(self, workdir, capsys, flag, value):
@@ -504,6 +516,43 @@ class TestConfigErrors:
         assert err.startswith(f"gpiodac: error: config: {message}")
         assert err.count("\n") == 1
         assert not (workdir / "out" / "waveform.csv").exists()
+
+    @pytest.mark.parametrize(
+        "topology, message",
+        [
+            # Once a traceback: json_text refused the NaN columns.
+            ({"kind": "four_resistor", "rsp": 1e-320, "rsn": 1e-320, "rpp": 5.0, "rpn": 7.0},
+             "dac: rsp = 1e-320 ohm is too small: vdd / rsp is not finite"),
+            # Once exit 4 after numpy warnings.
+            ({"kind": "two_resistor", "rpp": 1e-308, "rpn": 1e-308},
+             "dac: rpp = 1e-308 ohm is too small: vdd / rpp is not finite"),
+            ({"kind": "four_resistor", "rsp": 10.0, "rsn": 2.0, "rpp": 5.0, "rpn": 1e-309},
+             "dac: rpn = 1e-309 ohm is too small: vdd / rpn is not finite"),
+        ],
+    )
+    def test_resistance_beyond_float_range_exits_2_naming_the_key(
+        self, workdir, capsys, topology, message
+    ):
+        cfg = write_config(workdir, {"dac.topology": topology})
+        assert main(["simulate", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"gpiodac: error: config: {message}\n"
+        assert not (workdir / "out").exists()
+
+    def test_overflowing_solve_prints_only_its_error_line(self, workdir, capsys):
+        devices = {slot: {"vth": 1.15, "k": 1e-300} for slot in ("pmos", "nmos")}
+        topology = {"kind": "four_resistor", "rsp": 1e-300, "rsn": 1e-300, "rpp": 1e-300,
+                    "rpn": 1e-300}
+        cfg = write_config(workdir, {"dac.devices": devices, "dac.topology": topology})
+        with warnings.catch_warnings():
+            # Print every warning to stderr, as a run outside the test runner does.
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda *args, **kwargs: sys.stderr.write(
+                warnings.formatwarning(*args[:4]))
+            status = main(["simulate", "-c", str(cfg)])
+        err = capsys.readouterr().err
+        assert status == 4
+        assert err.count("\n") == 1 and err.startswith("gpiodac: error: ")
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value, message",

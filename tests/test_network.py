@@ -1,5 +1,7 @@
 """Operating-point solver checks against the nested-bisection oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +299,24 @@ class TestValidation:
             FourResistor(rsp=1.0, rsn=-1.0, rpp=1.0, rpn=1.0)
         # the shared-ground board case: rsn = 0 is legal
         FourResistor(rsp=1.0, rsn=0.0, rpp=1.0, rpn=1.0)
+
+    @pytest.mark.parametrize("name", ["rsp", "rsn", "rpp", "rpn"])
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-308, np.float64(0.9 * VDD / np.finfo(float).max)])
+    def test_resistance_whose_conductance_times_vdd_overflows(self, name, tiny):
+        values = {"rsp": 10.0, "rsn": 2.0, "rpp": 5.0, "rpn": 7.0, name: tiny}
+        message = f"^{name} = .* ohm is too small: vdd / {name} is not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy scalar is divided as a float, unwarned
+            with pytest.raises(ValueError, match=message):
+                DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=FourResistor(**values))
+            if name.startswith("rp"):
+                with pytest.raises(ValueError, match=f"^{name} = "):
+                    DacConfig(4, VDD, PAIR, TwoResistor(**{"rpp": 5.0, "rpn": 7.0, name: tiny}))
+
+    def test_smallest_resistance_vdd_allows_is_accepted(self):
+        edge = np.float64(1.01 * VDD / np.finfo(float).max)
+        DacConfig(4, VDD, PAIR, FourResistor(rsp=edge, rsn=0.0, rpp=edge, rpn=edge))
+        DacConfig(4, VDD, PAIR, TwoResistor(rpp=edge, rpn=edge))
 
 
 MISMATCHED = DevicePair(

@@ -247,6 +247,18 @@ class TestTwoResistorSizing:
         assert result.alpha_g > 1e4
         assert result.topology.rpp < 0.005
 
+    @pytest.mark.parametrize("ron", [1e-320, 5e-324, 2e-307])
+    def test_resistance_whose_conductance_overflows_is_refused_naming_ron(self, ron):
+        # 2e-307 ohm sizes rp = 1.2e-308 ohm at 4 bits, a normal float whose vdd / rp overflows.
+        params = ExtractedParams(vth=1.15, ron=ron, vdd=VDD, linear_range=(1.15, 2.15))
+        with pytest.raises(SizingError, match=r"^ron = .* vdd / rp is not finite$"):
+            size_two_resistor(params, 15)
+
+    def test_smallest_sized_resistance_builds_a_config(self):
+        # A sizing that passes the check gives a topology DacConfig accepts.
+        params = ExtractedParams(vth=1.15, ron=1e-305, vdd=VDD, linear_range=(1.15, 2.15))
+        DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=size_two_resistor(params, 15).topology)
+
     def test_sizing_closes_the_loop(self):
         curve = standalone_curve()
         params = extract_parameters(curve)

@@ -1,6 +1,7 @@
 """Pin-skew replay: glitch generation and detection."""
 
 from bisect import bisect_left
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -181,6 +182,66 @@ class TestSynthesize:
             Waveform((0.0, 1.0, 1.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
         with pytest.raises(ValueError, match="strictly ascending"):
             Waveform((0.0, 2.0, 1.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
+
+    def test_waveform_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Waveform((0.0, 1.0), (0.0,), (), 1.0, VDD)
+
+
+class TestWaveformContract:
+    """A waveform is kept as arrays; what it shows is a frozen dataclass of tuples."""
+
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_tuples_hold_python_floats_and_ints(self, skew_mode):
+        wave = synthesize(config(Encoding.BINARY), staircase_codes(4), TIMING, skew_mode, seed=5)
+        for field in (wave.times, wave.values, wave.annotations):
+            assert type(field) is tuple
+        assert all(type(t) is float for t in wave.times)
+        assert all(type(v) is float for v in wave.values)
+        assert all(type(t) is float and type(c) is int for t, c in wave.annotations)
+        assert wave.annotations == tuple((k * TIMING.sample_period, k) for k in range(16))
+        assert type(wave.lsb_ref) is float
+        assert wave.times is wave.times  # built once, then kept
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_waveform_of_sequences_equals_and_hashes_like_the_replay(self, encoding):
+        wave = synthesize(config(encoding), staircase_codes(4) + [7, 8], TIMING)
+        fields = (wave.times, wave.values, wave.annotations, wave.lsb_ref, wave.vdd)
+        as_lists = (*map(list, fields[:3]), wave.lsb_ref, wave.vdd)
+        for built in (Waveform(*fields), Waveform(*as_lists)):
+            assert built == wave and wave == built
+            assert hash(built) == hash(wave)
+            assert (built.times, built.values, built.annotations) == fields[:3]
+        other = Waveform(wave.times, wave.values, wave.annotations, wave.lsb_ref / 2, wave.vdd)
+        assert other != wave
+        assert wave != fields and wave.__eq__(fields) is NotImplemented
+        assert len({wave, Waveform(*fields)}) == 1
+
+    def test_assignment_and_deletion_are_refused(self):
+        wave = synthesize(config(Encoding.BINARY), [7, 8], TIMING)
+        for name in ("times", "values", "annotations", "lsb_ref", "vdd", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(wave, name, ())
+        for name in ("times", "lsb_ref"):
+            with pytest.raises(FrozenInstanceError):
+                delattr(wave, name)
+        assert wave == synthesize(config(Encoding.BINARY), [7, 8], TIMING)
+
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_11_bit_values_share_one_float_per_level(self, skew_mode):
+        # A binary staircase passes through each level many times.
+        cfg = DacConfig(11, VDD, PAIR)
+        wave = synthesize(cfg, staircase_codes(11), TIMING, skew_mode, seed=1)
+        assert len(wave.values) > 5 * (cfg.d_max + 1)
+        assert len({id(v) for v in wave.values}) <= cfg.d_max + 1
+
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_glitch_times_are_the_waveform_floats(self, skew_mode):
+        wave = synthesize(DacConfig(11, VDD, PAIR), staircase_codes(11), TIMING, skew_mode, seed=1)
+        glitches = detect_glitches(wave, 0.5)
+        assert glitches
+        own = {id(t) for t in wave.times}
+        assert all(id(t) in own for t, _ in glitches)
 
 
 class TestDetectGlitches:
