@@ -149,6 +149,17 @@ Topology = Union[Standalone, TwoResistor, FourResistor]
 MAX_BITS = 16  # 2^16 - 1 unit cells is the practical full-sweep ceiling
 
 
+def _nonfinite_conductance(vdd: float, resistances) -> tuple[str, float] | None:
+    """The first (name, r) of resistances whose vdd / r is not finite, or None.
+
+    rsn = 0 passes: it is the shared ground rail, not a resistor.
+    """
+    for name, r in resistances:
+        if not (r > 0.0 and vdd / r < math.inf) and not (name == "rsn" and r == 0.0):
+            return name, r
+    return None
+
+
 @dataclass(frozen=True)
 class DacConfig:
     n_bits: int
@@ -162,10 +173,11 @@ class DacConfig:
             raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
         if not 0.0 < self.vdd < math.inf:
             raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
-        for name in ("rsp", "rsn", "rpp", "rpn"):
-            r = float(getattr(self.topology, name, 0.0))  # rsn = 0 is the shared ground rail
-            if r != 0.0 and not float(self.vdd) / r < math.inf:
-                raise ValueError(f"{name} = {r} ohm is too small: vdd / {name} is not finite")
+        resistances = [(name, float(getattr(self.topology, name)))
+                       for name in ("rsp", "rsn", "rpp", "rpn") if hasattr(self.topology, name)]
+        bad = _nonfinite_conductance(float(self.vdd), resistances)
+        if bad is not None:
+            raise ValueError(f"{bad[0]} = {bad[1]} ohm is too small: vdd / {bad[0]} is not finite")
 
     @property
     def d_max(self) -> int:

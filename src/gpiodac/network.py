@@ -76,6 +76,7 @@ _RTOL = 1e-15  # rounding left on a node's residual, relative to its current mag
 _ATOL = 1e-18  # amperes, for nodes that carry no current
 _XTOL = 8.0 * np.finfo(float).eps  # of a level's span: a root this close is as good as found
 _MAX_LANES = 1 << 16  # lanes of one batch of whole curves (one 16-bit curve): bounds peak memory
+_DISCARDED = dict(divide="ignore", over="ignore", invalid="ignore")  # a solve's nan and inf are dropped
 
 
 @dataclass(frozen=True)
@@ -412,18 +413,28 @@ def _warm_start(configs: Sequence[DacConfig], counts: np.ndarray, distinct: np.n
                  if np.ndim(x) else x for x in solved)
 
 
-def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Columns]:
-    """counts under each config in turn as one lane batch: per config, its columns."""
+def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tuple]:
+    """counts under each config in turn as one lane batch: the batch and its (vdac, vd, vs).
+
+    A four-resistor batch of over 2 * WARM_STRIDE distinct counts starts its
+    rails from _warm_start; any other starts cold.
+    """
     net = _Lanes(configs, counts)
-    # nan and inf only where discarded
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**_DISCARDED):
         start = None
         if net.four:
             distinct = np.sort(counts)  # np.unique hashes ints first, at ~10x the cost of a sort
             distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
             if len(distinct) > 2 * WARM_STRIDE:
                 start = _warm_start(configs, counts, distinct)
-        columns = net.columns(*net.solve(start))
+        return net, net.solve(start)
+
+
+def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Columns]:
+    """counts under each config in turn as one lane batch: per config, its columns."""
+    net, solved = _solve(configs, counts)
+    with np.errstate(**_DISCARDED):
+        columns = net.columns(*solved)
     n = len(counts)
     return [{name: c[first : first + n] if np.ndim(c) else c for name, c in columns.items()}
             for first in range(0, len(net.counts), n)]

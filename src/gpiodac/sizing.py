@@ -27,6 +27,7 @@ from .config import (
     Standalone,
     Topology,
     TwoResistor,
+    _nonfinite_conductance,
 )
 
 if TYPE_CHECKING:
@@ -169,7 +170,7 @@ def size_two_resistor(p: ExtractedParams, d_max: int) -> SizingResult:
         )
     alpha_g = d_max * p.vth / window
     rp = p.ron / alpha_g
-    if not (rp > 0.0 and p.vdd / rp < math.inf):
+    if _nonfinite_conductance(p.vdd, [("rp", rp)]):
         raise SizingError(
             f"ron = {p.ron:.4g} ohm is too small: it sizes rpp = rpn = {rp:.4g} ohm, "
             "and vdd / rp is not finite"
@@ -234,6 +235,12 @@ def size_four_resistor(
     rsp = split * rs_total
     rsn = (1.0 - split) * rs_total
     rp = p.vth / it_target
+    bad = _nonfinite_conductance(p.vdd, [("rsp", rsp), ("rsn", rsn), ("rpp", rp), ("rpn", rp)])
+    if bad is not None:
+        raise SizingError(
+            f"it_target {it_target:.4g} A with split {split:.4g} sizes {bad[0]} = {bad[1]:.4g} ohm, "
+            f"and vdd / {bad[0]} is not finite"
+        )
     strong_inversion_ok = p.vdd - it_target * rs_total >= p.vth
     vdac_min = p.vdd - it_target * rsp - p.vth
     vdac_max = it_target * rsn + p.vth

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .config import DacConfig, Encoding, TimingParams
-from .network import _checked_counts, solve_columns
+from .network import _checked_counts, _solve
 
 
 class Waveform:
@@ -300,7 +301,7 @@ def synthesize(
     # Pass 2: one batched solve resolves every distinct count.
     needed = np.sort(np.concatenate(([d_max, 0], counts)))  # np.unique hashes, at ~4x the cost
     needed = needed[np.append(True, needed[1:] != needed[:-1])]
-    levels = solve_columns(config, needed)["vdac"]
+    _, (levels, _, _) = _solve([config], needed)
     vfs = float(levels[-1]) - float(levels[0])  # needed runs from 0 to d_max
     lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
     index = np.searchsorted(needed, counts[last])
@@ -337,8 +338,10 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     samples = idx[hit].tolist()
     if not samples:  # w.times is built only for a report
         return []
-    # Reported times reuse the waveform's float objects instead of copying them.
-    return list(zip(map(w.times.__getitem__, samples), (depth[hit] / w.lsb_ref + band).tolist()))
+    # Reported times reuse the waveform's float objects instead of copying them; the leading 0
+    # keeps itemgetter's result a tuple when one sample is reported.
+    times = itemgetter(0, *samples)(w.times)[1:]
+    return list(zip(times, (depth[hit] / w.lsb_ref + band).tolist()))
 
 
 def staircase_codes(n_bits: int, repeats: int = 1) -> list[int]:

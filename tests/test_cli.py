@@ -270,6 +270,26 @@ class TestSize:
         )
         assert not (workdir / "out").exists()
 
+    def test_target_current_too_large_for_float_range_is_exit_4_naming_it(self, workdir, capsys):
+        # rsp = 1.575e-308 and rpp = rpn = 1.15e-308 ohm, whose conductances times vdd overflow.
+        assert main(["size", "four-resistor", "--vth", "1.15", "--vdd", "3.3", "--it", "1e308",
+                     "-o", "out"]) == 4
+        assert capsys.readouterr().err == (
+            "gpiodac: error: sizing: it_target 1e+308 A with split 1 sizes rsp = 1.575e-308 ohm, "
+            "and vdd / rsp is not finite\n"
+        )
+        assert not (workdir / "out").exists()
+
+    def test_zero_split_is_exit_4_naming_the_supply_series_resistor(self, workdir, capsys):
+        # split = 0 sizes rsp = 0; only rsn = 0 has a meaning (the shared ground rail).
+        assert main(["size", "four-resistor", "--vth", "1.15", "--vdd", "3.3", "--it", "0.2",
+                     "--split", "0", "-o", "out"]) == 4
+        assert capsys.readouterr().err == (
+            "gpiodac: error: sizing: it_target 0.2 A with split 0 sizes rsp = 0 ohm, "
+            "and vdd / rsp is not finite\n"
+        )
+        assert not (workdir / "out").exists()
+
     def test_on_resistance_too_small_for_float_range_is_exit_4_naming_it(self, workdir, capsys):
         # rp = ron / alpha_g = 5.8e-322 ohm, whose conductance times vdd overflows.
         assert main(["size", "two-resistor", "--vth", "1.15", "--vdd", "3.3", "--ron", "1e-320",

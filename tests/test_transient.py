@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpiodac.network
 from gpiodac.devices import calibrated_pair
-from gpiodac.network import DacConfig, Encoding, solve_units, transfer_curve
+from gpiodac.network import (
+    WARM_STRIDE,
+    DacConfig,
+    Encoding,
+    FourResistor,
+    ParallelAttach,
+    solve_columns,
+    solve_units,
+    transfer_curve,
+)
 from gpiodac.transient import (
     TimingParams,
     Waveform,
@@ -242,6 +252,49 @@ class TestWaveformContract:
         assert glitches
         own = {id(t) for t in wave.times}
         assert all(id(t) in own for t, _ in glitches)
+
+
+class TestReplayLevels:
+    @pytest.mark.parametrize(
+        "topology",
+        [None, *(FourResistor(10.0, 2.0, 5.0, 7.0, attach) for attach in ParallelAttach)],
+        ids=["standalone", *(f"four_{attach.value}" for attach in ParallelAttach)],
+    )
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_levels_are_the_static_solve_bit_for_bit(self, monkeypatch, topology, skew_mode):
+        cfg = DacConfig(8, VDD, PAIR, **({"topology": topology} if topology else {}))
+        warm_starts, real = [], gpiodac.network._warm_start
+
+        def counted(*args):
+            warm_starts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gpiodac.network, "_warm_start", counted)
+        # A staircase reaches every count, so the replay solves 0..d_max as one batch.
+        wave = synthesize(cfg, staircase_codes(8), TIMING, skew_mode, seed=2)
+        assert cfg.d_max + 1 > 2 * WARM_STRIDE
+        assert len(warm_starts) == (topology is not None)
+        vdac = solve_columns(cfg, np.arange(cfg.d_max + 1))["vdac"]
+        assert len(warm_starts) == 2 * (topology is not None)
+        assert wave._levels.tobytes() == vdac.tobytes()
+        assert set(wave.values) == set(vdac.tolist())
+
+
+class TestGlitchReport:
+    """detect_glitches reports a list of (time, excursion) pairs, each time the waveform's float."""
+
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    def test_11_bit_pairs_are_the_per_sample_list(self, skew_mode):
+        wave = synthesize(DacConfig(11, VDD, PAIR), staircase_codes(11), TIMING, skew_mode, seed=1)
+        glitches = detect_glitches(wave, 0.5)
+        assert type(glitches) is list and len(glitches) > 10_000
+        assert glitches == per_sample_detect_glitches(wave, 0.5)
+
+    def test_one_reported_sample_is_a_one_pair_list(self):
+        wave = Waveform((0.0, 1.0, 2.0), (0.0, 5.0, 1.0), ((0.0, 0), (0.5, 1)), 1.0, VDD)
+        glitches = detect_glitches(wave, 0.0)
+        assert glitches == [(1.0, 4.0)]
+        assert glitches[0][0] is wave.times[1]
 
 
 class TestDetectGlitches:
