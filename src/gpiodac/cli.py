@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -294,14 +293,12 @@ def load_config(path: str | Path) -> ProjectConfig:
 
 def write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # A fresh name next to path; created 0666, the kernel takes the umask off as open() would.
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-            # mkstemp makes the file 0600; give it the mode open() would, 0666 less the umask.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -21,6 +21,13 @@ operation over the lanes that still need it.
   decreasing, C1, piecewise-quadratic function of vdac. Its knees are where
   a group saturates or its vds changes sign. The two knees that bracket the
   root fix one quadratic, whose root the cancellation-free formula gives.
+  Within [vs, vd] the residual is needed on four rows: the bracket's ends
+  and the two saturation knees between them. The general law runs on the
+  two knee rows only. At each end one group has vds = 0 and the other
+  vds = vgs, which saturates it, so both follow per lane from k*vov in a few
+  operations, bit for bit what the law gives there. A lane whose root
+  supply-attached resistors pull past the local rails is solved again over
+  [0, vdd], on the general rows.
 * The rails of a four-resistor config are solved by Newton steps kept inside
   per-lane brackets (0 <= vs <= vd <= vdd), bisecting where a step leaves its
   bracket or stalls, each evaluation putting the levels below on their
@@ -39,7 +46,8 @@ WARM_STRIDE-th count, interpolated. Such a batch agrees with one-code solves
 only as far as rounding defines the rails: ~1e-13 V for 12-bit curves of
 calibrated devices, more where the rails are weakly tied to the supply.
 Configs that differ only in rpp/rpn (an rp sweep) solve as one batch with
-per-lane conductances, each curve bit for bit as it solves alone. A solve
+per-lane conductances, each curve bit for bit as it solves alone; a batch
+of one config keeps them as floats. A solve
 returns columns, one array per NodeSolution field; a TransferCurve keeps them
 and builds its NodeSolution rows only when they are first read.
 """
@@ -68,7 +76,7 @@ from .config import (
     Topology,
     TwoResistor,
 )
-from .devices import classify_region, current_and_derivatives
+from .devices import _at_ends, _law, _overdrive, classify_region, current_and_derivatives
 
 MAX_ITERATIONS = 200  # Newton or bisection steps per lane and rail level
 WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a large four-resistor batch's start
@@ -148,14 +156,13 @@ class _Lanes:
     """KCL of a batch of lanes, one pull-up count and config per lane, and its solve.
 
     The lanes are the counts under each config in turn. The configs differ at
-    most in rpp and rpn, so gpp and gpn are per-lane arrays like up and dn.
-    Node voltages are floats or arrays over the lanes; take(lanes) gives the
-    batch of some lanes.
+    most in rpp and rpn, so where they differ gpp and gpn are per-lane arrays
+    like up and dn, else floats. Node voltages are floats or arrays over the
+    lanes; take(lanes) gives the batch of some lanes, and take(slice(None))
+    the batch itself.
     """
 
     def __init__(self, configs: Sequence[DacConfig], counts: np.ndarray):
-        point = np.repeat(np.arange(len(configs)), len(counts))
-        counts = np.tile(counts, len(configs))
         self.cfg = config = configs[0]
         topo = config.topology
         self.four = isinstance(topo, FourResistor)
@@ -163,7 +170,12 @@ class _Lanes:
         standalone = isinstance(topo, Standalone)
         gp = [(0.0, 0.0) if standalone else (1.0 / c.topology.rpp, 1.0 / c.topology.rpn)
               for c in configs]
-        self.gpp, self.gpn = (np.array(g)[point] for g in zip(*gp))
+        if len(set(gp)) == 1:
+            self.gpp, self.gpn = gp[0]
+        else:
+            point = np.repeat(np.arange(len(configs)), len(counts))
+            self.gpp, self.gpn = (np.array(g)[point] for g in zip(*gp))
+        counts = np.tile(counts, len(configs))
         self.gp = self.gpp + self.gpn
         self.inner = (not self.four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
         self.gsp = 1.0 / topo.rsp if self.four else 0.0
@@ -175,19 +187,23 @@ class _Lanes:
         self.up, self.dn = counts.astype(float), (config.d_max - counts).astype(float)
 
     def take(self, lanes) -> _Lanes:
+        if isinstance(lanes, slice):
+            return self
         sub = copy(self)
         for name in ("counts", "up", "dn", "gpp", "gpn", "gp"):
-            setattr(sub, name, getattr(self, name)[lanes])
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                setattr(sub, name, value[lanes])
         return sub
 
-    def knees(self, vd, vs, wide: bool) -> list:
+    def knees(self, vd, vs, over, wide: bool) -> list:
         """vdac where a group's unit current changes formula: it saturates, or its vds changes
-        sign. Within [vs, vd] only the saturation edges fall; wide adds those past the rails."""
+        sign. over holds each group's vgs - vth, None for a LinearSwitch, which has no knee.
+        Within [vs, vd] only the saturation edges fall; wide adds those past the rails."""
         knees = []
-        for dev, rail, sign in ((self.cfg.devices.pmos, vd, -1.0), (self.cfg.devices.nmos, vs, 1.0)):
-            if isinstance(dev, MosfetParams):  # a LinearSwitch has no knee
-                vov = (vd - vs) - dev.vth
-                knees += [rail - vov, rail, rail + vov] if wide else [rail + sign * vov]
+        for rail, u, pmos in ((vd, over[0], True), (vs, over[1], False)):
+            if u is not None:
+                knees += [rail - u, rail, rail + u] if wide else [rail - u if pmos else rail + u]
         return knees
 
     def output_node(self, vd, vs, wide: bool = False) -> np.ndarray:
@@ -202,24 +218,35 @@ class _Lanes:
         not within [vs, vd] is solved again over [0, vdd] (wide).
         """
         cfg = self.cfg
+        vgs = vd - vs
+        over = [vgs - dev.vth if isinstance(dev, MosfetParams) else None
+                for dev in (cfg.devices.pmos, cfg.devices.nmos)]
+        vov = [None if u is None else np.maximum(u, 0.0) for u in over]  # as _overdrive gives it
         lo, hi = (0.0, cfg.vdd) if wide else (vs, vd)
-        knees = self.knees(vd, vs, wide)
-        if not wide and len(knees) == 2:
-            knees = [np.minimum(*knees), np.maximum(*knees)]  # as a sort over rows would, faster
+        knees = self.knees(vd, vs, over, wide)
         # One row per point, ascending; one column per lane (or one for all lanes).
-        at = np.empty((len(knees) + 2, np.size(vd - vs)))
+        at = np.empty((len(knees) + 2, np.size(vgs)))
         at[0], at[-1] = lo, hi
-        for row, knee in enumerate(knees, 1):
-            at[row] = knee
-        at = np.clip(at, lo, hi)
+        if not wide and len(knees) == 2:  # in order, as a sort over rows would put them, faster
+            np.minimum(*knees, out=at[1])
+            np.maximum(*knees, out=at[2])
+        else:
+            for row, knee in enumerate(knees, 1):
+                at[row] = knee
+        at = np.minimum(np.maximum(at, lo, out=at), hi, out=at)  # np.clip, without its wrapper
         if wide:
             at.sort(axis=0)
-        f, s = self.output_kcl(at, vd, vs)
-        lanes = np.arange(len(self.up))
-        col = lanes if len(at[0]) > 1 else 0  # at's column of each lane
-        left = np.count_nonzero(f >= 0.0, axis=0) - 1  # f falls along the rows, >= 0 at lo
-        right = np.minimum(left + 1, len(at) - 1)
-        x0, x1, f0, s0, s1 = at[left, col], at[right, col], f[left, lanes], s[left, lanes], s[right, lanes]
+        f, s = self.output_kcl(at, vd, vs, vov, bracket=not wide)
+        n = len(self.up)
+        above = np.add.reduce(f >= 0.0, axis=0)  # f falls along the rows, >= 0 at lo
+        left, right = above - 1, np.minimum(above, len(at) - 1)
+        # Flat indices of each lane's two rows in f and s, and in at, which may have one column
+        # for all lanes; a left of -1 is the last row, as in f[-1].
+        lanes = np.arange(n)
+        i0, i1 = left * n + lanes, right * n + lanes
+        j0, j1 = (i0, i1) if at.shape[1] > 1 else (left, right)
+        points, slopes = at.ravel(), s.ravel()
+        x0, x1, f0, s0, s1 = points[j0], points[j1], f.ravel()[i0], slopes[i0], slopes[i1]
         # f0 - s0*t + a*t^2 = 0 on [x0, x1], where s is linear, a = (s0 - s1) / (2 (x1 - x0));
         # s0 > 0 <= f0, so the root 2*f0 / (sqrt(s0^2 - 4*a*f0) + s0) adds two terms of one sign.
         # Where x1 = x0 the root is x0 (a may be nan there; fmin drops the nan).
@@ -233,15 +260,38 @@ class _Lanes:
                 vdac[miss] = self.take(miss).output_node(vd, vs, wide=True)
         return vdac
 
-    def output_kcl(self, vdac, vd, vs):
-        """Output-node residual f and -df/dvdac at vdac (one row per point, or one point)."""
+    def output_kcl(self, at, vd, vs, vov, bracket: bool):
+        """Output-node residual f and -df/dvdac at the rows of at, one column per lane (or one
+        for all lanes); vov holds each group's _overdrive.
+
+        On a bracket, the first and last rows are the ends of [vs, vd], clipped
+        (min(vs, vd) and vd), and the general law runs on the rows between
+        only. At each end one group has vds = 0 and the other vds = vgs, so
+        _at_ends gives their currents and slopes there, bit for bit.
+        """
         cfg = self.cfg
-        vgs = vd - vs
-        ip, _, dip = current_and_derivatives(cfg.devices.pmos, vgs, vd - vdac)
-        in_, _, din = current_and_derivatives(cfg.devices.nmos, vgs, vdac - vs)
+        pmos, nmos = cfg.devices.pmos, cfg.devices.nmos
+        f, s = np.empty((2, len(at), len(self.up)))
+        rows = slice(1, -1) if bracket else slice(None)
+        ip, _, dip = _law(pmos, vov[0], vd - at[rows], dvgs=False)
+        in_, _, din = _law(nmos, vov[1], at[rows] - vs, dvgs=False)
+        np.subtract(self.up * ip, self.dn * in_, out=f[rows])
+        np.add(self.up * dip, self.dn * din, out=s[rows])
+        if bracket:
+            lo, hi = at[0], at[-1]
+            # (i, di/dvds) of each group at the end where its vds is 0, then where it is vgs.
+            (ip_hi, dip_hi), (ip_lo, dip_lo) = _at_ends(pmos, vov[0], lambda: (vd - hi, vd - lo))
+            (in_lo, din_lo), (in_hi, din_hi) = _at_ends(nmos, vov[1], lambda: (lo - vs, hi - vs))
+            up, dn = self.up, self.dn
+            for row, ip, in_, dip, din in ((0, ip_lo, in_lo, dip_lo, din_lo),
+                                           (-1, ip_hi, in_hi, dip_hi, din_hi)):
+                # A None is a 0 that _at_ends knows of; 0.0 stands for its product, bit for bit.
+                np.subtract(0.0 if ip is None else up * ip, 0.0 if in_ is None else dn * in_, out=f[row])
+                np.add(0.0 if dip is None else up * dip, 0.0 if din is None else dn * din, out=s[row])
         resistors = self.gpp * (vd if self.inner else cfg.vdd) + (self.gpn * vs if self.inner else 0.0)
-        return (self.up * ip - self.dn * in_ + (resistors - self.gp * vdac),
-                self.up * dip + self.dn * din + self.gp)
+        f += resistors - self.gp * at
+        s += self.gp
+        return f, s
 
     def rails(self, vdac, vd, vs):
         """Levels (residual, derivative, tolerance, curvature) of the vd node, with dvs/dvd,
@@ -262,7 +312,7 @@ class _Lanes:
         # vd and vs residuals, and e.g. f_x is -df/dvdac.
         p_d, p_g, n_d, n_g = self.up * dip_d, self.up * dip_g, self.dn * din_d, self.dn * din_g
         f_x = p_d + n_d + self.gp
-        g_x, h_x = p_d + gpp, n_d + gpn
+        g_x = p_d + gpp
         x_d = (g_x + p_g - n_g) / f_x  # dvdac/dvd
         dg = -self.gsp - p_g - g_x * (1.0 - x_d)
         supplied, drawn = self.gsp * (cfg.vdd - vd), self.up * ip + gpp * (vd - vdac)
@@ -270,6 +320,7 @@ class _Lanes:
         tol = _RTOL * (supplied + np.abs(drawn) + np.abs(g_x * vdac)) + _ATOL
         s_d, vs_level = -self.tie, None  # dvs/dvd; the tie is 0 without rsn
         if self.has_vs:
+            h_x = n_d + gpn
             x_s = (h_x + n_g - p_g) / f_x  # dvdac/dvs along the output balance
             g_s = p_g + g_x * x_s  # dg/dvs along the output balance
             if not self.inner:
@@ -319,7 +370,7 @@ class _Lanes:
             net = self.take(lanes)
 
             def vs_node(pos, y):
-                sub, at = net.take(pos), lanes[pos]
+                sub, at = net.take(pos), pos if isinstance(lanes, slice) else lanes[pos]
                 vdac[at] = v = sub.output_node(x[pos], y)
                 (*level[:, at], slope[at]), vs_level = sub.rails(v, x[pos], y)
                 return vs_level
@@ -333,8 +384,9 @@ class _Lanes:
 
     def columns(self, vdac, vd, vs) -> Columns:
         cfg = self.cfg
-        ip = current_and_derivatives(cfg.devices.pmos, vd - vs, vd - vdac)[0]
-        in_ = current_and_derivatives(cfg.devices.nmos, vd - vs, vdac - vs)[0]
+        pmos, nmos, vgs = cfg.devices.pmos, cfg.devices.nmos, vd - vs
+        ip = _law(pmos, _overdrive(pmos, vgs), vd - vdac, dvgs=False, dvds=False)[0]
+        in_ = _law(nmos, _overdrive(nmos, vgs), vdac - vs, dvgs=False, dvds=False)[0]
         i_rpp = self.gpp * ((vd if self.inner else cfg.vdd) - vdac)
         i_rpn = self.gpn * (vdac - (vs if self.inner else 0.0))
         Ip, In = self.up * ip, self.dn * in_
@@ -352,7 +404,7 @@ class _Lanes:
             residual = np.maximum(residual, np.abs(In + (i_rpn if self.inner else 0.0) - self.gsn * vs))
         # Report the region of the active groups; a group with no active units
         # has its devices' gates parked at their own source rail, i.e. cutoff.
-        vgs_mag = np.maximum(vd - vs, 0.0)
+        vgs_mag = np.maximum(vgs, 0.0)
         region_p = classify_region(cfg.devices.pmos, vgs_mag, np.maximum(vd - vdac, 0.0))
         region_n = classify_region(cfg.devices.nmos, vgs_mag, np.maximum(vdac - vs, 0.0))
         has_up, has_dn = self.counts > 0, self.counts < cfg.d_max
@@ -372,10 +424,11 @@ def _bracketed(level, x: np.ndarray, lo, hi, span: float) -> np.ndarray:
     """Roots of per-lane decreasing functions by Newton steps kept inside brackets (rtsafe).
 
     level(pos, x) gives (residual, derivative, tolerance, curvature) of the
-    lanes at positions pos at points x; lo <= x <= hi (floats or arrays)
-    bracket every root. Where the curvature lengthens the Newton step (it has
-    the sign of the residual), a step goes to the nearer root of the
-    quadratic with that value, slope and curvature instead. A step that
+    lanes at positions pos at points x, pos being slice(None) while every
+    lane is live; lo <= x <= hi (floats or arrays) bracket every root. Where
+    the curvature lengthens the Newton step (it has the sign of the
+    residual), a step goes to the nearer root of the quadratic with that
+    value, slope and curvature instead. A step that
     leaves the bracket, or that is not under half the step before last,
     bisects instead. A lane stops at the point it evaluated last once its
     residual is within its tolerance, or its step or its bracket is under
@@ -383,7 +436,7 @@ def _bracketed(level, x: np.ndarray, lo, hi, span: float) -> np.ndarray:
     """
     xtol = _XTOL * span
     roots = x.copy()
-    live = np.arange(len(x))
+    live = slice(None)
     lo, hi = np.broadcast_to(lo, x.shape), np.broadcast_to(hi, x.shape)
     older = last = 2.0 * (hi - lo)  # the step before last and the last step: any first step fits
     for _ in range(MAX_ITERATIONS):
@@ -393,13 +446,16 @@ def _bracketed(level, x: np.ndarray, lo, hi, span: float) -> np.ndarray:
         lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
         # g + dg*t + c*t^2 = 0, dg < 0, c*g >= 0: the root of the sign of g, free of cancellation.
         step = -2.0 * g / (dg - np.sqrt(np.maximum(dg * dg - 4.0 * np.maximum(c * g, 0.0), 0.0)))
-        new = x + step
-        newton = (new > lo) & (new < hi) & (np.abs(step + step) <= np.abs(older))
+        new, size = x + step, np.abs(step)
+        newton = (new > lo) & (new < hi) & (size + size <= np.abs(older))
         older, last = last, np.where(newton, step, 0.5 * (lo + hi) - x)
-        going = (np.abs(g) > tol) & ~(np.abs(step) <= xtol) & (hi - lo > xtol)  # nan steps bisect
+        going = (np.abs(g) > tol) & ~(size <= xtol) & (hi - lo > xtol)  # nan steps bisect
         if not going.any():
             break
-        live, x, lo, hi, older, last = (a[going] for a in (live, x + last, lo, hi, older, last))
+        x = x + last
+        if not going.all():
+            live = np.flatnonzero(going) if isinstance(live, slice) else live[going]
+            x, lo, hi, older, last = np.array((x, lo, hi, older, last))[:, going]
     return roots
 
 

@@ -263,13 +263,15 @@ def check_saturation_window(config: DacConfig) -> list[bool]:
     vdd <= 2 vth, so the window is empty for any realistic device; that is
     exactly why the four-resistor correction exists.
     """
-    from .network import transfer_curve  # here, so that importing sizing loads no numpy
+    import numpy as np  # here, so that importing sizing loads no numpy
+
+    from .network import _solve
 
     pmos = config.devices.pmos
     nmos = config.devices.nmos
     vth_p = getattr(pmos, "vth", 0.0)
     vth_n = getattr(nmos, "vth", 0.0)
-    columns = transfer_curve(config).columns
-    vdac, vd, vs = columns["vdac"], columns["vd"], columns["vs"]
+    # The curve's solve alone: no other column is needed.
+    _, (vdac, vd, vs) = _solve([config], np.arange(config.d_max + 1))
     strong = vd - vs >= max(vth_n, vth_p)
     return (strong & (vdac >= vd - vth_n) & (vdac <= vs + vth_p)).tolist()

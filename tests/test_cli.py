@@ -130,6 +130,10 @@ class TestSimulate:
             ("report_dac4_standalone.json", "report.json", None),
             ("transfer_dac4_four_resistor.csv", "transfer.csv",
              {"kind": "four_resistor", "rsp": 10.0, "rsn": 2.0, "rpp": 5.0, "rpn": 7.0}),
+            # Supply rails with rsn > 0: vs is solved on its own node inside every vd step.
+            ("transfer_dac4_four_resistor_supply.csv", "transfer.csv",
+             {"kind": "four_resistor", "rsp": 10.0, "rsn": 2.0, "rpp": 5.0, "rpn": 7.0,
+              "parallel_attach": "supply"}),
         ],
     )
     def test_output_matches_golden(self, workdir, golden, output, topology):
@@ -773,6 +777,17 @@ class TestAtomicity:
         assert (workdir / "plain.txt").stat().st_mode & 0o777 == mode
         assert target.read_text() == "payload\nline two\n"
         assert os.umask(old) == old  # the process umask is left as it was
+
+    def test_the_process_umask_is_never_changed(self, workdir, monkeypatch):
+        # Flipping it, even for an instant, lets another thread create a file 0666.
+        def umask(mask):
+            raise AssertionError("write_atomic must not set the process umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        target = workdir / "out" / "file.txt"
+        write_atomic(target, "payload")
+        assert target.read_text() == "payload"
+        assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
 
     def test_declared_outputs_are_not_private(self, workdir):
         cfg = write_config(workdir)

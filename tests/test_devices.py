@@ -17,6 +17,7 @@ from gpiodac.devices import (
     classify_region,
     current_and_derivatives,
 )
+from gpiodac.devices import _at_ends, _overdrive
 
 VDD = 3.3
 REF = MosfetParams(Polarity.NMOS, vth=1.15, k=0.01163)
@@ -133,6 +134,34 @@ class TestInvariants:
     @given(p=mosfets, vgs=st.floats(0.0, 2 * VDD), vds=st.floats(-VDD, VDD))
     def test_derivative_helper_matches_current(self, p, vgs, vds):
         assert current(p, vgs, vds) == pytest.approx(device_current(p, vgs, vds), abs=1e-15)
+
+
+class TestBracketEnds:
+    """_at_ends is the square law at vds = 0 and at vds = vgs, bit for bit."""
+
+    @staticmethod
+    def law_at(p, vgs, vds):
+        i, _, di_d = current_and_derivatives(p, np.array([vgs]), np.array([vds]))
+        return i, di_d
+
+    @staticmethod
+    def bits(pair):
+        return np.array([0.0 if x is None else np.asarray(x).item() for x in pair]).tobytes()
+
+    @given(p=mosfets | st.floats(1e-4, 10.0).map(LinearSwitch), vgs=st.floats(0.0, 2 * VDD))
+    def test_ends_are_the_law_bit_for_bit(self, p, vgs):
+        vov = _overdrive(p, np.array([vgs]))
+        zero, full = _at_ends(p, vov, lambda: (np.array([0.0]), np.array([vgs])))
+        assert self.bits(zero) == self.bits(self.law_at(p, vgs, 0.0))
+        assert self.bits(full) == self.bits(self.law_at(p, vgs, vgs))
+
+    @given(p=mosfets, vgs=st.floats(-VDD, 0.0, exclude_max=True), vds=st.floats(-VDD, VDD))
+    def test_a_cut_off_unit_carries_nothing_at_any_vds(self, p, vgs, vds):
+        # A collapsed bracket (vs > vd) puts other vds than 0 and vgs at its ends.
+        vov = _overdrive(p, np.array([vgs]))
+        for end in _at_ends(p, vov, None):
+            assert [0.0 if x is None else float(x[0]) for x in end] == [
+                float(x[0]) for x in self.law_at(p, vgs, vds)] == [0.0, 0.0]
 
 
 class TestCalibration:

@@ -123,9 +123,18 @@ def test_each_command_loads_only_its_layers_and_writes_its_goldens(tmp_path, nam
     assert modules == NUMPY_FREE | {m if m == "numpy" else f"gpiodac.{m}" for m in extra}
 
 
-@pytest.mark.parametrize("name", [name for name in COMMANDS if "numpy" not in COMMANDS[name][2]])
+NUMPY_FREE_COMMANDS = [name for name in COMMANDS if "numpy" not in COMMANDS[name][2]]
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_COMMANDS)
 def test_numpy_free_commands_run_where_numpy_cannot_be_imported(tmp_path, name):
     assert "numpy" not in run_command(tmp_path, name, _MAIN_WITHOUT_NUMPY)
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_COMMANDS)
+def test_numpy_free_commands_do_not_load_tempfile(tmp_path, name):
+    # Made unimportable rather than looked for: site customisation may have loaded it already.
+    run_command(tmp_path, name, 'sys.modules["tempfile"] = None\n' + _MAIN)
 
 
 class TestLazyExports:

@@ -1,5 +1,6 @@
 """Operating-point solver checks against the nested-bisection oracle."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -348,6 +349,83 @@ TOPOLOGIES = {
 FOUR = [name for name in TOPOLOGIES if name.startswith(("four", "rsn0"))]
 
 
+# sha256 of the (vdac, vd, vs) bytes of each curve, every column broadcast to one float64 per
+# code, as the solver gave them when the bracketed rails and the exact output node were new.
+# Any change to the solver's arithmetic shows here, down to the last bit of one lane.
+VOLTAGE_DIGESTS = {
+    "matched/standalone/6": "37e0d0a5b6adcbc488104013e0ada7cbb7b12bf9c5a1b01fe1b18602524bfded",
+    "matched/standalone/12": "60e22982cf8129b33e3ca50946e34ec8d6095b80c434ec4e5843c918471575b0",
+    "matched/two/6": "a740fa892f5eddbb6eac26bb2c32ccbc6ed38aac739db0f72f287ca6ae7f3457",
+    "matched/two/12": "77119dc5e701a0c6f42811f9a2bfb93fc57b6eca2f6214a7b52242be5893f885",
+    "matched/four_inner/6": "ba0d8001498e374694686fbedd5662161678f7995e7308ca59481aa72a87f440",
+    "matched/four_inner/12": "c23784b8dc3b9fbf4f5d180dd2ffcabeb13d3ed3f28894392993c8d4efecd49c",
+    "matched/four_supply/6": "5df4e125f2c65ec78d6e52ed9ccdc5f326cffc15d25a1ddeb263a6fb7308a4ba",
+    "matched/four_supply/12": "dd19edc7630910d22193a41f51fba4a7f2f84bf1dac9da6c0d9383aa49db12d5",
+    "matched/rsn0_inner/6": "1e2ddc50d829856a457aee45f9c58824a85c664bbc520d9fab17f01ea60ebe08",
+    "matched/rsn0_inner/12": "0280ae2f908b204a815269f162b4f18799fb03aaa772bd4c5119b220f0131cf1",
+    "matched/rsn0_supply/6": "d62cdbe706aae339bf7e43fb678ba4ac38dc75ba356f577f3cb9ea7e534bf5ec",
+    "matched/rsn0_supply/12": "bb7e676cb8917e237c2085b946ed4dbcb0fd57da1583e5be8b18eafdb57618f0",
+    "mismatched/standalone/6": "eefe51117123eb2e882a22ffcc790a070f72bd7df9e9eaa9002b1e5edee7e2ba",
+    "mismatched/standalone/12": "fa2ae8b76b4e716f6fa2de458ae4086d71c2efac227ee60acb8cc9197cd17d32",
+    "mismatched/two/6": "b4b8fb10e769e74f9d40dfbfdf9357c134b5f2218e87233b9b6b20de4f81149f",
+    "mismatched/two/12": "2a87b94ba4c9b5e41bdfc74f2cb222663b93d1a779841fa5d2e2a6ace579e18a",
+    "mismatched/four_inner/6": "501f017809f2a5d7431248ed9b14542853a82783b46901f03b0db9575530d305",
+    "mismatched/four_inner/12": "b21f2e32cd489c77669aa707df5447ec09ae86c8afba5aab61508c82887e0beb",
+    "mismatched/four_supply/6": "9f28d14661b060dc4f5eaa05485941cf3929f41657394c5b57524c5d14544156",
+    "mismatched/four_supply/12": "d0a193096b941e036a3f6d7ff974ea423f2aa7ac82d5275840c203a1d1394b80",
+    "mismatched/rsn0_inner/6": "0ca8aedf5ff82ba6285b73f186f4e278f43a9fbdeded4c1b450ec0c6e5f53e7c",
+    "mismatched/rsn0_inner/12": "8214c5cbed83202a761d493310dc434d97e2eb1ce1d5d6a6e276068ba09bd798",
+    "mismatched/rsn0_supply/6": "e3f538dfe2f0c12f901349a37261fa943c62cdbfd0359d22f22128d6b9944944",
+    "mismatched/rsn0_supply/12": "c428482c70c8a11aea329ad273c9c3d826d26c525b70c200f0d7fd8632bc9503",
+    "switch/standalone/6": "0301982240ffa518b3016be8862d8b3e859077005e54a53ab790e85fe979781d",
+    "switch/standalone/12": "80c1e70f757bd7ea70adbbd6ac3ccc505b51dcabcc122fafb80bc519f8f58550",
+    "switch/two/6": "7f1b83d3472d11d80ab4c8f16f79517a12701768bc8b4eef2a6572e4a4501423",
+    "switch/two/12": "da5ca9ee5e151ec32188b6bb41726b1c363beec4f05b14345a7390b59cb4ebf1",
+    "switch/four_inner/6": "7c560b06eaf444946c8cf19629f53190630d3394e0fe89eb18a6d0e184e9ef62",
+    "switch/four_inner/12": "884eda15cd1681ce85d3f089193c50ce2a3e8eb6620a4950cd59f95dae444817",
+    "switch/four_supply/6": "6558da71b9c6d6451b7bbc1ee7d5132f290d57252ccb112c8f1c25b2535e14eb",
+    "switch/four_supply/12": "a8195469caba3633d6d92dfe7e2779166df405fbfbd84b0651aca6374037c121",
+    "switch/rsn0_inner/6": "ffee0e314ca1bdb3f9551b472270f52cf23125e621b65d019d16a9b89835ca61",
+    "switch/rsn0_inner/12": "867a59f8cb843c5203504350468da7512cc626fefbc451a96c1f708389e4ac54",
+    "switch/rsn0_supply/6": "5439a7cdfe7366d7f216245b7d5bccc06a54afeebde71a57f9b707bf2f83c9d7",
+    "switch/rsn0_supply/12": "59b58dab6d4f02b0182cb2e283c1a6d97ffd54237b70c157077aaaf8ea4800e3",
+    "mixed/standalone/6": "241d7831a398e5c6c7237f369bd34fbad37730f7327435b75afe44d33abcec65",
+    "mixed/standalone/12": "42b7f6167c02be84cc3d50053bda86a96805ede1355734e735378dd0745a06b0",
+    "mixed/two/6": "9032db4da8d49792bd15e954a63f2a46792a0cf50c751451e6c5eec099f586ed",
+    "mixed/two/12": "37b49f602a3630f4aa188d47d9334d1e7a3bdc208916a0571325fdeed5888acd",
+    "mixed/four_inner/6": "abb19be8231aab86b63bb70acccc84255923b422b8ea620a4b6ee88700212b6c",
+    "mixed/four_inner/12": "a72e5a5de1cb741e4dec447eb0434ee95b7c3c5936ee13112f9e56053d1a1c5f",
+    "mixed/four_supply/6": "f96822ca4f1f97d63075a9ba4535fedcc2ceaccfc3d0950ec43f4bb08206b368",
+    "mixed/four_supply/12": "9f149b1519bc9131ffded0a7a2f9d88761c39001ac184946aa6725dfb91b460e",
+    "mixed/rsn0_inner/6": "252d31ad698b9dff7aab1d1c797498cf8a9bc3780830249b8108fc93a95de124",
+    "mixed/rsn0_inner/12": "041316363ab0ed33cfb8f06828cacc06b9ba0bb3209425271fed884b7fa81d75",
+    "mixed/rsn0_supply/6": "741d9381e1ea0e225b1196d5b83a61f097c01fcf00a446ac1451505732a47e49",
+    "mixed/rsn0_supply/12": "bba8edf6c174903748b3dd0e448a6b7fe091de9cb6762b259c2ea330208e1048",
+}
+DIGEST_DEVICES = {
+    "matched": PAIR,
+    "mismatched": MISMATCHED,
+    "switch": DevicePair(LinearSwitch(0.03), LinearSwitch(0.02)),
+    "mixed": DevicePair(PAIR.pmos, LinearSwitch(0.02)),  # one group with knees, one without
+}
+
+
+def voltage_digest(columns) -> str:
+    n = len(columns["code"])
+    return hashlib.sha256(b"".join(np.broadcast_to(np.asarray(columns[k], np.float64), (n,)).tobytes()
+                                   for k in ("vdac", "vd", "vs"))).hexdigest()
+
+
+class TestVoltageDigests:
+    """Every rail path, device kind and width keeps its voltages bit for bit."""
+
+    @pytest.mark.parametrize("key", VOLTAGE_DIGESTS)
+    def test_curve_voltages_are_bit_for_bit_the_pinned_ones(self, key):
+        devices, topology, n_bits = key.split("/")
+        cfg = DacConfig(int(n_bits), VDD, DIGEST_DEVICES[devices], TOPOLOGIES[topology])
+        assert voltage_digest(transfer_curve(cfg).columns) == VOLTAGE_DIGESTS[key]
+
+
 def float_bits(rows) -> np.ndarray:
     return np.array([[r.vdac, r.vd, r.vs, r.kcl_residual] for r in rows]).view(np.int64)
 
@@ -564,7 +642,7 @@ class TestFormerFailures:
 
         def spy(level, *args):
             def counted(pos, x):
-                steps.append(len(pos))
+                steps.append(len(x))
                 return level(pos, x)
 
             return bracketed(counted, *args)

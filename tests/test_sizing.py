@@ -1,17 +1,26 @@
 """Parameter extraction and correction-resistor sizing."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import per_code_extract
+from oracles import per_code_extract, per_row_saturation_flags
 from test_network import MISMATCHED
 
+from gpiodac import network
 from gpiodac.devices import calibrated_pair
 from gpiodac.metrics import summary
-from gpiodac.network import DacConfig, FourResistor, Standalone, TwoResistor, transfer_curve
+from gpiodac.network import (
+    DacConfig,
+    FourResistor,
+    ParallelAttach,
+    Standalone,
+    TwoResistor,
+    transfer_curve,
+)
 from gpiodac.sizing import (
     ExtractedParams,
     ExtractionError,
@@ -346,6 +355,21 @@ class TestFourResistorSizing:
 
 
 class TestSaturationWindow:
+    @pytest.mark.parametrize("n_bits", [4, 12])
+    @pytest.mark.parametrize("attach", list(ParallelAttach), ids=lambda a: a.value)
+    def test_flags_are_the_window_rule_on_the_curve_rows(self, n_bits, attach, monkeypatch):
+        sized = size_four_resistor(REF_PARAMS, it_target=0.2, split=0.8).topology
+        cfg = DacConfig(n_bits, VDD, PAIR, replace(sized, parallel_attach=attach))
+        want = per_row_saturation_flags(transfer_curve(cfg))
+
+        def no_columns(*args):
+            raise AssertionError("the check needs only the solved voltages")
+
+        monkeypatch.setattr(network._Lanes, "columns", no_columns)
+        flags = check_saturation_window(cfg)
+        assert flags == want
+        assert all(type(flag) is bool for flag in flags)
+
     def test_standalone_window_is_empty(self):
         cfg = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Standalone())
         assert not any(check_saturation_window(cfg))
