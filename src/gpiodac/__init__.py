@@ -32,7 +32,7 @@ _EXPORTS = {
         "size_four_resistor", "size_two_resistor",
     ),
     "transient": ("Waveform", "detect_glitches", "staircase_codes", "synthesize"),
-    "hdlgen": ("HdlArtifact", "generate_constraints", "generate_dac", "generate_staircase"),
+    "hdlgen": ("HdlArtifact", "generate_dac", "generate_staircase"),
     "explorer": ("SweepPoint", "sweep_parallel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -592,7 +592,7 @@ def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, d
 
 
 def _cmd_hdl(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[str, str]]:
-    from .hdlgen import generate_dac, generate_staircase, manifest_text  # as in simulate
+    from .hdlgen import generate_dac, generate_staircase  # as in simulate
 
     if cfg.hdl is None:
         raise ConfigError("hdl needs an hdl section in the config")
@@ -601,7 +601,7 @@ def _cmd_hdl(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, dict[st
     return cfg.digest, {
         f"{name}.v": artifact.rtl_text,
         f"{name}.pcf": artifact.constraints_text,
-        f"{name}_manifest.json": manifest_text(artifact),
+        f"{name}_manifest.json": json_text(artifact.manifest),
     }
 
 

@@ -5,7 +5,7 @@ This layer imports no numpy, so parsing a config and reporting its failures
 need nothing else, and the commands that only read a config or a curve and
 write text (``extract``, ``size`` and ``hdl``) start without the numeric stack.
 ``devices``, ``network``, ``transient``, ``metrics``, ``sizing`` and ``hdlgen``
-import these names back; each class has this one definition.
+import from here the names they use; each has this one home.
 
 Device parameters are source-referenced magnitudes; ``polarity`` only records
 which sign convention the caller must apply. ``LinearSwitch`` is the ideal

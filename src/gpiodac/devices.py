@@ -25,17 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# The device types are defined in the numpy-free config layer and importable from here too.
-from .config import (
-    DeviceError,
-    DevicePair,
-    LinearSwitch,
-    MosfetParams,
-    OperatingRegion,
-    Polarity,
-    UnitDevice,
-    calibrated_pair,
-)
+from .config import DeviceError, LinearSwitch, OperatingRegion, UnitDevice
 
 _REGIONS = np.array(
     [OperatingRegion.CUTOFF, OperatingRegion.TRIODE, OperatingRegion.SATURATION], dtype=object

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .metrics import LinearityReport, MetricsError, summary
-from .network import DacConfig, FourResistor, TwoResistor, _curves
+from .config import DacConfig, FourResistor, MetricsError, TwoResistor
+from .metrics import LinearityReport, summary
+from .network import _curves
 
 SWEEP_COLUMNS = (
     "rp_ohm",

@@ -13,12 +13,9 @@ Both modules come from one scaffold; one pin rule gives each pin's group and dec
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-# The spec, its error and the default pins are defined in the numpy-free config layer, so that
-# parsing a config needs no HDL generator; they are importable from here too.
-from .config import Encoding, GenerationError, HdlSpec, default_pin_assignments
+from .config import Encoding, HdlSpec
 
 
 @dataclass
@@ -41,30 +38,27 @@ def _pin_rule(index: int, n_bits: int, encoding: Encoding) -> tuple[str, str]:
     return f"bit{bit}", f"code[{bit}]"
 
 
-def generate_constraints(spec: HdlSpec) -> str:
-    """PCF text: one set_io line per DAC pin in logical order, then the clock."""
-    lines = [
-        f"set_io dac_out[{index}] {pkg}" for index, pkg in sorted(spec.pin_assignments)
-    ]
-    lines.append(f"set_io clk {spec.clock_pin}")
-    return "\n".join(lines) + "\n"
-
-
 def _module(spec: HdlSpec, headline: str, note: str, has_code_port: bool,
             body: list[str]) -> HdlArtifact:
-    """A module and its pin manifest: two title lines, ports, body, the registered decode."""
+    """A module, its PCF and its pin manifest.
+
+    The module: two title lines, ports, body, the registered decode. The PCF:
+    one set_io line per DAC pin in logical order, then the clock.
+    """
     code = [("input  wire", f"[{spec.n_bits - 1}:0]", "code")] if has_code_port else []
     ports = [("input  wire", "", "clk"), *code, ("output reg ", f"[{spec.d_max - 1}:0]", "dac_out")]
     width = max(len(rng) for _, rng, _ in ports)
     lines = [f"// {spec.module_name}: {headline}", f"// {note}", f"module {spec.module_name} ("]
     lines.append(",\n".join(f"    {kind} {rng:<{width}} {name}" for kind, rng, name in ports))
     lines += [");", "", *body, "    always @(posedge clk) begin"]
-    pins = {}
+    pcf, pins = [], {}
     for index, pkg in sorted(spec.pin_assignments):
         group, expr = _pin_rule(index, spec.n_bits, spec.encoding)
         lines.append(f"        dac_out[{index}] <= {expr};")
+        pcf.append(f"set_io dac_out[{index}] {pkg}")
         pins[str(index)] = {"group": group, "package_pin": pkg, "port": f"dac_out[{index}]"}
     lines += ["    end", "", "endmodule"]
+    pcf.append(f"set_io clk {spec.clock_pin}")
     manifest = {
         "module": spec.module_name,
         "n_bits": spec.n_bits,
@@ -73,7 +67,7 @@ def _module(spec: HdlSpec, headline: str, note: str, has_code_port: bool,
         "has_code_port": has_code_port,
         "pins": pins,
     }
-    return HdlArtifact("\n".join(lines) + "\n", generate_constraints(spec), manifest)
+    return HdlArtifact("\n".join(lines) + "\n", "\n".join(pcf) + "\n", manifest)
 
 
 def generate_dac(spec: HdlSpec) -> HdlArtifact:
@@ -104,9 +98,4 @@ def generate_staircase(spec: HdlSpec) -> HdlArtifact:
         "",
     ]
     return _module(spec, headline, note, has_code_port=False, body=counter)
-
-
-def manifest_text(artifact: HdlArtifact) -> str:
-    """Deterministic JSON rendering of the pin manifest."""
-    return json.dumps(artifact.manifest, indent=2, sort_keys=True) + "\n"
 

@@ -11,14 +11,13 @@ stays put.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .config import MetricsError
 from .network import TransferCurve
 
-INL_REFERENCE = "endpoint"
 # Adjacent steps this far negative (in volts) still count as monotone; the
 # operating-point solver is only trusted to ~1e-9 V.
 MONOTONIC_SLACK = 1e-9
@@ -35,7 +34,7 @@ class LinearityReport:
     i_max: float
     i_at_midrange: float
     lsb_ref: float
-    inl_reference: str = INL_REFERENCE
+    inl_reference: ClassVar[str] = "endpoint"
 
 
 def _lsb_ref(levels: np.ndarray) -> float:

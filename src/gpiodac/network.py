@@ -62,18 +62,13 @@ from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-# The config types are defined in the numpy-free config layer and importable from here too.
 from .config import (
-    MAX_BITS,
     DacConfig,
-    Encoding,
     FourResistor,
-    LinearSwitch,
     MosfetParams,
     OperatingRegion,
     ParallelAttach,
     Standalone,
-    Topology,
     TwoResistor,
 )
 from .devices import _at_ends, _law, _overdrive, classify_region, current_and_derivatives

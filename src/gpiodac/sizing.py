@@ -11,13 +11,11 @@ inversion and simultaneous saturation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-# The errors are defined in the numpy-free config layer, which the CLI reports failures from;
-# they are importable from here too.
 from .config import (
     DacConfig,
     ExtractionError,
@@ -54,6 +52,8 @@ class ExtractedParams:
             raise ExtractionError(
                 f"vth must be within (0, vdd/2), got vth={self.vth}, vdd={self.vdd}"
             )
+        if self.vdd == math.inf:  # vth < vdd/2 has passed, so vdd > 0
+            raise ExtractionError("vdd must be finite, got inf")
         if not 0.0 < self.ron < math.inf:
             raise ExtractionError(f"ron must be finite and > 0, got {self.ron}")
         lo, hi = self.linear_range
@@ -70,6 +70,15 @@ class SizingResult:
     rs_bounds: tuple[float, float] | None = None
     strong_inversion_ok: bool = True
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        """Refuse a number beyond float range, naming it: report.json holds every one."""
+        for obj in (self.topology, self):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                numbers = value if isinstance(value, tuple) else (value,)
+                if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+                    raise SizingError(f"{f.name} = {value} is not finite")
 
 
 def extract_from_table(
@@ -169,6 +178,11 @@ def size_two_resistor(p: ExtractedParams, d_max: int) -> SizingResult:
             f"no linear region: vdd - 2*vth = {window:.4g} V is not positive"
         )
     alpha_g = d_max * p.vth / window
+    if alpha_g == 0.0:
+        raise SizingError(
+            f"vth = {p.vth:.4g} V is too small: alpha_g = d_max * vth / (vdd - 2*vth) "
+            "underflows to 0"
+        )
     rp = p.ron / alpha_g
     if _nonfinite_conductance(p.vdd, [("rp", rp)]):
         raise SizingError(

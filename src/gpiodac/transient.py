@@ -344,10 +344,9 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     return list(zip(times, (depth[hit] / w.lsb_ref + band).tolist()))
 
 
-def staircase_codes(n_bits: int, repeats: int = 1) -> list[int]:
-    """0..d_max ramp, repeated; the standard bench pattern."""
-    d_max = (1 << n_bits) - 1
-    return list(range(d_max + 1)) * repeats
+def staircase_codes(n_bits: int) -> list[int]:
+    """The 0..d_max ramp; the standard bench pattern."""
+    return list(range(1 << n_bits))
 
 
 def parse_code_list(text: str, n_bits: int) -> list[int]:

@@ -32,9 +32,18 @@ from bisect import bisect_left
 import numpy as np
 
 from gpiodac.cli import TRANSFER_COLUMNS, csv_text
-from gpiodac.devices import LinearSwitch, OperatingRegion
-from gpiodac.network import DacConfig, Encoding, FourResistor, ParallelAttach, TwoResistor, solve_units
-from gpiodac.sizing import ExtractedParams, ExtractionError
+from gpiodac.config import (
+    DacConfig,
+    Encoding,
+    ExtractionError,
+    FourResistor,
+    LinearSwitch,
+    OperatingRegion,
+    ParallelAttach,
+    TwoResistor,
+)
+from gpiodac.network import solve_units
+from gpiodac.sizing import ExtractedParams
 from gpiodac.transient import Waveform
 
 

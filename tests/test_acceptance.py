@@ -9,25 +9,24 @@ threshold, 40 ohm unit resistance at mid-scale.
 import numpy as np
 import pytest
 
-from gpiodac.devices import (
-    DevicePair,
-    LinearSwitch,
-    MosfetParams,
-    Polarity,
-    calibrated_pair,
-)
-from gpiodac.hdlgen import generate_dac, manifest_text
-from gpiodac.metrics import dnl_from_levels, inl_from_levels, summary
-from gpiodac.network import (
+from gpiodac.cli import json_text
+from gpiodac.config import (
     DacConfig,
+    DevicePair,
     Encoding,
     FourResistor,
+    LinearSwitch,
+    MosfetParams,
     ParallelAttach,
+    Polarity,
     Standalone,
+    TimingParams,
     TwoResistor,
-    solve_units,
-    transfer_curve,
+    calibrated_pair,
 )
+from gpiodac.hdlgen import generate_dac
+from gpiodac.metrics import dnl_from_levels, inl_from_levels, summary
+from gpiodac.network import solve_units, transfer_curve
 from gpiodac.sizing import (
     ExtractedParams,
     check_saturation_window,
@@ -35,7 +34,7 @@ from gpiodac.sizing import (
     size_four_resistor,
     size_two_resistor,
 )
-from gpiodac.transient import TimingParams, detect_glitches, staircase_codes, synthesize
+from gpiodac.transient import detect_glitches, staircase_codes, synthesize
 
 from oracles import naive_dnl, naive_inl, oracle_solve
 from test_hdlgen import decode_table, spec_for
@@ -237,7 +236,7 @@ def test_criterion_11_hdl():
         art = generate_dac(spec_for(name, enc))
         assert art.rtl_text == (golden / f"{name}.v").read_text()
         assert art.constraints_text == (golden / f"{name}.pcf").read_text()
-        assert manifest_text(art) == (golden / f"{name}_manifest.json").read_text()
+        assert json_text(art.manifest) == (golden / f"{name}_manifest.json").read_text()
     for n_bits in range(1, 6):
         for enc in Encoding:
             table = decode_table(generate_dac(spec_for("dut", enc, n_bits)).rtl_text, n_bits)

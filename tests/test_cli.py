@@ -22,9 +22,9 @@ from gpiodac.cli import (
     report_doc,
     write_atomic,
 )
-from gpiodac.devices import Polarity
+from gpiodac.config import DacConfig, Polarity
 from gpiodac.metrics import summary
-from gpiodac.network import DacConfig, transfer_curve
+from gpiodac.network import transfer_curve
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_RESISTOR_FLAGS = ["--vth", "1.15", "--ron", "40.0", "--vdd", "3.3", "--n-bits", "4"]
@@ -301,6 +301,23 @@ class TestSize:
         assert capsys.readouterr().err == (
             "gpiodac: error: sizing: ron = 1e-320 ohm is too small: it sizes rpp = rpn = "
             "5.781e-322 ohm, and vdd / rp is not finite\n"
+        )
+        assert not (workdir / "out").exists()
+
+    def test_on_resistance_too_large_for_float_range_is_exit_4_naming_it(self, workdir, capsys):
+        # rp = ron / alpha_g = 1e300 / 4.5e-300 overflows to inf, which report.json cannot hold.
+        assert main(["size", "two-resistor", "--vth", "1e-300", "--vdd", "3.3", "--ron", "1e300",
+                     "-o", "out"]) == 4
+        assert capsys.readouterr().err == "gpiodac: error: sizing: rpp = inf is not finite\n"
+        assert not (workdir / "out").exists()
+
+    def test_stretch_factor_underflow_is_exit_4_naming_it(self, workdir, capsys):
+        # alpha_g = d_max * vth / (vdd - 2*vth) = 5e-324 / 3.3 rounds to 0, the divisor of rp.
+        assert main(["size", "two-resistor", "--vth", "5e-324", "--vdd", "3.3", "--ron", "40",
+                     "--n-bits", "1", "-o", "out"]) == 4
+        assert capsys.readouterr().err == (
+            "gpiodac: error: sizing: vth = 4.941e-324 V is too small: "
+            "alpha_g = d_max * vth / (vdd - 2*vth) underflows to 0\n"
         )
         assert not (workdir / "out").exists()
 

@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import device_current
 
-from gpiodac.devices import (
+from gpiodac.config import (
     DeviceError,
     LinearSwitch,
     MosfetParams,
     OperatingRegion,
     Polarity,
     calibrated_pair,
-    classify_region,
-    current_and_derivatives,
 )
-from gpiodac.devices import _at_ends, _overdrive
+from gpiodac.devices import _at_ends, _overdrive, classify_region, current_and_derivatives
 
 VDD = 3.3
 REF = MosfetParams(Polarity.NMOS, vth=1.15, k=0.01163)

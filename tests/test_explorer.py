@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from gpiodac import explorer, network
-from gpiodac.devices import DevicePair, MosfetParams, Polarity, calibrated_pair
-from gpiodac.explorer import SWEEP_COLUMNS, _with_rp, sweep_parallel, sweep_rows
-from gpiodac.metrics import MetricsError, summary
-from gpiodac.network import (
+from gpiodac.config import (
     DacConfig,
+    DevicePair,
     FourResistor,
+    MetricsError,
+    MosfetParams,
     ParallelAttach,
+    Polarity,
     Standalone,
     TwoResistor,
-    transfer_curve,
+    calibrated_pair,
 )
+from gpiodac.explorer import SWEEP_COLUMNS, _with_rp, sweep_parallel, sweep_rows
+from gpiodac.metrics import summary
+from gpiodac.network import transfer_curve
 from test_network import MISMATCHED, TOPOLOGIES, assert_matches_oracle
 
 VDD = 3.3

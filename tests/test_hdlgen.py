@@ -6,16 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from gpiodac.hdlgen import (
-    GenerationError,
-    HdlSpec,
-    default_pin_assignments,
-    generate_constraints,
-    generate_dac,
-    generate_staircase,
-    manifest_text,
-)
-from gpiodac.network import Encoding
+from gpiodac.cli import json_text
+from gpiodac.config import Encoding, GenerationError, HdlSpec, default_pin_assignments
+from gpiodac.hdlgen import generate_dac, generate_staircase
 from oracles import per_pin_states
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,7 +64,7 @@ class TestGoldenFiles:
         art = generate_dac(spec_for(name, encoding))
         assert art.rtl_text == (GOLDEN / f"{name}.v").read_text()
         assert art.constraints_text == (GOLDEN / f"{name}.pcf").read_text()
-        assert manifest_text(art) == (GOLDEN / f"{name}_manifest.json").read_text()
+        assert json_text(art.manifest) == (GOLDEN / f"{name}_manifest.json").read_text()
 
     def test_staircase_byte_exact(self):
         art = generate_staircase(spec_for("stair4", Encoding.BINARY))
@@ -82,7 +75,7 @@ class TestGoldenFiles:
         b = generate_dac(spec_for("dac4_binary", Encoding.BINARY))
         assert a.rtl_text == b.rtl_text
         assert a.constraints_text == b.constraints_text
-        assert manifest_text(a) == manifest_text(b)
+        assert a.manifest == b.manifest
 
 
 class TestDecodeTables:
@@ -132,7 +125,7 @@ class TestDecodeTables:
 
 class TestConstraints:
     def test_line_format(self):
-        text = generate_constraints(spec_for("dut", Encoding.BINARY))
+        text = generate_dac(spec_for("dut", Encoding.BINARY)).constraints_text
         lines = text.splitlines()
         assert lines[0] == "set_io dac_out[0] A1"
         assert lines[-1] == "set_io clk J3"
@@ -147,7 +140,7 @@ class TestConstraints:
 
     def test_trailing_newline_and_uniform_endings(self):
         art = generate_dac(spec_for("dut", Encoding.BINARY))
-        for text in (art.rtl_text, art.constraints_text, manifest_text(art)):
+        for text in (art.rtl_text, art.constraints_text, json_text(art.manifest)):
             assert text.endswith("\n") and not text.endswith("\n\n")
             assert "\r" not in text
 

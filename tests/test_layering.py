@@ -6,6 +6,7 @@ runs. Each check runs in a fresh interpreter, since this process has long
 since imported everything.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -25,7 +26,7 @@ NUMPY_FREE = {"gpiodac", "gpiodac.cli", "gpiodac.config"}
 RETIRED = ("SwitchModel", "ideal_output", "switch_model_output", "error_factor_output",
            "two_resistor_output", "stretched_output", "drain_current", "on_resistance",
            "midrange_resistance", "SolverError", "solve_code", "dnl", "inl", "pin_states",
-           "pin_group", "step_cycles_for")
+           "pin_group", "step_cycles_for", "manifest_text", "generate_constraints")
 SWEEP_TOPOLOGY = {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0, "rpp": 5.0, "rpn": 5.0}
 
 # Run the body, then print its status and the sorted gpiodac modules (and numpy, if loaded).
@@ -146,22 +147,27 @@ class TestLazyExports:
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == module.__name__, name
 
-    def test_moved_types_keep_one_definition_under_their_old_modules(self):
-        from gpiodac import config, devices, hdlgen, metrics, network, sizing, transient
+    def test_config_names_have_one_home(self):
+        from gpiodac import config, devices, hdlgen, network
 
-        old_homes = {
-            devices: ("Polarity", "OperatingRegion", "DeviceError", "MosfetParams", "LinearSwitch",
-                      "DevicePair", "UnitDevice", "calibrated_pair"),
-            network: ("Encoding", "ParallelAttach", "Standalone", "TwoResistor", "FourResistor",
-                      "Topology", "MAX_BITS", "DacConfig"),
-            transient: ("TimingParams",),
-            metrics: ("MetricsError",),
-            sizing: ("ExtractionError", "SizingError"),
-            hdlgen: ("GenerationError", "HdlSpec", "default_pin_assignments"),
+        # Imports that once only re-exported a config name, each gone from its old module.
+        dropped = {
+            devices: ("DevicePair", "MosfetParams", "Polarity", "calibrated_pair"),
+            network: ("MAX_BITS", "Encoding", "LinearSwitch", "Topology"),
+            hdlgen: ("GenerationError", "default_pin_assignments"),
         }
-        for module, names in old_homes.items():
+        for module, names in dropped.items():
             for name in names:
-                assert getattr(module, name) is getattr(config, name), f"{module.__name__}.{name}"
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+        # A config name a layer still imports, because it uses it, is the config object.
+        for module in ("cli", *gpiodac._EXPORTS):
+            mod = importlib.import_module(f"gpiodac.{module}")
+            for name, value in vars(config).items():
+                if module != "config" and not name.startswith("__") and hasattr(mod, name):
+                    assert getattr(mod, name) is value, f"{mod.__name__}.{name}"
+
+    def test_all_has_43_names(self):
+        assert len(gpiodac.__all__) == 43
 
     def test_dir_covers_all(self):
         assert set(gpiodac.__all__) <= set(dir(gpiodac))
@@ -194,3 +200,18 @@ class TestLazyExports:
         status, modules = probe(body)
         assert status == 0
         assert {"gpiodac.cli", "gpiodac.explorer"} <= modules
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "gpiodac").glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # An import that is never read only re-exports a name that has its home elsewhere.
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpiodac.devices import calibrated_pair
-from gpiodac.metrics import (
-    MetricsError,
-    dnl_from_levels,
-    inl_from_levels,
-    summary,
-)
-from gpiodac.network import DacConfig, TwoResistor, transfer_curve
+from gpiodac.config import DacConfig, MetricsError, TwoResistor, calibrated_pair
+from gpiodac.metrics import dnl_from_levels, inl_from_levels, summary
+from gpiodac.network import transfer_curve
 from oracles import naive_dnl, naive_inl
 
 VDD = 3.3

@@ -8,24 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpiodac import network
-from gpiodac.devices import (
+from gpiodac.config import (
+    DacConfig,
     DevicePair,
+    FourResistor,
     LinearSwitch,
     MosfetParams,
     OperatingRegion,
-    Polarity,
-    calibrated_pair,
-)
-from gpiodac.network import (
-    DacConfig,
-    FourResistor,
     ParallelAttach,
+    Polarity,
     Standalone,
     TwoResistor,
-    complement_check,
-    solve_units,
-    transfer_curve,
+    calibrated_pair,
 )
+from gpiodac.network import complement_check, solve_units, transfer_curve
 from gpiodac.cli import transfer_csv
 from gpiodac.metrics import summary
 from gpiodac.sizing import ExtractedParams, check_saturation_window, size_two_resistor

@@ -1,5 +1,6 @@
 """Parameter extraction and correction-resistor sizing."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -11,20 +12,21 @@ from oracles import per_code_extract, per_row_saturation_flags
 from test_network import MISMATCHED
 
 from gpiodac import network
-from gpiodac.devices import calibrated_pair
-from gpiodac.metrics import summary
-from gpiodac.network import (
+from gpiodac.config import (
     DacConfig,
+    ExtractionError,
     FourResistor,
     ParallelAttach,
+    SizingError,
     Standalone,
     TwoResistor,
-    transfer_curve,
+    calibrated_pair,
 )
+from gpiodac.metrics import summary
+from gpiodac.network import transfer_curve
 from gpiodac.sizing import (
     ExtractedParams,
-    ExtractionError,
-    SizingError,
+    SizingResult,
     check_saturation_window,
     extract_from_table,
     extract_parameters,
@@ -83,6 +85,8 @@ class TestExtraction:
             ExtractedParams(vth=2.0, ron=40.0, vdd=VDD, linear_range=(1.0, 2.0))
         with pytest.raises(ExtractionError):
             ExtractedParams(vth=1.0, ron=-1.0, vdd=VDD, linear_range=(1.0, 2.0))
+        with pytest.raises(ExtractionError, match="^vdd must be finite, got inf$"):
+            ExtractedParams(vth=1.0, ron=40.0, vdd=math.inf, linear_range=(1.0, 2.0))
 
     @pytest.mark.parametrize("vdac, i_per_pullup, message", [
         # The run's span is -2 V, so vth = 3 V = 3/4 vdd and vov - vdd/4 is 0.
@@ -262,6 +266,27 @@ class TestTwoResistorSizing:
         params = ExtractedParams(vth=1.15, ron=ron, vdd=VDD, linear_range=(1.15, 2.15))
         with pytest.raises(SizingError, match=r"^ron = .* vdd / rp is not finite$"):
             size_two_resistor(params, 15)
+
+    def test_resistance_beyond_float_range_is_refused_naming_it(self):
+        # A config may hold TwoResistor(inf, inf) and solves; a sizing that gives one is refused.
+        open_config = DacConfig(4, VDD, PAIR, topology=TwoResistor(math.inf, math.inf))
+        assert np.isfinite(transfer_curve(open_config).vdac).all()
+        params = ExtractedParams(vth=1e-300, ron=1e300, vdd=VDD, linear_range=(0.0, VDD))
+        with pytest.raises(SizingError, match=r"^rpp = inf is not finite$"):
+            size_two_resistor(params, 15)
+
+    def test_underflowing_stretch_factor_is_refused_naming_it(self):
+        params = ExtractedParams(vth=5e-324, ron=40.0, vdd=VDD, linear_range=(0.0, VDD))
+        with pytest.raises(SizingError, match=r"alpha_g = .* underflows to 0$"):
+            size_two_resistor(params, 1)
+
+    @pytest.mark.parametrize("field",
+                             ["alpha_g", "it_bounds", "rs_bounds", "predicted_dynamic_range"])
+    def test_result_refuses_a_non_finite_number_naming_it(self, field):
+        value = math.nan if field == "alpha_g" else (1.0, math.inf)
+        with pytest.raises(SizingError, match=rf"^{field} = .* is not finite$"):
+            SizingResult(TwoResistor(1.0, 1.0), **{"predicted_dynamic_range": (0.0, 1.0),
+                                                   field: value})
 
     def test_smallest_sized_resistance_builds_a_config(self):
         # A sizing that passes the check gives a topology DacConfig accepts.

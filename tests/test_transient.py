@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpiodac.network
-from gpiodac.devices import calibrated_pair
-from gpiodac.network import (
-    WARM_STRIDE,
+from gpiodac.config import (
     DacConfig,
     Encoding,
     FourResistor,
     ParallelAttach,
-    solve_columns,
-    solve_units,
-    transfer_curve,
-)
-from gpiodac.transient import (
     TimingParams,
+    calibrated_pair,
+)
+from gpiodac.network import WARM_STRIDE, solve_columns, solve_units, transfer_curve
+from gpiodac.transient import (
     Waveform,
     _drawn_staggers,
     _pin_events,
@@ -377,7 +374,7 @@ class TestPerPinReference:
     @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
     def test_staircase_with_repeats_is_bitwise_the_per_pin_loop(self, encoding, skew_mode):
         cfg = DacConfig(6, VDD, PAIR, encoding=encoding)
-        codes = staircase_codes(6, repeats=2) + [31, 32, 32, 0, 63, 63]
+        codes = staircase_codes(6) * 2 + [31, 32, 32, 0, 63, 63]
         want = per_pin_synthesize(cfg, codes, TIMING, skew_mode, 11)
         assert synthesize(cfg, codes, TIMING, skew_mode, 11) == want
 
@@ -501,7 +498,7 @@ class TestPerSampleReference:
     @pytest.mark.parametrize("band", [0.0, 0.5, float("inf")])
     @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
     def test_staircase_scan_is_the_per_sample_loop(self, band, skew_mode):
-        wave = synthesize(DacConfig(7, VDD, PAIR), staircase_codes(7, repeats=2) + [64, 63, 63],
+        wave = synthesize(DacConfig(7, VDD, PAIR), staircase_codes(7) * 2 + [64, 63, 63],
                           TIMING, skew_mode, seed=3)
         got = detect_glitches(wave, band)
         assert got == per_sample_detect_glitches(wave, band)
