@@ -584,7 +584,8 @@ def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, d
     if skew_mode == "random" and args.seed is None:  # an unseeded draw would differ run to run
         raise ConfigError("transient.skew_mode 'random' needs --seed")
     try:
-        codes = parse_code_list(args.codes or cfg.transient_codes, cfg.dac.n_bits)
+        codes = parse_code_list(args.codes if args.codes is not None else cfg.transient_codes,
+                                cfg.dac.n_bits)
         wave = synthesize(cfg.dac, codes, cfg.timing, skew_mode=skew_mode, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -173,9 +173,11 @@ class DacConfig:
             raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
         if not 0.0 < self.vdd < math.inf:
             raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
+        # An int vdd would start the rails' solve in an int array, which truncates what it holds.
+        object.__setattr__(self, "vdd", float(self.vdd))
         resistances = [(name, float(getattr(self.topology, name)))
                        for name in ("rsp", "rsn", "rpp", "rpn") if hasattr(self.topology, name)]
-        bad = _nonfinite_conductance(float(self.vdd), resistances)
+        bad = _nonfinite_conductance(self.vdd, resistances)
         if bad is not None:
             raise ValueError(f"{bad[0]} = {bad[1]} ohm is too small: vdd / {bad[0]} is not finite")
 

@@ -285,7 +285,7 @@ def check_saturation_window(config: DacConfig) -> list[bool]:
     nmos = config.devices.nmos
     vth_p = getattr(pmos, "vth", 0.0)
     vth_n = getattr(nmos, "vth", 0.0)
-    # The curve's solve alone: no other column is needed.
+    # The curve's voltages alone; right after transfer_curve(config), _solve serves that batch again.
     _, (vdac, vd, vs) = _solve([config], np.arange(config.d_max + 1))
     strong = vd - vs >= max(vth_n, vth_p)
     return (strong & (vdac >= vd - vth_n) & (vdac <= vs + vth_p)).tolist()

@@ -13,6 +13,7 @@ import pytest
 from test_network import PAIR, TOPOLOGIES
 
 import gpiodac.cli
+import gpiodac.network
 from gpiodac.cli import (
     OUTPUT_DIR_ENV,
     TRANSFER_COLUMNS,
@@ -113,6 +114,7 @@ class TestSimulate:
     def test_byte_determinism(self, workdir):
         cfg = write_config(workdir)
         assert main(["simulate", "-c", str(cfg), "-o", "a"]) == 0
+        gpiodac.network._last = None  # the second run solves again
         assert main(["simulate", "-c", str(cfg), "-o", "b"]) == 0
         for name in ("transfer.csv", "report.json"):
             assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
@@ -411,6 +413,16 @@ class TestTransient:
         cfg = write_config(workdir)
         assert main(["transient", "-c", str(cfg), "--codes", "7,8", "--seed", "3"]) == 0
         assert (workdir / "out" / "waveform.csv").exists()
+
+    @pytest.mark.parametrize("codes", ["", ",", " "])
+    def test_a_code_list_without_codes_is_exit_2(self, workdir, capsys, codes):
+        # An empty --codes is a list of no codes, not a request for the config's codes.
+        cfg = write_config(workdir)
+        assert main(["transient", "-c", str(cfg), "--codes", codes]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gpiodac: error: config: need at least one code\n"
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
 
     def test_random_skew_without_seed_is_exit_2_naming_key_and_flag(self, workdir, capsys):
         # an unseeded draw would give a different waveform.csv on every run

@@ -53,6 +53,7 @@ class TestTradeOffTrends:
     def test_single_point_equals_direct_summary(self):
         base = four_resistor_base()
         [point] = sweep_parallel(base, [5.0])
+        network._last = None
         direct = summary(transfer_curve(base))
         assert point.report.inl_max_abs == pytest.approx(direct.inl_max_abs, rel=1e-12)
         assert point.report.i_max == pytest.approx(direct.i_max, rel=1e-12)

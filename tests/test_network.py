@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gpiodac import network
 from gpiodac.config import (
     DacConfig,
     DevicePair,
+    Encoding,
     FourResistor,
     LinearSwitch,
     MosfetParams,
@@ -541,6 +543,7 @@ class TestLaneIndependence:
     def test_batch_is_bitwise_the_lanes_solved_alone(self, case):
         cfg, counts = case
         alone = [solve_units(cfg, count) for count in counts]
+        network._last = None  # a batch of one count solves again
         assert np.array_equal(float_bits(solve_units(cfg, counts)), float_bits(alone))
 
     @pytest.mark.parametrize("vth_share", [0.05 / VDD, 0.9])
@@ -566,7 +569,9 @@ class TestLaneIndependence:
         assert_matches_oracle(cfg, rows[::8])
 
     def test_int_and_one_element_list_agree(self):
-        assert solve_units(cfg4(), [9]) == (solve_units(cfg4(), 9),)
+        one = solve_units(cfg4(), 9)
+        network._last = None
+        assert solve_units(cfg4(), [9]) == (one,)
         assert solve_units(cfg4(), []) == ()
 
     def test_solve_columns_rejects_an_empty_batch(self):
@@ -756,6 +761,7 @@ class TestWarmStart:
             return vd, rng.uniform(0.0, 1.0, len(counts)) * vd
 
         monkeypatch.setattr(network, "_warm_start", scrambled)
+        network._last = None  # else the batch is served from the solve above, never scrambled
         got = transfer_curve(cfg)
         assert voltage_gap(got.rows, want.rows) <= 1e-12
         assert max(row.kcl_residual for row in got.rows) <= 1e-12
@@ -767,6 +773,7 @@ class TestCurveColumns:
     def test_rows_are_built_once_and_equal_solve_units(self):
         curve = transfer_curve(cfg4(TOPOLOGIES["four_inner"]))
         assert curve.rows is curve.rows
+        network._last = None
         assert curve.rows == solve_units(curve.config, list(range(16)))
 
     def test_vdac_and_i_total_are_fresh_copies(self):
@@ -778,10 +785,13 @@ class TestCurveColumns:
         i_total[:] = -1.0
         assert curve.vdac.tolist() == [r.vdac for r in curve.rows] != vdac.tolist()
         assert curve.i_total.tolist() == [r.i_total for r in curve.rows] != i_total.tolist()
+        network._last = None
         assert curve == transfer_curve(cfg)
 
     def test_equality_and_hash(self):
-        a, b = transfer_curve(cfg4()), transfer_curve(cfg4())
+        a = transfer_curve(cfg4())
+        network._last = None
+        b = transfer_curve(cfg4())
         assert a == b and hash(a) == hash(b)
         assert a != transfer_curve(cfg4(TOPOLOGIES["two"]))
         assert a != a.rows
@@ -817,6 +827,7 @@ class TestColumnReaders:
         cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=devices, topology=topology)
         curve = transfer_curve(cfg)
         assert transfer_csv(curve) == per_row_transfer_csv(curve)
+        network._last = None  # the check solves the curve again
         assert check_saturation_window(cfg) == per_row_saturation_flags(curve)
 
     def test_window_flags_are_python_bools_on_both_sides_of_the_window(self):
@@ -828,3 +839,103 @@ class TestColumnReaders:
     def test_summary_tuples_are_python_floats(self):
         report = summary(transfer_curve(cfg4()))
         assert all(type(x) is float for x in report.dnl + report.inl)
+
+
+def column_bytes(columns) -> list:
+    """Every column's bytes; the region columns, object arrays, as their members."""
+    return [c.tolist() if c.dtype == object else c.tobytes() for c in map(np.asarray, columns.values())]
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """Records each _Lanes.solve call, warm-start grids included."""
+    calls, real = [], network._Lanes.solve
+
+    def counted(self, start=None):
+        calls.append(len(self.counts))
+        return real(self, start)
+
+    monkeypatch.setattr(network._Lanes, "solve", counted)
+    return calls
+
+
+class TestLastSolve:
+    """_solve gives a batch equal to the last one it solved (equal configs, equal counts) copies
+    of that solve's arrays."""
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_a_repeated_batch_is_bit_for_bit_a_fresh_solve(self, name, solves):
+        cfg = DacConfig(8, VDD, MISMATCHED, TOPOLOGIES[name])  # four-resistor ones warm-start
+        transfer_curve(cfg)
+        made = len(solves)
+        again = column_bytes(transfer_curve(cfg).columns)
+        assert len(solves) == made
+        network._last = None
+        assert again == column_bytes(transfer_curve(cfg).columns)
+        assert len(solves) == 2 * made
+
+    @pytest.mark.parametrize("name", ["two", "four_supply"])
+    def test_writing_into_what_a_solve_gave_changes_no_later_one(self, name, solves):
+        cfg = DacConfig(8, VDD, MISMATCHED, TOPOLOGIES[name])
+        counts = np.arange(cfg.d_max + 1)
+        want = column_bytes(network.solve_columns(cfg, counts))
+        network._last = None
+        _, solved = network._solve([cfg], counts)
+        counts[:] = 0
+        made = len(solves)
+        served = transfer_curve(cfg).columns
+        for x in (*solved, *served.values()):
+            if np.ndim(x):
+                x[:] = 0
+        assert column_bytes(transfer_curve(cfg).columns) == want
+        assert len(solves) == made
+
+    def test_one_batch_is_kept(self, solves):
+        a, b = cfg4(), cfg4(TOPOLOGIES["two"])
+        for config in (a, a, b, a, a):
+            transfer_curve(config)
+        assert len(solves) == 3
+        solve_units(a, 3)
+        solve_units(a, [3])
+        solve_units(a, [3, 3])
+        assert len(solves) == 5
+
+    def test_a_config_that_differs_only_in_encoding_is_another_batch(self, solves):
+        binary = cfg4(TOPOLOGIES["four_inner"])
+        thermometer = replace(binary, encoding=Encoding.THERMOMETER)
+        transfer_curve(binary)
+        transfer_curve(thermometer)
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("attach", list(ParallelAttach), ids=lambda a: a.value)
+    def test_rsn_of_either_zero_sign_solves_to_the_same_bytes(self, attach, solves):
+        # The configs compare equal, so one may be served the other's solve.
+        zero, negative = (DacConfig(8, VDD, MISMATCHED, FourResistor(10.0, rsn, 5.0, 7.0, attach))
+                          for rsn in (0.0, -0.0))
+        assert zero == negative
+        want = column_bytes(transfer_curve(zero).columns)
+        network._last = None
+        assert column_bytes(transfer_curve(negative).columns) == want
+        made = len(solves)
+        assert column_bytes(transfer_curve(zero).columns) == want
+        assert len(solves) == made
+
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_an_int_vdd_solves_to_the_bytes_of_its_float(self, name):
+        # Equal configs, so one may be served the other's solve; an int once truncated the
+        # rails of a supply-rail batch with rsn > 0 to whole volts.
+        pair = calibrated_pair(3.0, 1.0, 40.0)
+        as_int, as_float = (DacConfig(8, vdd, pair, TOPOLOGIES[name]) for vdd in (3, 3.0))
+        assert as_int == as_float and type(as_int.vdd) is float
+        want = column_bytes(transfer_curve(as_float).columns)
+        network._last = None
+        assert column_bytes(transfer_curve(as_int).columns) == want
+
+    @pytest.mark.parametrize("attach", list(ParallelAttach), ids=lambda a: a.value)
+    def test_the_saturation_check_after_the_curve_solves_nothing(self, attach, solves):
+        cfg = DacConfig(8, VDD, MISMATCHED, replace(TOPOLOGIES["four_inner"], parallel_attach=attach))
+        curve = transfer_curve(cfg)
+        made = len(solves)
+        flags = check_saturation_window(replace(cfg, topology=replace(cfg.topology)))
+        assert len(solves) == made
+        assert flags == per_row_saturation_flags(curve)
