@@ -113,7 +113,11 @@ def _rows(columns: Columns) -> tuple[NodeSolution, ...]:
 
 @dataclass(frozen=True, eq=False)
 class TransferCurve:
-    """Solved codes 0..d_max, kept as columns; rows are built on first access."""
+    """Solved codes 0..d_max, kept as columns; rows are built on first access.
+
+    The column arrays are made read-only, so the curve, its rows and its
+    equality stay what was solved.
+    """
 
     config: DacConfig
     columns: Columns
@@ -123,6 +127,9 @@ class TransferCurve:
             raise ValueError(f"columns must be {FIELDS}, got {tuple(self.columns)}")
         if not np.array_equal(self.columns["code"], np.arange(self.config.d_max + 1)):
             raise ValueError("the code column must be 0..d_max in ascending order")
+        for column in self.columns.values():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
 
     @cached_property
     def rows(self) -> tuple[NodeSolution, ...]:

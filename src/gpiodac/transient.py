@@ -11,15 +11,17 @@ The pin model is two-state: a pin holds its old value until its event time,
 then commits to the new one. The pins a transition changes form contiguous
 ranges (thermometer: the pins between the two codes; binary: the 2^i pins of
 each flipped bit i), so a whole code sequence is replayed in one pass of array
-operations: the ranges expand into pin events, one sort orders them by
-transition and event time, and one running sum of their +-1 steps gives the
-asserted unit count after every event. Random mode computes each event's
-draw of the seeded PCG64 stream by LCG jump-ahead, in array operations over
-all events at once with no Python call per transition, so a replay costs
-time linear in the number of changed pins and codes in both skew modes. The
-unit counts of all intermediate pin states are then resolved together in one
-batched call of the static operating-point solver, so the transient waveform
-and the static transfer curve can never disagree on settled levels. Rise/fall
+operations: the ranges expand into pin events in transition and pin order,
+which is already time order with deterministic staggers and takes one sort of
+the event times with random ones, and one running sum of their +-1 steps
+gives the asserted unit count after every event. Random mode computes each
+event's draw of the seeded PCG64 stream by LCG jump-ahead, in array operations
+over all events at once with no Python call per transition, so a replay costs
+time linear in the number of changed pins and codes in both skew modes. Each
+event moves the count by one, so the counts fill one interval; that interval,
+with 0 and pin_count, is resolved in one batched call of the static
+operating-point solver, so the transient waveform and the static transfer
+curve can never disagree on settled levels. Rise/fall
 times are carried for documentation and sampling-rate checks; edge shapes are
 not modeled because the glitch mechanism is purely an ordering effect.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -231,6 +233,11 @@ def _pin_events(
     Both arrays start with the first code at time 0. The pins a transition
     changes form contiguous ranges, so every event of every transition comes
     from one pass of array operations; its temporaries die with this call.
+    Events are ordered by transition, then time, then pin. Deterministic
+    staggers rise with the pin, so the (transition, pin) order the events are
+    built in is that order already. Random ones take one sort on time, since
+    each transition's events lie in its own skew window, shorter than the
+    sample period.
     """
     old, new = code[:-1], code[1:]
     if config.encoding is Encoding.THERMOMETER:
@@ -247,18 +254,23 @@ def _pin_events(
     # Events in (step, pin) order: pin ranges expanded with repeat/arange.
     pin = np.arange(seg_size.sum()) - np.repeat(seg_size.cumsum() - seg_size - seg_start, seg_size)
     step = np.repeat(seg_step, seg_size)
-    if pcg is None:
-        stagger = pin * skew_max / config.d_max
-    else:
-        stagger = _drawn_staggers(pcg, step, pin, config.d_max, skew_max)
-    t_event = t_code[step] + stagger
-    # Stable, so simultaneous events of one transition keep their pin order.
-    order = np.lexsort((t_event, step))
     # The count before a transition is the old code and each changed pin
     # moves it by one, so one running sum from the first code gives every count.
-    rise = np.repeat(seg_rise, seg_size)[order]
-    times = np.append(0.0, t_event[order])
-    return times, code[0] + np.append(0, np.where(rise, 1, -1).cumsum())
+    move = np.repeat(np.where(seg_rise, 1, -1), seg_size)
+    if pcg is None:
+        t_event = t_code[step] + pin * skew_max / config.d_max
+    else:
+        t_event = t_code[step] + _drawn_staggers(pcg, step, pin, config.d_max, skew_max)
+        order = np.argsort(t_event)
+        by_time = t_event[order]
+        # Sorted times are the (step, time, pin) order unless two events share a time, as with
+        # skew_max = 0, or one rounds past the next transition's event at the widest skew_max.
+        # Then the stable lexsort keeps equal times in pin order, and the waveform refuses
+        # times that are not ascending.
+        if not (np.all(by_time[1:] > by_time[:-1]) and np.all(np.diff(step[order]) >= 0)):
+            order = np.lexsort((t_event, step))
+        t_event, move = t_event[order], move[order]
+    return np.append(0.0, t_event), code[0] + np.append(0, move.cumsum())
 
 
 def synthesize(
@@ -276,8 +288,11 @@ def synthesize(
     that transition s owns in the stream seeded with ``seed``, which it
     requires (a repeated code owns its draws too). Only the draws of changed
     pins are computed, by jump-ahead from the seeded state in array
-    operations, each bit for bit what the stream gives. Either way the cost is linear in the number of
-    changed pins and codes, and no step does work in proportion to pin_count.
+    operations, each bit for bit what the stream gives. Events that share a
+    time collapse into one sample, applied in pin order. Either way the cost
+    is linear in the number of changed pins and codes, and no step does work
+    in proportion to pin_count: the levels solved are the counts' interval,
+    with 0 and pin_count.
     """
     if len(codes) == 0:
         raise ValueError("need at least one code")
@@ -298,14 +313,18 @@ def synthesize(
     # Simultaneous events collapse to one sample holding the last count.
     last = np.append(times[1:] != times[:-1], True)
 
-    # Pass 2: one batched solve resolves every distinct count.
-    needed = np.sort(np.concatenate(([d_max, 0], counts)))  # np.unique hashes, at ~4x the cost
-    needed = needed[np.append(True, needed[1:] != needed[:-1])]
+    # Pass 2: one batched solve resolves every count. Each event moves the count by one, so the
+    # counts are every integer from their least to their most. 0 and d_max, which lsb_ref reads,
+    # take the slots just past that interval where they lie outside it.
+    lo, hi = int(counts.min()), int(counts.max())
+    first, end = lo - (lo > 0), hi + (hi < d_max)
+    needed = np.arange(first, end + 1)
+    needed[0], needed[-1] = 0, d_max
     _, (levels, _, _) = _solve([config], needed)
     vfs = float(levels[-1]) - float(levels[0])  # needed runs from 0 to d_max
     lsb_ref = vfs / d_max if vfs != 0.0 else config.vdd / d_max
-    index = np.searchsorted(needed, counts[last])
-    return Waveform._of_arrays(times[last], levels, index, t_code, codes, lsb_ref, config.vdd)
+    return Waveform._of_arrays(times[last], levels, counts[last] - first, t_code, codes, lsb_ref,
+                               config.vdd)
 
 
 def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
@@ -328,20 +347,22 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     # Python's min(a, b) and max(a, b), which keep a unless b compares past it.
     lo = np.where(v_after < v_before, v_after, v_before) - band * w.lsb_ref
     hi = np.where(v_after > v_before, v_after, v_before) + band * w.lsb_ref
-    # Every sample of every transition, in order: owner[j] is sample idx[j]'s transition.
+    # Every sample of every transition, in order, with its transition's bounds.
     sizes = last - first
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    idx = np.arange(len(owner)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
-    below, above = lo[owner] - values[idx], values[idx] - hi[owner]
+    idx = np.arange(sizes.sum()) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    v = values[idx]
+    below, above = np.repeat(lo, sizes) - v, v - np.repeat(hi, sizes)
     depth = np.where(above > below, above, below)
     hit = depth > 0.0
-    samples = idx[hit].tolist()
-    if not samples:  # w.times is built only for a report
+    if not hit.any():  # w.times is built only for a report
         return []
-    # Reported times reuse the waveform's float objects instead of copying them; the leading 0
-    # keeps itemgetter's result a tuple when one sample is reported.
-    times = itemgetter(0, *samples)(w.times)[1:]
-    return list(zip(times, (depth[hit] / w.lsb_ref + band).tolist()))
+    excursions = (depth[hit] / w.lsb_ref + band).tolist()
+    # Reported times are the waveform's own float objects, not copies.
+    if np.all(first[1:] >= last[:-1]):  # annotations in time order: no sample is scanned twice
+        mask = np.zeros(len(times), bool)
+        mask[idx] = hit
+        return list(zip(compress(w.times, mask.tobytes()), excursions))  # the bytes are 0 or 1
+    return list(zip(map(w.times.__getitem__, idx[hit].tolist()), excursions))
 
 
 def staircase_codes(n_bits: int) -> list[int]:

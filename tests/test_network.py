@@ -806,6 +806,25 @@ class TestCurveColumns:
         with pytest.raises(ValueError, match="columns must be"):
             network.TransferCurve(curve.config, {k: v for k, v in columns.items() if k != "vs"})
 
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_columns_are_read_only(self, name):
+        curve = transfer_curve(cfg4(TOPOLOGIES[name]))
+        want = column_bytes(curve.columns)
+        arrays = [c for c in curve.columns.values() if np.ndim(c)]
+        assert len(arrays) >= 6
+        for column in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                column[:] = column[::-1]
+        assert column_bytes(curve.columns) == want
+        assert curve.rows == solve_units(curve.config, list(range(16)))
+        network._last = None
+        assert curve == transfer_curve(curve.config)
+
+    def test_solve_columns_stay_writable(self):
+        columns = network.solve_columns(cfg4(), np.arange(16))
+        columns["vdac"][:] = 0.0
+        assert not columns["vdac"].any()
+
     def test_shared_rails_are_one_float(self):
         assert transfer_curve(cfg4()).columns["vd"] == VDD
         rsn0 = transfer_curve(cfg4(TOPOLOGIES["rsn0_inner"])).columns
@@ -883,10 +902,15 @@ class TestLastSolve:
         _, solved = network._solve([cfg], counts)
         counts[:] = 0
         made = len(solves)
-        served = transfer_curve(cfg).columns
-        for x in (*solved, *served.values()):
+        for x in solved:
             if np.ndim(x):
                 x[:] = 0
+        served = transfer_curve(cfg).columns  # a curve's arrays refuse writes
+        for x in served.values():
+            if np.ndim(x):
+                with pytest.raises(ValueError, match="read-only"):
+                    x[:] = 0
+        assert column_bytes(served) == want
         assert column_bytes(transfer_curve(cfg).columns) == want
         assert len(solves) == made
 

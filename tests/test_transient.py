@@ -1,5 +1,6 @@
 """Pin-skew replay: glitch generation and detection."""
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 
@@ -297,6 +298,15 @@ class TestGlitchReport:
         assert glitches == [(1.0, 4.0)]
         assert glitches[0][0] is wave.times[1]
 
+    def test_annotations_out_of_time_order_scan_like_the_per_sample_loop(self):
+        # Transitions 1 and 3 both start at 0.5, so sample 1 is scanned, and reported, twice.
+        wave = Waveform((0.0, 1.0, 2.0, 3.0), (0.0, 5.0, -4.0, 1.0),
+                        ((0.0, 0), (0.5, 1), (2.5, 2), (0.5, 3)), 1.0, VDD)
+        glitches = detect_glitches(wave, 0.0)
+        assert glitches == per_sample_detect_glitches(wave, 0.0)
+        assert [t for t, _ in glitches] == [1.0, 1.0, 2.0]
+        assert all(t is wave.times[int(t)] for t, _ in glitches)
+
 
 class TestDetectGlitches:
     def test_thermometer_staircase_is_clean(self):
@@ -507,3 +517,169 @@ class TestPerSampleReference:
         got = detect_glitches(wave, band)
         assert got == per_sample_detect_glitches(wave, band)
         assert bool(got) == (band < float("inf"))
+
+
+WIDEST_SKEW = TimingParams(30e-9, 30e-9, float(np.nextafter(50e-9, 0.0)), 50e-9)
+
+
+def replay_digest(wave: Waveform) -> str:
+    """sha256 of a replay's arrays (sample times, level index, levels) and its glitch pairs."""
+    parts = (wave._times, np.asarray(wave._index, np.int64), wave._levels,
+             np.array(detect_glitches(wave, 0.5), np.float64))
+    return hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest()
+
+
+# encoding/skew mode/n_bits/skew_max, recorded before the replay stopped sorting: "random-N" seeds
+# the stream with N; "5ns" is TIMING's skew_max, "widest" the largest one below the sample period.
+REPLAY_DIGESTS = {
+    "binary/deterministic/8/5ns": "0d33fcc66a867e0adb2a1b0c47f5d79b1862158d2b5cd7b0c20eb765515490f4",
+    "binary/deterministic/8/widest": "d27b49376b2cbf60117100165a5baa97cbeafb5f9d79ec976766268e69385137",
+    "binary/deterministic/11/5ns": "40e7595ad03a27941b3da35c2cd873be9737f227b641938f957b58148022390d",
+    "binary/deterministic/11/widest": "96dd792bef264c998632f603e7fe47a80469aecac774429e8f1dac810c9787f5",
+    "binary/random-7/8/5ns": "a52e95f3a42328114824289312e3037f877d3d0d7ac4ef7b91d96ac5a05c3b26",
+    "binary/random-7/8/widest": "eae1055808a826484859f9c82590753fcb22bbc9af61d43da2ec5464b58f9020",
+    "binary/random-7/11/5ns": "5946dde251bcdec819722a7ab8a45328f9cdce56412e5eb35dea33cc44d557f4",
+    "binary/random-7/11/widest": "52e2dfaa45460ff6db7a0c1d940fd518590c01d1bb181641ce485493eb4a839d",
+    "binary/random-2026/8/5ns": "4db8a5b02e07dad75caa937b288eba362eb67f4c9153106727689120568652be",
+    "binary/random-2026/8/widest": "401ec8aa7d58b19b3410c87b7509998aaa09497840436b22901326ed1a8c241a",
+    "binary/random-2026/11/5ns": "cb2c7a8eb066da81cf234f17fff5684e9d78ec191d7b2f0af709a039b2b546a9",
+    "binary/random-2026/11/widest": "e802f03d1cbe39fc47ec86b6cc09f2e669b93a4953ed3a36a5f6321d3e3f000b",
+    "thermometer/deterministic/8/5ns": "cf1fd8449c0fe1b575841a51656d20baa8bdef4ad27e79a54ca257f3e2045420",
+    "thermometer/deterministic/8/widest": "3d0c6f4d4833c9df734cbaa050d8ba48f93ffb03ef4c6a9cd9ee8f4243dec71a",
+    "thermometer/deterministic/11/5ns": "13df624176d289d8d2cc860fa51bea3c0bfd6689bf82ed3583df2b7f97b718ee",
+    "thermometer/deterministic/11/widest": "fd679dd58a7e0f9ff176ff9578c9322bc1055e3a267fe9a9c4a3a63b8a80ae01",
+    "thermometer/random-7/8/5ns": "6aff98f8a2bf9fb104a0c20e63bd48a86a32cd8a94268ba59391b8ed4ff803b8",
+    "thermometer/random-7/8/widest": "26ff5753e21396f0078d18a0a22329d9d68cba3398976195f0aaf92c704395a3",
+    "thermometer/random-7/11/5ns": "9df94788f8819a49fae4c53393db7a83f5d5f938aaeac2cbdedc0f48d92bc3c2",
+    "thermometer/random-7/11/widest": "d4211f516550afedcaadf767a4c83e575321e4e05bf6236ce04b34c95f0dc2d6",
+    "thermometer/random-2026/8/5ns": "b7a294172dddb27cc88a9f32f134d0c7cdeebfa41771dae9478aa62f16e07936",
+    "thermometer/random-2026/8/widest": "d1bd80d376aaac3309b8d3e29227f503d50ca40b4d6c2db945505580b011a41e",
+    "thermometer/random-2026/11/5ns": "fb339810d3c8453b3ea5238b703bb0949ccce262265739ddf2d84a69501ae449",
+    "thermometer/random-2026/11/widest": "4ea1ca7debddebd175cb840fd4e881a0b06506e1f65b68b96d700a90fb0f7592",
+}
+
+
+class TestReplayDigests:
+    """Staircase replays keep their arrays and glitch reports bit for bit."""
+
+    @pytest.mark.parametrize("key", REPLAY_DIGESTS)
+    def test_replay_is_bit_for_bit_the_pinned_one(self, key):
+        encoding, mode, n_bits, skew = key.split("/")
+        cfg = DacConfig(int(n_bits), VDD, PAIR, encoding=Encoding(encoding))
+        skew_mode, _, seed = mode.partition("-")
+        timing = WIDEST_SKEW if skew == "widest" else TIMING
+        wave = synthesize(cfg, staircase_codes(int(n_bits)), timing, skew_mode,
+                          int(seed) if seed else None)
+        assert replay_digest(wave) == REPLAY_DIGESTS[key]
+
+
+def solved_batches(monkeypatch) -> list:
+    """Records the counts of each _solve call synthesize makes."""
+    batches, real = [], gpiodac.transient._solve
+
+    def recorded(configs, counts):
+        batches.append(counts.tolist())
+        return real(configs, counts)
+
+    monkeypatch.setattr(gpiodac.transient, "_solve", recorded)
+    return batches
+
+
+class TestReplayWork:
+    """A replay sorts only random staggers and solves only the span its counts walk."""
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_a_deterministic_replay_sorts_and_searches_nothing(self, monkeypatch, encoding):
+        calls = []
+        for name in ("argsort", "lexsort", "sort", "searchsorted"):
+            real = getattr(np, name)
+            monkeypatch.setattr(gpiodac.transient.np, name,
+                                lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+        cfg = DacConfig(11, VDD, PAIR, encoding=encoding)
+        synthesize(cfg, staircase_codes(11) + [1024, 1023, 0], TIMING)
+        assert calls == []
+        synthesize(cfg, staircase_codes(11), TIMING, "random", seed=4)
+        assert calls == ["argsort"]
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    @pytest.mark.parametrize("codes", [[7, 8], [8, 7], [5, 5], [15], [3, 12, 4], [0, 15, 0]])
+    def test_the_batch_is_the_counts_span_with_0_and_d_max(self, monkeypatch, encoding, skew_mode,
+                                                           codes):
+        cfg = config(encoding)
+        batches = solved_batches(monkeypatch)
+        synthesize(cfg, codes, TIMING, skew_mode, seed=5)
+        t_code = np.arange(len(codes)) * TIMING.sample_period
+        pcg = np.random.PCG64(5).state["state"] if skew_mode == "random" else None
+        _, counts = _pin_events(cfg, np.array(codes), t_code, TIMING.skew_max, pcg)
+        span = set(range(counts.min(), counts.max() + 1))
+        assert batches == [sorted(span | {0, cfg.d_max})]
+
+    @pytest.mark.parametrize("n_bits, codes, batch", [
+        (4, [7, 8], [*range(9), 15]), (4, [8, 7], [0, *range(7, 16)]),
+        (11, [1023, 1024], [*range(1025), 2047]), (11, [1024, 1023], [0, *range(1023, 2048)]),
+    ])
+    def test_simultaneous_random_events_walk_in_pin_order(self, monkeypatch, n_bits, codes, batch):
+        # With no skew every event of a transition is at once; the low bits' pins come first.
+        batches = solved_batches(monkeypatch)
+        wave = synthesize(DacConfig(n_bits, VDD, PAIR), codes, TimingParams(30e-9, 30e-9, 0.0, 50e-9),
+                          "random", seed=5)
+        assert batches == [batch]
+        assert wave.times == (0.0, 50e-9)
+
+    @pytest.mark.parametrize("codes", [[1023, 1024], [1024, 1023]])
+    def test_random_events_at_equal_times_walk_in_pin_order(self, monkeypatch, codes):
+        # A skew of 4 float spacings at t = 50 ns leaves a step's events a handful of distinct
+        # times, shared by pins in shuffled order: the events of each time are walked in pin order.
+        cfg = DacConfig(11, VDD, PAIR)
+        timing = TimingParams(30e-9, 30e-9, 4 * float(np.spacing(50e-9)), 50e-9)
+        batches = solved_batches(monkeypatch)
+        wave = synthesize(cfg, codes, timing, "random", seed=8)
+        count, counts = codes[0], {codes[0]}
+        for step, (old, new) in enumerate(zip(codes, codes[1:]), start=1):
+            target = per_pin_states(new, 11, cfg.encoding)
+            pins = np.flatnonzero(np.array(per_pin_states(old, 11, cfg.encoding)) != target)
+            t = step * timing.sample_period + _drawn_staggers(
+                np.random.PCG64(8).state["state"], np.full(len(pins), step), pins, cfg.d_max,
+                timing.skew_max)
+            assert len(set(t.tolist())) < len(pins)  # events share times
+            for _, pin in sorted(zip(t.tolist(), pins.tolist())):
+                count += 1 if target[pin] else -1
+                counts.add(count)
+        assert batches == [sorted(set(range(min(counts), max(counts) + 1)) | {0, cfg.d_max})]
+        assert wave == per_pin_synthesize(cfg, codes, timing, "random", 8)
+
+    @pytest.mark.parametrize("encoding, batch", [
+        (Encoding.THERMOMETER, [0, 7, 8, 65535]), (Encoding.BINARY, [*range(9), 65535]),
+    ])
+    def test_a_16_bit_small_step_solves_no_count_outside_its_walk(self, monkeypatch, encoding, batch):
+        batches = solved_batches(monkeypatch)
+        synthesize(DacConfig(16, VDD, PAIR, encoding=encoding), [7, 8], TIMING)
+        assert batches == [batch]
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_an_event_rounding_past_the_next_transitions_is_refused(self, monkeypatch, encoding):
+        # At the widest skew, t_code[76] plus the largest draw rounds past t_code[77]. A stream
+        # whose draw for step 76 is the largest and for step 77 the least puts step 76's edge after
+        # step 77's. Ordering them by time would fall the pin before it rose, down to count -1;
+        # the replay refuses instead.
+        timing, s, d_max = WIDEST_SKEW, 76, 1
+        t_code = np.arange(s + 2) * timing.sample_period
+        multiplier = gpiodac.transient._MULTIPLIER
+        late = (1 << 64) - 1  # state after draw s - 1: halves 0 and 2^64 - 1, so XSL-RR gives 2^64 - 1
+        inc = -multiplier * late % (1 << 128)  # state after draw s: 0, so the draw is 0
+        state = late
+        for _ in range(s):
+            state = pow(multiplier, -1, 1 << 128) * (state - inc) % (1 << 128)
+        pcg = {"state": state, "inc": inc}
+        stagger = _drawn_staggers(pcg, np.array([s, s + 1]), np.array([0, 0]), d_max, timing.skew_max)
+        assert stagger[1] == 0.0 and t_code[s] + stagger[0] > t_code[s + 1]
+
+        class Seeded:
+            def __init__(self, seed):
+                self.state = {"state": pcg}
+
+        monkeypatch.setattr(np.random, "PCG64", Seeded)
+        cfg = DacConfig(1, VDD, PAIR, encoding=encoding)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            synthesize(cfg, [0] * s + [1, 0], timing, "random", seed=0)
