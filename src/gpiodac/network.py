@@ -115,8 +115,9 @@ def _rows(columns: Columns) -> tuple[NodeSolution, ...]:
 class TransferCurve:
     """Solved codes 0..d_max, kept as columns; rows are built on first access.
 
-    The column arrays are made read-only, so the curve, its rows and its
-    equality stay what was solved.
+    The curve keeps read-only views of the column arrays it is given: writes
+    through curve.columns raise, and the arrays passed in stay as writable as
+    they were, for their owner.
     """
 
     config: DacConfig
@@ -127,9 +128,13 @@ class TransferCurve:
             raise ValueError(f"columns must be {FIELDS}, got {tuple(self.columns)}")
         if not np.array_equal(self.columns["code"], np.arange(self.config.d_max + 1)):
             raise ValueError("the code column must be 0..d_max in ascending order")
-        for column in self.columns.values():
+        columns = {}
+        for name, column in self.columns.items():
             if isinstance(column, np.ndarray):
+                column = column.view()
                 column.setflags(write=False)
+            columns[name] = column
+        object.__setattr__(self, "columns", columns)
 
     @cached_property
     def rows(self) -> tuple[NodeSolution, ...]:

@@ -12,18 +12,18 @@ then commits to the new one. The pins a transition changes form contiguous
 ranges (thermometer: the pins between the two codes; binary: the 2^i pins of
 each flipped bit i), so a whole code sequence is replayed in one pass of array
 operations: the ranges expand into pin events in transition and pin order,
-which is already time order with deterministic staggers and takes one sort of
-the event times with random ones, and one running sum of their +-1 steps
-gives the asserted unit count after every event. Random mode computes each
-event's draw of the seeded PCG64 stream by LCG jump-ahead, in array operations
-over all events at once with no Python call per transition, so a replay costs
-time linear in the number of changed pins and codes in both skew modes. Each
-event moves the count by one, so the counts fill one interval; that interval,
-with 0 and pin_count, is resolved in one batched call of the static
-operating-point solver, so the transient waveform and the static transfer
-curve can never disagree on settled levels. Rise/fall
-times are carried for documentation and sampling-rate checks; edge shapes are
-not modeled because the glitch mechanism is purely an ordering effect.
+which is already time order with deterministic staggers and takes one stable
+sort by transition and time with random ones, and one running sum of their
++-1 steps gives the asserted unit count after every event. Random mode
+computes each event's draw of the seeded PCG64 stream by LCG jump-ahead, in
+array operations over all events at once with no Python call per transition,
+so a replay costs time linear in the number of changed pins and codes in both
+skew modes. Each event moves the count by one, so the counts fill one
+interval; that interval, with 0 and pin_count, is resolved in one batched call
+of the static operating-point solver, so the transient waveform and the static
+transfer curve can never disagree on settled levels. Rise/fall times are
+carried for documentation and sampling-rate checks; edge shapes are not
+modeled because the glitch mechanism is purely an ordering effect.
 """
 
 from __future__ import annotations
@@ -235,9 +235,7 @@ def _pin_events(
     from one pass of array operations; its temporaries die with this call.
     Events are ordered by transition, then time, then pin. Deterministic
     staggers rise with the pin, so the (transition, pin) order the events are
-    built in is that order already. Random ones take one sort on time, since
-    each transition's events lie in its own skew window, shorter than the
-    sample period.
+    built in is that order already; random ones take one stable sort.
     """
     old, new = code[:-1], code[1:]
     if config.encoding is Encoding.THERMOMETER:
@@ -261,14 +259,8 @@ def _pin_events(
         t_event = t_code[step] + pin * skew_max / config.d_max
     else:
         t_event = t_code[step] + _drawn_staggers(pcg, step, pin, config.d_max, skew_max)
-        order = np.argsort(t_event)
-        by_time = t_event[order]
-        # Sorted times are the (step, time, pin) order unless two events share a time, as with
-        # skew_max = 0, or one rounds past the next transition's event at the widest skew_max.
-        # Then the stable lexsort keeps equal times in pin order, and the waveform refuses
-        # times that are not ascending.
-        if not (np.all(by_time[1:] > by_time[:-1]) and np.all(np.diff(step[order]) >= 0)):
-            order = np.lexsort((t_event, step))
+        # Stable, so simultaneous events of one transition keep their pin order.
+        order = np.lexsort((t_event, step))
         t_event, move = t_event[order], move[order]
     return np.append(0.0, t_event), code[0] + np.append(0, move.cumsum())
 
@@ -362,6 +354,7 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
         mask = np.zeros(len(times), bool)
         mask[idx] = hit
         return list(zip(compress(w.times, mask.tobytes()), excursions))  # the bytes are 0 or 1
+    # Out of time order a sample can be reported twice, or before an earlier one: no mask says that.
     return list(zip(map(w.times.__getitem__, idx[hit].tolist()), excursions))
 
 

@@ -825,6 +825,14 @@ class TestCurveColumns:
         columns["vdac"][:] = 0.0
         assert not columns["vdac"].any()
 
+    def test_a_curve_leaves_the_arrays_it_is_given_writable(self):
+        columns = network.solve_columns(cfg4(), np.arange(16))
+        curve = network.TransferCurve(cfg4(), columns)
+        with pytest.raises(ValueError, match="read-only"):
+            curve.columns["vdac"][:] = 0.0
+        columns["vdac"][:] = 0.0
+        assert not columns["vdac"].any()
+
     def test_shared_rails_are_one_float(self):
         assert transfer_curve(cfg4()).columns["vd"] == VDD
         rsn0 = transfer_curve(cfg4(TOPOLOGIES["rsn0_inner"])).columns
