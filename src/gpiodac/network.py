@@ -50,6 +50,11 @@ per-lane conductances, each curve bit for bit as it solves alone; a batch
 of one config keeps them as floats. A solve
 returns columns, one array per NodeSolution field; a TransferCurve keeps them
 and builds its NodeSolution rows only when they are first read.
+
+A solve's arrays are read-only: the solved voltages are made so once, and
+are what a repeated batch is served; a TransferCurve's columns are a
+read-only mapping of read-only views. A write into either raises, so no
+caller can change what another one reads.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from copy import copy
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
@@ -115,9 +121,10 @@ def _rows(columns: Columns) -> tuple[NodeSolution, ...]:
 class TransferCurve:
     """Solved codes 0..d_max, kept as columns; rows are built on first access.
 
-    The curve keeps read-only views of the column arrays it is given: writes
-    through curve.columns raise, and the arrays passed in stay as writable as
-    they were, for their owner.
+    columns is a read-only mapping of read-only views of the column arrays
+    the curve is given, each d_max + 1 long: neither a write into a column
+    nor rebinding one changes the curve, and the arrays passed in stay as
+    writable as they were. vdac and i_total are those views.
     """
 
     config: DacConfig
@@ -126,15 +133,18 @@ class TransferCurve:
     def __post_init__(self) -> None:
         if tuple(self.columns) != FIELDS:
             raise ValueError(f"columns must be {FIELDS}, got {tuple(self.columns)}")
-        if not np.array_equal(self.columns["code"], np.arange(self.config.d_max + 1)):
+        n = self.config.d_max + 1
+        if not np.array_equal(self.columns["code"], np.arange(n)):
             raise ValueError("the code column must be 0..d_max in ascending order")
         columns = {}
         for name, column in self.columns.items():
+            if np.ndim(column) and len(column) != n:
+                raise ValueError(f"the {name} column has {len(column)} entries, not d_max + 1 = {n}")
             if isinstance(column, np.ndarray):
                 column = column.view()
                 column.setflags(write=False)
             columns[name] = column
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", MappingProxyType(columns))
 
     @cached_property
     def rows(self) -> tuple[NodeSolution, ...]:
@@ -142,11 +152,11 @@ class TransferCurve:
 
     @property
     def vdac(self) -> np.ndarray:
-        return np.array(self.columns["vdac"], dtype=np.float64)
+        return self.columns["vdac"]
 
     @property
     def i_total(self) -> np.ndarray:
-        return np.array(self.columns["i_total"], dtype=np.float64)
+        return self.columns["i_total"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransferCurve):
@@ -157,6 +167,10 @@ class TransferCurve:
 
     def __hash__(self) -> int:
         return hash(self.config)
+
+    def __reduce__(self) -> tuple:
+        # A mappingproxy does not pickle or deep-copy; the curve rebuilds from a dict of columns.
+        return TransferCurve, (self.config, dict(self.columns))
 
 
 class _Lanes:
@@ -476,28 +490,24 @@ def _warm_start(configs: Sequence[DacConfig], counts: np.ndarray, distinct: np.n
                  if np.ndim(x) else x for x in solved)
 
 
-# The last batch _solve solved: (configs, counts, (vdac, vd, vs)), every array its own copy.
+# The last batch _solve solved: (configs, a copy of its counts, its read-only (vdac, vd, vs)).
 _last: tuple | None = None
-
-
-def _copied(solved: tuple) -> tuple:
-    return tuple(x.copy() if np.ndim(x) else x for x in solved)
 
 
 def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tuple]:
     """counts under each config in turn as one lane batch: the batch and its (vdac, vd, vs).
 
     A four-resistor batch of over 2 * WARM_STRIDE distinct counts starts its
-    rails from _warm_start; any other starts cold. The solve is a function of
-    the configs and counts alone, so a batch equal to the last one solved
-    (equal configs, equal counts) gets copies of that solve's arrays, bit for
-    bit what solving it again gives.
+    rails from _warm_start; any other starts cold. The arrays are read-only.
+    The solve is a function of the configs and counts alone, so a batch equal
+    to the last one solved (equal configs, equal counts) is served that
+    solve's arrays, bit for bit what solving it again gives.
     """
     global _last
     configs = tuple(configs)
     last = _last
     if last is not None and last[0] == configs and np.array_equal(last[1], counts):
-        return _Lanes(configs, counts), _copied(last[2])
+        return _Lanes(configs, counts), last[2]
     net = _Lanes(configs, counts)
     with np.errstate(**_DISCARDED):
         start = None
@@ -507,7 +517,9 @@ def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tu
             if len(distinct) > 2 * WARM_STRIDE:
                 start = _warm_start(configs, counts, distinct)
         solved = net.solve(start)
-    _last = configs, counts.copy(), _copied(solved)
+    for x in filter(np.ndim, solved):  # a rail without a series resistor is a float
+        x.setflags(write=False)
+    _last = configs, counts.copy(), solved
     return net, solved
 
 
@@ -521,33 +533,29 @@ def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Colum
             for first in range(0, len(net.counts), n)]
 
 
+def _refuse_non_integers(values: Any, name: str) -> None:
+    """ValueError naming the first of values that is not an integer: Python and numpy integers
+    pass; bools, floats (even integral ones) and strings do not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} {v!r} is not an integer (all {name} values must be integers)")
+
+
 def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
     """values as a flat int64 array; ValueError unless each is an integer in 0..d_max.
 
-    Python and numpy integers pass; bools, floats (even integral ones) and
-    strings do not, which one dtype check on the whole array decides.
+    One dtype check on the whole array decides whether each is an integer;
+    only an array that fails it is searched, by _refuse_non_integers, for
+    the value to name.
     """
     counts = np.asarray(values).reshape(-1)
     if counts.dtype.kind not in "iu":
-        items = np.asarray(values, dtype=object).reshape(-1)
-        bad = next((v for v in items if isinstance(v, bool) or not isinstance(v, (int, np.integer))),
-                   values)
-        raise ValueError(f"{name} {bad!r} is not an integer (all {name} values must be integers)")
+        _refuse_non_integers(np.asarray(values, dtype=object).reshape(-1), name)
+        raise ValueError(f"{name} {values!r} is not an integer (all {name} values must be integers)")
     if counts.size and not 0 <= counts.min() <= counts.max() <= d_max:
         bad = counts[(counts < 0) | (counts > d_max)][0]
         raise ValueError(f"{name} {bad} out of range 0..{d_max}")
     return counts.astype(np.int64)
-
-
-def solve_columns(config: DacConfig, pullup_units: Sequence[int] | np.ndarray) -> Columns:
-    """Operating points of a non-empty batch of pull-up counts as columns, one lane per count.
-
-    The columns are what solve_units turns into rows, field by field.
-    """
-    if not np.size(pullup_units):
-        raise ValueError("pullup_units is empty")
-    [columns] = _solve_lanes([config], _checked_counts(pullup_units, config.d_max, "pullup_units"))
-    return columns
 
 
 def solve_units(
@@ -561,9 +569,10 @@ def solve_units(
     agrees with it to rounding; see the module docstring). A count need not
     correspond to any encodable code: it may be a mid-transition pin state.
     """
-    counts = np.asarray(pullup_units)
-    rows = _rows(solve_columns(config, pullup_units)) if counts.size else ()
-    return rows[0] if counts.ndim == 0 else rows
+    if not np.size(pullup_units):
+        return ()
+    rows = _rows(*_solve_lanes([config], _checked_counts(pullup_units, config.d_max, "pullup_units")))
+    return rows[0] if np.ndim(pullup_units) == 0 else rows
 
 
 def _curves(configs: Sequence[DacConfig]) -> list[TransferCurve]:

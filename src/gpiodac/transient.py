@@ -30,20 +30,22 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence
 
 import numpy as np
 
 from .config import DacConfig, Encoding, TimingParams
-from .network import _checked_counts, _solve
+from .network import _checked_counts, _refuse_non_integers, _solve
 
 
 class Waveform:
     """Piecewise-constant output: values[i] holds from times[i] to times[i+1].
 
-    annotations mark the commanded code instants; lsb_ref is the static
-    full-scale LSB so excursions can be reported in code units.
+    annotations mark the commanded code instants as (time, code) pairs, the
+    times ascending (NaN refused, repeats allowed) and the codes integers;
+    lsb_ref is the static full-scale LSB so excursions can be reported in
+    code units.
 
     A waveform is kept as arrays: the sample times, the distinct levels with
     each sample's level index, and the annotation times and codes. The tuples
@@ -64,12 +66,14 @@ class Waveform:
     ) -> None:
         values = np.array(values, dtype=np.float64)
         marks = tuple(annotations)
+        codes = [code for _, code in marks]
+        _refuse_non_integers(codes, "annotation code")
         self._fill(
             np.array(times, dtype=np.float64),
             values,
             np.arange(len(values)),
             np.array([t for t, _ in marks], dtype=np.float64),
-            np.array([code for _, code in marks], dtype=np.int64),
+            np.array(codes, dtype=np.int64),
             lsb_ref,
             vdd,
         )
@@ -86,6 +90,8 @@ class Waveform:
             raise ValueError("times and values must have equal length")
         if not np.all(np.diff(times) > 0):  # NaN compares false
             raise ValueError("times must be strictly ascending")
+        if np.isnan(mark_times).any() or not np.all(np.diff(mark_times) >= 0):
+            raise ValueError("annotation times must be ascending and not NaN")
         self.__dict__.update(
             _times=times, _levels=levels, _index=index, _mark_times=mark_times,
             _mark_codes=mark_codes, lsb_ref=lsb_ref, vdd=vdd,
@@ -339,23 +345,19 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
     # Python's min(a, b) and max(a, b), which keep a unless b compares past it.
     lo = np.where(v_after < v_before, v_after, v_before) - band * w.lsb_ref
     hi = np.where(v_after > v_before, v_after, v_before) + band * w.lsb_ref
-    # Every sample of every transition, in order, with its transition's bounds.
+    # Every sample of every transition, in order, with its transition's bounds. The annotations
+    # are in time order, so the transitions' samples tile one run, start:stop.
     sizes = last - first
-    idx = np.arange(sizes.sum()) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
-    v = values[idx]
+    start, stop = first.min(initial=len(times)), last.max(initial=0)
+    v = values[start:stop]
     below, above = np.repeat(lo, sizes) - v, v - np.repeat(hi, sizes)
     depth = np.where(above > below, above, below)
     hit = depth > 0.0
     if not hit.any():  # w.times is built only for a report
         return []
     excursions = (depth[hit] / w.lsb_ref + band).tolist()
-    # Reported times are the waveform's own float objects, not copies.
-    if np.all(first[1:] >= last[:-1]):  # annotations in time order: no sample is scanned twice
-        mask = np.zeros(len(times), bool)
-        mask[idx] = hit
-        return list(zip(compress(w.times, mask.tobytes()), excursions))  # the bytes are 0 or 1
-    # Out of time order a sample can be reported twice, or before an earlier one: no mask says that.
-    return list(zip(map(w.times.__getitem__, idx[hit].tolist()), excursions))
+    # Reported times are the waveform's own float objects, not copies; hit's bytes are 0 or 1.
+    return list(zip(compress(islice(w.times, start, stop), hit.tobytes()), excursions))
 
 
 def staircase_codes(n_bits: int) -> list[int]:

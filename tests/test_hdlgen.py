@@ -107,7 +107,7 @@ class TestDecodeTables:
         for code in range((1 << n_bits) - 1):
             assert table[code] <= table[code + 1]
 
-    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("encoding", list(Encoding))
     def test_rtl_asserts_the_pins_the_transient_model_switches(self, n_bits, encoding):
         # the glitch model is checked against the pin rule of oracles.per_pin_states; the

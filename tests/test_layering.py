@@ -26,7 +26,7 @@ NUMPY_FREE = {"gpiodac", "gpiodac.cli", "gpiodac.config"}
 RETIRED = ("SwitchModel", "ideal_output", "switch_model_output", "error_factor_output",
            "two_resistor_output", "stretched_output", "drain_current", "on_resistance",
            "midrange_resistance", "SolverError", "solve_code", "dnl", "inl", "pin_states",
-           "pin_group", "step_cycles_for", "manifest_text", "generate_constraints")
+           "pin_group", "step_cycles_for", "manifest_text", "generate_constraints", "solve_columns")
 SWEEP_TOPOLOGY = {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0, "rpp": 5.0, "rpn": 5.0}
 
 # Run the body, then print its status and the sorted gpiodac modules (and numpy, if loaded).

@@ -1,6 +1,8 @@
 """Operating-point solver checks against the nested-bisection oracle."""
 
+import copy
 import hashlib
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -20,6 +22,7 @@ from gpiodac.config import (
     ParallelAttach,
     Polarity,
     Standalone,
+    TimingParams,
     TwoResistor,
     calibrated_pair,
 )
@@ -27,6 +30,7 @@ from gpiodac.network import complement_check, solve_units, transfer_curve
 from gpiodac.cli import transfer_csv
 from gpiodac.metrics import summary
 from gpiodac.sizing import ExtractedParams, check_saturation_window, size_two_resistor
+from gpiodac.transient import synthesize
 from oracles import (
     device_current,
     divider,
@@ -574,10 +578,6 @@ class TestLaneIndependence:
         assert solve_units(cfg4(), [9]) == (one,)
         assert solve_units(cfg4(), []) == ()
 
-    def test_solve_columns_rejects_an_empty_batch(self):
-        with pytest.raises(ValueError, match="empty"):
-            network.solve_columns(cfg4(), [])
-
     def test_out_of_range_count_in_a_batch(self):
         with pytest.raises(ValueError, match="pullup_units 16 out of range"):
             solve_units(cfg4(), [3, 16, -1])
@@ -776,15 +776,17 @@ class TestCurveColumns:
         network._last = None
         assert curve.rows == solve_units(curve.config, list(range(16)))
 
-    def test_vdac_and_i_total_are_fresh_copies(self):
+    def test_vdac_and_i_total_are_the_read_only_columns(self):
         cfg = cfg4(TOPOLOGIES["two"])
         curve = transfer_curve(cfg)
         vdac, i_total = curve.vdac, curve.i_total
+        assert vdac is curve.columns["vdac"] and i_total is curve.columns["i_total"]
         assert vdac.dtype == np.float64 and i_total.dtype == np.float64
-        vdac[:] = -1.0
-        i_total[:] = -1.0
-        assert curve.vdac.tolist() == [r.vdac for r in curve.rows] != vdac.tolist()
-        assert curve.i_total.tolist() == [r.i_total for r in curve.rows] != i_total.tolist()
+        for column in (vdac, i_total):
+            with pytest.raises(ValueError, match="read-only"):
+                column[:] = -1.0
+        assert curve.vdac.tolist() == [r.vdac for r in curve.rows]
+        assert curve.i_total.tolist() == [r.i_total for r in curve.rows]
         network._last = None
         assert curve == transfer_curve(cfg)
 
@@ -797,6 +799,14 @@ class TestCurveColumns:
         assert a != a.rows
         assert len({a, b}) == 1
 
+    def test_pickle_and_deepcopy_rebuild_an_equal_read_only_curve(self):
+        curve = transfer_curve(cfg4(TOPOLOGIES["four_inner"]))
+        for other in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+            assert other == curve and other is not curve
+            assert column_bytes(other.columns) == column_bytes(curve.columns)
+            with pytest.raises(ValueError, match="read-only"):
+                other.vdac[:] = 0.0
+
     def test_constructor_checks_columns(self):
         curve = transfer_curve(cfg4())
         columns = dict(curve.columns)
@@ -805,6 +815,12 @@ class TestCurveColumns:
             network.TransferCurve(curve.config, {**columns, "code": np.arange(16)[::-1]})
         with pytest.raises(ValueError, match="columns must be"):
             network.TransferCurve(curve.config, {k: v for k, v in columns.items() if k != "vs"})
+        # A 5-entry vdac once gave a 4-bit curve 5 rows, and its summary 4 DNL steps.
+        wrong = {"vdac": columns["vdac"][:5], "i_total": np.append(columns["i_total"], 0.0),
+                 "region_n": columns["region_n"][1:]}
+        for name, column in wrong.items():
+            with pytest.raises(ValueError, match=f"the {name} column has {len(column)} entries"):
+                network.TransferCurve(curve.config, {**columns, name: column})
 
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_columns_are_read_only(self, name):
@@ -820,13 +836,31 @@ class TestCurveColumns:
         network._last = None
         assert curve == transfer_curve(curve.config)
 
-    def test_solve_columns_stay_writable(self):
-        columns = network.solve_columns(cfg4(), np.arange(16))
-        columns["vdac"][:] = 0.0
-        assert not columns["vdac"].any()
+    @pytest.mark.parametrize("name", ["standalone", "two", "four_inner", "four_supply"])
+    def test_what_a_solve_gives_is_read_only(self, name):
+        cfg = DacConfig(8, VDD, MISMATCHED, TOPOLOGIES[name])
+        counts = np.arange(cfg.d_max + 1)
+        fresh = network._solve([cfg], counts)[1]
+        served = network._solve([cfg], counts)[1]
+        assert all(a is b for a, b in zip(served, fresh))  # the same arrays, not copies
+        curve = transfer_curve(cfg)
+        wave = synthesize(cfg, list(range(cfg.d_max + 1)), TimingParams(30e-9, 30e-9, 5e-9, 50e-9))
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            curve.columns["vdac"] = np.zeros(cfg.d_max + 1)
+        with pytest.raises(TypeError, match="does not support item deletion"):
+            del curve.columns["vdac"]
+        columns = [c for c in curve.columns.values() if np.ndim(c)]
+        assert len(columns) >= 8
+        arrays = [x for x in fresh if np.ndim(x)] + columns + [curve.vdac, curve.i_total, wave._levels]
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x[:] = x[::-1]
+        network._last = None
+        assert curve == transfer_curve(cfg)
+        assert wave._levels.tobytes() == curve.vdac.tobytes()  # a staircase solves 0..d_max
 
     def test_a_curve_leaves_the_arrays_it_is_given_writable(self):
-        columns = network.solve_columns(cfg4(), np.arange(16))
+        columns = {k: v.copy() if np.ndim(v) else v for k, v in transfer_curve(cfg4()).columns.items()}
         curve = network.TransferCurve(cfg4(), columns)
         with pytest.raises(ValueError, match="read-only"):
             curve.columns["vdac"][:] = 0.0
@@ -887,8 +921,8 @@ def solves(monkeypatch) -> list:
 
 
 class TestLastSolve:
-    """_solve gives a batch equal to the last one it solved (equal configs, equal counts) copies
-    of that solve's arrays."""
+    """_solve serves a batch equal to the last one it solved (equal configs, equal counts) that
+    solve's read-only arrays."""
 
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_a_repeated_batch_is_bit_for_bit_a_fresh_solve(self, name, solves):
@@ -905,14 +939,16 @@ class TestLastSolve:
     def test_writing_into_what_a_solve_gave_changes_no_later_one(self, name, solves):
         cfg = DacConfig(8, VDD, MISMATCHED, TOPOLOGIES[name])
         counts = np.arange(cfg.d_max + 1)
-        want = column_bytes(network.solve_columns(cfg, counts))
+        [columns] = network._solve_lanes([cfg], counts)
+        want = column_bytes(columns)
         network._last = None
         _, solved = network._solve([cfg], counts)
         counts[:] = 0
         made = len(solves)
-        for x in solved:
+        for x in solved:  # the solve's arrays refuse writes
             if np.ndim(x):
-                x[:] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    x[:] = 0
         served = transfer_curve(cfg).columns  # a curve's arrays refuse writes
         for x in served.values():
             if np.ndim(x):

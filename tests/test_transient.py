@@ -1,6 +1,7 @@
 """Pin-skew replay: glitch generation and detection."""
 
 import hashlib
+import re
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 
@@ -17,7 +18,7 @@ from gpiodac.config import (
     TimingParams,
     calibrated_pair,
 )
-from gpiodac.network import WARM_STRIDE, solve_columns, solve_units, transfer_curve
+from gpiodac.network import WARM_STRIDE, _solve_lanes, solve_units, transfer_curve
 from gpiodac.transient import (
     Waveform,
     _drawn_staggers,
@@ -193,6 +194,17 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="strictly ascending"):
             Waveform((0.0, 2.0, 1.0), (0.0, 1.0, 2.0), (), 1.0, VDD)
 
+    @pytest.mark.parametrize("code", [7.9, 8.0, True, np.True_, "7", None])
+    def test_waveform_rejects_an_annotation_code_that_is_not_an_integer(self, code):
+        # 7.9 was once kept as 7 and True as 1, making a waveform equal to one built with ints.
+        message = f"annotation code {re.escape(repr(code))} is not an integer"
+        for marks in (((0.0, code),), ((0.0, 0), (1.0, code))):
+            with pytest.raises(ValueError, match=message):
+                Waveform((0.0, 1.0), (0.0, 1.0), marks, 1.0, VDD)
+        for good in (7, np.int64(7), np.uint8(7)):
+            wave = Waveform((0.0, 1.0), (0.0, 1.0), ((0.0, 0), (1.0, good)), 1.0, VDD)
+            assert wave.annotations[1] == (1.0, 7)
+
     def test_waveform_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
             Waveform((0.0, 1.0), (0.0,), (), 1.0, VDD)
@@ -276,7 +288,8 @@ class TestReplayLevels:
         assert cfg.d_max + 1 > 2 * WARM_STRIDE
         assert len(warm_starts) == (topology is not None)
         gpiodac.network._last = None  # solve the batch again, not served from the replay's solve
-        vdac = solve_columns(cfg, np.arange(cfg.d_max + 1))["vdac"]
+        [columns] = _solve_lanes([cfg], np.arange(cfg.d_max + 1))
+        vdac = columns["vdac"]
         assert len(warm_starts) == 2 * (topology is not None)
         assert wave._levels.tobytes() == vdac.tobytes()
         assert set(wave.values) == set(vdac.tolist())
@@ -298,14 +311,23 @@ class TestGlitchReport:
         assert glitches == [(1.0, 4.0)]
         assert glitches[0][0] is wave.times[1]
 
-    def test_annotations_out_of_time_order_scan_like_the_per_sample_loop(self):
-        # Transitions 1 and 3 both start at 0.5, so sample 1 is scanned, and reported, twice.
-        wave = Waveform((0.0, 1.0, 2.0, 3.0), (0.0, 5.0, -4.0, 1.0),
-                        ((0.0, 0), (0.5, 1), (2.5, 2), (0.5, 3)), 1.0, VDD)
+    def test_annotations_out_of_time_order_are_refused(self):
+        # Out of time order a sample could be scanned, and reported, twice; such waveforms are
+        # refused when built, as falling sample times are.
+        times, values = (0.0, 1.0, 2.0, 3.0), (0.0, 5.0, -4.0, 1.0)
+        with pytest.raises(ValueError, match="annotation times must be ascending"):
+            Waveform(times, values, ((0.0, 0), (0.5, 1), (2.5, 2), (0.5, 3)), 1.0, VDD)
+        for nan_first in (True, False):
+            marks = ((float("nan"), 0), (0.5, 1)) if nan_first else ((0.0, 0), (float("nan"), 1))
+            with pytest.raises(ValueError, match="annotation times must be ascending and not NaN"):
+                Waveform(times, values, marks, 1.0, VDD)
+        with pytest.raises(ValueError, match="annotation times must be ascending and not NaN"):
+            Waveform(times, values, ((float("nan"), 0),), 1.0, VDD)
+        # Repeated annotation times are in order: the earlier transition holds no sample.
+        wave = Waveform(times, values, ((0.0, 0), (0.5, 1), (0.5, 2), (2.5, 3)), 1.0, VDD)
         glitches = detect_glitches(wave, 0.0)
         assert glitches == per_sample_detect_glitches(wave, 0.0)
-        assert [t for t, _ in glitches] == [1.0, 1.0, 2.0]
-        assert all(t is wave.times[int(t)] for t, _ in glitches)
+        assert glitches == [(1.0, 5.0)] and glitches[0][0] is wave.times[1]
 
 
 class TestDetectGlitches:
