@@ -247,7 +247,7 @@ def _parse_hdl(obj: Any, dac: DacConfig) -> HdlSpec:
     values = _section(obj, "hdl", _HDL)
     pins = values["pin_assignments"]
     values["pin_assignments"] = (
-        default_pin_assignments(dac.n_bits) if pins is None else tuple(enumerate(pins))
+        default_pin_assignments(dac.n_bits) if pins is None else tuple(pins)
     )
     return _build("hdl", HdlSpec, n_bits=dac.n_bits, encoding=dac.encoding, **values)
 
@@ -362,14 +362,12 @@ def _json_lines(value: Any, newline: str) -> str:
 
 
 def transfer_csv(curve: TransferCurve) -> str:
-    """The curve as CSV text as csv_text formats it, by one % template (shared rails inlined)."""
+    """The curve as CSV text as csv_text formats it, by one % template."""
     columns = curve.columns
     template, values = [], []
     for _, name in _TRANSFER_KEYS:
         column = columns[name]
-        if isinstance(column, float):  # a rail shared by every code (np.float64 is a float too)
-            template.append(format(column, ".12g"))
-        elif name.startswith("region_"):
+        if name.startswith("region_"):
             template.append("%s")
             values.append(map(attrgetter("_value_"), column.tolist()))  # Enum's .value, in C
         else:

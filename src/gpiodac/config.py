@@ -241,7 +241,7 @@ class HdlSpec:
     module_name: str
     clock_hz: int
     staircase_step_cycles: int
-    pin_assignments: tuple[tuple[int, str], ...]
+    pin_assignments: tuple[str, ...]  # the package pin of each DAC pin, in logical order
     clock_pin: str
 
     def __post_init__(self) -> None:
@@ -260,10 +260,7 @@ class HdlSpec:
             raise GenerationError(
                 f"need exactly {self.d_max} pin assignments, got {len(self.pin_assignments)}"
             )
-        indices = [i for i, _ in self.pin_assignments]
-        if sorted(indices) != list(range(self.d_max)):
-            raise GenerationError("logical pin indices must cover 0..d_max-1 exactly once")
-        pins = [p for _, p in self.pin_assignments] + [self.clock_pin]
+        pins = [*self.pin_assignments, self.clock_pin]
         if len(set(pins)) != len(pins):
             raise GenerationError("package pins must be unique (clock included)")
 
@@ -272,7 +269,6 @@ class HdlSpec:
         return (1 << self.n_bits) - 1
 
 
-def default_pin_assignments(n_bits: int) -> tuple[tuple[int, str], ...]:
+def default_pin_assignments(n_bits: int) -> tuple[str, ...]:
     """Placeholder package pins (IOB_0...); replace with real board pins."""
-    d_max = (1 << n_bits) - 1
-    return tuple((j, f"IOB_{j}") for j in range(d_max))
+    return tuple(f"IOB_{j}" for j in range((1 << n_bits) - 1))

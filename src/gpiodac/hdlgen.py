@@ -52,7 +52,7 @@ def _module(spec: HdlSpec, headline: str, note: str, has_code_port: bool,
     lines.append(",\n".join(f"    {kind} {rng:<{width}} {name}" for kind, rng, name in ports))
     lines += [");", "", *body, "    always @(posedge clk) begin"]
     pcf, pins = [], {}
-    for index, pkg in sorted(spec.pin_assignments):
+    for index, pkg in enumerate(spec.pin_assignments):
         group, expr = _pin_rule(index, spec.n_bits, spec.encoding)
         lines.append(f"        dac_out[{index}] <= {expr};")
         pcf.append(f"set_io dac_out[{index}] {pkg}")

@@ -37,37 +37,23 @@ class LinearityReport:
     inl_reference: ClassVar[str] = "endpoint"
 
 
-def _lsb_ref(levels: np.ndarray) -> float:
-    span = float(levels[-1] - levels[0])
+def _linearity(levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(DNL, INL, LSB) of levels: the per-step deviation from one LSB (length d_max) and the
+    deviation from the end-point line (length d_max + 1), in LSB units, and the LSB in volts."""
+    v = np.asarray(levels, dtype=float)
+    if v.size < 2:
+        raise MetricsError("need at least 2 levels")
+    span = float(v[-1] - v[0])
     if span == 0.0:
         raise MetricsError("zero full-scale span: vdac(d_max) equals vdac(0)")
-    return span / (len(levels) - 1)
-
-
-def dnl_from_levels(levels: Sequence[float]) -> np.ndarray:
-    """Per-step deviation from one LSB, in LSB units (length d_max)."""
-    v = np.asarray(levels, dtype=float)
-    if v.size < 2:
-        raise MetricsError("need at least 2 levels")
-    lsb = _lsb_ref(v)
-    return np.diff(v) / lsb - 1.0
-
-
-def inl_from_levels(levels: Sequence[float]) -> np.ndarray:
-    """Deviation from the end-point line, in LSB units (length d_max + 1)."""
-    v = np.asarray(levels, dtype=float)
-    if v.size < 2:
-        raise MetricsError("need at least 2 levels")
-    lsb = _lsb_ref(v)
-    line = v[0] + lsb * np.arange(v.size)
-    return (v - line) / lsb
+    lsb = span / (v.size - 1)
+    return np.diff(v) / lsb - 1.0, (v - (v[0] + lsb * np.arange(v.size))) / lsb, lsb
 
 
 def summary(curve: TransferCurve) -> LinearityReport:
     levels = curve.vdac
     currents = curve.i_total
-    d = dnl_from_levels(levels)
-    i = inl_from_levels(levels)
+    d, i, lsb = _linearity(levels)
     deltas = np.diff(levels)
     d_max = curve.config.d_max
     mid_code = (d_max + 1) // 2
@@ -80,5 +66,5 @@ def summary(curve: TransferCurve) -> LinearityReport:
         monotonic=bool(np.all(deltas >= -MONOTONIC_SLACK)),
         i_max=float(np.max(np.abs(currents))),
         i_at_midrange=float(currents[mid_code]),
-        lsb_ref=_lsb_ref(levels),
+        lsb_ref=lsb,
     )

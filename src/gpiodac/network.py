@@ -48,8 +48,9 @@ calibrated devices, more where the rails are weakly tied to the supply.
 Configs that differ only in rpp/rpn (an rp sweep) solve as one batch with
 per-lane conductances, each curve bit for bit as it solves alone; a batch
 of one config keeps them as floats. A solve
-returns columns, one array per NodeSolution field; a TransferCurve keeps them
-and builds its NodeSolution rows only when they are first read.
+returns columns, one array per NodeSolution field with one entry per lane; a
+TransferCurve keeps them and builds its NodeSolution rows only when they are
+first read.
 
 A solve's arrays are read-only: the solved voltages are made so once, and
 are what a repeated batch is served; a TransferCurve's columns are a
@@ -62,9 +63,8 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -107,24 +107,24 @@ class NodeSolution:
 
 
 FIELDS = tuple(f.name for f in fields(NodeSolution))
-# One array per NodeSolution field, in field order; a rail without a series
-# resistor (vd or vs) is one shared float, and the regions are object arrays.
-Columns = Mapping[str, Union[np.ndarray, float]]
+# One array per NodeSolution field, in field order, one entry per lane; the regions are
+# object arrays.
+Columns = Mapping[str, np.ndarray]
 
 
 def _rows(columns: Columns) -> tuple[NodeSolution, ...]:
-    values = (c.tolist() if np.ndim(c) else repeat(c) for c in columns.values())
-    return tuple(map(NodeSolution, *values))
+    return tuple(map(NodeSolution, *(c.tolist() for c in columns.values())))
 
 
 @dataclass(frozen=True, eq=False)
 class TransferCurve:
     """Solved codes 0..d_max, kept as columns; rows are built on first access.
 
-    columns is a read-only mapping of read-only views of the column arrays
-    the curve is given, each d_max + 1 long: neither a write into a column
-    nor rebinding one changes the curve, and the arrays passed in stay as
-    writable as they were. vdac and i_total are those views.
+    columns is a read-only mapping of read-only views of the columns the
+    curve is given, arrays or array-likes each of d_max + 1 entries: neither
+    a write into a column nor rebinding one changes the curve, and the
+    arrays passed in stay as writable as they were. vdac and i_total are
+    those views.
     """
 
     config: DacConfig
@@ -138,12 +138,10 @@ class TransferCurve:
             raise ValueError("the code column must be 0..d_max in ascending order")
         columns = {}
         for name, column in self.columns.items():
-            if np.ndim(column) and len(column) != n:
-                raise ValueError(f"the {name} column has {len(column)} entries, not d_max + 1 = {n}")
-            if isinstance(column, np.ndarray):
-                column = column.view()
-                column.setflags(write=False)
-            columns[name] = column
+            column = columns[name] = np.asarray(column).view()
+            if column.shape != (n,):
+                raise ValueError(f"the {name} column has {column.size} entries, not d_max + 1 = {n}")
+            column.setflags(write=False)
         object.__setattr__(self, "columns", MappingProxyType(columns))
 
     @cached_property
@@ -498,7 +496,9 @@ def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tu
     """counts under each config in turn as one lane batch: the batch and its (vdac, vd, vs).
 
     A four-resistor batch of over 2 * WARM_STRIDE distinct counts starts its
-    rails from _warm_start; any other starts cold. The arrays are read-only.
+    rails from _warm_start; any other starts cold. The arrays are read-only,
+    one entry per lane each: a rail without a series resistor, which
+    _Lanes.solve gives as one float, is broadcast over the lanes.
     The solve is a function of the configs and counts alone, so a batch equal
     to the last one solved (equal configs, equal counts) is served that
     solve's arrays, bit for bit what solving it again gives.
@@ -516,9 +516,7 @@ def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tu
             distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
             if len(distinct) > 2 * WARM_STRIDE:
                 start = _warm_start(configs, counts, distinct)
-        solved = net.solve(start)
-    for x in filter(np.ndim, solved):  # a rail without a series resistor is a float
-        x.setflags(write=False)
+        solved = tuple(np.broadcast_to(x, net.counts.shape) for x in net.solve(start))  # read-only views
     _last = configs, counts.copy(), solved
     return net, solved
 
@@ -529,30 +527,33 @@ def _solve_lanes(configs: Sequence[DacConfig], counts: np.ndarray) -> list[Colum
     with np.errstate(**_DISCARDED):
         columns = net.columns(*solved)
     n = len(counts)
-    return [{name: c[first : first + n] if np.ndim(c) else c for name, c in columns.items()}
+    return [{name: c[first : first + n] for name, c in columns.items()}
             for first in range(0, len(net.counts), n)]
 
 
-def _refuse_non_integers(values: Any, name: str) -> None:
-    """ValueError naming the first of values that is not an integer: Python and numpy integers
-    pass; bools, floats (even integral ones) and strings do not."""
+def _refuse_non_integers(values: Any, name: str, lo: int = -(1 << 63), hi: int = (1 << 63) - 1) -> None:
+    """ValueError naming the first of values that is not an integer in lo..hi (int64 by
+    default): Python and numpy integers pass; bools, floats (even integral ones) and strings
+    do not."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} {v!r} is not an integer (all {name} values must be integers)")
+        if not lo <= v <= hi:
+            raise ValueError(f"{name} {v} out of range {lo}..{hi}")
 
 
 def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
     """values as a flat int64 array; ValueError unless each is an integer in 0..d_max.
 
     One dtype check on the whole array decides whether each is an integer;
-    only an array that fails it is searched, by _refuse_non_integers, for
-    the value to name.
+    only an array that fails it (integers beyond int64 fail it too) is
+    searched, by _refuse_non_integers, for the value to name.
     """
     counts = np.asarray(values).reshape(-1)
     if counts.dtype.kind not in "iu":
-        _refuse_non_integers(np.asarray(values, dtype=object).reshape(-1), name)
-        raise ValueError(f"{name} {values!r} is not an integer (all {name} values must be integers)")
-    if counts.size and not 0 <= counts.min() <= counts.max() <= d_max:
+        counts = np.asarray(values, dtype=object).reshape(-1)
+        _refuse_non_integers(counts, name, 0, d_max)
+    elif counts.size and not 0 <= counts.min() <= counts.max() <= d_max:
         bad = counts[(counts < 0) | (counts > d_max)][0]
         raise ValueError(f"{name} {bad} out of range 0..{d_max}")
     return counts.astype(np.int64)

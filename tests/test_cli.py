@@ -424,6 +424,16 @@ class TestTransient:
         assert captured.out == ""
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("codes", ["99999999999999999999", "3,-99999999999999999999"])
+    def test_a_code_beyond_int64_is_exit_2_naming_it(self, workdir, capsys, codes):
+        cfg = write_config(workdir)
+        assert main(["transient", "-c", str(cfg), "--codes", codes]) == 2
+        captured = capsys.readouterr()
+        bad = codes.split(",")[-1]
+        assert captured.err == f"gpiodac: error: config: code {bad} out of range 0..15\n"
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
+
     def test_random_skew_without_seed_is_exit_2_naming_key_and_flag(self, workdir, capsys):
         # an unseeded draw would give a different waveform.csv on every run
         cfg = write_config(workdir, {"transient": {"skew_mode": "random"}})
@@ -650,7 +660,7 @@ class TestConfigErrors:
         cfg = workdir / "readme.json"
         cfg.write_text(example)
         loaded = load_config(cfg)
-        assert loaded.hdl.pin_assignments[14] == (14, "J16")
+        assert loaded.hdl.pin_assignments[14] == "J16"
         assert (loaded.transient_codes, loaded.transient_skew_mode) == ("staircase", "deterministic")
         assert main(["hdl", "-c", str(cfg), "-o", "out"]) == 0
 

@@ -107,9 +107,7 @@ def assert_same_bits(got, want) -> None:
     """got and want hold the same columns, bit for bit (regions by identity)."""
     assert got.config == want.config
     for name, column in want.columns.items():
-        if np.ndim(column) == 0:
-            assert repr(got.columns[name]) == repr(column), name
-        elif column.dtype == object:
+        if column.dtype == object:
             assert got.columns[name].tolist() == column.tolist(), name
         else:
             assert got.columns[name].dtype == column.dtype, name

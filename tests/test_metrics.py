@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpiodac.config import DacConfig, MetricsError, TwoResistor, calibrated_pair
-from gpiodac.metrics import dnl_from_levels, inl_from_levels, summary
+from gpiodac.metrics import _linearity, summary
 from gpiodac.network import transfer_curve
 from oracles import naive_dnl, naive_inl
 
@@ -19,24 +19,25 @@ def ideal_levels(n: int) -> list[float]:
 
 class TestHandValues:
     def test_ideal_curve_all_zero(self):
-        levels = ideal_levels(16)
-        assert np.allclose(dnl_from_levels(levels), 0.0, atol=1e-12)
-        assert np.allclose(inl_from_levels(levels), 0.0, atol=1e-12)
+        d, i, lsb = _linearity(ideal_levels(16))
+        assert np.allclose(d, 0.0, atol=1e-12)
+        assert np.allclose(i, 0.0, atol=1e-12)
+        assert lsb == pytest.approx(VDD / 15, rel=1e-15)
 
     def test_three_level_curve(self):
         # levels [0, 1, 3]: lsb = 1.5, steps are 1 and 2
-        d = dnl_from_levels([0.0, 1.0, 3.0])
+        d, i, lsb = _linearity([0.0, 1.0, 3.0])
         assert d == pytest.approx([-1 / 3, 1 / 3], rel=1e-12)
-        i = inl_from_levels([0.0, 1.0, 3.0])
         assert i == pytest.approx([0.0, -1 / 3, 0.0], abs=1e-12)
+        assert lsb == 1.5
 
     def test_zero_span_rejected(self):
-        with pytest.raises(MetricsError):
-            dnl_from_levels([1.0, 1.0, 1.0])
+        with pytest.raises(MetricsError, match="zero full-scale span"):
+            _linearity([1.0, 1.0, 1.0])
 
     def test_too_short_rejected(self):
-        with pytest.raises(MetricsError):
-            inl_from_levels([1.0])
+        with pytest.raises(MetricsError, match="need at least 2 levels"):
+            _linearity([1.0])
 
 
 class TestAgainstModel:
@@ -66,8 +67,8 @@ class TestAgainstModel:
         assert rep.i_at_midrange == pytest.approx(curve.rows[8].i_total, rel=1e-12)
         assert rep.i_max >= rep.i_at_midrange
         assert rep.inl_reference == "endpoint"
-        assert dnl_from_levels(curve.vdac) == pytest.approx(list(rep.dnl), rel=1e-12)
-        assert inl_from_levels(curve.vdac) == pytest.approx(list(rep.inl), rel=1e-12)
+        d, i, lsb = _linearity(curve.vdac)
+        assert (tuple(d.tolist()), tuple(i.tolist()), lsb) == (rep.dnl, rep.inl, rep.lsb_ref)
 
 
 monotone_levels = st.lists(
@@ -78,8 +79,7 @@ monotone_levels = st.lists(
 class TestProperties:
     @given(levels=monotone_levels)
     def test_endpoint_identity(self, levels):
-        d = dnl_from_levels(levels)
-        i = inl_from_levels(levels)
+        d, i, _ = _linearity(levels)
         assert float(np.sum(d)) == pytest.approx(float(i[-1] - i[0]), abs=1e-9)
         # endpoint referencing forces both ends onto the line
         assert i[0] == pytest.approx(0.0, abs=1e-12)
@@ -92,9 +92,10 @@ class TestProperties:
     )
     def test_affine_curve_has_zero_inl(self, n, gain, offset):
         levels = [offset + gain * i for i in range(n)]
-        assert np.max(np.abs(inl_from_levels(levels))) < 1e-9
+        assert np.max(np.abs(_linearity(levels)[1])) < 1e-9
 
     @given(levels=monotone_levels)
     def test_matches_naive_reference(self, levels):
-        assert dnl_from_levels(levels) == pytest.approx(naive_dnl(levels), abs=1e-12)
-        assert inl_from_levels(levels) == pytest.approx(naive_inl(levels), abs=1e-12)
+        d, i, _ = _linearity(levels)
+        assert d == pytest.approx(naive_dnl(levels), abs=1e-12)
+        assert i == pytest.approx(naive_inl(levels), abs=1e-12)

@@ -351,8 +351,8 @@ TOPOLOGIES = {
 FOUR = [name for name in TOPOLOGIES if name.startswith(("four", "rsn0"))]
 
 
-# sha256 of the (vdac, vd, vs) bytes of each curve, every column broadcast to one float64 per
-# code, as the solver gave them when the bracketed rails and the exact output node were new.
+# sha256 of the (vdac, vd, vs) bytes of each curve, one float64 per code, as the solver gave
+# them when the bracketed rails and the exact output node were new.
 # Any change to the solver's arithmetic shows here, down to the last bit of one lane.
 VOLTAGE_DIGESTS = {
     "matched/standalone/6": "37e0d0a5b6adcbc488104013e0ada7cbb7b12bf9c5a1b01fe1b18602524bfded",
@@ -413,9 +413,7 @@ DIGEST_DEVICES = {
 
 
 def voltage_digest(columns) -> str:
-    n = len(columns["code"])
-    return hashlib.sha256(b"".join(np.broadcast_to(np.asarray(columns[k], np.float64), (n,)).tobytes()
-                                   for k in ("vdac", "vd", "vs"))).hexdigest()
+    return hashlib.sha256(b"".join(columns[k].tobytes() for k in ("vdac", "vd", "vs"))).hexdigest()
 
 
 class TestVoltageDigests:
@@ -585,6 +583,14 @@ class TestLaneIndependence:
             solve_units(cfg4(), [0, 5, 15, -1, 16])
         with pytest.raises(ValueError, match="pullup_units 17 out of range"):
             solve_units(cfg4(), np.array([15, 0, 17, 2**63], dtype=np.uint64))
+
+    @pytest.mark.parametrize("counts, bad", [
+        (2**70, 2**70), ([2**70], 2**70), ([3, 2**64], 2**64), ([3, -(2**64), 2**64], -(2**64)),
+        ([-1, 2**63], -1), ([2**63], 2**63),
+    ])
+    def test_a_count_beyond_int64_is_out_of_range(self, counts, bad):
+        with pytest.raises(ValueError, match=rf"^pullup_units {bad} out of range 0\.\.15$"):
+            solve_units(cfg4(), counts)
 
     def test_fractional_count_rejected(self):
         with pytest.raises(ValueError, match="must be integers"):
@@ -826,9 +832,8 @@ class TestCurveColumns:
     def test_columns_are_read_only(self, name):
         curve = transfer_curve(cfg4(TOPOLOGIES[name]))
         want = column_bytes(curve.columns)
-        arrays = [c for c in curve.columns.values() if np.ndim(c)]
-        assert len(arrays) >= 6
-        for column in arrays:
+        for column in curve.columns.values():
+            assert type(column) is np.ndarray and column.shape == (curve.config.d_max + 1,)
             with pytest.raises(ValueError, match="read-only"):
                 column[:] = column[::-1]
         assert column_bytes(curve.columns) == want
@@ -849,9 +854,7 @@ class TestCurveColumns:
             curve.columns["vdac"] = np.zeros(cfg.d_max + 1)
         with pytest.raises(TypeError, match="does not support item deletion"):
             del curve.columns["vdac"]
-        columns = [c for c in curve.columns.values() if np.ndim(c)]
-        assert len(columns) >= 8
-        arrays = [x for x in fresh if np.ndim(x)] + columns + [curve.vdac, curve.i_total, wave._levels]
+        arrays = [*fresh, *curve.columns.values(), curve.vdac, curve.i_total, wave._levels]
         for x in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 x[:] = x[::-1]
@@ -860,17 +863,31 @@ class TestCurveColumns:
         assert wave._levels.tobytes() == curve.vdac.tobytes()  # a staircase solves 0..d_max
 
     def test_a_curve_leaves_the_arrays_it_is_given_writable(self):
-        columns = {k: v.copy() if np.ndim(v) else v for k, v in transfer_curve(cfg4()).columns.items()}
+        columns = {k: v.copy() for k, v in transfer_curve(cfg4()).columns.items()}
         curve = network.TransferCurve(cfg4(), columns)
         with pytest.raises(ValueError, match="read-only"):
             curve.columns["vdac"][:] = 0.0
         columns["vdac"][:] = 0.0
         assert not columns["vdac"].any()
 
-    def test_shared_rails_are_one_float(self):
-        assert transfer_curve(cfg4()).columns["vd"] == VDD
-        rsn0 = transfer_curve(cfg4(TOPOLOGIES["rsn0_inner"])).columns
-        assert rsn0["vs"] == 0.0 and np.ndim(rsn0["vd"]) == 1
+    @pytest.mark.parametrize("name", ["standalone", "two", "rsn0_inner", "rsn0_supply"])
+    def test_a_rail_without_a_series_resistor_is_a_lane_array(self, name):
+        cfg = cfg4(TOPOLOGIES[name])
+        columns = transfer_curve(cfg).columns
+        assert columns["vs"].tolist() == [0.0] * 16
+        if name in ("standalone", "two"):
+            assert columns["vd"].tolist() == [VDD] * 16
+        assert [row.vs for row in solve_units(cfg, [0, 15])] == [0.0, 0.0]
+
+    def test_a_curve_of_list_columns_equals_the_curve_of_arrays(self):
+        curve = transfer_curve(cfg4(TOPOLOGIES["four_inner"]))
+        lists = network.TransferCurve(curve.config, {k: v.tolist() for k, v in curve.columns.items()})
+        assert lists == curve and lists.rows == curve.rows
+        for column in lists.columns.values():
+            with pytest.raises(ValueError, match="read-only"):
+                column[:] = column[::-1]
+        with pytest.raises(ValueError, match="the vd column has 1 entries, not d_max"):
+            network.TransferCurve(curve.config, {**curve.columns, "vd": VDD})
 
 
 class TestColumnReaders:
@@ -904,7 +921,7 @@ class TestColumnReaders:
 
 def column_bytes(columns) -> list:
     """Every column's bytes; the region columns, object arrays, as their members."""
-    return [c.tolist() if c.dtype == object else c.tobytes() for c in map(np.asarray, columns.values())]
+    return [c.tolist() if c.dtype == object else c.tobytes() for c in columns.values()]
 
 
 @pytest.fixture
@@ -945,15 +962,10 @@ class TestLastSolve:
         _, solved = network._solve([cfg], counts)
         counts[:] = 0
         made = len(solves)
-        for x in solved:  # the solve's arrays refuse writes
-            if np.ndim(x):
-                with pytest.raises(ValueError, match="read-only"):
-                    x[:] = 0
-        served = transfer_curve(cfg).columns  # a curve's arrays refuse writes
-        for x in served.values():
-            if np.ndim(x):
-                with pytest.raises(ValueError, match="read-only"):
-                    x[:] = 0
+        served = transfer_curve(cfg).columns
+        for x in [*solved, *served.values()]:  # the solve's arrays and a curve's refuse writes
+            with pytest.raises(ValueError, match="read-only"):
+                x[:] = 0
         assert column_bytes(served) == want
         assert column_bytes(transfer_curve(cfg).columns) == want
         assert len(solves) == made

@@ -139,6 +139,11 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="code 4.0 is not an integer"):
             synthesize(config(encoding), [4.0, 2], TIMING)
 
+    @pytest.mark.parametrize("codes, bad", [([1, 2**64], 2**64), ([2**70, 1], 2**70), ([-(2**70)], -(2**70))])
+    def test_a_code_beyond_int64_is_out_of_range(self, codes, bad):
+        with pytest.raises(ValueError, match=rf"^code {bad} out of range 0\.\.15$"):
+            synthesize(config(Encoding.BINARY), codes, TIMING)
+
     @pytest.mark.parametrize("encoding", list(Encoding))
     def test_numpy_integer_codes_replay_like_python_ints(self, encoding):
         codes = [7, 8, 3, 12]
@@ -204,6 +209,14 @@ class TestSynthesize:
         for good in (7, np.int64(7), np.uint8(7)):
             wave = Waveform((0.0, 1.0), (0.0, 1.0), ((0.0, 0), (1.0, good)), 1.0, VDD)
             assert wave.annotations[1] == (1.0, 7)
+
+    @pytest.mark.parametrize("code", [2**63, 2**70, -(2**63) - 1, np.uint64(2**64 - 1)])
+    def test_waveform_rejects_an_annotation_code_beyond_int64(self, code):
+        # 2**70 once raised OverflowError from the int64 conversion.
+        with pytest.raises(ValueError, match=rf"^annotation code {code} out of range "):
+            Waveform((0.0, 1.0), (0.0, 1.0), ((0.0, 0), (1.0, code)), 1.0, VDD)
+        extremes = ((0.0, -(2**63)), (1.0, 2**63 - 1))
+        assert Waveform((0.0, 1.0), (0.0, 1.0), extremes, 1.0, VDD).annotations == extremes
 
     def test_waveform_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
