@@ -19,7 +19,7 @@ _EXPORTS = {
     "config": (
         "DacConfig", "DeviceError", "DevicePair", "Encoding", "ExtractionError", "FourResistor",
         "GenerationError", "HdlSpec", "LinearSwitch", "MetricsError", "MosfetParams",
-        "OperatingRegion", "ParallelAttach", "Polarity", "SizingError", "Standalone", "TimingParams",
+        "OperatingRegion", "ParallelAttach", "SizingError", "Standalone", "TimingParams",
         "Topology", "TwoResistor", "calibrated_pair",
     ),
     "devices": ("classify_region",),

@@ -41,7 +41,6 @@ from .config import (
     MetricsError,
     MosfetParams,
     ParallelAttach,
-    Polarity,
     SizingError,
     Standalone,
     TimingParams,
@@ -220,11 +219,10 @@ def _parse_devices(obj: dict, where: str, vdd: float) -> DevicePair:
         return _build(where, calibrated_pair, vdd, values["vth"], values["ron_midrange"])
     slots = _section(obj, where, _SLOTS)
     devices = {}
-    for polarity in (Polarity.PMOS, Polarity.NMOS):
-        slot = f"{where}.{polarity.value}"
-        spec = {**_DEVICE, "polarity": ((polarity.value,), polarity.value)}
-        values = _section(slots[polarity.value], slot, spec)
-        devices[polarity.value] = _build(slot, MosfetParams, polarity, values["vth"], values["k"])
+    for name in _SLOTS:
+        slot = f"{where}.{name}"
+        values = _section(slots[name], slot, {**_DEVICE, "polarity": ((name,), name)})
+        devices[name] = _build(slot, MosfetParams, values["vth"], values["k"])
     return DevicePair(**devices)
 
 

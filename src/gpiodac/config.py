@@ -7,9 +7,10 @@ write text (``extract``, ``size`` and ``hdl``) start without the numeric stack.
 ``devices``, ``network``, ``transient``, ``metrics``, ``sizing`` and ``hdlgen``
 import from here the names they use; each has this one home.
 
-Device parameters are source-referenced magnitudes; ``polarity`` only records
-which sign convention the caller must apply. ``LinearSwitch`` is the ideal
-counterpart of a MOSFET unit (a fixed on-conductance with no threshold).
+Device parameters are source-referenced magnitudes. A unit device's role is the
+``DevicePair`` slot it fills: ``pmos`` pulls up, ``nmos`` pulls down.
+``LinearSwitch`` is the ideal counterpart of a MOSFET unit (a fixed
+on-conductance with no threshold).
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from typing import Union
-
-
-class Polarity(enum.Enum):
-    NMOS = "nmos"
-    PMOS = "pmos"
 
 
 class OperatingRegion(enum.Enum):
@@ -47,7 +43,6 @@ def _check_positive(name: str, value: float) -> None:
 class MosfetParams:
     """Square-law device: threshold magnitude [V] and transconductance [A/V^2]."""
 
-    polarity: Polarity
     vth: float
     k: float
 
@@ -93,10 +88,7 @@ def calibrated_pair(vdd: float, vth: float, ron_midrange: float) -> DevicePair:
     if ron_midrange <= 0.0:
         raise DeviceError(f"ron_midrange must be > 0, got {ron_midrange}")
     k = 1.0 / (ron_midrange * (vdd - vth - 0.25 * vdd))
-    return DevicePair(
-        pmos=MosfetParams(Polarity.PMOS, vth, k),
-        nmos=MosfetParams(Polarity.NMOS, vth, k),
-    )
+    return DevicePair(pmos=MosfetParams(vth, k), nmos=MosfetParams(vth, k))
 
 
 class Encoding(enum.Enum):

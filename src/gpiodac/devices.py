@@ -4,8 +4,8 @@ A GPIO output driver is treated as a CMOS pair: one PMOS unit pulling toward
 the local supply rail and one NMOS unit pulling toward the local ground rail.
 Currents follow the square law with channel-length modulation neglected, so a
 device is fully described by its threshold voltage and transconductance
-parameter. All voltages handled here are source-referenced magnitudes; the
-``polarity`` field only records which sign convention the caller must apply.
+parameter. All voltages handled here are source-referenced magnitudes; which
+rail a unit pulls toward is the ``DevicePair`` slot it fills.
 
 ``LinearSwitch`` is the ideal counterpart (a fixed on-conductance with no
 threshold); it turns the network into a plain resistor divider and is used to

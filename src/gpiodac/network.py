@@ -543,13 +543,20 @@ def _refuse_non_integers(values: Any, name: str, lo: int = -(1 << 63), hi: int =
 
 
 def _checked_counts(values: Any, d_max: int, name: str) -> np.ndarray:
-    """values as a flat int64 array; ValueError unless each is an integer in 0..d_max.
+    """values, one integer or a flat sequence of them, as a flat int64 array; a ValueError
+    naming name for nested or ragged values, or for one that is not an integer in 0..d_max.
 
     One dtype check on the whole array decides whether each is an integer;
     only an array that fails it (integers beyond int64 fail it too) is
     searched, by _refuse_non_integers, for the value to name.
     """
-    counts = np.asarray(values).reshape(-1)
+    try:
+        counts = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        counts = None
+    if counts is None or counts.ndim > 1:
+        raise ValueError(f"{name} must be an integer or a flat sequence of integers, not nested")
+    counts = counts.reshape(-1)
     if counts.dtype.kind not in "iu":
         counts = np.asarray(values, dtype=object).reshape(-1)
         _refuse_non_integers(counts, name, 0, d_max)
@@ -570,9 +577,10 @@ def solve_units(
     agrees with it to rounding; see the module docstring). A count need not
     correspond to any encodable code: it may be a mid-transition pin state.
     """
-    if not np.size(pullup_units):
+    counts = _checked_counts(pullup_units, config.d_max, "pullup_units")
+    if not counts.size:
         return ()
-    rows = _rows(*_solve_lanes([config], _checked_counts(pullup_units, config.d_max, "pullup_units")))
+    rows = _rows(*_solve_lanes([config], counts))
     return rows[0] if np.ndim(pullup_units) == 0 else rows
 
 

@@ -91,6 +91,7 @@ def extract_from_table(
 ) -> ExtractedParams:
     """Extraction from raw columns (e.g. an imported measurement CSV).
 
+    Rows are read in order, so the codes must be consecutive and ascending.
     Detects the linear region as the longest run of codes where both device
     groups are in triode, derives vth from its span, and inverts the triode
     law at the in-run code nearest mid-scale to get the unit resistance.
@@ -98,6 +99,11 @@ def extract_from_table(
     n = len(codes)
     if not (len(vdac) == len(i_per_pullup) == len(region_p) == len(region_n) == n):
         raise ExtractionError("column lengths differ")
+    for before, code in zip(codes, codes[1:]):
+        if code != before + 1:
+            raise ExtractionError(
+                f"codes must be consecutive and ascending: code {code} follows code {before}"
+            )
 
     # Runs of both-triode codes; the longest wins, the first on a tie.
     triode = OperatingRegion.TRIODE.value

@@ -18,7 +18,6 @@ from gpiodac.config import (
     LinearSwitch,
     MosfetParams,
     ParallelAttach,
-    Polarity,
     Standalone,
     TimingParams,
     TwoResistor,
@@ -77,9 +76,9 @@ def test_criterion_02_oracle_equivalence():
     while n_configs < 200:
         n_bits = int(rng.integers(1, 7))
         pair = DevicePair(
-            pmos=MosfetParams(Polarity.PMOS, float(rng.uniform(0.4, 1.4)),
+            pmos=MosfetParams(float(rng.uniform(0.4, 1.4)),
                               float(rng.uniform(2e-3, 5e-2))),
-            nmos=MosfetParams(Polarity.NMOS, float(rng.uniform(0.4, 1.4)),
+            nmos=MosfetParams(float(rng.uniform(0.4, 1.4)),
                               float(rng.uniform(2e-3, 5e-2))),
         )
         pick = n_configs % 3

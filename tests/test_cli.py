@@ -23,7 +23,7 @@ from gpiodac.cli import (
     report_doc,
     write_atomic,
 )
-from gpiodac.config import DacConfig, Polarity
+from gpiodac.config import DacConfig, DevicePair, MosfetParams
 from gpiodac.metrics import summary
 from gpiodac.network import transfer_curve
 
@@ -227,6 +227,23 @@ class TestExtractRoundTrip:
         assert main(["extract", "--curve", str(curve), "--vdd", "4", "-o", "out"]) == 4
         err = capsys.readouterr().err
         assert err == "gpiodac: error: sizing: vth must be within (0, vdd/2), got vth=3.0, vdd=4.0\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("keep, message", [
+        (lambda rows: rows[::-1], "code 14 follows code 15"),
+        (lambda rows: [r for r in rows if r[0] != "9"], "code 10 follows code 8"),
+    ], ids=["reversed", "gapped"])
+    def test_codes_out_of_place_are_exit_4_naming_the_first(self, workdir, capsys, keep, message):
+        # Read in order, the reversed golden gives vth = 2.16 V and the gapped one 1.067 V.
+        with (GOLDEN / "transfer_dac4_standalone.csv").open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        curve = workdir / "curve.csv"
+        with curve.open("w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *keep(rows)])
+        assert main(["extract", "--curve", str(curve), "--vdd", "3.3", "-o", "out"]) == 4
+        assert capsys.readouterr().err == (
+            f"gpiodac: error: sizing: codes must be consecutive and ascending: {message}\n"
+        )
         assert not (workdir / "out").exists()
 
     def test_infinite_ron_is_exit_4(self, workdir, capsys):
@@ -676,10 +693,17 @@ class TestConfigErrors:
 
     def test_explicit_devices_take_polarity_from_their_slot(self, workdir):
         cfg = write_config(workdir, {"dac.devices": explicit_devices()})
-        pair = load_config(cfg).dac.devices
-        assert (pair.pmos.polarity, pair.nmos.polarity) == (Polarity.PMOS, Polarity.NMOS)
+        unit = MosfetParams(1.15, 0.0116)
+        assert load_config(cfg).dac.devices == DevicePair(pmos=unit, nmos=unit)
         cfg = write_config(workdir, {"dac.devices": explicit_devices(pmos="pmos", nmos="nmos")})
         assert main(["simulate", "-c", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("polarities", [{"pmos": "pmos"}, {"nmos": "nmos"},
+                                            {"pmos": "pmos", "nmos": "nmos"}])
+    def test_polarity_keys_naming_their_slots_load_the_same_config(self, workdir, polarities):
+        bare = load_config(write_config(workdir, {"dac.devices": explicit_devices()})).dac
+        keyed = write_config(workdir, {"dac.devices": explicit_devices(**polarities)})
+        assert load_config(keyed).dac == bare
 
     @pytest.mark.parametrize(
         "slot, polarities",

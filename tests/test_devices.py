@@ -12,13 +12,12 @@ from gpiodac.config import (
     LinearSwitch,
     MosfetParams,
     OperatingRegion,
-    Polarity,
     calibrated_pair,
 )
 from gpiodac.devices import _at_ends, _overdrive, classify_region, current_and_derivatives
 
 VDD = 3.3
-REF = MosfetParams(Polarity.NMOS, vth=1.15, k=0.01163)
+REF = MosfetParams(vth=1.15, k=0.01163)
 
 
 def current(p, vgs, vds):
@@ -78,7 +77,7 @@ class TestOnResistance:
         assert small_signal_ron(REF, 3.3) == pytest.approx(40.0, rel=1e-3)
 
     def test_doubling_k_halves_ron(self):
-        doubled = MosfetParams(Polarity.NMOS, vth=1.15, k=2 * REF.k)
+        doubled = MosfetParams(vth=1.15, k=2 * REF.k)
         assert small_signal_ron(doubled, 3.3) == pytest.approx(
             0.5 * small_signal_ron(REF, 3.3), rel=1e-12
         )
@@ -93,7 +92,6 @@ class TestOnResistance:
 
 mosfets = st.builds(
     MosfetParams,
-    polarity=st.sampled_from(list(Polarity)),
     vth=st.floats(0.2, 2.0),
     k=st.floats(1e-4, 0.1),
 )
@@ -180,9 +178,9 @@ class TestCalibration:
 
     def test_parameter_validation(self):
         with pytest.raises(DeviceError):
-            MosfetParams(Polarity.NMOS, vth=-1.0, k=0.01)
+            MosfetParams(vth=-1.0, k=0.01)
         with pytest.raises(DeviceError):
-            MosfetParams(Polarity.NMOS, vth=1.0, k=0.0)
+            MosfetParams(vth=1.0, k=0.0)
         with pytest.raises(DeviceError):
             LinearSwitch(g=0.0)
 
@@ -193,4 +191,4 @@ class TestCalibration:
             if field == "g":
                 LinearSwitch(g=value)
             else:
-                MosfetParams(Polarity.PMOS, **{"vth": 1.15, "k": 0.01, field: value})
+                MosfetParams(**{"vth": 1.15, "k": 0.01, field: value})

@@ -11,7 +11,6 @@ from gpiodac.config import (
     MetricsError,
     MosfetParams,
     ParallelAttach,
-    Polarity,
     Standalone,
     TwoResistor,
     calibrated_pair,
@@ -142,8 +141,8 @@ SOMETIMES_FAILING = DacConfig(
     n_bits=4,
     vdd=1.16,
     devices=DevicePair(
-        pmos=MosfetParams(Polarity.PMOS, 0.285, 1.01),
-        nmos=MosfetParams(Polarity.NMOS, 0.629, 0.000296),
+        pmos=MosfetParams(0.285, 1.01),
+        nmos=MosfetParams(0.629, 0.000296),
     ),
     topology=FourResistor(rsp=10.8, rsn=0.0, rpp=1.0, rpn=1.0,
                           parallel_attach=ParallelAttach.SUPPLY_RAILS),

@@ -20,7 +20,6 @@ from gpiodac.config import (
     MosfetParams,
     OperatingRegion,
     ParallelAttach,
-    Polarity,
     Standalone,
     TimingParams,
     TwoResistor,
@@ -226,8 +225,8 @@ class TestComplementCheck:
     def test_conductance_mismatch_breaks_symmetry(self):
         kp = PAIR.pmos.k
         pair = DevicePair(
-            pmos=MosfetParams(Polarity.PMOS, 1.15, kp),
-            nmos=MosfetParams(Polarity.NMOS, 1.15, 0.9 * kp),  # 10% mismatch
+            pmos=MosfetParams(1.15, kp),
+            nmos=MosfetParams(1.15, 0.9 * kp),  # 10% mismatch
         )
         curve = transfer_curve(DacConfig(n_bits=4, vdd=VDD, devices=pair))
         asym = complement_check(curve)
@@ -245,8 +244,8 @@ class TestOracleEquivalence:
             kp = float(rng.uniform(2e-3, 5e-2))
             kn = float(rng.uniform(2e-3, 5e-2))
             pair = DevicePair(
-                pmos=MosfetParams(Polarity.PMOS, vth, kp),
-                nmos=MosfetParams(Polarity.NMOS, vth, kn),
+                pmos=MosfetParams(vth, kp),
+                nmos=MosfetParams(vth, kn),
             )
             kind = trial % 3
             if kind == 0:
@@ -323,8 +322,8 @@ class TestValidation:
 
 
 MISMATCHED = DevicePair(
-    pmos=MosfetParams(Polarity.PMOS, 1.05, 0.012),
-    nmos=MosfetParams(Polarity.NMOS, 1.2, 0.010),
+    pmos=MosfetParams(1.05, 0.012),
+    nmos=MosfetParams(1.2, 0.010),
 )
 SUPPLY = ParallelAttach.SUPPLY_RAILS
 # The damped-Newton solver and its bisection fallback both missed their tolerance at code 3.
@@ -332,8 +331,8 @@ FAILING = DacConfig(
     n_bits=4,
     vdd=1.0,
     devices=DevicePair(
-        pmos=MosfetParams(Polarity.PMOS, 0.09, 0.045),
-        nmos=MosfetParams(Polarity.NMOS, 0.46, 1.5),
+        pmos=MosfetParams(0.09, 0.045),
+        nmos=MosfetParams(0.46, 1.5),
     ),
     topology=FourResistor(rsp=0.014, rsn=27.0, rpp=150.0, rpn=1300.0, parallel_attach=SUPPLY),
 )
@@ -457,11 +456,11 @@ def device_pair(draw, vdd, open_vth=False):
     """Devices with vth in [0.05, 0.9 vdd] V (the open interval if open_vth) and k
     log-uniform on 1e-4..10 A/V^2."""
 
-    def device(polarity):
+    def device():
         vth = draw(st.floats(0.05, 0.9 * vdd, exclude_min=open_vth, exclude_max=open_vth))
-        return MosfetParams(polarity, vth, 10 ** draw(st.floats(-4, 1)))
+        return MosfetParams(vth, 10 ** draw(st.floats(-4, 1)))
 
-    return DevicePair(device(Polarity.PMOS), device(Polarity.NMOS))
+    return DevicePair(device(), device())
 
 
 def topology(draw):
@@ -552,8 +551,8 @@ class TestLaneIndependence:
     @pytest.mark.parametrize("name", TOPOLOGIES)
     def test_vth_at_either_end_of_its_range(self, name, vth_share):
         # The ends of the batches strategy's closed vth interval, 0.05 V and 0.9 vdd.
-        pair = DevicePair(MosfetParams(Polarity.PMOS, vth_share * VDD, 2e-3),
-                          MosfetParams(Polarity.NMOS, vth_share * VDD, 3e-3))
+        pair = DevicePair(MosfetParams(vth_share * VDD, 2e-3),
+                          MosfetParams(vth_share * VDD, 3e-3))
         cfg = DacConfig(6, VDD, pair, TOPOLOGIES[name])
         counts = list(range(cfg.d_max + 1))  # 64 distinct counts: no warm start
         rows = solve_units(cfg, counts)
@@ -592,6 +591,13 @@ class TestLaneIndependence:
         with pytest.raises(ValueError, match=rf"^pullup_units {bad} out of range 0\.\.15$"):
             solve_units(cfg4(), counts)
 
+    # A 2x2 list is not four counts, and a ragged one is refused naming the input, not with
+    # numpy's "inhomogeneous shape" message.
+    @pytest.mark.parametrize("counts", [[[1, 2], [3, 4]], [[1, 2], [3]]], ids=["nested", "ragged"])
+    def test_nested_counts_are_refused_naming_the_input(self, counts):
+        with pytest.raises(ValueError, match=r"^pullup_units must be an integer or a flat sequence"):
+            solve_units(cfg4(), counts)
+
     def test_fractional_count_rejected(self):
         with pytest.raises(ValueError, match="must be integers"):
             solve_units(cfg4(), 2.5)
@@ -614,8 +620,8 @@ class TestFormerFailures:
         # At the linear guess both groups saturate on codes 6-9, where the old solver's
         # 1x1 Jacobian was exactly zero and those codes went to bisection.
         pair = DevicePair(
-            pmos=MosfetParams(Polarity.PMOS, 2.0, PAIR.pmos.k),
-            nmos=MosfetParams(Polarity.NMOS, 2.0, PAIR.nmos.k),
+            pmos=MosfetParams(2.0, PAIR.pmos.k),
+            nmos=MosfetParams(2.0, PAIR.nmos.k),
         )
         curve = transfer_curve(DacConfig(n_bits=4, vdd=VDD, devices=pair))
         assert_matches_per_code_solver(curve)
@@ -642,7 +648,7 @@ class TestFormerFailures:
     def test_kiloampere_config_is_accepted_on_its_own_scale(self, monkeypatch):
         # ~1e5 S of devices on a 10 mohm rail: rounding alone leaves residuals of ~1e-10 A,
         # next to the old fixed 1e-9 A tolerance; every rail solve still stops in a few steps.
-        pair = DevicePair(MosfetParams(Polarity.PMOS, 0.5, 10.0), MosfetParams(Polarity.NMOS, 0.6, 10.0))
+        pair = DevicePair(MosfetParams(0.5, 10.0), MosfetParams(0.6, 10.0))
         cfg = DacConfig(16, VDD, pair, FourResistor(0.01, 0.01, 0.01, 0.01))
         steps = []
         bracketed = network._bracketed

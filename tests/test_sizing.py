@@ -194,6 +194,23 @@ class TestExtractionMatchesPerCodeReference:
             got = got[0], re.sub(r"np\.float64\(([^()]*)\)", r"\1", got[1])
         assert got == want
 
+    # Rows are read in order, so a reversed curve or one missing a code would give a wrong
+    # vth (2.16 V reversed, 1.067 V without code 9, against 1.136 V from the whole curve).
+    @pytest.mark.parametrize("order, message", [
+        (range(15, -1, -1), "code 14 follows code 15"),
+        ([*range(9), *range(10, 16)], "code 10 follows code 8"),
+    ], ids=["reversed", "gapped"])
+    def test_codes_out_of_place_are_refused_naming_the_first(self, order, message):
+        columns = standalone_curve().columns
+        rows = list(order)
+        table = dict(codes=[int(columns["code"][c]) for c in rows],
+                     vdac=[float(columns["vdac"][c]) for c in rows],
+                     i_per_pullup=[float(columns["i_per_pullup"][c]) for c in rows],
+                     region_p=[columns["region_p"][c].value for c in rows],
+                     region_n=[columns["region_n"][c].value for c in rows], vdd=VDD)
+        want = f"codes must be consecutive and ascending: {message}"
+        assert outcome(extract_from_table, **table) == (ExtractionError, want)
+
     # A NaN voltage in the run is the mid-scale code read, as the first NaN was for the
     # np.argmin this search replaced; a search that passed over it would read the finite code
     # nearest mid-scale, whose current is 0 in the edge cases. Outcomes recorded from that

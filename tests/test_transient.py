@@ -139,6 +139,13 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="code 4.0 is not an integer"):
             synthesize(config(encoding), [4.0, 2], TIMING)
 
+    # A 2x2 list is not four codes, and a ragged one is refused naming the input, not with
+    # numpy's "inhomogeneous shape" message.
+    @pytest.mark.parametrize("codes", [[[1, 2], [7, 8]], [[1, 2], [3]]], ids=["nested", "ragged"])
+    def test_nested_codes_are_refused_naming_the_input(self, codes):
+        with pytest.raises(ValueError, match=r"^code must be an integer or a flat sequence"):
+            synthesize(config(Encoding.BINARY), codes, TIMING)
+
     @pytest.mark.parametrize("codes, bad", [([1, 2**64], 2**64), ([2**70, 1], 2**70), ([-(2**70)], -(2**70))])
     def test_a_code_beyond_int64_is_out_of_range(self, codes, bad):
         with pytest.raises(ValueError, match=rf"^code {bad} out of range 0\.\.15$"):
