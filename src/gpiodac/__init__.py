@@ -22,7 +22,6 @@ _EXPORTS = {
         "OperatingRegion", "ParallelAttach", "SizingError", "Standalone", "TimingParams",
         "Topology", "TwoResistor", "calibrated_pair",
     ),
-    "devices": ("classify_region",),
     "network": (
         "NodeSolution", "TransferCurve", "complement_check", "solve_units", "transfer_curve",
     ),

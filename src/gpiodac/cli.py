@@ -481,10 +481,11 @@ def _cmd_extract(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, st
     from .sizing import extract_from_table  # as in simulate
 
     path = Path(args.curve)
+    read = ("code", "vdac_v", "i_pullup_a", "region_p", "region_n")  # all extraction needs
     try:
         with path.open(newline="") as handle:
             reader = csv.DictReader(handle)
-            missing = [c for c in TRANSFER_COLUMNS if c not in (reader.fieldnames or [])]
+            missing = [c for c in read if c not in (reader.fieldnames or [])]
             if missing:
                 raise ConfigError(f"curve CSV {path} lacks columns: {', '.join(missing)}")
             rows = list(reader)

@@ -30,7 +30,7 @@ class OperatingRegion(enum.Enum):
 
 
 class DeviceError(ValueError):
-    """Invalid device parameters or an evaluation outside the model's domain."""
+    """Invalid device parameters."""
 
 
 def _check_positive(name: str, value: float) -> None:

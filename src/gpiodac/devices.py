@@ -11,40 +11,22 @@ rail a unit pulls toward is the ``DevicePair`` slot it fills.
 threshold); it turns the network into a plain resistor divider and is used to
 check that the nonlinear solver degenerates to the ideal DAC.
 
-``current_and_derivatives``, the package's one square law, and
-``classify_region`` take floats or arrays, one element per solver lane, so a
-whole batch of operating points is evaluated in one call. The solver calls
-the law's private forms: ``_law``, which leaves out the derivatives its
-caller drops, and ``_at_ends``, its values at the ends of the output node's
-bracket, where one group has vds = 0 and the other vds = vgs. The device types
-themselves (``MosfetParams``, ``LinearSwitch``, ``DevicePair``,
-``calibrated_pair``) are defined in ``config``.
+``current_and_derivatives``, the package's one square law, takes floats or
+arrays, one element per solver lane, so a whole batch of operating points is
+evaluated in one call. The solver calls the law's private forms: ``_law``,
+which leaves out the derivatives its caller drops, and ``_at_ends``, its
+values at the ends of the output node's bracket, where one group has vds = 0
+and the other vds = vgs. The solver decides each group's operating region
+itself, from the voltages it solved. The device types themselves
+(``MosfetParams``, ``LinearSwitch``, ``DevicePair``, ``calibrated_pair``)
+are defined in ``config``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import DeviceError, LinearSwitch, OperatingRegion, UnitDevice
-
-_REGIONS = np.array(
-    [OperatingRegion.CUTOFF, OperatingRegion.TRIODE, OperatingRegion.SATURATION], dtype=object
-)
-
-
-def classify_region(p: UnitDevice, vgs_mag: float | np.ndarray, vds_mag: float | np.ndarray):
-    """Operating region at (vgs, vds), both source-referenced magnitudes.
-
-    The vds == vgs - vth boundary is assigned to saturation (both current
-    formulas agree there, but reporting must be deterministic). Array inputs
-    give an object array holding one region per element.
-    """
-    _check_domain(np.min(vgs_mag), np.min(vds_mag))
-    if isinstance(p, LinearSwitch):
-        index = np.ones(np.broadcast(vgs_mag, vds_mag).shape, dtype=int)
-    else:
-        index = np.where(vgs_mag < p.vth, 0, np.where(vds_mag >= vgs_mag - p.vth, 2, 1))
-    return _REGIONS[index]
+from .config import LinearSwitch, UnitDevice
 
 
 def current_and_derivatives(
@@ -100,10 +82,3 @@ def _at_ends(p: UnitDevice, vov, vds):
     di_d = p.k * vov  # the slope at vds = 0
     return (None, di_d), (di_d * (vov - 0.5 * vov), None)
 
-
-def _check_domain(vgs_mag: float, vds_mag: float) -> None:
-    if vgs_mag < 0.0 or vds_mag < 0.0:
-        raise DeviceError(
-            f"voltages must be source-referenced magnitudes >= 0, "
-            f"got vgs={vgs_mag}, vds={vds_mag}"
-        )

@@ -62,8 +62,6 @@ def sweep_parallel(base: DacConfig, rp_values: Sequence[float]) -> list[SweepPoi
     """
     if len(rp_values) == 0:
         raise ValueError("rp_values must be non-empty")
-    if any(rp <= 0.0 for rp in rp_values):
-        raise ValueError("rp values must be > 0")
     rs = _rs_of(base)
     points = []
     for rp, curve in zip(rp_values, _curves([_with_rp(base, rp) for rp in rp_values])):

@@ -30,7 +30,6 @@ def _pin_rule(index: int, n_bits: int, encoding: Encoding) -> tuple[str, str]:
 
     Binary: bit i owns the 2^i pins from 2^i - 1, so pin j's bit is
     (j + 1).bit_length() - 1. Thermometer: pin j is its own cell, on while code > j.
-    HdlSpec has already checked that the index is in 0..d_max-1.
     """
     if encoding is Encoding.THERMOMETER:
         return f"cell{index}", f"(code > {n_bits}'d{index})"

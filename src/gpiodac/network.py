@@ -75,9 +75,8 @@ from .config import (
     OperatingRegion,
     ParallelAttach,
     Standalone,
-    TwoResistor,
 )
-from .devices import _at_ends, _law, _overdrive, classify_region, current_and_derivatives
+from .devices import _at_ends, _law, _overdrive, current_and_derivatives
 
 MAX_ITERATIONS = 200  # Newton or bisection steps per lane and rail level
 WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a large four-resistor batch's start
@@ -86,6 +85,9 @@ _ATOL = 1e-18  # amperes, for nodes that carry no current
 _XTOL = 8.0 * np.finfo(float).eps  # of a level's span: a root this close is as good as found
 _MAX_LANES = 1 << 16  # lanes of one batch of whole curves (one 16-bit curve): bounds peak memory
 _DISCARDED = dict(divide="ignore", over="ignore", invalid="ignore")  # a solve's nan and inf are dropped
+_REGIONS = np.array(
+    [OperatingRegion.CUTOFF, OperatingRegion.TRIODE, OperatingRegion.SATURATION], dtype=object
+)
 
 
 @dataclass(frozen=True)
@@ -404,33 +406,37 @@ class _Lanes:
     def columns(self, vdac, vd, vs) -> Columns:
         cfg = self.cfg
         pmos, nmos, vgs = cfg.devices.pmos, cfg.devices.nmos, vd - vs
-        ip = _law(pmos, _overdrive(pmos, vgs), vd - vdac, dvgs=False, dvds=False)[0]
-        in_ = _law(nmos, _overdrive(nmos, vgs), vdac - vs, dvgs=False, dvds=False)[0]
+        vds_p, vds_n = vd - vdac, vdac - vs
+        ip = _law(pmos, _overdrive(pmos, vgs), vds_p, dvgs=False, dvds=False)[0]
+        in_ = _law(nmos, _overdrive(nmos, vgs), vds_n, dvgs=False, dvds=False)[0]
         i_rpp = self.gpp * ((vd if self.inner else cfg.vdd) - vdac)
         i_rpn = self.gpn * (vdac - (vs if self.inner else 0.0))
         Ip, In = self.up * ip, self.dn * in_
         residual = np.abs(Ip + i_rpp - In - i_rpn)
-        if isinstance(cfg.topology, Standalone):
-            i_total = Ip
-        elif isinstance(cfg.topology, TwoResistor):
-            i_total = Ip + i_rpp
-        else:
+        if self.four:
             i_total = self.gsp * (cfg.vdd - vd)
             residual = np.maximum(residual, np.abs(i_total - Ip - (i_rpp if self.inner else 0.0)))
             if not self.inner:
                 i_total += i_rpp
+        else:
+            i_total = Ip + i_rpp  # Ip itself, bit for bit, where gpp is 0 (standalone)
         if self.has_vs:
             residual = np.maximum(residual, np.abs(In + (i_rpn if self.inner else 0.0) - self.gsn * vs))
-        # Report the region of the active groups; a group with no active units
-        # has its devices' gates parked at their own source rail, i.e. cutoff.
+        # Each group's region, indexing _REGIONS. A group with no active units has its gates
+        # parked at its own source rail: it carries nothing and is cut off. An active group is
+        # cut off where vgs < vth, saturated from vds = vgs - vth up, and in triode between;
+        # a LinearSwitch, which has no threshold, is in triode.
         vgs_mag = np.maximum(vgs, 0.0)
-        region_p = classify_region(cfg.devices.pmos, vgs_mag, np.maximum(vd - vdac, 0.0))
-        region_n = classify_region(cfg.devices.nmos, vgs_mag, np.maximum(vdac - vs, 0.0))
-        has_up, has_dn = self.counts > 0, self.counts < cfg.d_max
-        cutoff = OperatingRegion.CUTOFF
-        columns = (self.counts, vdac, vd, vs, i_total, np.where(has_up, ip, 0.0),
-                   np.where(has_dn, in_, 0.0), i_rpp, i_rpn, np.where(has_up, region_p, cutoff),
-                   np.where(has_dn, region_n, cutoff), residual)
+        units, regions = [], []
+        for dev, i, vds, active in ((pmos, ip, vds_p, self.counts > 0),
+                                    (nmos, in_, vds_n, self.counts < cfg.d_max)):
+            index = active.astype(np.intp)
+            if isinstance(dev, MosfetParams):
+                index[vgs_mag < dev.vth] = 0
+                index *= 1 + (np.maximum(vds, 0.0) >= vgs_mag - dev.vth)
+            units.append(np.where(active, i, 0.0))
+            regions.append(_REGIONS[index])
+        columns = (self.counts, vdac, vd, vs, i_total, *units, i_rpp, i_rpn, *regions, residual)
         return dict(zip(FIELDS, columns))
 
 

@@ -178,11 +178,7 @@ def size_two_resistor(p: ExtractedParams, d_max: int) -> SizingResult:
     """
     if d_max < 1:
         raise SizingError(f"d_max must be >= 1, got {d_max}")
-    window = p.vdd - 2.0 * p.vth
-    if window <= 0.0:
-        raise SizingError(
-            f"no linear region: vdd - 2*vth = {window:.4g} V is not positive"
-        )
+    window = p.vdd - 2.0 * p.vth  # > 0, since ExtractedParams holds 0 < vth < vdd/2
     alpha_g = d_max * p.vth / window
     if alpha_g == 0.0:
         raise SizingError(
@@ -223,11 +219,7 @@ def size_four_resistor(
         raise SizingError(f"it_target must be finite and > 0, got {it_target}")
     if not 0.0 <= split <= 1.0:
         raise SizingError(f"split must be in [0, 1], got {split}")
-    window = p.vdd - 2.0 * p.vth
-    if window <= 0.0:
-        raise SizingError(
-            f"window collapse: vdd - 2*vth = {window:.4g} V is not positive"
-        )
+    window = p.vdd - 2.0 * p.vth  # > 0, since ExtractedParams holds 0 < vth < vdd/2
     rs_lo = window / it_target
     rs_hi = (p.vdd - p.vth) / it_target
     if rs_hi == math.inf:

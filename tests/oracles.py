@@ -1,9 +1,11 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately dumb and slow: nested scalar bisection for
-operating points (no Newton, no Jacobians), two-pass loops for metrics, and
+operating points (no Newton, no Jacobians), two-pass loops for metrics,
 plain divider arithmetic, the reference of the solver fed ``LinearSwitch``
-devices. These never share a code path with the implementations they check.
+devices, and one row's operating regions by float comparisons
+(``per_row_regions``). These never share a code path with the
+implementations they check.
 ``oracle_solve`` nests its levels vd outermost, then vs, then vdac, and
 bisects each. The package takes a closed-form root for vdac and bracketed
 Newton steps for the rails, nests vs inside vd only on supply rails, and on
@@ -399,6 +401,30 @@ def per_row_saturation_flags(curve) -> list[bool]:
         p_sat = row.vdac <= row.vs + vth_p
         flags.append(bool(strong and n_sat and p_sat))
     return flags
+
+
+def per_row_regions(config: DacConfig, row) -> tuple[OperatingRegion, OperatingRegion]:
+    """Reference of a curve's region columns: (region_p, region_n) of one NodeSolution row.
+
+    A group with no active units is cut off. Otherwise a LinearSwitch is in
+    triode, and a MOSFET group, at vgs = vd - vs and its own vds (each taken
+    as 0 where negative), is cut off below vth, saturated from vds = vgs - vth
+    up and in triode between.
+    """
+
+    def region(dev, units: int, vds: float) -> OperatingRegion:
+        if units == 0:
+            return OperatingRegion.CUTOFF
+        if isinstance(dev, LinearSwitch):
+            return OperatingRegion.TRIODE
+        vgs, vds = max(row.vd - row.vs, 0.0), max(vds, 0.0)
+        if vgs < dev.vth:
+            return OperatingRegion.CUTOFF
+        return OperatingRegion.SATURATION if vds >= vgs - dev.vth else OperatingRegion.TRIODE
+
+    devices = config.devices
+    return (region(devices.pmos, row.code, row.vd - row.vdac),
+            region(devices.nmos, config.d_max - row.code, row.vdac - row.vs))
 
 
 def per_sample_detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:

@@ -17,6 +17,7 @@ import gpiodac.network
 from gpiodac.cli import (
     OUTPUT_DIR_ENV,
     TRANSFER_COLUMNS,
+    csv_text,
     json_text,
     load_config,
     main,
@@ -24,6 +25,7 @@ from gpiodac.cli import (
     write_atomic,
 )
 from gpiodac.config import DacConfig, DevicePair, MosfetParams
+from gpiodac.explorer import SWEEP_COLUMNS
 from gpiodac.metrics import summary
 from gpiodac.network import transfer_curve
 
@@ -184,6 +186,30 @@ class TestExtractRoundTrip:
         bad = workdir / "bad.csv"
         bad.write_text("code,vdac_v\n0,0.0\n")
         assert main(["extract", "--curve", str(bad), "--vdd", "3.3", "-o", "out"]) == 2
+
+    def test_the_five_columns_it_reads_give_the_golden_params(self, workdir):
+        with (GOLDEN / "transfer_dac4_standalone.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        read = ["code", "vdac_v", "i_pullup_a", "region_p", "region_n"]
+        curve = workdir / "measured.csv"
+        curve.write_text(csv_text(read, [[row[c] for c in read] for row in rows]))
+        assert main(["extract", "--curve", str(curve), "--vdd", "3.3", "-o", "out"]) == 0
+        got = json.loads((workdir / "out" / "params.json").read_text())
+        want = json.loads((GOLDEN / "params_dac4_standalone.json").read_text())
+        for key in ("vth_v", "ron_ohm", "vdd_v", "linear_range_v"):
+            assert got[key] == want[key], key
+
+    def test_a_curve_without_a_column_it_reads_is_exit_2_naming_it(self, workdir, capsys):
+        with (GOLDEN / "transfer_dac4_standalone.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        kept = [c for c in TRANSFER_COLUMNS if c != "region_n"]
+        curve = workdir / "curve.csv"
+        curve.write_text(csv_text(kept, [[row[c] for c in kept] for row in rows]))
+        assert main(["extract", "--curve", str(curve), "--vdd", "3.3", "-o", "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"gpiodac: error: config: curve CSV {curve} lacks columns: region_n\n"
+        )
+        assert not (workdir / "out").exists()
 
     def test_output_matches_golden(self, workdir):
         curve = workdir / "transfer.csv"
@@ -413,6 +439,30 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == f"gpiodac: error: config: argument --rp: must be a finite number, got '{value}'\n"
         assert not (workdir / "out" / "sweep.csv").exists()
+
+    def test_an_rp_not_above_0_is_exit_2_naming_rpp(self, workdir, capsys):
+        cfg = write_config(workdir, {
+            "dac.topology": {"kind": "two_resistor", "rpp": 5.0, "rpn": 5.0},
+        })
+        assert main(["sweep", "-c", str(cfg), "--rp", "7,-1"]) == 2
+        assert capsys.readouterr().err == (
+            "gpiodac: error: config: parallel resistors must be > 0, got rpp=-1.0, rpn=-1.0\n"
+        )
+        assert not (workdir / "out").exists()
+
+    def test_a_failing_point_is_an_error_row(self, workdir):
+        cfg = write_config(workdir, {
+            "dac.n_bits": 5,
+            "dac.devices": {"pmos": {"vth": 1.05, "k": 0.012}, "nmos": {"vth": 1.2, "k": 0.010}},
+            "dac.topology": {"kind": "four_resistor", "rsp": 10.0, "rsn": 2.0,
+                              "rpp": 5.0, "rpn": 7.0},
+            "hdl": None,
+        })
+        assert main(["sweep", "-c", str(cfg), "--rp", "7,2.35"]) == 0
+        header, ok, failed = (workdir / "out" / "sweep.csv").read_text().splitlines()
+        assert header == ",".join(SWEEP_COLUMNS)
+        assert ok.endswith(",true,ok")
+        assert failed == "2.35,12,,,,,,error: zero full-scale span: vdac(d_max) equals vdac(0)"
 
 
 class TestTransient:

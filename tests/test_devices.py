@@ -1,4 +1,4 @@
-"""Unit-device model checks: square-law values, regions, resistances."""
+"""Unit-device model checks: square-law values, resistances, validation."""
 
 import math
 
@@ -11,10 +11,9 @@ from gpiodac.config import (
     DeviceError,
     LinearSwitch,
     MosfetParams,
-    OperatingRegion,
     calibrated_pair,
 )
-from gpiodac.devices import _at_ends, _overdrive, classify_region, current_and_derivatives
+from gpiodac.devices import _at_ends, _overdrive, current_and_derivatives
 
 VDD = 3.3
 REF = MosfetParams(vth=1.15, k=0.01163)
@@ -43,28 +42,6 @@ class TestSquareLaw:
     def test_linear_switch_has_no_threshold(self):
         sw = LinearSwitch(g=0.05)
         assert current(sw, 0.0, 1.0) == pytest.approx(0.05)
-
-
-class TestClassifyRegion:
-    @pytest.mark.parametrize(
-        "vgs,vds,expected",
-        [
-            (3.3, 0.3, OperatingRegion.TRIODE),
-            (3.3, 2.15, OperatingRegion.SATURATION),  # boundary goes to saturation
-            (1.0, 3.0, OperatingRegion.CUTOFF),
-        ],
-    )
-    def test_examples(self, vgs, vds, expected):
-        assert classify_region(REF, vgs, vds) is expected
-
-    def test_linear_switch_is_resistive(self):
-        assert classify_region(LinearSwitch(0.05), 0.0, 1.0) is OperatingRegion.TRIODE
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(DeviceError):
-            classify_region(REF, -0.1, 1.0)
-        with pytest.raises(DeviceError):
-            classify_region(REF, 1.0, -0.1)
 
 
 def small_signal_ron(p, vgs):

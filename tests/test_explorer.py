@@ -95,6 +95,19 @@ class TestSweepMechanics:
         with pytest.raises(ValueError):
             sweep_parallel(four_resistor_base(), [5.0, -1.0])
 
+    @pytest.mark.parametrize("rp", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("topology", [TwoResistor(2.35, 2.35), FourResistor(10.0, 0.0, 5.0, 5.0)],
+                             ids=["two", "four"])
+    def test_an_rp_not_above_0_is_refused_naming_rpp_before_anything_solves(
+        self, monkeypatch, topology, rp
+    ):
+        solved = []
+        monkeypatch.setattr(explorer, "_curves", solved.append)
+        base = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=topology)
+        with pytest.raises(ValueError, match=f"^parallel resistors must be > 0, got rpp={rp}, "):
+            sweep_parallel(base, [5.0, rp])
+        assert solved == []
+
     def test_two_resistor_base_reports_zero_series(self):
         base = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(2.35, 2.35))
         points = sweep_parallel(base, [2.0, 3.0])

@@ -27,7 +27,9 @@ RETIRED = ("SwitchModel", "ideal_output", "switch_model_output", "error_factor_o
            "two_resistor_output", "stretched_output", "drain_current", "on_resistance",
            "midrange_resistance", "SolverError", "solve_code", "dnl", "inl", "pin_states",
            "pin_group", "step_cycles_for", "manifest_text", "generate_constraints", "solve_columns",
-           "Polarity")
+           "Polarity", "classify_region")
+# Every gpiodac module; devices exports no public name, so it is not in _EXPORTS.
+LAYERS = ("cli", "devices", *gpiodac._EXPORTS)
 SWEEP_TOPOLOGY = {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0, "rpp": 5.0, "rpn": 5.0}
 
 # Run the body, then print its status and the sorted gpiodac modules (and numpy, if loaded).
@@ -161,14 +163,18 @@ class TestLazyExports:
             for name in names:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
         # A config name a layer still imports, because it uses it, is the config object.
-        for module in ("cli", *gpiodac._EXPORTS):
+        for module in LAYERS:
             mod = importlib.import_module(f"gpiodac.{module}")
             for name, value in vars(config).items():
                 if module != "config" and not name.startswith("__") and hasattr(mod, name):
                     assert getattr(mod, name) is value, f"{mod.__name__}.{name}"
 
-    def test_all_has_42_names(self):
-        assert len(gpiodac.__all__) == 42
+    def test_all_has_41_names(self):
+        assert len(gpiodac.__all__) == 41
+
+    def test_readme_documents_every_public_name(self):
+        readme = (SRC.parent / "README.md").read_text()
+        assert [name for name in gpiodac.__all__ if f"`{name}" not in readme] == []
 
     def test_dir_covers_all(self):
         assert set(gpiodac.__all__) <= set(dir(gpiodac))
@@ -187,7 +193,7 @@ class TestLazyExports:
     def test_retired_name_is_defined_nowhere(self, name):
         with pytest.raises(AttributeError, match=f"'{name}'"):
             getattr(gpiodac, name)
-        for module in ("cli", *gpiodac._EXPORTS):
+        for module in LAYERS:
             assert not hasattr(importlib.import_module(f"gpiodac.{module}"), name), module
 
     def test_analytic_module_is_gone(self):

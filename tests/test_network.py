@@ -36,6 +36,7 @@ from oracles import (
     oracle_curve,
     oracle_solve,
     per_code_solve,
+    per_row_regions,
     per_row_saturation_flags,
     per_row_transfer_csv,
 )
@@ -923,6 +924,49 @@ class TestColumnReaders:
     def test_summary_tuples_are_python_floats(self):
         report = summary(transfer_curve(cfg4()))
         assert all(type(x) is float for x in report.dnl + report.inl)
+
+
+CUT, TRI, SAT = OperatingRegion.CUTOFF, OperatingRegion.TRIODE, OperatingRegion.SATURATION
+
+
+class TestRegions:
+    """The region columns are the region rule, applied row by row."""
+
+    @pytest.mark.parametrize("n_bits", [4, 10])
+    @pytest.mark.parametrize("devices", DIGEST_DEVICES)
+    @pytest.mark.parametrize("name", TOPOLOGIES)
+    def test_every_curve_s_regions_are_the_per_row_rule(self, name, devices, n_bits):
+        cfg = DacConfig(n_bits, VDD, DIGEST_DEVICES[devices], TOPOLOGIES[name])
+        curve = transfer_curve(cfg)
+        want = [per_row_regions(cfg, row) for row in curve.rows]
+        assert list(zip(curve.columns["region_p"].tolist(), curve.columns["region_n"].tolist())) == want
+
+    # (count, vdac, vd, vs, region_p, region_n) at vth = 1 V and d_max = 15, each voltage exact.
+    EDGES = [
+        (5, 1.0, 3.0, 0.0, SAT, TRI),  # pull-up vds = vgs - vth: the boundary is saturation
+        (5, 2.0, 3.0, 0.0, TRI, SAT),  # pull-down vds = vgs - vth
+        (5, 1.5, 3.0, 0.0, TRI, TRI),
+        (5, 1.5, 2.0, 1.0, SAT, SAT),  # vgs = vth: not cut off, and vds >= 0 = vgs - vth
+        (5, 2.5, 2.0, 1.0, SAT, SAT),  # vgs = vth with the pull-ups' vds < 0, taken as 0
+        (5, 1.5, 1.875, 1.0, CUT, CUT),  # vgs < vth
+        (5, 1.5, 1.0, 2.0, CUT, CUT),  # vgs < 0
+        (0, 1.5, 3.0, 0.0, CUT, TRI),  # code 0: no pull-ups are active
+        (15, 1.5, 3.0, 0.0, TRI, CUT),  # code d_max: no pull-downs are active
+    ]
+
+    @pytest.mark.parametrize(
+        "pmos, want",
+        [(MosfetParams(1.0, 0.01), [(p, n) for *_, p, n in EDGES]),
+         (LinearSwitch(0.02), [(CUT if count == 0 else TRI, n) for count, *_, n in EDGES])],
+        ids=["mosfet", "switch"],
+    )
+    def test_columns_at_chosen_voltages(self, pmos, want):
+        cfg = DacConfig(4, 3.0, DevicePair(pmos, MosfetParams(1.0, 0.01)), Standalone())
+        count, vdac, vd, vs = (np.array(c) for c in list(zip(*self.EDGES))[:4])
+        columns = network._Lanes([cfg], count).columns(vdac, vd, vs)
+        got = list(zip(columns["region_p"].tolist(), columns["region_n"].tolist()))
+        assert got == want
+        assert got == [per_row_regions(cfg, row) for row in network._rows(columns)]
 
 
 def column_bytes(columns) -> list:

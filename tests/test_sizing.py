@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import per_code_extract, per_row_saturation_flags
 from test_network import MISMATCHED
@@ -87,6 +87,25 @@ class TestExtraction:
             ExtractedParams(vth=1.0, ron=-1.0, vdd=VDD, linear_range=(1.0, 2.0))
         with pytest.raises(ExtractionError, match="^vdd must be finite, got inf$"):
             ExtractedParams(vth=1.0, ron=40.0, vdd=math.inf, linear_range=(1.0, 2.0))
+
+    # Both sizers divide by vdd - 2*vth and rely on it being positive. Draw any floats,
+    # subnormals and non-finite ones included, and vth from 0 to 3 ulps under vdd/2.
+    @settings(max_examples=500)
+    @given(vdd=st.floats(), vth=st.floats(), near_edge=st.booleans(), ulps=st.integers(0, 3))
+    @example(vdd=3 * 5e-324, vth=5e-324, near_edge=False, ulps=0)
+    @example(vdd=5e-324, vth=0.0, near_edge=True, ulps=0)
+    @example(vdd=2.2250738585072014e-308, vth=0.0, near_edge=True, ulps=1)
+    @example(vdd=1.7976931348623157e308, vth=0.0, near_edge=True, ulps=1)
+    def test_every_params_that_constructs_has_a_positive_window(self, vdd, vth, near_edge, ulps):
+        if near_edge:
+            vth = 0.5 * vdd
+            for _ in range(ulps):
+                vth = math.nextafter(vth, 0.0)
+        try:
+            params = ExtractedParams(vth=vth, ron=1.0, vdd=vdd, linear_range=(0.0, 0.0))
+        except ExtractionError:
+            return
+        assert params.vdd - 2.0 * params.vth > 0.0
 
     @pytest.mark.parametrize("vdac, i_per_pullup, message", [
         # The run's span is -2 V, so vth = 3 V = 3/4 vdd and vov - vdd/4 is 0.
