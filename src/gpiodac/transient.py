@@ -15,21 +15,25 @@ operations: the ranges expand into pin events in transition and pin order,
 which is already time order with deterministic staggers and takes one stable
 sort by transition and time with random ones, and one running sum of their
 +-1 steps gives the asserted unit count after every event. Random mode
-computes each event's draw of the seeded PCG64 stream by LCG jump-ahead, in
-array operations over all events at once with no Python call per transition,
-so a replay costs time linear in the number of changed pins and codes in both
-skew modes. Each event moves the count by one, so the counts fill one
-interval; that interval, with 0 and pin_count, is resolved in one batched call
-of the static operating-point solver, so the transient waveform and the static
-transfer curve can never disagree on settled levels. Rise/fall times are
-carried for documentation and sampling-rate checks; edge shapes are not
-modeled because the glitch mechanism is purely an ordering effect.
+computes each event's draw of the seeded PCG64 stream by LCG jump-ahead. A
+jump of n steps multiplies the state by A^n and adds the increment times
+S_n = A^(n-1) + ... + A + 1; neither holds the seed, so both are built once
+per width into a small cache of read-only tables. A replay adds its seed in
+three vector products and then takes each event's state with one affine map,
+in array operations over all events at once with no Python call per
+transition, so a replay costs time linear in the number of changed pins and
+codes in both skew modes. Each event moves the count by one, so the counts
+fill one interval; that interval, with 0 and pin_count, is resolved in one
+batched call of the static operating-point solver, so the transient waveform
+and the static transfer curve can never disagree on settled levels. Rise/fall
+times are carried for documentation and sampling-rate checks; edge shapes are
+not modeled because the glitch mechanism is purely an ordering effect.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, islice
 from typing import Sequence
 
@@ -146,7 +150,7 @@ def _mul(x, a):
 
 
 def _affine(a, c, x):
-    """a * x + c mod 2^128 on (hi, lo) pairs, elementwise; a and c may be Python ints below 2^64."""
+    """a * x + c mod 2^128 on (hi, lo) pairs, elementwise; any half may be a Python int below 2^64."""
     hi, lo = _mul(x, a)
     lo_c = lo + c[1]
     return hi + c[0] + (lo_c < lo), lo_c
@@ -157,33 +161,37 @@ def _halves(x: int) -> tuple[int, int]:
     return x >> 64, x & _LOW
 
 
-def _jump(inc: int, n: int) -> tuple[int, int]:
-    """(a, c) of F^n for PCG64's step F(y) = A * y + inc mod 2^128, by squaring."""
-    a, c, power_a, power_c = 1, 0, _MULTIPLIER, inc
-    while n:
-        if n & 1:
-            a, c = a * power_a & _MASK, (power_a * c + power_c) & _MASK
-        power_a, power_c, n = power_a * power_a & _MASK, (power_a * power_c + power_c) & _MASK, n >> 1
-    return a, c
+def _orbits(a: int, c: int, n: int) -> np.ndarray:
+    """a^k and G^k(0), k < n, for G(y) = a * y + c mod 2^128: a (2, 2, n) array of (hi, lo) halves.
 
-
-def _orbits(a: int, cs: Sequence[int], xs: Sequence[int], n: int) -> np.ndarray:
-    """M_r^0(x_r) .. M_r^(n-1)(x_r) for M_r(y) = a * y + c_r mod 2^128, one row r per (c_r, x_r).
-
-    The result is a (2, rows, n) array of (hi, lo) halves. Doubling: with the
-    first m states known, M^m maps them onto the next m, so n states cost
-    log2(n) passes of array operations. The maps M^0 .. M^(n-1) are the rows
-    (c, x) = (0, 1) and (c, 0), since M^k(y) = a^k * y + M^k(0).
+    Doubling: with the first m of each row known, G^m maps them onto the next
+    m (a^(m+k) = a^m * a^k + 0 and G^(m+k)(0) = a^m * G^k(0) + G^m(0)), so n
+    columns cost log2(n) passes of array operations.
     """
-    orbit = np.zeros((2, len(xs), n), np.uint64)
-    orbit[:, :, 0] = np.array([_halves(x) for x in xs], np.uint64).T
+    orbit = np.zeros((2, 2, n), np.uint64)
+    orbit[1, 0, 0] = 1  # a^0; G^0(0) = 0
     m = 1
     while m < n:
         k = min(m, n - m)
-        addend = np.array([_halves(c) for c in cs], np.uint64).T[:, :, None]
+        addend = np.array([(0, 0), _halves(c)], np.uint64).T[:, :, None]
         orbit[:, :, m : m + k] = _affine(_halves(a), addend, orbit[:, :, :k])
-        a, cs, m = a * a & _MASK, [(a * c + c) & _MASK for c in cs], 2 * m
+        a, c, m = a * a & _MASK, (a * c + c) & _MASK, 2 * m
     return orbit
+
+
+@lru_cache(maxsize=8)
+def _powers(stride: int, size: int) -> np.ndarray:
+    """The seed-free rows A^(k stride) and S_(k stride), k < size, read-only, as _orbits lays them out.
+
+    They are the orbits of G = F^stride at increment 1, G(y) = A^stride * y +
+    S_stride, so they hold no seed: a replay takes its first rows from the
+    table of the next power-of-two size, and replays of one width share it.
+    """
+    # S_n = (A^n - 1) / (A - 1) in integers, so A^n mod (A - 1) * 2^128 gives S_n mod 2^128.
+    a = _MULTIPLIER
+    table = _orbits(pow(a, stride, 1 << 128), (pow(a, stride, (a - 1) << 128) - 1) // (a - 1), size)
+    table.flags.writeable = False
+    return table
 
 
 def _drawn_staggers(
@@ -194,32 +202,29 @@ def _drawn_staggers(
     Step s owns draws (s - 1) * d_max up to s * d_max of the stream, one per
     pin. PCG64 steps its 128-bit state by F(y) = A * y + inc mod 2^128 and
     outputs XSL-RR of the new state, so pin j of step s reads the state
-    F^((s-1) d_max + j + 1)(S0). Powers of F commute; with j + 1 = 256 h + l
-    that state is F^l(F^(256 h)(G^(s-1)(S0))) for G = F^d_max. Three tables,
-    none larger than the number of codes or 256 entries, hold the states
-    G^(s-1)(S0) and the maps F^(256 h) and F^l. A run of events that share s
-    and h shares F^(256 h)(G^(s-1)(S0)), so each event costs one affine map.
-    A draw becomes a double as numpy's uniform() makes it,
-    skew_max * ((raw >> 11) * 2^-53), so every stagger is bit for bit what
+    F^(j + 1)(X_(s-1)) with X_m = F^(m d_max)(S0). F^n(y) = A^n * y + inc * S_n
+    with S_n = A^(n-1) + ... + A + 1, and neither A^n nor S_n depends on the
+    seed: _powers keeps them, for n = m * d_max and for n = j + 1. The seed
+    enters through three vector products, A^(m d_max) * S0 and inc * S_(m d_max)
+    for the step states and inc * S_(j+1) for the pins, and each event then
+    costs one affine map. A draw becomes a double as numpy's uniform() makes
+    it, skew_max * ((raw >> 11) * 2^-53), so every stagger is bit for bit what
     advance() and uniform(0, skew_max) give.
     """
-    s0, inc = pcg["state"], pcg["inc"]
-    top = int(pin.max(initial=-1)) + 1  # the largest j + 1
-    (a_step, c_step), (a_high, c_high) = _jump(inc, d_max), _jump(inc, 256)
-    steps = _orbits(a_step, [c_step], [s0], int(step.max(initial=1)))[:, 0]
-    high = _orbits(a_high, [0, c_high], [1, 0], (top >> 8) + 1)
-    low = _orbits(_MULTIPLIER, [0, inc], [1, 0], min(top + 1, 256))
+    s0, inc = _halves(pcg["state"]), _halves(pcg["inc"])
+    (a_step, s_step), (a_pin, s_pin) = (
+        _powers(stride, 1 << (n - 1).bit_length())[:, :, :n].swapaxes(0, 1)
+        for stride, n in ((d_max, int(step.max(initial=1))), (1, int(pin.max(initial=-1)) + 2))
+    )
+    # The step states X_m for m below the last step, and each pin's map (A^(j+1), inc * S_(j+1)):
+    # contiguous rows, which take() gathers from far faster than fancy indexing on a strided view.
+    x, maps = np.array(_affine(a_step, _mul(s_step, inc), s0)), np.vstack((*a_pin, *_mul(s_pin, inc)))
     stagger = np.empty(len(pin))
     for first in range(0, len(pin), _MAX_EVENTS):
         block = slice(first, first + _MAX_EVENTS)
-        s, j = step[block], pin[block] + 1
-        h = j >> 8
-        new = np.append(True, (s[1:] != s[:-1]) | (h[1:] != h[:-1]))  # first event of a run
-        maps = high[:, :, h[new]]
-        x = _affine(maps[:, 0], maps[:, 1], steps[:, s[new] - 1])
-        run = new.cumsum() - 1
-        maps = low[:, :, j & 255]
-        hi, lo = _affine(maps[:, 0], maps[:, 1], (x[0][run], x[1][run]))
+        s, j = step[block] - 1, pin[block] + 1
+        pin_map = maps.take(j, axis=1)
+        hi, lo = _affine(pin_map[:2], pin_map[2:], x.take(s, axis=1))
         # XSL-RR: the halves xored, rotated right by the state's top 6 bits.
         v, rot = hi ^ lo, hi >> 58
         raw = v >> rot | v << (64 - rot & 63)
@@ -290,7 +295,9 @@ def synthesize(
     time collapse into one sample, applied in pin order. Either way the cost
     is linear in the number of changed pins and codes, and no step does work
     in proportion to pin_count: the levels solved are the counts' interval,
-    with 0 and pin_count.
+    with 0 and pin_count. ``seed``, in either mode, must be None or a
+    non-negative Python or numpy integer of any size; a bool, float, string
+    or sequence is refused naming it.
     """
     if len(codes) == 0:
         raise ValueError("need at least one code")
@@ -302,6 +309,9 @@ def synthesize(
         raise ValueError(f"unknown skew mode {skew_mode!r}")
     if skew_mode == "random" and seed is None:  # PCG64(None) seeds from OS entropy
         raise ValueError("random skew mode needs a seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                             or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     # The 128-bit state and increment of the PCG64 that default_rng(seed) seeds too; the
     # draws are PCG64 arithmetic, and NEP 19 keeps its stream fixed across numpy versions.

@@ -19,7 +19,9 @@ configs; it misses its tolerance on some configs the new solve handles, and
 ``oracle_solve`` is the authority there); ``per_pin_synthesize``, the
 per-pin transient replay that the array-based ``synthesize`` replaced;
 ``per_draw_staggers``, which takes each random skew draw with advance() and
-uniform() where the package computes the PCG64 state by jump-ahead;
+uniform() where the package computes the PCG64 state by jump-ahead (next to
+it, ``lcg_sum`` gives the increment's coefficient in a jump in Python
+integers, from its recurrence, where the package tables it);
 ``per_row_transfer_csv`` and ``per_row_saturation_flags``, which read a
 curve's NodeSolution rows where the package now reads its columns;
 ``per_sample_detect_glitches``, the per-sample glitch scan; and
@@ -377,6 +379,21 @@ def per_draw_staggers(seed, step, pin, d_max: int, skew_max: float) -> np.ndarra
         rng.bit_generator.advance((int(s) - 1) * d_max + int(j))
         staggers.append(rng.uniform(0.0, skew_max, size=1)[0])
     return np.array(staggers, dtype=float)
+
+
+def lcg_sum(a: int, n: int) -> int:
+    """S_n = a^(n-1) + ... + a + 1 mod 2^128, from S_(n+1) = a * S_n + 1 and S_(2n) = (a^n + 1) * S_n.
+
+    The bits of n are taken from the top: each doubles n, and a set bit then
+    adds one more step of the recurrence.
+    """
+    mask = (1 << 128) - 1
+    s, power = 0, 1  # S_0 and a^0
+    for bit in bin(n)[2:]:
+        s, power = (power + 1) * s & mask, power * power & mask
+        if bit == "1":
+            s, power = (a * s + 1) & mask, power * a & mask
+    return s
 
 
 def per_row_transfer_csv(curve) -> str:

@@ -20,14 +20,17 @@ from gpiodac.config import (
 )
 from gpiodac.network import WARM_STRIDE, _solve_lanes, solve_units, transfer_curve
 from gpiodac.transient import (
+    _MULTIPLIER,
     Waveform,
     _drawn_staggers,
     _pin_events,
+    _powers,
     detect_glitches,
     staircase_codes,
     synthesize,
 )
 from oracles import (
+    lcg_sum,
     per_draw_staggers,
     per_pin_states,
     per_pin_synthesize,
@@ -186,6 +189,20 @@ class TestSynthesize:
         seeded = synthesize(config(Encoding.BINARY), [7, 8], TIMING, "random", 0)
         gpiodac.network._last = None
         assert synthesize(config(Encoding.BINARY), [7, 8], TIMING, "random", 0) == seeded
+
+    @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
+    @pytest.mark.parametrize("seed", [7.0, 7.5, "7", True, False, np.True_, [1, 2], (7,),
+                                      np.array(7), -1, np.int64(-1)])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused_naming_it(self, skew_mode, seed):
+        # numpy seeds PCG64 from True and from sequences, and raises a TypeError for 7.0 or "7".
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+            synthesize(config(Encoding.BINARY), [7, 8], TIMING, skew_mode, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint8(7), np.uint64(2**64 - 1), 2**200])
+    def test_python_and_numpy_integer_seeds_of_any_size_are_the_per_pin_loop(self, seed):
+        cfg = config(Encoding.BINARY)
+        want = per_pin_synthesize(cfg, [7, 8, 3], TIMING, "random", int(seed))
+        assert synthesize(cfg, [7, 8, 3], TIMING, "random", seed) == want
 
     @pytest.mark.parametrize("field", ["t_rise", "t_fall", "skew_max", "sample_period"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
@@ -525,6 +542,91 @@ class TestStaggerStream:
         assert np.random.default_rng(seed).bit_generator.state == np.random.PCG64(seed).state
 
 
+@pytest.fixture
+def cold_tables():
+    """An empty table cache before and after the test."""
+    _powers.cache_clear()
+    yield
+    _powers.cache_clear()
+
+
+def as_int(table: np.ndarray, row: int, k: int) -> int:
+    """Row row's k-th entry of a _powers table as a 128-bit integer."""
+    return int(table[0, row, k]) << 64 | int(table[1, row, k])
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestPowerTables:
+    """The seed-free jump tables: A^(k stride) and S_(k stride), kept read-only in a small cache."""
+
+    @pytest.mark.parametrize("stride", [1, 15, 2047, 65535])
+    def test_rows_are_the_big_int_powers_and_sums(self, stride):
+        table = _powers(stride, 65536)
+        assert table.shape == (2, 2, 65536) and table.nbytes == 2 << 20
+        for k in (0, 1, 255, 256, 65535):
+            assert as_int(table, 0, k) == pow(_MULTIPLIER, k * stride, 1 << 128)
+            assert as_int(table, 1, k) == lcg_sum(_MULTIPLIER, k * stride)
+
+    @pytest.mark.parametrize("k", [0, 1, 255, 256, 65534])
+    def test_the_sums_follow_their_recurrence(self, k):
+        # S_(n+1) = A * S_n + 1, and F^stride takes row k to row k + 1.
+        ones, wide = _powers(1, 65536), _powers(2047, 65536)
+        assert as_int(ones, 1, k + 1) == (_MULTIPLIER * as_int(ones, 1, k) + 1) % (1 << 128)
+        a, s = as_int(wide, 0, 1), as_int(wide, 1, 1)
+        assert as_int(wide, 1, k + 1) == (a * as_int(wide, 1, k) + s) % (1 << 128)
+
+    def test_a_write_into_a_cached_table_raises(self):
+        table = _powers(15, 16)
+        for view in (table, table[:, :, :4], table.swapaxes(0, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0, 0] = 1
+        assert as_int(_powers(15, 16), 0, 0) == 1
+
+    def test_replays_of_any_seed_share_at_most_8_entries(self):
+        assert _powers.cache_info().maxsize == 8
+        cfg = DacConfig(11, VDD, PAIR)
+        for seed in (1, 2, 2**63):
+            synthesize(cfg, staircase_codes(11), TIMING, "random", seed)
+        # one step table (stride d_max) and one pin table (stride 1), whatever the seed
+        assert _powers.cache_info().currsize == 2 and _powers.cache_info().misses == 2
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63])
+    def test_cold_and_warm_tables_give_the_per_draw_reference(self, seed):
+        # 2048 steps fill the 2048-row step table; 2049 steps need the 4096-row one.
+        pcg, d_max, pins = np.random.PCG64(seed).state["state"], 2047, [0, 1, 255, 256, 2046]
+        draws = {}
+        for last in (2048, 2049, 2048):
+            steps = [1, 2, 1024, last - 1, last]
+            step, pin = np.repeat(steps, len(pins)), np.tile(pins, len(steps))
+            got = _drawn_staggers(pcg, step, pin, d_max, 5e-9)
+            assert got.tobytes() == draws.setdefault(last, got).tobytes()
+            assert got.tobytes() == per_draw_staggers(seed, step, pin, d_max, 5e-9).tobytes()
+        # the pin table and the 2048- and 4096-row step tables, each built once
+        assert _powers.cache_info()[:4] == (3, 3, 8, 3)  # hits, misses, maxsize, currsize
+
+    @pytest.mark.parametrize("seed", [0, 2**63])
+    def test_cold_and_warm_tables_give_the_16_bit_far_draws(self, seed):
+        d_max, steps = 65535, [1, 2, 255, 256, 257, 4097, 65535, 65536]
+        pins = [0, 1, 254, 255, 256, 511, 4095, 65279, 65534]
+        step, pin = np.repeat(steps, len(pins)), np.tile(pins, len(steps))
+        pcg = np.random.PCG64(seed).state["state"]
+        cold = _drawn_staggers(pcg, step, pin, d_max, 5e-9)
+        warm = _drawn_staggers(pcg, step, pin, d_max, 5e-9)
+        assert cold.tobytes() == warm.tobytes()
+        assert cold.tobytes() == per_draw_staggers(seed, step, pin, d_max, 5e-9).tobytes()
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_replays_across_a_table_size_are_the_cold_replays(self, encoding):
+        cfg = DacConfig(11, VDD, PAIR, encoding=encoding)
+        short, long = staircase_codes(11) + [0], staircase_codes(11) + [0, 2047]  # 2048, 2049 steps
+        warm = [synthesize(cfg, codes, TIMING, "random", 9) for codes in (short, long, short)]
+        cold = []
+        for codes in (short, long):
+            _powers.cache_clear()
+            cold.append(synthesize(cfg, codes, TIMING, "random", 9))
+        assert warm == [cold[0], cold[1], cold[0]]
+
+
 @st.composite
 def scanned_waveforms(draw):
     """A random piecewise-constant waveform, annotations on and off its sample times, a band."""
@@ -642,6 +744,17 @@ class TestReplayWork:
         assert calls == []
         synthesize(cfg, staircase_codes(11), TIMING, "random", seed=4)
         assert calls == ["lexsort"]
+
+    @pytest.mark.parametrize("encoding", list(Encoding))
+    def test_a_second_random_replay_of_one_width_builds_no_table(self, monkeypatch, encoding):
+        built, real = [], gpiodac.transient._orbits
+        monkeypatch.setattr(gpiodac.transient, "_orbits", lambda *a: built.append(a[2]) or real(*a))
+        _powers.cache_clear()
+        cfg = DacConfig(11, VDD, PAIR, encoding=encoding)
+        synthesize(cfg, staircase_codes(11), TIMING, "random", seed=4)
+        assert built == [2048, 2048]  # the step table and the pin table
+        synthesize(cfg, staircase_codes(11), TIMING, "random", seed=5)
+        assert built == [2048, 2048]
 
     @pytest.mark.parametrize("encoding", list(Encoding))
     @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
