@@ -115,8 +115,7 @@ _DAC = {
     "devices": (OBJECT, REQUIRED),
     "topology": (OBJECT, REQUIRED),
 }
-# dac.devices is the symmetric shorthand, or one explicit device per slot
-# whose polarity key, if given, must name its slot.
+# dac.devices is the symmetric shorthand, or one explicit device per slot.
 _SHORTHAND = {"vth": (NUMBER, REQUIRED), "ron_midrange": (NUMBER, REQUIRED)}
 _SLOTS = {"pmos": (OBJECT, REQUIRED), "nmos": (OBJECT, REQUIRED)}
 _DEVICE = {"vth": (NUMBER, REQUIRED), "k": (NUMBER, REQUIRED)}
@@ -144,10 +143,7 @@ _HDL = {
     "pin_assignments": (TEXTS, None),
     "clock_pin": (TEXT, "CLK"),
 }
-_TRANSIENT = {
-    "codes": (TEXT, "staircase"),
-    "skew_mode": (("deterministic", "random"), "deterministic"),
-}
+_TRANSIENT = {"codes": (TEXT, "staircase")}
 # params.json, as extract writes it and size --params reads it: each
 # ExtractedParams field with its unit suffix, plus the run record.
 _PARAM_FIELDS = {
@@ -221,7 +217,7 @@ def _parse_devices(obj: dict, where: str, vdd: float) -> DevicePair:
     devices = {}
     for name in _SLOTS:
         slot = f"{where}.{name}"
-        values = _section(slots[name], slot, {**_DEVICE, "polarity": ((name,), name)})
+        values = _section(slots[name], slot, _DEVICE)
         devices[name] = _build(slot, MosfetParams, values["vth"], values["k"])
     return DevicePair(**devices)
 
@@ -256,7 +252,6 @@ class ProjectConfig:
     timing: TimingParams | None
     hdl: HdlSpec | None
     transient_codes: str
-    transient_skew_mode: str
     output_dir: str
     digest: str
 
@@ -279,7 +274,6 @@ def load_config(path: str | Path) -> ProjectConfig:
         timing=timing,
         hdl=hdl,
         transient_codes=transient["codes"],
-        transient_skew_mode=transient["skew_mode"],
         output_dir=top["output_dir"],
         digest=digest,
     )
@@ -340,7 +334,7 @@ def _json_lines(value: Any, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if all(type(v) is float for v in value):
+        if {*map(type, value)} == {float}:
             # One C-encoder call; its ", " separators are exact, since no float repr holds one.
             body = json.dumps(value, allow_nan=False)[1:-1].replace(", ", "," + inner)
         else:
@@ -577,9 +571,7 @@ def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, d
 
     if cfg.timing is None:
         raise ConfigError("transient needs a timing section in the config")
-    skew_mode = "random" if args.seed is not None else cfg.transient_skew_mode
-    if skew_mode == "random" and args.seed is None:  # an unseeded draw would differ run to run
-        raise ConfigError("transient.skew_mode 'random' needs --seed")
+    skew_mode = "deterministic" if args.seed is None else "random"  # the seed picks random skew
     try:
         codes = parse_code_list(args.codes if args.codes is not None else cfg.transient_codes,
                                 cfg.dac.n_bits)
@@ -677,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     trans.add_argument("--codes", default=None,
                        help="comma-separated codes or 'staircase' (default from config)")
     trans.add_argument("--seed", type=_seed, default=None,
-                       help="seed for random per-pin skew (switches skew mode to random)")
+                       help="seed for random per-pin skew (default: deterministic skew)")
     cmd["hdl"].add_argument("--staircase", action="store_true",
                             help="emit the free-running staircase module instead of the decode")
     return parser

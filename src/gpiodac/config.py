@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field
@@ -141,6 +142,14 @@ Topology = Union[Standalone, TwoResistor, FourResistor]
 MAX_BITS = 16  # 2^16 - 1 unit cells is the practical full-sweep ceiling
 
 
+def _integer(name: str, value, error: type[ValueError]) -> int:
+    """value as an int; error naming name unless it is an int or numpy integer (a bool is not)."""
+    # numpy registers its integer types as Integral, so this layer needs no numpy to accept them.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _nonfinite_conductance(vdd: float, resistances) -> tuple[str, float] | None:
     """The first (name, r) of resistances whose vdd / r is not finite, or None.
 
@@ -161,6 +170,7 @@ class DacConfig:
     encoding: Encoding = Encoding.BINARY
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_bits", _integer("n_bits", self.n_bits, ValueError))
         if not 1 <= self.n_bits <= MAX_BITS:
             raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
         if not 0.0 < self.vdd < math.inf:
@@ -237,16 +247,13 @@ class HdlSpec:
     clock_pin: str
 
     def __post_init__(self) -> None:
-        if self.n_bits < 1:
-            raise GenerationError(f"n_bits must be >= 1, got {self.n_bits}")
-        if self.clock_hz < 1:
-            raise GenerationError(f"clock_hz must be >= 1, got {self.clock_hz}")
+        for name in ("n_bits", "clock_hz", "staircase_step_cycles"):
+            value = _integer(name, getattr(self, name), GenerationError)
+            if value < 1:
+                raise GenerationError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
         if self.clock_hz > sys.float_info.max:  # the manifest's hz is read as a float
             raise GenerationError("clock_hz must be >= 1 and within float range")
-        if self.staircase_step_cycles < 1:
-            raise GenerationError(
-                f"staircase_step_cycles must be >= 1, got {self.staircase_step_cycles}"
-            )
         _check_identifier(self.module_name)
         if len(self.pin_assignments) != self.d_max:
             raise GenerationError(

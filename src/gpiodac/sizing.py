@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import groupby
-from operator import attrgetter
+from itertools import groupby, repeat
+from operator import attrgetter, eq
 from typing import TYPE_CHECKING
 
 from .config import (
@@ -107,10 +107,10 @@ def extract_from_table(
 
     # Runs of both-triode codes; the longest wins, the first on a tie.
     triode = OperatingRegion.TRIODE.value
-    both = (p == triode and q == triode for p, q in zip(region_p, region_n))
+    both = map(eq, zip(region_p, region_n), repeat((triode, triode)))  # compared in C, row by row
     start = lo_idx = length = 0
     for in_run, cells in groupby(both):
-        size = sum(1 for _ in cells)
+        size = len(list(cells))
         if in_run and size > length:
             lo_idx, length = start, size
         start += size

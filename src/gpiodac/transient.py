@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DacConfig, Encoding, TimingParams
+from .config import MAX_BITS, DacConfig, Encoding, TimingParams
 from .network import _checked_counts, _refuse_non_integers, _solve
 
 
@@ -186,6 +186,9 @@ def _powers(stride: int, size: int) -> np.ndarray:
     They are the orbits of G = F^stride at increment 1, G(y) = A^stride * y +
     S_stride, so they hold no seed: a replay takes its first rows from the
     table of the next power-of-two size, and replays of one width share it.
+    Only tables of at most 2^MAX_BITS rows, as many as a 16-bit DAC has pins,
+    are cached; _drawn_staggers builds a longer one, which only a replay of
+    more codes needs, through __wrapped__ for its call alone.
     """
     # S_n = (A^n - 1) / (A - 1) in integers, so A^n mod (A - 1) * 2^128 gives S_n mod 2^128.
     a = _MULTIPLIER
@@ -213,7 +216,8 @@ def _drawn_staggers(
     """
     s0, inc = _halves(pcg["state"]), _halves(pcg["inc"])
     (a_step, s_step), (a_pin, s_pin) = (
-        _powers(stride, 1 << (n - 1).bit_length())[:, :, :n].swapaxes(0, 1)
+        (_powers if n <= 1 << MAX_BITS else _powers.__wrapped__)(stride, 1 << (n - 1).bit_length())
+        [:, :, :n].swapaxes(0, 1)
         for stride, n in ((d_max, int(step.max(initial=1))), (1, int(pin.max(initial=-1)) + 2))
     )
     # The step states X_m for m below the last step, and each pin's map (A^(j+1), inc * S_(j+1)):
@@ -372,6 +376,8 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
 
 def staircase_codes(n_bits: int) -> list[int]:
     """The 0..d_max ramp; the standard bench pattern."""
+    if not 1 <= n_bits <= MAX_BITS:  # refused before a list of 2^n_bits codes is built
+        raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {n_bits}")
     return list(range(1 << n_bits))
 
 

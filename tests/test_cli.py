@@ -61,12 +61,9 @@ BASE_CONFIG = {
 }
 
 
-def explicit_devices(**polarities) -> dict:
-    """Explicit pmos/nmos device section, with optional polarity keys."""
-    devices = {slot: {"vth": 1.15, "k": 0.0116} for slot in ("pmos", "nmos")}
-    for slot, value in polarities.items():
-        devices[slot]["polarity"] = value
-    return devices
+def explicit_devices() -> dict:
+    """Explicit pmos/nmos device section."""
+    return {slot: {"vth": 1.15, "k": 0.0116} for slot in ("pmos", "nmos")}
 
 
 @pytest.fixture
@@ -501,16 +498,19 @@ class TestTransient:
         assert captured.out == ""
         assert not (workdir / "out").exists()
 
-    def test_random_skew_without_seed_is_exit_2_naming_key_and_flag(self, workdir, capsys):
-        # an unseeded draw would give a different waveform.csv on every run
-        cfg = write_config(workdir, {"transient": {"skew_mode": "random"}})
-        assert main(["transient", "-c", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err == "gpiodac: error: config: transient.skew_mode 'random' needs --seed\n"
-        assert not (workdir / "out" / "waveform.csv").exists()
+    @pytest.mark.parametrize("value", ["random", "deterministic", "chaotic"])
+    @pytest.mark.parametrize("extra", [[], ["--seed", "7"]])
+    def test_skew_mode_key_is_refused_as_unknown(self, workdir, capsys, value, extra):
+        # --seed alone picks random skew, so a skew_mode key would change nothing.
+        cfg = write_config(workdir, {"transient": {"skew_mode": value}})
+        assert main(["transient", "-c", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gpiodac: error: config: unknown key transient.skew_mode\n"
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
 
     def test_random_skew_with_seed_is_the_seeded_golden(self, workdir):
-        cfg = write_config(workdir, {"transient": {"skew_mode": "random"}})
+        cfg = write_config(workdir, {"transient": {"codes": "staircase"}})
         assert main(["transient", "-c", str(cfg), "--seed", "7"]) == 0
         golden = GOLDEN / "waveform_dac4_seed7.csv"
         assert (workdir / "out" / "waveform.csv").read_bytes() == golden.read_bytes()
@@ -616,8 +616,6 @@ class TestConfigErrors:
         [
             ("transient", {"codes": 5}, "transient.codes must be a string, got 5"),
             ("transient", {"codes": [7, 8]}, "transient.codes must be a string, got [7, 8]"),
-            ("transient", {"skew_mode": "chaotic"},
-             "transient.skew_mode must be 'deterministic' or 'random', got 'chaotic'"),
             ("transient", [], "config.transient must be an object, got []"),
             ("timing.load_capacitance_f", 1e-12, "unknown key timing.load_capacitance_f"),
             ("timing.sample_period_s", None, "missing key timing.sample_period_s"),
@@ -728,7 +726,7 @@ class TestConfigErrors:
         cfg.write_text(example)
         loaded = load_config(cfg)
         assert loaded.hdl.pin_assignments[14] == "J16"
-        assert (loaded.transient_codes, loaded.transient_skew_mode) == ("staircase", "deterministic")
+        assert loaded.transient_codes == "staircase"
         assert main(["hdl", "-c", str(cfg), "-o", "out"]) == 0
 
     def test_readme_params_example_feeds_size(self, workdir):
@@ -741,36 +739,24 @@ class TestConfigErrors:
     def test_missing_file(self, workdir):
         assert main(["simulate", "-c", "nope.json"]) == 2
 
-    def test_explicit_devices_take_polarity_from_their_slot(self, workdir):
+    def test_explicit_devices_take_their_role_from_their_slot(self, workdir):
         cfg = write_config(workdir, {"dac.devices": explicit_devices()})
         unit = MosfetParams(1.15, 0.0116)
         assert load_config(cfg).dac.devices == DevicePair(pmos=unit, nmos=unit)
-        cfg = write_config(workdir, {"dac.devices": explicit_devices(pmos="pmos", nmos="nmos")})
         assert main(["simulate", "-c", str(cfg)]) == 0
 
-    @pytest.mark.parametrize("polarities", [{"pmos": "pmos"}, {"nmos": "nmos"},
-                                            {"pmos": "pmos", "nmos": "nmos"}])
-    def test_polarity_keys_naming_their_slots_load_the_same_config(self, workdir, polarities):
-        bare = load_config(write_config(workdir, {"dac.devices": explicit_devices()})).dac
-        keyed = write_config(workdir, {"dac.devices": explicit_devices(**polarities)})
-        assert load_config(keyed).dac == bare
-
-    @pytest.mark.parametrize(
-        "slot, polarities",
-        [
-            ("pmos", {"pmos": "nmos"}),
-            ("nmos", {"nmos": "pmos"}),
-            ("pmos", {"pmos": "pnp"}),
-            ("nmos", {"nmos": 1}),
-        ],
-    )
-    def test_bad_polarity_exits_2_naming_the_key(self, workdir, capsys, slot, polarities):
-        cfg = write_config(workdir, {"dac.devices": explicit_devices(**polarities)})
+    @pytest.mark.parametrize("slot, value", [("pmos", "pmos"), ("nmos", "nmos"), ("pmos", "nmos"),
+                                             ("nmos", 1)])
+    def test_polarity_key_is_refused_as_unknown(self, workdir, capsys, slot, value):
+        # A device's role is its slot, so a polarity key would change nothing.
+        devices = explicit_devices()
+        devices[slot]["polarity"] = value
+        cfg = write_config(workdir, {"dac.devices": devices})
         assert main(["simulate", "-c", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"gpiodac: error: config: dac.devices.{slot}.polarity must be ")
-        assert err.count("\n") == 1
-        assert not (workdir / "out" / "transfer.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.err == f"gpiodac: error: config: unknown key dac.devices.{slot}.polarity\n"
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
 
     def test_unknown_key_names_location(self, workdir):
         from gpiodac.cli import ConfigError

@@ -4,6 +4,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gpiodac.cli import json_text
@@ -187,6 +188,29 @@ class TestValidation:
             HdlSpec(n_bits=1, encoding=Encoding.BINARY, module_name="dut", clock_hz=clock_hz,
                     staircase_step_cycles=1, pin_assignments=("A1",), clock_pin="J3")
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("field", ["n_bits", "clock_hz", "staircase_step_cycles"])
+    @pytest.mark.parametrize("value, rule", [(4.0, "an integer"), (2.5, "an integer"),
+                                             (True, "an integer"), ("4", "an integer"),
+                                             (None, "an integer"), (0, ">= 1"), (-3, ">= 1")])
+    def test_an_integer_field_that_is_not_an_integer_from_1_is_refused_naming_it(self, field,
+                                                                                 value, rule):
+        fields = {"n_bits": 4, "clock_hz": 100_000_000, "staircase_step_cycles": 50_000,
+                  field: value}
+        with pytest.raises(GenerationError) as info:
+            HdlSpec(encoding=Encoding.BINARY, module_name="dut", clock_pin="J3",
+                    pin_assignments=tuple(f"A{j + 1}" for j in range(15)), **fields)
+        assert str(info.value) == f"{field} must be {rule}, got {value!r}"
+
+    def test_numpy_integer_fields_give_the_int_artifacts(self):
+        want = spec_for("dut", Encoding.BINARY)
+        spec = HdlSpec(n_bits=np.int64(4), encoding=Encoding.BINARY, module_name="dut",
+                       clock_hz=np.uint32(100_000_000), staircase_step_cycles=np.int32(50_000),
+                       pin_assignments=want.pin_assignments, clock_pin="J3")
+        assert {type(spec.n_bits), type(spec.clock_hz), type(spec.staircase_step_cycles)} == {int}
+        for generate in (generate_dac, generate_staircase):
+            got, ref = generate(spec), generate(want)
+            assert (got.rtl_text, json_text(got.manifest)) == (ref.rtl_text, json_text(ref.manifest))
 
     def test_largest_float_clock_is_accepted(self):
         clock_hz = int(sys.float_info.max)

@@ -293,6 +293,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             DacConfig(n_bits=17, vdd=VDD, devices=PAIR)
 
+    @pytest.mark.parametrize("n_bits", [4.5, 4.0, True, np.float64(4.0), "4", None])
+    def test_a_bit_width_that_is_not_an_integer_is_refused_naming_it(self, n_bits):
+        with pytest.raises(ValueError) as info:
+            DacConfig(n_bits, VDD, PAIR)
+        assert str(info.value) == f"n_bits must be an integer, got {n_bits!r}"
+
+    @pytest.mark.parametrize("n_bits", [4, np.int64(4), np.uint8(4)])
+    def test_a_numpy_integer_bit_width_is_the_int_one(self, n_bits):
+        cfg = DacConfig(n_bits, VDD, PAIR)
+        assert type(cfg.n_bits) is int and type(cfg.d_max) is int
+        assert cfg == DacConfig(4, VDD, PAIR)
+        assert transfer_curve(cfg).vdac.tobytes() == transfer_curve(DacConfig(4, VDD, PAIR)).vdac.tobytes()
+
     def test_bad_resistances(self):
         with pytest.raises(ValueError):
             TwoResistor(rpp=0.0, rpn=1.0)

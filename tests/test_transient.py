@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpiodac.network
 from gpiodac.config import (
+    MAX_BITS,
     DacConfig,
     Encoding,
     FourResistor,
@@ -85,6 +86,13 @@ class TestSynthesize:
         wave = synthesize(config(Encoding.THERMOMETER), staircase_codes(4), TIMING)
         diffs = np.diff(wave.values)
         assert np.all(diffs >= -1e-9)  # rising staircase never undershoots
+
+    @pytest.mark.parametrize("n_bits", [0, -1, MAX_BITS + 1])
+    def test_staircase_of_a_width_outside_1_to_max_bits_is_refused_naming_it(self, n_bits):
+        # Each is refused before a list is built (MAX_BITS + 1 would hold 2^17 codes).
+        with pytest.raises(ValueError) as info:
+            staircase_codes(n_bits)
+        assert str(info.value) == f"n_bits must be in 1..{MAX_BITS}, got {n_bits}"
 
     def test_binary_major_carry_dips_through_zero_state(self):
         # the low-indexed (LSB) pins fall before the bit-3 group rises, so the
@@ -526,7 +534,7 @@ class TestStaggerStream:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**63])
     def test_jump_ahead_draws_are_the_advanced_draws_at_far_positions(self, seed):
-        # 16-bit steps reach draw ~2^32; the pins straddle the byte split of j + 1.
+        # 16-bit steps reach draw ~2^32; the pins run from a step's first draw to its last.
         d_max = 65535
         steps = [1, 2, 255, 256, 257, 4097, 65535, 65536]
         pins = [0, 1, 254, 255, 256, 511, 4095, 65279, 65534]
@@ -614,6 +622,20 @@ class TestPowerTables:
         warm = _drawn_staggers(pcg, step, pin, d_max, 5e-9)
         assert cold.tobytes() == warm.tobytes()
         assert cold.tobytes() == per_draw_staggers(seed, step, pin, d_max, 5e-9).tobytes()
+
+    @pytest.mark.parametrize("n_codes, step_rows", [(2**16 + 1, 2**16), (2**16 + 2, 2**17)])
+    def test_a_replay_caches_no_table_longer_than_2_to_the_max_bits(self, monkeypatch, n_codes,
+                                                                    step_rows):
+        # n_codes - 1 steps: 2^16 fill a 2^16-row step table, one more needs a 2^17-row one,
+        # which each replay builds for itself and leaves uncached.
+        built, real = [], gpiodac.transient._orbits
+        monkeypatch.setattr(gpiodac.transient, "_orbits", lambda *a: built.append(a[2]) or real(*a))
+        cfg, codes = DacConfig(1, VDD, PAIR), [0, 1] * (n_codes // 2) + [0] * (n_codes % 2)
+        waves = [synthesize(cfg, codes, TIMING, "random", 7) for _ in range(2)]
+        kept = step_rows <= 1 << MAX_BITS
+        assert built == [step_rows, 2] + ([] if kept else [step_rows])  # the pin table has 2 rows
+        assert _powers.cache_info().currsize == 1 + kept
+        assert waves[0] == waves[1] == per_pin_synthesize(cfg, codes, TIMING, "random", 7)
 
     @pytest.mark.parametrize("encoding", list(Encoding))
     def test_replays_across_a_table_size_are_the_cold_replays(self, encoding):
