@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # Defining module -> the public names it exports.
 _EXPORTS = {
     "config": (
-        "DacConfig", "DeviceError", "DevicePair", "Encoding", "ExtractionError", "FourResistor",
+        "DacConfig", "DevicePair", "Encoding", "ExtractionError", "FourResistor",
         "GenerationError", "HdlSpec", "LinearSwitch", "MetricsError", "MosfetParams",
         "OperatingRegion", "ParallelAttach", "SizingError", "Standalone", "TimingParams",
         "Topology", "TwoResistor", "calibrated_pair",

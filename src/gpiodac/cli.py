@@ -1,8 +1,8 @@
 """Command-line front end and file I/O.
 
 Subcommands: simulate, extract, size, sweep, transient, hdl. Experiments are
-described by a JSON config file (schema below); a few flags override config
-keys. Declared outputs are written atomically (temp file + rename) and are
+described by a JSON config file (schema below); -o overrides its output_dir.
+Declared outputs are written atomically (temp file + rename) and are
 byte-deterministic for a given config and tool version; the per-run record
 (with its timestamp) lives in a separate run_record.json.
 
@@ -105,7 +105,6 @@ _CONFIG = {
     "dac": (OBJECT, REQUIRED),
     "timing": (OBJECT, None),
     "hdl": (OBJECT, None),
-    "transient": (OBJECT, {}),
     "output_dir": (TEXT, "out"),
 }
 _DAC = {
@@ -143,7 +142,6 @@ _HDL = {
     "pin_assignments": (TEXTS, None),
     "clock_pin": (TEXT, "CLK"),
 }
-_TRANSIENT = {"codes": (TEXT, "staircase")}
 # params.json, as extract writes it and size --params reads it: each
 # ExtractedParams field with its unit suffix, plus the run record.
 _PARAM_FIELDS = {
@@ -251,7 +249,6 @@ class ProjectConfig:
     dac: DacConfig
     timing: TimingParams | None
     hdl: HdlSpec | None
-    transient_codes: str
     output_dir: str
     digest: str
 
@@ -265,7 +262,6 @@ def load_config(path: str | Path) -> ProjectConfig:
         values = _section(top["timing"], "timing", _TIMING)
         timing = _build("timing", TimingParams, **{_field(k): v for k, v in values.items()})
     hdl = None if top["hdl"] is None else _parse_hdl(top["hdl"], dac)
-    transient = _section(top["transient"], "transient", _TRANSIENT)
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -273,7 +269,6 @@ def load_config(path: str | Path) -> ProjectConfig:
         dac=dac,
         timing=timing,
         hdl=hdl,
-        transient_codes=transient["codes"],
         output_dir=top["output_dir"],
         digest=digest,
     )
@@ -519,6 +514,9 @@ def _load_extracted(args: argparse.Namespace) -> ExtractedParams:
     from .sizing import ExtractedParams  # as in simulate
 
     if args.params:
+        for flag in ("vth", "vdd", "ron"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--params and --{flag} cannot be combined")
         values = _section(_read_json(args.params, "params"), "params", _PARAMS)
         return ExtractedParams(**{_field(key): values[key] for key in _PARAM_FIELDS})
     if args.vth is None or args.vdd is None:
@@ -573,8 +571,7 @@ def _cmd_transient(args: argparse.Namespace, cfg: ProjectConfig) -> tuple[str, d
         raise ConfigError("transient needs a timing section in the config")
     skew_mode = "deterministic" if args.seed is None else "random"  # the seed picks random skew
     try:
-        codes = parse_code_list(args.codes if args.codes is not None else cfg.transient_codes,
-                                cfg.dac.n_bits)
+        codes = parse_code_list(args.codes, cfg.dac.n_bits)
         wave = synthesize(cfg.dac, codes, cfg.timing, skew_mode=skew_mode, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -641,33 +638,38 @@ def build_parser() -> argparse.ArgumentParser:
     cmd["extract"].add_argument("--curve", required=True, help="transfer.csv to read")
     cmd["extract"].add_argument("--vdd", type=_finite_float, required=True,
                                 help="supply voltage of the measurement")
-    size = cmd["size"]
-    size.add_argument("mode", choices=("two-resistor", "four-resistor"))
-    size.add_argument("--params", default=None, help="params.json from extract")
-    size.add_argument("--vth", type=_finite_float, default=None, help="threshold voltage [V]")
-    size.add_argument("--ron", type=_finite_float, default=None,
-                      help="unit resistance at mid-scale [ohm]")
-    size.add_argument("--vdd", type=_finite_float, default=None, help="supply voltage [V]")
-    size.add_argument("--n-bits", type=_n_bits, default=4, help="resolution for two-resistor sizing")
-    size.add_argument("--it", type=_finite_float, default=None, help="target total current [A]")
-    size.add_argument("--split", type=_finite_float, default=1.0,
+    # Each size mode takes only the flags it reads. The size digest also names the other
+    # mode's knobs, at the defaults set here.
+    modes = cmd["size"].add_subparsers(dest="mode", required=True)
+    two, four = sizes = [modes.add_parser(mode) for mode in ("two-resistor", "four-resistor")]
+    for size in sizes:
+        size.add_argument("--params", help="params.json from extract")
+        size.add_argument("--vth", type=_finite_float, help="threshold voltage [V]")
+        size.add_argument("--vdd", type=_finite_float, help="supply voltage [V]")
+    two.add_argument("--ron", type=_finite_float, help="unit resistance at mid-scale [ohm]")
+    two.add_argument("--n-bits", type=_n_bits, default=4, help="resolution of the DAC")
+    two.set_defaults(it=None, split=1.0, rs_total=None)
+    four.add_argument("--it", type=_finite_float, help="target total current [A]")
+    four.add_argument("--split", type=_finite_float, default=1.0,
                       help="fraction of series resistance on the supply side")
-    size.add_argument("--rs-total", type=_finite_float, default=None,
+    four.add_argument("--rs-total", type=_finite_float,
                       help="explicit series total [ohm] instead of the midpoint rule")
+    four.set_defaults(ron=None, n_bits=4)
 
     for name, (_, _, reads_config, plot) in _COMMANDS.items():
-        if reads_config:
-            cmd[name].add_argument("-c", "--config", required=True, help="JSON config file")
-        cmd[name].add_argument("-o", "--output-dir", default=None,
-                               help=f"output directory (overrides config and ${OUTPUT_DIR_ENV})")
-        if plot:
-            cmd[name].add_argument("--gnuplot", action="store_true",
-                                   help="also write a gnuplot script next to the CSV")
+        for leaf in sizes if name == "size" else [cmd[name]]:
+            if reads_config:
+                leaf.add_argument("-c", "--config", required=True, help="JSON config file")
+            leaf.add_argument("-o", "--output-dir", default=None,
+                              help=f"output directory (overrides config and ${OUTPUT_DIR_ENV})")
+            if plot:
+                leaf.add_argument("--gnuplot", action="store_true",
+                                  help="also write a gnuplot script next to the CSV")
 
     cmd["sweep"].add_argument("--rp", required=True, help="comma-separated parallel resistances [ohm]")
     trans = cmd["transient"]
-    trans.add_argument("--codes", default=None,
-                       help="comma-separated codes or 'staircase' (default from config)")
+    trans.add_argument("--codes", default="staircase",
+                       help="comma-separated codes or 'staircase' (default: staircase)")
     trans.add_argument("--seed", type=_seed, default=None,
                        help="seed for random per-pin skew (default: deterministic skew)")
     cmd["hdl"].add_argument("--staircase", action="store_true",

@@ -30,14 +30,10 @@ class OperatingRegion(enum.Enum):
     SATURATION = "saturation"
 
 
-class DeviceError(ValueError):
-    """Invalid device parameters."""
-
-
 def _check_positive(name: str, value: float) -> None:
     # Written so that NaN fails it as well as infinities and values <= 0.
     if not 0.0 < value < math.inf:
-        raise DeviceError(f"{name} must be finite and > 0, got {value}")
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +81,9 @@ def calibrated_pair(vdd: float, vth: float, ron_midrange: float) -> DevicePair:
     point actually sits in the triode region.
     """
     if not 0.0 < vth < 0.5 * vdd:
-        raise DeviceError(f"calibration needs 0 < vth < vdd/2, got vth={vth}, vdd={vdd}")
+        raise ValueError(f"calibration needs 0 < vth < vdd/2, got vth={vth}, vdd={vdd}")
     if ron_midrange <= 0.0:
-        raise DeviceError(f"ron_midrange must be > 0, got {ron_midrange}")
+        raise ValueError(f"ron_midrange must be > 0, got {ron_midrange}")
     k = 1.0 / (ron_midrange * (vdd - vth - 0.25 * vdd))
     return DevicePair(pmos=MosfetParams(vth, k), nmos=MosfetParams(vth, k))
 

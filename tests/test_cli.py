@@ -179,6 +179,20 @@ class TestExtractRoundTrip:
         assert exc.value.code == 2
         assert f"argument --vdd: must be a finite number, got '{value}'" in capsys.readouterr().err
 
+    def test_missing_curve_is_exit_2_naming_it(self, workdir, capsys):
+        assert main(["extract", "--curve", "missing.csv", "--vdd", "3.3", "-o", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "gpiodac: error: config: cannot read curve missing.csv: "
+            "[Errno 2] No such file or directory: 'missing.csv'\n"
+        )
+        assert not (workdir / "out").exists()
+
+    def test_header_only_curve_is_exit_4(self, workdir, capsys):
+        (workdir / "curve.csv").write_text(",".join(TRANSFER_COLUMNS) + "\n")
+        assert main(["extract", "--curve", "curve.csv", "--vdd", "3.3", "-o", "out"]) == 4
+        assert capsys.readouterr().err == "gpiodac: error: sizing: curve CSV has no rows\n"
+        assert not (workdir / "out").exists()
+
     def test_missing_column_is_config_error(self, workdir):
         bad = workdir / "bad.csv"
         bad.write_text("code,vdac_v\n0,0.0\n")
@@ -366,15 +380,70 @@ class TestSize:
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", ["--vth", "--ron", "--vdd", "--it", "--split", "--rs-total"])
     def test_non_finite_flag_is_exit_2_naming_the_flag(self, workdir, capsys, flag, value):
-        flags = {"--vth": "1.15", "--vdd": "3.3", "--it": "0.2", flag: value}
+        # --ron is two-resistor's; every other flag is four-resistor's.
+        mode, third = ("two-resistor", "--ron") if flag == "--ron" else ("four-resistor", "--it")
+        flags = {"--vth": "1.15", "--vdd": "3.3", third: "0.2", flag: value}
         with pytest.raises(SystemExit) as exc:
-            main(["size", "four-resistor", *(t for kv in flags.items() for t in kv), "-o", "out"])
+            main(["size", mode, *(t for kv in flags.items() for t in kv), "-o", "out"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be a finite number, got '{value}'" in capsys.readouterr().err
         assert not (workdir / "out" / "report.json").exists()
 
-    def test_missing_arguments_is_exit_2(self, workdir):
-        assert main(["size", "two-resistor", "-o", "out"]) == 2
+    @pytest.mark.parametrize("mode", ["two-resistor", "four-resistor"])
+    @pytest.mark.parametrize("flags", [[], ["--vth", "1.15"], ["--vdd", "3.3"]])
+    def test_missing_arguments_is_exit_2(self, workdir, capsys, mode, flags):
+        assert main(["size", mode, *flags, "-o", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "gpiodac: error: config: either --params or both --vth and --vdd are required\n"
+        )
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mode, flag, message",
+        [
+            ("two-resistor", "--it", "two-resistor sizing needs --ron (or --params)"),
+            ("four-resistor", "--ron", "four-resistor sizing needs --it"),
+        ],
+    )
+    def test_a_mode_without_its_flag_is_exit_2_naming_it(self, workdir, capsys, mode, flag, message):
+        assert main(["size", mode, "--vth", "1.15", "--vdd", "3.3", "-o", "out"]) == 2
+        assert capsys.readouterr().err == f"gpiodac: error: config: {message}\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mode, flag, value",
+        [
+            ("two-resistor", "--it", "5"),
+            ("two-resistor", "--split", "0.3"),
+            ("two-resistor", "--rs-total", "10"),
+            ("four-resistor", "--ron", "7"),
+            ("four-resistor", "--n-bits", "9"),
+        ],
+    )
+    def test_a_flag_the_mode_does_not_read_is_exit_2_naming_it(
+        self, workdir, capsys, mode, flag, value
+    ):
+        flags = TWO_RESISTOR_FLAGS if mode == "two-resistor" else FOUR_RESISTOR_FLAGS
+        with pytest.raises(SystemExit) as exc:
+            main(["size", mode, *flags, flag, value, "-o", "out"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"gpiodac: error: unrecognized arguments: {flag} {value}"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [("two-resistor", "--vth"), ("two-resistor", "--vdd"), ("two-resistor", "--ron"),
+         ("four-resistor", "--vth"), ("four-resistor", "--vdd")],
+    )
+    def test_params_with_a_flag_is_exit_2_naming_it(self, workdir, capsys, mode, flag):
+        params = workdir / "params.json"
+        params.write_text(json.dumps(PARAMS))
+        extra = ["--it", "0.2"] if mode == "four-resistor" else []
+        assert main(["size", mode, "--params", str(params), flag, "1.15", *extra, "-o", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"gpiodac: error: config: --params and {flag} cannot be combined\n"
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
         "golden, argv",
@@ -426,6 +495,12 @@ class TestSweep:
     def test_bad_rp_list(self, workdir):
         cfg = write_config(workdir)
         assert main(["sweep", "-c", str(cfg), "--rp", "5,banana"]) == 2
+
+    def test_an_rp_list_without_values_is_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir)
+        assert main(["sweep", "-c", str(cfg), "--rp", ","]) == 2
+        assert capsys.readouterr().err == "gpiodac: error: config: --rp list is empty\n"
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_rp_is_exit_2_naming_the_flag(self, workdir, capsys, value):
@@ -480,7 +555,7 @@ class TestTransient:
 
     @pytest.mark.parametrize("codes", ["", ",", " "])
     def test_a_code_list_without_codes_is_exit_2(self, workdir, capsys, codes):
-        # An empty --codes is a list of no codes, not a request for the config's codes.
+        # An empty --codes is a list of no codes, not a request for the staircase.
         cfg = write_config(workdir)
         assert main(["transient", "-c", str(cfg), "--codes", codes]) == 2
         captured = capsys.readouterr()
@@ -498,19 +573,20 @@ class TestTransient:
         assert captured.out == ""
         assert not (workdir / "out").exists()
 
-    @pytest.mark.parametrize("value", ["random", "deterministic", "chaotic"])
-    @pytest.mark.parametrize("extra", [[], ["--seed", "7"]])
-    def test_skew_mode_key_is_refused_as_unknown(self, workdir, capsys, value, extra):
-        # --seed alone picks random skew, so a skew_mode key would change nothing.
-        cfg = write_config(workdir, {"transient": {"skew_mode": value}})
-        assert main(["transient", "-c", str(cfg), *extra]) == 2
+    @pytest.mark.parametrize("section", [{}, {"codes": "7,8"}, {"codes": "staircase"},
+                                         {"codes": 5}, {"skew_mode": "random"}, []])
+    @pytest.mark.parametrize("argv", [["transient"], ["transient", "--seed", "7"], ["simulate"]])
+    def test_transient_section_is_refused_as_unknown(self, workdir, capsys, section, argv):
+        # --codes and --seed alone choose what transient replays, so the section would change nothing.
+        cfg = write_config(workdir, {"transient": section})
+        assert main([*argv, "-c", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "gpiodac: error: config: unknown key transient.skew_mode\n"
+        assert captured.err == "gpiodac: error: config: unknown key config.transient\n"
         assert captured.out == ""
         assert not (workdir / "out").exists()
 
     def test_random_skew_with_seed_is_the_seeded_golden(self, workdir):
-        cfg = write_config(workdir, {"transient": {"codes": "staircase"}})
+        cfg = write_config(workdir)
         assert main(["transient", "-c", str(cfg), "--seed", "7"]) == 0
         golden = GOLDEN / "waveform_dac4_seed7.csv"
         assert (workdir / "out" / "waveform.csv").read_bytes() == golden.read_bytes()
@@ -566,6 +642,14 @@ class TestHdl:
         assert err == "gpiodac: error: config: hdl: clock_hz must be >= 1 and within float range\n"
         assert not (workdir / "out").exists()
 
+    def test_a_config_without_an_hdl_section_is_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir, {"hdl": None})
+        assert main(["hdl", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "gpiodac: error: config: hdl needs an hdl section in the config\n"
+        )
+        assert not (workdir / "out").exists()
+
     def test_thermometer_encoding_flows_from_dac_section(self, workdir):
         cfg = write_config(workdir, {"dac.encoding": "thermometer"})
         assert main(["hdl", "-c", str(cfg)]) == 0
@@ -614,9 +698,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("transient", {"codes": 5}, "transient.codes must be a string, got 5"),
-            ("transient", {"codes": [7, 8]}, "transient.codes must be a string, got [7, 8]"),
-            ("transient", [], "config.transient must be an object, got []"),
             ("timing.load_capacitance_f", 1e-12, "unknown key timing.load_capacitance_f"),
             ("timing.sample_period_s", None, "missing key timing.sample_period_s"),
             ("dac.n_bits", 4.0, "dac.n_bits must be an integer, got 4.0"),
@@ -726,7 +807,6 @@ class TestConfigErrors:
         cfg.write_text(example)
         loaded = load_config(cfg)
         assert loaded.hdl.pin_assignments[14] == "J16"
-        assert loaded.transient_codes == "staircase"
         assert main(["hdl", "-c", str(cfg), "-o", "out"]) == 0
 
     def test_readme_params_example_feeds_size(self, workdir):

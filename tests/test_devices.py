@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from oracles import device_current
 
 from gpiodac.config import (
-    DeviceError,
     LinearSwitch,
     MosfetParams,
     calibrated_pair,
@@ -150,21 +149,21 @@ class TestCalibration:
         assert 1.0 / (pair.nmos.k * (VDD - pair.nmos.vth)) < 40.0
 
     def test_rejects_large_threshold(self):
-        with pytest.raises(DeviceError):
+        with pytest.raises(ValueError, match="^calibration needs 0 < vth < vdd/2"):
             calibrated_pair(VDD, 1.7, 40.0)
 
     def test_parameter_validation(self):
-        with pytest.raises(DeviceError):
+        with pytest.raises(ValueError, match="^vth must be finite and > 0"):
             MosfetParams(vth=-1.0, k=0.01)
-        with pytest.raises(DeviceError):
+        with pytest.raises(ValueError, match="^k must be finite and > 0"):
             MosfetParams(vth=1.0, k=0.0)
-        with pytest.raises(DeviceError):
+        with pytest.raises(ValueError, match="^g must be finite and > 0"):
             LinearSwitch(g=0.0)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field", ["vth", "k", "g"])
     def test_non_finite_parameters_are_rejected(self, field, value):
-        with pytest.raises(DeviceError, match=f"^{field} must be finite and > 0"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
             if field == "g":
                 LinearSwitch(g=value)
             else:

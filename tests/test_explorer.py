@@ -90,7 +90,7 @@ class TestSweepMechanics:
             sweep_parallel(cfg, [5.0])
 
     def test_empty_and_negative_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rp_values must be non-empty$"):
             sweep_parallel(four_resistor_base(), [])
         with pytest.raises(ValueError):
             sweep_parallel(four_resistor_base(), [5.0, -1.0])
