@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 # Defining module -> the public names it exports.
 _EXPORTS = {
     "config": (
-        "DacConfig", "DevicePair", "Encoding", "ExtractionError", "FourResistor",
-        "GenerationError", "HdlSpec", "LinearSwitch", "MetricsError", "MosfetParams",
-        "OperatingRegion", "ParallelAttach", "SizingError", "Standalone", "TimingParams",
-        "Topology", "TwoResistor", "calibrated_pair",
+        "DacConfig", "DevicePair", "Encoding", "FourResistor", "HdlSpec", "LinearSwitch",
+        "MetricsError", "MosfetParams", "OperatingRegion", "ParallelAttach", "SizingError",
+        "Standalone", "TimingParams", "Topology", "TwoResistor", "calibrated_pair",
     ),
     "network": (
         "NodeSolution", "TransferCurve", "complement_check", "solve_units", "transfer_curve",

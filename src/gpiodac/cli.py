@@ -34,9 +34,7 @@ from .config import (
     DacConfig,
     DevicePair,
     Encoding,
-    ExtractionError,
     FourResistor,
-    GenerationError,
     HdlSpec,
     MetricsError,
     MosfetParams,
@@ -481,7 +479,7 @@ def _cmd_extract(args: argparse.Namespace, cfg: None) -> tuple[str, dict[str, st
     except OSError as exc:
         raise ConfigError(f"cannot read curve {path}: {exc}") from exc
     if not rows:
-        raise ExtractionError("curve CSV has no rows")
+        raise SizingError("curve CSV has no rows")
     params = extract_from_table(
         codes=_curve_cells(path, rows, "code", _integer_text),
         vdac=_curve_cells(path, rows, "vdac_v", _finite_float),
@@ -658,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_, _, reads_config, plot) in _COMMANDS.items():
         for leaf in sizes if name == "size" else [cmd[name]]:
+            leaf.set_defaults(parser=leaf)  # main reports a flag it does not take with its usage
             if reads_config:
                 leaf.add_argument("-c", "--config", required=True, help="JSON config file")
             leaf.add_argument("-o", "--output-dir", default=None,
@@ -681,16 +680,16 @@ def build_parser() -> argparse.ArgumentParser:
 _FAILURES = (
     (ConfigError, "config", 2),
     (SizingError, "sizing", 4),
-    (ExtractionError, "sizing", 4),
     (MetricsError, "metrics", 4),
-    (GenerationError, "hdl", 2),
     (OSError, "io", 5),
 )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand: load its config, run its handler, write its files and a run record."""
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     handler, _, reads_config, _ = _COMMANDS[args.cmd]
     try:
         cfg = load_config(args.config) if reads_config else None

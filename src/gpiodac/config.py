@@ -138,11 +138,11 @@ Topology = Union[Standalone, TwoResistor, FourResistor]
 MAX_BITS = 16  # 2^16 - 1 unit cells is the practical full-sweep ceiling
 
 
-def _integer(name: str, value, error: type[ValueError]) -> int:
-    """value as an int; error naming name unless it is an int or numpy integer (a bool is not)."""
+def _integer(name: str, value) -> int:
+    """value as an int; a ValueError naming name unless an int or numpy integer (a bool is not)."""
     # numpy registers its integer types as Integral, so this layer needs no numpy to accept them.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -166,11 +166,10 @@ class DacConfig:
     encoding: Encoding = Encoding.BINARY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_bits", _integer("n_bits", self.n_bits, ValueError))
+        object.__setattr__(self, "n_bits", _integer("n_bits", self.n_bits))
         if not 1 <= self.n_bits <= MAX_BITS:
             raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
-        if not 0.0 < self.vdd < math.inf:
-            raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
+        _check_positive("vdd", self.vdd)
         # An int vdd would start the rails' solve in an int array, which truncates what it holds.
         object.__setattr__(self, "vdd", float(self.vdd))
         resistances = [(name, float(getattr(self.topology, name)))
@@ -206,16 +205,9 @@ class MetricsError(ValueError):
     """Degenerate curve, e.g. zero full-scale span."""
 
 
-class ExtractionError(ValueError):
-    """The curve does not expose the features extraction needs."""
-
-
 class SizingError(ValueError):
-    """The requested correction is infeasible; the message names the constraint."""
-
-
-class GenerationError(ValueError):
-    """Invalid HdlSpec; raised before any text is produced."""
+    """The curve does not expose the features extraction needs, or the requested correction
+    is infeasible; the message names the constraint."""
 
 
 _VERILOG_KEYWORDS = frozenset(
@@ -225,11 +217,6 @@ _VERILOG_KEYWORDS = frozenset(
     repeat task tri wand while wire wor xor""".split()
 )
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*\Z")
-
-
-def _check_identifier(name: str) -> None:
-    if not _IDENTIFIER_RE.fullmatch(name) or name in _VERILOG_KEYWORDS:
-        raise GenerationError(f"{name!r} is not a valid HDL identifier")
 
 
 @dataclass(frozen=True)
@@ -244,20 +231,24 @@ class HdlSpec:
 
     def __post_init__(self) -> None:
         for name in ("n_bits", "clock_hz", "staircase_step_cycles"):
-            value = _integer(name, getattr(self, name), GenerationError)
+            value = _integer(name, getattr(self, name))
             if value < 1:
-                raise GenerationError(f"{name} must be >= 1, got {value}")
+                raise ValueError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
+        if self.n_bits > MAX_BITS:  # refused as DacConfig refuses it, before 2^n_bits pins
+            raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {self.n_bits}")
         if self.clock_hz > sys.float_info.max:  # the manifest's hz is read as a float
-            raise GenerationError("clock_hz must be >= 1 and within float range")
-        _check_identifier(self.module_name)
+            raise ValueError("clock_hz must be >= 1 and within float range")
+        name = self.module_name
+        if not _IDENTIFIER_RE.fullmatch(name) or name in _VERILOG_KEYWORDS:
+            raise ValueError(f"{name!r} is not a valid HDL identifier")
         if len(self.pin_assignments) != self.d_max:
-            raise GenerationError(
+            raise ValueError(
                 f"need exactly {self.d_max} pin assignments, got {len(self.pin_assignments)}"
             )
         pins = [*self.pin_assignments, self.clock_pin]
         if len(set(pins)) != len(pins):
-            raise GenerationError("package pins must be unique (clock included)")
+            raise ValueError("package pins must be unique (clock included)")
 
     @property
     def d_max(self) -> int:

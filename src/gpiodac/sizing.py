@@ -18,13 +18,13 @@ from typing import TYPE_CHECKING
 
 from .config import (
     DacConfig,
-    ExtractionError,
     FourResistor,
     OperatingRegion,
     SizingError,
     Standalone,
     Topology,
     TwoResistor,
+    _integer,
     _nonfinite_conductance,
 )
 
@@ -49,16 +49,16 @@ class ExtractedParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.vth < 0.5 * self.vdd:
-            raise ExtractionError(
+            raise SizingError(
                 f"vth must be within (0, vdd/2), got vth={self.vth}, vdd={self.vdd}"
             )
         if self.vdd == math.inf:  # vth < vdd/2 has passed, so vdd > 0
-            raise ExtractionError("vdd must be finite, got inf")
+            raise SizingError("vdd must be finite, got inf")
         if not 0.0 < self.ron < math.inf:
-            raise ExtractionError(f"ron must be finite and > 0, got {self.ron}")
+            raise SizingError(f"ron must be finite and > 0, got {self.ron}")
         lo, hi = self.linear_range
         if not (0.0 <= lo <= hi <= self.vdd):
-            raise ExtractionError(f"linear_range {self.linear_range} outside [0, vdd]")
+            raise SizingError(f"linear_range {self.linear_range} outside [0, vdd]")
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,10 @@ def extract_from_table(
     """
     n = len(codes)
     if not (len(vdac) == len(i_per_pullup) == len(region_p) == len(region_n) == n):
-        raise ExtractionError("column lengths differ")
+        raise SizingError("column lengths differ")
     for before, code in zip(codes, codes[1:]):
         if code != before + 1:
-            raise ExtractionError(
+            raise SizingError(
                 f"codes must be consecutive and ascending: code {code} follows code {before}"
             )
 
@@ -115,7 +115,7 @@ def extract_from_table(
             lo_idx, length = start, size
         start += size
     if length < 2:
-        raise ExtractionError(
+        raise SizingError(
             "no triode-triode run of at least 2 codes found "
             "(curve too coarse, or already corrected)"
         )
@@ -137,7 +137,7 @@ def extract_from_table(
     mid_idx = min(distance, key=lambda i: (not math.isnan(distance[i]), distance[i]))
     i_unit = i_per_pullup[mid_idx]
     if i_unit <= 0.0:
-        raise ExtractionError("no pull-up current at the mid-range code")
+        raise SizingError("no pull-up current at the mid-range code")
 
     # Invert the triode law at the measured point, then express the result as
     # the mid-scale secant resistance vds/i at vds = vdd/2.
@@ -145,7 +145,7 @@ def extract_from_table(
     vsd = vdd - vdac[mid_idx]
     denom = vov * vsd - 0.5 * vsd * vsd
     if denom <= 0.0:
-        raise ExtractionError("mid-range point is not inside the triode region")
+        raise SizingError("mid-range point is not inside the triode region")
     k_est = i_unit / denom
     # No conductance (vth = 3/4 vdd, or an underflow) makes ron infinite, which ExtractedParams
     # refuses, naming the vth beyond vdd/2 first.
@@ -157,7 +157,7 @@ def extract_from_table(
 def extract_parameters(curve: TransferCurve) -> ExtractedParams:
     """Extraction from a simulated standalone curve."""
     if not isinstance(curve.config.topology, Standalone):
-        raise ExtractionError("extraction expects a standalone (no-resistor) curve")
+        raise SizingError("extraction expects a standalone (no-resistor) curve")
     columns = curve.columns
     return extract_from_table(
         codes=columns["code"].tolist(),
@@ -176,6 +176,7 @@ def size_two_resistor(p: ExtractedParams, d_max: int) -> SizingResult:
     alpha_g = d_max * vth / (vdd - 2 vth) stretches the triode-triode region
     over the whole code range, pinning the output at vth and vdd - vth.
     """
+    d_max = _integer("d_max", d_max)
     if d_max < 1:
         raise SizingError(f"d_max must be >= 1, got {d_max}")
     window = p.vdd - 2.0 * p.vth  # > 0, since ExtractedParams holds 0 < vth < vdd/2

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_BITS, DacConfig, Encoding, TimingParams
+from .config import MAX_BITS, DacConfig, Encoding, TimingParams, _integer
 from .network import _checked_counts, _refuse_non_integers, _solve
 
 
@@ -376,6 +376,7 @@ def detect_glitches(w: Waveform, band: float) -> list[tuple[float, float]]:
 
 def staircase_codes(n_bits: int) -> list[int]:
     """The 0..d_max ramp; the standard bench pattern."""
+    n_bits = _integer("n_bits", n_bits)
     if not 1 <= n_bits <= MAX_BITS:  # refused before a list of 2^n_bits codes is built
         raise ValueError(f"n_bits must be in 1..{MAX_BITS}, got {n_bits}")
     return list(range(1 << n_bits))

@@ -39,11 +39,11 @@ from gpiodac.cli import TRANSFER_COLUMNS, csv_text
 from gpiodac.config import (
     DacConfig,
     Encoding,
-    ExtractionError,
     FourResistor,
     LinearSwitch,
     OperatingRegion,
     ParallelAttach,
+    SizingError,
     TwoResistor,
 )
 from gpiodac.network import solve_units
@@ -480,7 +480,7 @@ def per_code_extract(
     """Reference of ``sizing.extract_from_table``: triode runs found code by code."""
     n = len(codes)
     if not (len(vdac) == len(i_per_pullup) == len(region_p) == len(region_n) == n):
-        raise ExtractionError("column lengths differ")
+        raise SizingError("column lengths differ")
 
     triode = OperatingRegion.TRIODE.value
     runs: list[tuple[int, int]] = []  # [start, end] inclusive index ranges
@@ -496,7 +496,7 @@ def per_code_extract(
         runs.append((start, n - 1))
     runs = [r for r in runs if r[1] - r[0] >= 1]
     if not runs:
-        raise ExtractionError(
+        raise SizingError(
             "no triode-triode run of at least 2 codes found "
             "(curve too coarse, or already corrected)"
         )
@@ -515,7 +515,7 @@ def per_code_extract(
     mid_idx = min(range(lo_idx, hi_idx + 1), key=lambda i: (abs(vdac[i] - half), i))
     i_unit = i_per_pullup[mid_idx]
     if i_unit <= 0.0:
-        raise ExtractionError("no pull-up current at the mid-range code")
+        raise SizingError("no pull-up current at the mid-range code")
 
     # Invert the triode law at the measured point, then express the result as
     # the mid-scale secant resistance vds/i at vds = vdd/2.
@@ -523,7 +523,7 @@ def per_code_extract(
     vsd = vdd - vdac[mid_idx]
     denom = vov * vsd - 0.5 * vsd * vsd
     if denom <= 0.0:
-        raise ExtractionError("mid-range point is not inside the triode region")
+        raise SizingError("mid-range point is not inside the triode region")
     k_est = i_unit / denom
     conductance = k_est * (vov - 0.25 * vdd)
     ron = 1.0 / conductance if conductance else float("inf")

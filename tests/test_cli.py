@@ -427,8 +427,10 @@ class TestSize:
         with pytest.raises(SystemExit) as exc:
             main(["size", mode, *flags, flag, value, "-o", "out"])
         assert exc.value.code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last == f"gpiodac: error: unrecognized arguments: {flag} {value}"
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gpiodac size {mode} [-h]")
+        last = err.splitlines()[-1]
+        assert last == f"gpiodac size {mode}: error: unrecognized arguments: {flag} {value}"
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
@@ -584,12 +586,6 @@ class TestTransient:
         assert captured.err == "gpiodac: error: config: unknown key config.transient\n"
         assert captured.out == ""
         assert not (workdir / "out").exists()
-
-    def test_random_skew_with_seed_is_the_seeded_golden(self, workdir):
-        cfg = write_config(workdir)
-        assert main(["transient", "-c", str(cfg), "--seed", "7"]) == 0
-        golden = GOLDEN / "waveform_dac4_seed7.csv"
-        assert (workdir / "out" / "waveform.csv").read_bytes() == golden.read_bytes()
 
     def test_missing_timing_section(self, workdir):
         cfg = write_config(workdir, {"timing": None})
@@ -1027,3 +1023,16 @@ class TestRunner:
         assert main([name, *failing, "-o", "failed"]) == 2
         assert capsys.readouterr().out == ""
         assert not (inputs / "failed").exists()
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_a_flag_the_command_does_not_take_is_refused_with_its_usage(self, workdir, capsys,
+                                                                       name):
+        flags = RUNS[name][0]
+        prog = f"gpiodac {name} {flags[0]}" if name == "size" else f"gpiodac {name}"
+        with pytest.raises(SystemExit) as exc:
+            main([name, *flags, "--bogus", "-o", "refused"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.splitlines()[-1] == f"{prog}: error: unrecognized arguments: --bogus"
+        assert not (workdir / "refused").exists()

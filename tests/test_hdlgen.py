@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpiodac.cli import json_text
-from gpiodac.config import Encoding, GenerationError, HdlSpec, default_pin_assignments
+from gpiodac.config import MAX_BITS, Encoding, HdlSpec, default_pin_assignments
 from gpiodac.hdlgen import generate_dac, generate_staircase
 from oracles import per_pin_states
 
@@ -148,13 +148,13 @@ class TestConstraints:
 
 class TestValidation:
     def test_bad_module_name(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match=r"^'4dac' is not a valid HDL identifier$"):
             spec_for("4dac", Encoding.BINARY)
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match=r"^'module' is not a valid HDL identifier$"):
             spec_for("module", Encoding.BINARY)
 
     def test_duplicate_package_pins(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match=r"^package pins must be unique \(clock included\)$"):
             HdlSpec(
                 n_bits=2,
                 encoding=Encoding.BINARY,
@@ -166,7 +166,7 @@ class TestValidation:
             )
 
     def test_wrong_pin_count(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ValueError, match=r"^need exactly 3 pin assignments, got 1$"):
             HdlSpec(
                 n_bits=2,
                 encoding=Encoding.BINARY,
@@ -184,7 +184,7 @@ class TestValidation:
     ])
     def test_clock_out_of_range_is_refused(self, clock_hz, message):
         # The manifest's hz needs the clock as a float.
-        with pytest.raises(GenerationError) as info:
+        with pytest.raises(ValueError) as info:
             HdlSpec(n_bits=1, encoding=Encoding.BINARY, module_name="dut", clock_hz=clock_hz,
                     staircase_step_cycles=1, pin_assignments=("A1",), clock_pin="J3")
         assert str(info.value) == message
@@ -197,10 +197,18 @@ class TestValidation:
                                                                                  value, rule):
         fields = {"n_bits": 4, "clock_hz": 100_000_000, "staircase_step_cycles": 50_000,
                   field: value}
-        with pytest.raises(GenerationError) as info:
+        with pytest.raises(ValueError) as info:
             HdlSpec(encoding=Encoding.BINARY, module_name="dut", clock_pin="J3",
                     pin_assignments=tuple(f"A{j + 1}" for j in range(15)), **fields)
         assert str(info.value) == f"{field} must be {rule}, got {value!r}"
+
+    def test_a_bit_width_beyond_max_bits_is_refused(self):
+        # As DacConfig refuses it: 17 bits would be 131,071 pins and a decode line for each.
+        with pytest.raises(ValueError) as info:
+            HdlSpec(n_bits=MAX_BITS + 1, encoding=Encoding.BINARY, module_name="dut",
+                    clock_hz=1, staircase_step_cycles=1,
+                    pin_assignments=default_pin_assignments(MAX_BITS + 1), clock_pin="J3")
+        assert str(info.value) == f"n_bits must be in 1..{MAX_BITS}, got {MAX_BITS + 1}"
 
     def test_numpy_integer_fields_give_the_int_artifacts(self):
         want = spec_for("dut", Encoding.BINARY)

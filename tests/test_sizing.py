@@ -14,7 +14,6 @@ from test_network import MISMATCHED
 from gpiodac import network
 from gpiodac.config import (
     DacConfig,
-    ExtractionError,
     FourResistor,
     ParallelAttach,
     SizingError,
@@ -77,15 +76,15 @@ class TestExtraction:
         cfg = DacConfig(
             n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(rpp=2.35, rpn=2.35)
         )
-        with pytest.raises(ExtractionError):
+        with pytest.raises(SizingError):
             extract_parameters(transfer_curve(cfg))
 
     def test_validation(self):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(SizingError):
             ExtractedParams(vth=2.0, ron=40.0, vdd=VDD, linear_range=(1.0, 2.0))
-        with pytest.raises(ExtractionError):
+        with pytest.raises(SizingError):
             ExtractedParams(vth=1.0, ron=-1.0, vdd=VDD, linear_range=(1.0, 2.0))
-        with pytest.raises(ExtractionError, match="^vdd must be finite, got inf$"):
+        with pytest.raises(SizingError, match="^vdd must be finite, got inf$"):
             ExtractedParams(vth=1.0, ron=40.0, vdd=math.inf, linear_range=(1.0, 2.0))
 
     # Both sizers divide by vdd - 2*vth and rely on it being positive. Draw any floats,
@@ -103,7 +102,7 @@ class TestExtraction:
                 vth = math.nextafter(vth, 0.0)
         try:
             params = ExtractedParams(vth=vth, ron=1.0, vdd=vdd, linear_range=(0.0, 0.0))
-        except ExtractionError:
+        except SizingError:
             return
         assert params.vdd - 2.0 * params.vth > 0.0
 
@@ -117,18 +116,18 @@ class TestExtraction:
         columns = dict(codes=[0, 1], vdac=vdac, i_per_pullup=i_per_pullup,
                        region_p=["triode"] * 2, region_n=["triode"] * 2, vdd=4.0)
         for container in (list, tuple, np.asarray):
-            with pytest.raises(ExtractionError) as info:
+            with pytest.raises(SizingError) as info:
                 extract_from_table(**{k: v if k == "vdd" else container(v)
                                       for k, v in columns.items()})
             assert str(info.value) == message
-        assert outcome(per_code_extract, **columns) == (ExtractionError, message)
+        assert outcome(per_code_extract, **columns) == (SizingError, message)
 
 
 def outcome(extract, **columns):
     """What an extraction gives: its ExtractedParams, or the type and message of its error."""
     try:
         return extract(**columns)
-    except (ExtractionError, ArithmeticError) as exc:
+    except (SizingError, ArithmeticError) as exc:
         return type(exc), str(exc)
 
 
@@ -201,7 +200,7 @@ class TestExtractionMatchesPerCodeReference:
                     region_p=["triode"] * 3, region_n=["triode"] * 3, vdd=4.0)
         got = outcome(extract_from_table, **{**base, **columns})
         assert got == outcome(per_code_extract, **{**base, **columns})
-        assert got[0] is ExtractionError and message in got[1]
+        assert got[0] is SizingError and message in got[1]
 
     @settings(max_examples=200)
     @given(extraction_tables(), st.sampled_from([tuple, np.asarray]))
@@ -228,7 +227,7 @@ class TestExtractionMatchesPerCodeReference:
                      region_p=[columns["region_p"][c].value for c in rows],
                      region_n=[columns["region_n"][c].value for c in rows], vdd=VDD)
         want = f"codes must be consecutive and ascending: {message}"
-        assert outcome(extract_from_table, **table) == (ExtractionError, want)
+        assert outcome(extract_from_table, **table) == (SizingError, want)
 
     # A NaN voltage in the run is the mid-scale code read, as the first NaN was for the
     # np.argmin this search replaced; a search that passed over it would read the finite code
@@ -247,7 +246,7 @@ class TestExtractionMatchesPerCodeReference:
         regions = ["saturation"] + ["triode"] * 4 + ["saturation"]
         columns = dict(codes=list(range(6)), vdac=vdac, i_per_pullup=i_per_pullup,
                        region_p=regions, region_n=["triode"] * 6, vdd=4.0)
-        assert outcome(extract_from_table, **columns) == (ExtractionError, message)
+        assert outcome(extract_from_table, **columns) == (SizingError, message)
 
     @pytest.mark.parametrize("pair", [PAIR, MISMATCHED], ids=["matched", "mismatched"])
     def test_12_bit_curves(self, pair):
@@ -295,6 +294,18 @@ class TestTwoResistorSizing:
         result = size_two_resistor(margin, 15)
         assert result.alpha_g > 1e4
         assert result.topology.rpp < 0.005
+
+    @pytest.mark.parametrize("d_max", [15.5, 15.0, True, np.float64(15.0), "15", None])
+    def test_a_code_count_that_is_not_an_integer_is_refused_naming_it(self, d_max):
+        with pytest.raises(ValueError) as info:
+            size_two_resistor(REF_PARAMS, d_max)
+        assert str(info.value) == f"d_max must be an integer, got {d_max!r}"
+
+    @pytest.mark.parametrize("d_max", [np.int64(15), np.uint16(15)])
+    def test_a_numpy_integer_code_count_sizes_the_int_one(self, d_max):
+        result = size_two_resistor(REF_PARAMS, d_max)
+        assert result == size_two_resistor(REF_PARAMS, 15)
+        assert {type(result.alpha_g), type(result.topology.rpp), type(result.topology.rpn)} == {float}
 
     @pytest.mark.parametrize("ron", [1e-320, 5e-324, 2e-307])
     def test_resistance_whose_conductance_overflows_is_refused_naming_ron(self, ron):
@@ -399,7 +410,7 @@ class TestFourResistorSizing:
         with pytest.raises(SizingError, match="rs_total must be a number"):
             size_four_resistor(REF_PARAMS, it_target=0.2, rs_total=nan)
         for ron in (nan, inf):
-            with pytest.raises(ExtractionError, match="ron must be finite and > 0"):
+            with pytest.raises(SizingError, match="ron must be finite and > 0"):
                 ExtractedParams(vth=1.15, ron=ron, vdd=VDD, linear_range=(1.15, 2.15))
 
     def test_series_bounds_beyond_float_range_are_sizing_errors(self):

@@ -94,6 +94,12 @@ class TestSynthesize:
             staircase_codes(n_bits)
         assert str(info.value) == f"n_bits must be in 1..{MAX_BITS}, got {n_bits}"
 
+    @pytest.mark.parametrize("n_bits", [True, 4.0, np.float64(4.0), "4", None])
+    def test_staircase_of_a_width_that_is_not_an_integer_is_refused_naming_it(self, n_bits):
+        with pytest.raises(ValueError) as info:
+            staircase_codes(n_bits)
+        assert str(info.value) == f"n_bits must be an integer, got {n_bits!r}"
+
     def test_binary_major_carry_dips_through_zero_state(self):
         # the low-indexed (LSB) pins fall before the bit-3 group rises, so the
         # asserted count passes through zero exactly as the ordering oracle says
