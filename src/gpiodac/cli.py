@@ -34,15 +34,13 @@ from .config import (
     DacConfig,
     DevicePair,
     Encoding,
-    FourResistor,
     HdlSpec,
     MetricsError,
     MosfetParams,
+    Network,
     ParallelAttach,
     SizingError,
-    Standalone,
     TimingParams,
-    TwoResistor,
     calibrated_pair,
     default_pin_assignments,
 )
@@ -116,15 +114,16 @@ _DAC = {
 _SHORTHAND = {"vth": (NUMBER, REQUIRED), "ron_midrange": (NUMBER, REQUIRED)}
 _SLOTS = {"pmos": (OBJECT, REQUIRED), "nmos": (OBJECT, REQUIRED)}
 _DEVICE = {"vth": (NUMBER, REQUIRED), "k": (NUMBER, REQUIRED)}
-# dac.topology.kind -> (class, its keys); report.json names the resistors with an _ohm suffix.
+# dac.topology.kind -> the Network keys a config of that kind gives, the others left absent;
+# report.json names the resistors with an _ohm suffix.
 _OHMS = (NUMBER, REQUIRED)
 _TOPOLOGIES = {
-    "standalone": (Standalone, {}),
-    "two_resistor": (TwoResistor, {"rpp": _OHMS, "rpn": _OHMS}),
-    "four_resistor": (FourResistor, {
+    "standalone": {},
+    "two_resistor": {"rpp": _OHMS, "rpn": _OHMS},
+    "four_resistor": {
         "rsp": _OHMS, "rsn": _OHMS, "rpp": _OHMS, "rpn": _OHMS,
         "parallel_attach": (ParallelAttach, ParallelAttach.INNER_RAILS),
-    }),
+    },
 }
 # Each timing key is a TimingParams field with its unit suffix.
 _TIMING = {
@@ -220,10 +219,9 @@ def _parse_devices(obj: dict, where: str, vdd: float) -> DevicePair:
 
 def _parse_topology(obj: dict, where: str):
     kind = _check(obj.get("kind"), f"{where}.kind", tuple(_TOPOLOGIES))
-    cls, spec = _TOPOLOGIES[kind]
-    values = _section(obj, where, {"kind": (TEXT, REQUIRED), **spec})
+    values = _section(obj, where, {"kind": (TEXT, REQUIRED), **_TOPOLOGIES[kind]})
     del values["kind"]
-    return _build(where, cls, **values)
+    return _build(where, Network, **values)
 
 
 def _parse_dac(obj: Any) -> DacConfig:
@@ -393,8 +391,10 @@ def report_doc(
         doc["report"] = {key: getattr(report, attr) for key, attr in _REPORT_KEYS}
     if sizing is not None:
         topo = sizing.topology
-        kind = next(k for k, (cls, _) in _TOPOLOGIES.items() if type(topo) is cls)
-        ohms = [key for key, spec in _TOPOLOGIES[kind][1].items() if spec == _OHMS]
+        kind = "standalone"  # the kind whose keys are the resistors the network has
+        if topo.has_parallel:
+            kind = "four_resistor" if topo.has_series else "two_resistor"
+        ohms = [key for key, spec in _TOPOLOGIES[kind].items() if spec == _OHMS]
         doc["sizing"] = {
             "topology": {"kind": kind, **{f"{key}_ohm": getattr(topo, key) for key in ohms}},
             **{key: getattr(sizing, attr) for key, attr in _SIZING_KEYS},

@@ -1,4 +1,4 @@
-"""Validated design inputs: devices, topologies, DAC configs, timing, the HDL spec and the
+"""Validated design inputs: devices, resistor networks, DAC configs, timing, the HDL spec and the
 errors they and the layers built on them raise.
 
 This layer imports no numpy, so parsing a config and reporting its failures
@@ -20,7 +20,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -102,46 +102,55 @@ class ParallelAttach(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Standalone:
-    pass
+class Network:
+    """The external resistors of the shorted-GPIO DAC; each one left at its default is absent.
 
+    rsp and rsn are the series resistors from the supply rails to the local
+    rails vd and vs, absent at 0 (rsn = 0 models a board whose ground rail is
+    shared). rpp and rpn are the parallel resistors from the output to the
+    supply side and to the ground side, absent at inf; parallel_attach is what
+    they tie to there. Network() is the standalone DAC, Network(rpp=rp, rpn=rp)
+    its two-resistor correction, and all four resistors its four-resistor one.
+    """
 
-@dataclass(frozen=True)
-class TwoResistor:
-    rpp: float
-    rpn: float
-
-    def __post_init__(self) -> None:
-        if not (self.rpp > 0.0 and self.rpn > 0.0):
-            raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
-
-
-@dataclass(frozen=True)
-class FourResistor:
-    rsp: float
-    rsn: float
-    rpp: float
-    rpn: float
+    rsp: float = 0.0
+    rsn: float = 0.0
+    rpp: float = math.inf
+    rpn: float = math.inf
     parallel_attach: ParallelAttach = ParallelAttach.INNER_RAILS
 
     def __post_init__(self) -> None:
-        if not self.rsp > 0.0:
-            raise ValueError(f"rsp must be > 0, got {self.rsp}")
-        if not self.rsn >= 0.0:
-            raise ValueError(f"rsn must be >= 0 (0 means the ground rail is shared), got {self.rsn}")
+        for name in ("rsp", "rsn"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0 (0 is no resistor), got {value}")
+        # The rails are solved in the current through rsp, which rsn then carries too.
+        if self.rsn > 0.0 and not self.rsp > 0.0:
+            raise ValueError(f"rsn = {self.rsn} needs rsp > 0, got rsp = {self.rsp}")
         if not (self.rpp > 0.0 and self.rpn > 0.0):
             raise ValueError(f"parallel resistors must be > 0, got rpp={self.rpp}, rpn={self.rpn}")
 
+    @property
+    def has_series(self) -> bool:
+        return self.rsp > 0.0
 
-Topology = Union[Standalone, TwoResistor, FourResistor]
+    @property
+    def has_parallel(self) -> bool:
+        return self.rpp < math.inf or self.rpn < math.inf
+
 
 MAX_BITS = 16  # 2^16 - 1 unit cells is the practical full-sweep ceiling
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a ValueError naming name unless an int or numpy integer (a bool is not)."""
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
     # numpy registers its integer types as Integral, so this layer needs no numpy to accept them.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a ValueError naming name unless _is_integer(value)."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -162,7 +171,7 @@ class DacConfig:
     n_bits: int
     vdd: float
     devices: DevicePair
-    topology: Topology = field(default_factory=Standalone)
+    topology: Network = Network()
     encoding: Encoding = Encoding.BINARY
 
     def __post_init__(self) -> None:
@@ -172,8 +181,8 @@ class DacConfig:
         _check_positive("vdd", self.vdd)
         # An int vdd would start the rails' solve in an int array, which truncates what it holds.
         object.__setattr__(self, "vdd", float(self.vdd))
-        resistances = [(name, float(getattr(self.topology, name)))
-                       for name in ("rsp", "rsn", "rpp", "rpn") if hasattr(self.topology, name)]
+        resistances = [(name, float(r)) for name in ("rsp", "rsn", "rpp", "rpn")
+                       if (r := getattr(self.topology, name))]  # an absent series resistor is 0
         bad = _nonfinite_conductance(self.vdd, resistances)
         if bad is not None:
             raise ValueError(f"{bad[0]} = {bad[1]} ohm is too small: vdd / {bad[0]} is not finite")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .config import DacConfig, FourResistor, MetricsError, TwoResistor
+from .config import DacConfig, MetricsError
 from .metrics import LinearityReport, summary
 from .network import _curves
 
@@ -38,31 +38,21 @@ class SweepPoint:
 
 
 def _with_rp(config: DacConfig, rp: float) -> DacConfig:
-    topo = config.topology
-    if isinstance(topo, TwoResistor):
-        return replace(config, topology=TwoResistor(rpp=rp, rpn=rp))
-    if isinstance(topo, FourResistor):
-        return replace(config, topology=replace(topo, rpp=rp, rpn=rp))
-    raise ValueError("sweep base must use a two-resistor or four-resistor topology")
-
-
-def _rs_of(config: DacConfig) -> float:
-    topo = config.topology
-    if isinstance(topo, FourResistor):
-        return topo.rsp + topo.rsn
-    return 0.0
+    return replace(config, topology=replace(config.topology, rpp=rp, rpn=rp))
 
 
 def sweep_parallel(base: DacConfig, rp_values: Sequence[float]) -> list[SweepPoint]:
     """A report per parallel resistor value, bit for bit summary(transfer_curve(config)).
 
-    The curves solve as one lane batch; output order follows the input. A point
-    whose metrics fail is recorded in-row with an error status and the sweep
-    continues.
+    Each point is base with rpp = rpn = rp, so a standalone base sweeps as
+    the two-resistor network. The curves solve as one lane batch, split where
+    supply-attached points change rail path (rp = inf solves as no parallel
+    resistor does); output order follows the input. A point whose metrics fail
+    is recorded in-row with an error status and the sweep continues.
     """
     if len(rp_values) == 0:
         raise ValueError("rp_values must be non-empty")
-    rs = _rs_of(base)
+    rs = base.topology.rsp + base.topology.rsn
     points = []
     for rp, curve in zip(rp_values, _curves([_with_rp(base, rp) for rp in rp_values])):
         try:

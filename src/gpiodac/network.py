@@ -1,14 +1,17 @@
 """DC operating points of the shorted-GPIO DAC network, solved in lane batches.
 
 For an input code m out of d_max = 2^n - 1 unit cells, m drivers pull up and
-d_max - m pull down into the common output node. Three topologies are solved:
+d_max - m pull down into the common output node. One network is solved,
+its config's Network saying which of its resistors are present:
 
-* standalone: drivers only, local rails are the supply rails;
-* two-resistor: extra resistors rpp (supply to output) and rpn (output to
-  ground) that stretch the linear region;
-* four-resistor: series resistors rsp/rsn derate the local rails vd/vs, which
-  also lowers the gate swing (driver gates ride the local rails, so
-  vgs = vd - vs for both device groups), plus the two parallel resistors.
+* parallel resistors rpp (supply side to output) and rpn (output to ground
+  side) stretch the linear region;
+* series resistors rsp/rsn derate the local rails vd/vs, which also lowers
+  the gate swing (driver gates ride the local rails, so vgs = vd - vs for
+  both device groups).
+
+Without either, the drivers alone are the standalone DAC, whose local rails
+are the supply rails; a conductance of an absent resistor is 0.
 
 The nonlinear system is the KCL balance at the floating nodes: the output,
 and the local rails vd/vs when series resistors are present. One solve takes
@@ -28,21 +31,22 @@ operation over the lanes that still need it.
   operations, bit for bit what the law gives there. A lane whose root
   supply-attached resistors pull past the local rails is solved again over
   [0, vdd], on the general rows.
-* The rails of a four-resistor config are solved by Newton steps kept inside
-  per-lane brackets (0 <= vs <= vd <= vdd), bisecting where a step leaves its
-  bracket or stalls, each evaluation putting the levels below on their
-  balance. On inner rails, and without rsn, the level is the current through
-  rsp, which sets vd and vs; on supply rails with rsn > 0, it is vd, with vs
-  nested inside it.
+* The rails of a network with series resistors are solved by Newton steps
+  kept inside per-lane brackets (0 <= vs <= vd <= vdd), bisecting where a
+  step leaves its bracket or stalls, each evaluation putting the levels below
+  on their balance. On inner rails, without rsn, and without parallel
+  resistors (whose attach mode then changes nothing), the level is the
+  current through rsp, which sets vd and vs; on supply rails with rsn > 0,
+  it is vd, with vs nested inside it.
   Derivatives follow the balances by implicit differentiation. A lane stops
   once its residual is within rounding of its currents, or once its step or
   bracket is a few ulps of vdd.
 
 No level can fail, so no finite config fails to solve. A lane's
 voltages depend only on its own count and config, so a batch gives each lane
-bit for bit its one-code result, with one exception: a four-resistor batch of
-over 2 * WARM_STRIDE distinct counts starts its rails from solves at every
-WARM_STRIDE-th count, interpolated. Such a batch agrees with one-code solves
+bit for bit its one-code result, with one exception: a batch with series
+resistors of over 2 * WARM_STRIDE distinct counts starts its rails from
+solves at every WARM_STRIDE-th count, interpolated. Such a batch agrees with one-code solves
 only as far as rounding defines the rails: ~1e-13 V for 12-bit curves of
 calibrated devices, more where the rails are weakly tied to the supply.
 Configs that differ only in rpp/rpn (an rp sweep) solve as one batch with
@@ -63,23 +67,17 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import groupby
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .config import (
-    DacConfig,
-    FourResistor,
-    MosfetParams,
-    OperatingRegion,
-    ParallelAttach,
-    Standalone,
-)
+from .config import DacConfig, MosfetParams, OperatingRegion, ParallelAttach, _is_integer
 from .devices import _at_ends, _law, _overdrive, current_and_derivatives
 
 MAX_ITERATIONS = 200  # Newton or bisection steps per lane and rail level
-WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a large four-resistor batch's start
+WARM_STRIDE = 64  # coarse-grid spacing, in distinct counts, of a large series batch's start
 _RTOL = 1e-15  # rounding left on a node's residual, relative to its current magnitudes
 _ATOL = 1e-18  # amperes, for nodes that carry no current
 _XTOL = 8.0 * np.finfo(float).eps  # of a level's span: a root this close is as good as found
@@ -176,21 +174,19 @@ class TransferCurve:
 class _Lanes:
     """KCL of a batch of lanes, one pull-up count and config per lane, and its solve.
 
-    The lanes are the counts under each config in turn. The configs differ at
-    most in rpp and rpn, so where they differ gpp and gpn are per-lane arrays
-    like up and dn, else floats. Node voltages are floats or arrays over the
-    lanes; take(lanes) gives the batch of some lanes, and take(slice(None))
-    the batch itself.
+    The lanes are the counts under each config in turn. The configs' networks
+    are one network with its parallel resistors changed at most (an rp sweep),
+    all solved on one rail path, so where they differ gpp and gpn are per-lane
+    arrays like up and dn, else floats. Node voltages are floats or arrays
+    over the lanes; take(lanes) gives the batch of some lanes, and
+    take(slice(None)) the batch itself.
     """
 
     def __init__(self, configs: Sequence[DacConfig], counts: np.ndarray):
         self.cfg = config = configs[0]
         topo = config.topology
-        self.four = isinstance(topo, FourResistor)
-        self.has_vs = self.four and topo.rsn > 0.0
-        standalone = isinstance(topo, Standalone)
-        gp = [(0.0, 0.0) if standalone else (1.0 / c.topology.rpp, 1.0 / c.topology.rpn)
-              for c in configs]
+        self.series, self.has_vs = topo.has_series, topo.rsn > 0.0
+        gp = [(1.0 / c.topology.rpp, 1.0 / c.topology.rpn) for c in configs]
         if len(set(gp)) == 1:
             self.gpp, self.gpn = gp[0]
         else:
@@ -198,8 +194,8 @@ class _Lanes:
             self.gpp, self.gpn = (np.array(g)[point] for g in zip(*gp))
         counts = np.tile(counts, len(configs))
         self.gp = self.gpp + self.gpn
-        self.inner = (not self.four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
-        self.gsp = 1.0 / topo.rsp if self.four else 0.0
+        self.inner = _inner_path(config)
+        self.gsp = 1.0 / topo.rsp if self.series else 0.0
         self.gsn = 1.0 / topo.rsn if self.has_vs else 0.0
         # Inner rails carry one current from rsp through the network to rsn, so vs is tied to
         # vd: gsn*vs = gsp*(vdd - vd), and dvs/dvd = -tie.
@@ -358,13 +354,13 @@ class _Lanes:
         """(vdac, vd, vs) of every lane; a rail without a series resistor is one float.
 
         The vd node is solved by bracketed Newton, from vdd or the start's
-        (vd, vs); vdac is on its balance at every step. On inner rails, or
-        without rsn, the level is the current through rsp, which sets vd and
-        (tied) vs. On supply rails with rsn > 0, it is vd itself, and vs is
-        on its balance too, found the same way in [0, vd].
+        (vd, vs); vdac is on its balance at every step. On inner rails (as
+        _inner_path decides), or without rsn, the level is the current through
+        rsp, which sets vd and (tied) vs. On supply rails with rsn > 0, it is
+        vd itself, and vs is on its balance too, found the same way in [0, vd].
         """
         vdd = self.cfg.vdd
-        if not self.four:
+        if not self.series:
             return self.output_node(vdd, 0.0), vdd, 0.0
         n = len(self.counts)
         vd, vs = start or (np.full(n, vdd), np.zeros(n))
@@ -413,13 +409,13 @@ class _Lanes:
         i_rpn = self.gpn * (vdac - (vs if self.inner else 0.0))
         Ip, In = self.up * ip, self.dn * in_
         residual = np.abs(Ip + i_rpp - In - i_rpn)
-        if self.four:
+        if self.series:
             i_total = self.gsp * (cfg.vdd - vd)
             residual = np.maximum(residual, np.abs(i_total - Ip - (i_rpp if self.inner else 0.0)))
             if not self.inner:
                 i_total += i_rpp
         else:
-            i_total = Ip + i_rpp  # Ip itself, bit for bit, where gpp is 0 (standalone)
+            i_total = Ip + i_rpp  # Ip itself, bit for bit, where gpp is 0 (no rpp)
         if self.has_vs:
             residual = np.maximum(residual, np.abs(In + (i_rpn if self.inner else 0.0) - self.gsn * vs))
         # Each group's region, indexing _REGIONS. A group with no active units has its gates
@@ -438,6 +434,18 @@ class _Lanes:
             regions.append(_REGIONS[index])
         columns = (self.counts, vdac, vd, vs, i_total, *units, i_rpp, i_rpn, *regions, residual)
         return dict(zip(FIELDS, columns))
+
+
+def _inner_path(config: DacConfig) -> bool:
+    """Whether config's rails are solved as inner rails, tied by the current through rsp.
+
+    Only supply-attached parallel resistors with series resistors need the
+    nested supply-rail path. Without either kind of resistor the attach mode
+    changes no balance, and the inner path balances rows the nested one may not.
+    """
+    topo = config.topology
+    return (topo.parallel_attach is ParallelAttach.INNER_RAILS
+            or not (topo.has_series and topo.has_parallel))
 
 
 def _square_law(current, slope):
@@ -501,8 +509,8 @@ _last: tuple | None = None
 def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tuple]:
     """counts under each config in turn as one lane batch: the batch and its (vdac, vd, vs).
 
-    A four-resistor batch of over 2 * WARM_STRIDE distinct counts starts its
-    rails from _warm_start; any other starts cold. The arrays are read-only,
+    A batch with series resistors of over 2 * WARM_STRIDE distinct counts
+    starts its rails from _warm_start; any other starts cold. The arrays are read-only,
     one entry per lane each: a rail without a series resistor, which
     _Lanes.solve gives as one float, is broadcast over the lanes.
     The solve is a function of the configs and counts alone, so a batch equal
@@ -517,7 +525,7 @@ def _solve(configs: Sequence[DacConfig], counts: np.ndarray) -> tuple[_Lanes, tu
     net = _Lanes(configs, counts)
     with np.errstate(**_DISCARDED):
         start = None
-        if net.four:
+        if net.series:
             distinct = np.sort(counts)  # np.unique hashes ints first, at ~10x the cost of a sort
             distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
             if len(distinct) > 2 * WARM_STRIDE:
@@ -542,7 +550,7 @@ def _refuse_non_integers(values: Any, name: str, lo: int = -(1 << 63), hi: int =
     default): Python and numpy integers pass; bools, floats (even integral ones) and strings
     do not."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_integer(v):
             raise ValueError(f"{name} {v!r} is not an integer (all {name} values must be integers)")
         if not lo <= v <= hi:
             raise ValueError(f"{name} {v} out of range {lo}..{hi}")
@@ -579,7 +587,7 @@ def solve_units(
 
     An int gives one NodeSolution. A sequence of counts is solved as one
     batch and gives one NodeSolution per count, in order, each bit for bit
-    what a one-count call gives (a four-resistor batch that warm-starts
+    what a one-count call gives (a series-resistor batch that warm-starts
     agrees with it to rounding; see the module docstring). A count need not
     correspond to any encodable code: it may be a mid-transition pin state.
     """
@@ -592,12 +600,14 @@ def solve_units(
 
 def _curves(configs: Sequence[DacConfig]) -> list[TransferCurve]:
     """Transfer curves of configs that differ at most in rpp and rpn, in order; consecutive
-    configs are solved together, as many whole curves as _MAX_LANES hold."""
+    configs on one rail path are solved together, as many whole curves as _MAX_LANES hold."""
     n = configs[0].d_max + 1
     curves = []
-    for start in range(0, len(configs), _MAX_LANES // n):
-        batch = configs[start : start + _MAX_LANES // n]
-        curves += map(TransferCurve, batch, _solve_lanes(batch, np.arange(n)))
+    for _, run in groupby(configs, _inner_path):
+        run = list(run)
+        for start in range(0, len(run), _MAX_LANES // n):
+            batch = run[start : start + _MAX_LANES // n]
+            curves += map(TransferCurve, batch, _solve_lanes(batch, np.arange(n)))
     return curves
 
 

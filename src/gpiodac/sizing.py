@@ -18,12 +18,9 @@ from typing import TYPE_CHECKING
 
 from .config import (
     DacConfig,
-    FourResistor,
+    Network,
     OperatingRegion,
     SizingError,
-    Standalone,
-    Topology,
-    TwoResistor,
     _integer,
     _nonfinite_conductance,
 )
@@ -63,7 +60,7 @@ class ExtractedParams:
 
 @dataclass(frozen=True)
 class SizingResult:
-    topology: Topology
+    topology: Network
     predicted_dynamic_range: tuple[float, float]
     alpha_g: float | None = None
     it_bounds: tuple[float, float] | None = None
@@ -72,8 +69,12 @@ class SizingResult:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        """Refuse a number beyond float range, naming it: report.json holds every one."""
-        for obj in (self.topology, self):
+        """Refuse a number beyond float range, naming it: report.json holds every one.
+
+        It holds no resistor of a network without parallel resistors, which it
+        names standalone.
+        """
+        for obj in (self.topology, self) if self.topology.has_parallel else (self,):
             for f in fields(obj):
                 value = getattr(obj, f.name)
                 numbers = value if isinstance(value, tuple) else (value,)
@@ -156,7 +157,8 @@ def extract_from_table(
 
 def extract_parameters(curve: TransferCurve) -> ExtractedParams:
     """Extraction from a simulated standalone curve."""
-    if not isinstance(curve.config.topology, Standalone):
+    topo = curve.config.topology
+    if topo.has_series or topo.has_parallel:
         raise SizingError("extraction expects a standalone (no-resistor) curve")
     columns = curve.columns
     return extract_from_table(
@@ -187,13 +189,15 @@ def size_two_resistor(p: ExtractedParams, d_max: int) -> SizingResult:
             "underflows to 0"
         )
     rp = p.ron / alpha_g
+    if rp == math.inf:  # an absent resistor, which report.json could not hold either
+        raise SizingError(f"rpp = {rp} is not finite")
     if _nonfinite_conductance(p.vdd, [("rp", rp)]):
         raise SizingError(
             f"ron = {p.ron:.4g} ohm is too small: it sizes rpp = rpn = {rp:.4g} ohm, "
             "and vdd / rp is not finite"
         )
     return SizingResult(
-        topology=TwoResistor(rpp=rp, rpn=rp),
+        topology=Network(rpp=rp, rpn=rp),
         predicted_dynamic_range=(p.vth, p.vdd - p.vth),
         alpha_g=alpha_g,
         notes=("sizing assumes constant on-conductance inside the stretched region",),
@@ -258,7 +262,7 @@ def size_four_resistor(
     vdac_min = p.vdd - it_target * rsp - p.vth
     vdac_max = it_target * rsn + p.vth
     return SizingResult(
-        topology=FourResistor(rsp=rsp, rsn=rsn, rpp=rp, rpn=rp),
+        topology=Network(rsp=rsp, rsn=rsn, rpp=rp, rpn=rp),
         predicted_dynamic_range=(vdac_min, vdac_max),
         it_bounds=(window / rs_total, (p.vdd - p.vth) / rs_total),
         rs_bounds=(rs_lo, rs_hi),

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_BITS, DacConfig, Encoding, TimingParams, _integer
+from .config import MAX_BITS, DacConfig, Encoding, TimingParams, _integer, _is_integer
 from .network import _checked_counts, _refuse_non_integers, _solve
 
 
@@ -313,8 +313,7 @@ def synthesize(
         raise ValueError(f"unknown skew mode {skew_mode!r}")
     if skew_mode == "random" and seed is None:  # PCG64(None) seeds from OS entropy
         raise ValueError("random skew mode needs a seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                             or seed < 0):
+    if seed is not None and not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     # The 128-bit state and increment of the PCG64 that default_rng(seed) seeds too; the

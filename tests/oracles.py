@@ -39,12 +39,10 @@ from gpiodac.cli import TRANSFER_COLUMNS, csv_text
 from gpiodac.config import (
     DacConfig,
     Encoding,
-    FourResistor,
     LinearSwitch,
     OperatingRegion,
     ParallelAttach,
     SizingError,
-    TwoResistor,
 )
 from gpiodac.network import solve_units
 from gpiodac.sizing import ExtractedParams
@@ -90,10 +88,8 @@ def oracle_solve(config: DacConfig, code: int) -> tuple[float, float, float]:
     n_up, n_dn = code, d_max - code
     pmos, nmos = config.devices.pmos, config.devices.nmos
 
-    four = isinstance(topo, FourResistor)
-    gpp = gpn = 0.0
-    if isinstance(topo, (TwoResistor, FourResistor)):
-        gpp, gpn = 1.0 / topo.rpp, 1.0 / topo.rpn
+    four = topo.rsp > 0.0
+    gpp, gpn = 1.0 / topo.rpp, 1.0 / topo.rpn  # 0 where absent (inf)
     inner = (not four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
     gsp = 1.0 / topo.rsp if four else 0.0
     has_vs = four and topo.rsn > 0.0
@@ -168,7 +164,7 @@ def naive_inl(levels) -> list[float]:
 def divider(n_up: int, n_dn: int, gop: float, gon: float, vdd: float, *,
             gpp: float = 0.0, gpn: float = 0.0) -> float:
     """Plain conductance-divider arithmetic; gpp and gpn are parallel conductances from the
-    supply and to ground (the two-resistor topology)."""
+    supply and to ground (the two-resistor network)."""
     g_up = n_up * gop + gpp
     g_dn = n_dn * gon + gpn
     return g_up / (g_up + g_dn) * vdd
@@ -211,11 +207,9 @@ def per_code_solve(config: DacConfig, n_up: int, max_iterations: int = 200, tol:
     """
     topo, vdd = config.topology, config.vdd
     n_dn = config.d_max - n_up
-    four = isinstance(topo, FourResistor)
-    has_vs = four and topo.rsn > 0.0
-    gpp = gpn = 0.0
-    if isinstance(topo, (TwoResistor, FourResistor)):
-        gpp, gpn = 1.0 / topo.rpp, 1.0 / topo.rpn
+    four = topo.rsp > 0.0
+    has_vs = topo.rsn > 0.0
+    gpp, gpn = 1.0 / topo.rpp, 1.0 / topo.rpn  # 0 where absent (inf)
     inner = (not four) or topo.parallel_attach is ParallelAttach.INNER_RAILS
     gsp = 1.0 / topo.rsp if four else 0.0
     gsn = 1.0 / topo.rsn if has_vs else 0.0

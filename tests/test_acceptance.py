@@ -14,13 +14,11 @@ from gpiodac.config import (
     DacConfig,
     DevicePair,
     Encoding,
-    FourResistor,
     LinearSwitch,
     MosfetParams,
+    Network,
     ParallelAttach,
-    Standalone,
     TimingParams,
-    TwoResistor,
     calibrated_pair,
 )
 from gpiodac.hdlgen import generate_dac
@@ -54,13 +52,13 @@ def test_criterion_01_ideal_reduction():
         d_max = (1 << n_bits) - 1
         standalone = DacConfig(n_bits=n_bits, vdd=VDD, devices=switches)
         two_r = DacConfig(
-            n_bits=n_bits, vdd=VDD, devices=switches, topology=TwoResistor(1e6, 1e6)
+            n_bits=n_bits, vdd=VDD, devices=switches, topology=Network(rpp=1e6, rpn=1e6)
         )
         four_r = DacConfig(
             n_bits=n_bits,
             vdd=VDD,
             devices=switches,
-            topology=FourResistor(rsp=1e-6, rsn=0.0, rpp=1e6, rpn=1e6),
+            topology=Network(rsp=1e-6, rsn=0.0, rpp=1e6, rpn=1e6),
         )
         for code in range(d_max + 1):
             ideal = code / d_max * VDD
@@ -83,11 +81,11 @@ def test_criterion_02_oracle_equivalence():
         )
         pick = n_configs % 3
         if pick == 0:
-            topo = Standalone()
+            topo = Network()
         elif pick == 1:
-            topo = TwoResistor(float(rng.uniform(1, 100)), float(rng.uniform(1, 100)))
+            topo = Network(rpp=float(rng.uniform(1, 100)), rpn=float(rng.uniform(1, 100)))
         else:
-            topo = FourResistor(
+            topo = Network(
                 rsp=float(rng.uniform(0.5, 30)),
                 rsn=float(rng.uniform(0.5, 5.0)) if rng.random() < 0.4 else 0.0,
                 rpp=float(rng.uniform(1, 100)),
@@ -142,13 +140,13 @@ def test_criterion_05_linearity_ordering():
 
 def test_criterion_06_four_resistor_current():
     two_r = DacConfig(
-        n_bits=4, vdd=VDD, devices=CAL_PAIR, topology=TwoResistor(2.32, 2.32)
+        n_bits=4, vdd=VDD, devices=CAL_PAIR, topology=Network(rpp=2.32, rpn=2.32)
     )
     four_r = DacConfig(
         n_bits=4,
         vdd=VDD,
         devices=CAL_PAIR,
-        topology=FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
+        topology=Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
     )
     i_two = summary(transfer_curve(two_r)).i_max
     i_four = summary(transfer_curve(four_r)).i_max
@@ -176,7 +174,7 @@ def test_criterion_08_saturation_window():
         n_bits=4,
         vdd=VDD,
         devices=CAL_PAIR,
-        topology=FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
+        topology=Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
     )
     flags = check_saturation_window(bench_sized)
     coverage = sum(flags) / len(flags)

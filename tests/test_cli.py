@@ -24,10 +24,11 @@ from gpiodac.cli import (
     report_doc,
     write_atomic,
 )
-from gpiodac.config import DacConfig, DevicePair, MosfetParams
+from gpiodac.config import DacConfig, DevicePair, MosfetParams, Network, ParallelAttach
 from gpiodac.explorer import SWEEP_COLUMNS
 from gpiodac.metrics import summary
 from gpiodac.network import transfer_curve
+from gpiodac.sizing import SizingResult
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_RESISTOR_FLAGS = ["--vth", "1.15", "--ron", "40.0", "--vdd", "3.3", "--n-bits", "4"]
@@ -471,6 +472,50 @@ class TestSize:
         assert main(["size", "two-resistor", *TWO_RESISTOR_FLAGS, "--n-bits", "16", "-o", "out"]) == 0
 
 
+def sized_kind_doc(topology: Network) -> dict:
+    """The topology block report.json gives a sizing of this network."""
+    sizing = SizingResult(topology, predicted_dynamic_range=(0.0, 1.0))
+    return report_doc(None, sizing, "digest", "size")["sizing"]["topology"]
+
+
+class TestNetworkKinds:
+    """A config kind is shorthand for a Network; report.json names a network's kind by the
+    resistors it has."""
+
+    @pytest.mark.parametrize("topology", [
+        {"kind": "standalone"},
+        {"kind": "two_resistor", "rpp": 5.0, "rpn": 7.0},
+        {"kind": "four_resistor", "rsp": 10.0, "rsn": 2.0, "rpp": 5.0, "rpn": 7.0,
+         "parallel_attach": "inner"},
+        {"kind": "four_resistor", "rsp": 10.0, "rsn": 0.0, "rpp": 5.0, "rpn": 7.0,
+         "parallel_attach": "supply"},
+    ], ids=["standalone", "two_resistor", "four_resistor_inner", "four_resistor_supply"])
+    def test_a_config_kind_parses_to_a_network_reported_as_that_kind(self, workdir, topology):
+        network = load_config(write_config(workdir, {"dac.topology": topology})).dac.topology
+        ohms = {f"{key}_ohm": value for key, value in topology.items() if key.startswith("r")}
+        assert type(network) is Network
+        assert network.parallel_attach is ParallelAttach(topology.get("parallel_attach", "inner"))
+        assert sized_kind_doc(network) == {"kind": topology["kind"], **ohms}
+
+    def test_a_four_resistor_config_without_series_resistors_is_the_two_resistor_network(
+        self, workdir
+    ):
+        topology = {"kind": "four_resistor", "rsp": 0.0, "rsn": 0.0, "rpp": 5.0, "rpn": 7.0}
+        network = load_config(write_config(workdir, {"dac.topology": topology})).dac.topology
+        assert network == Network(rpp=5.0, rpn=7.0)
+        assert sized_kind_doc(network) == {"kind": "two_resistor", "rpp_ohm": 5.0, "rpn_ohm": 7.0}
+
+    def test_a_network_without_parallel_resistors_is_reported_standalone(self):
+        assert sized_kind_doc(Network(rsp=10.0, rsn=2.0)) == {"kind": "standalone"}
+
+    def test_series_rsn_without_rsp_exits_2_naming_it(self, workdir, capsys):
+        topology = {"kind": "four_resistor", "rsp": 0.0, "rsn": 2.0, "rpp": 5.0, "rpn": 7.0}
+        assert main(["simulate", "-c", str(write_config(workdir, {"dac.topology": topology}))]) == 2
+        assert capsys.readouterr().err == (
+            "gpiodac: error: config: dac.topology: rsn = 2.0 needs rsp > 0, got rsp = 0.0\n"
+        )
+
+
 class TestSweep:
     def test_sweep_csv(self, workdir):
         cfg = write_config(workdir, {
@@ -493,6 +538,14 @@ class TestSweep:
         assert main(["sweep", "-c", str(cfg), "--rp", "5,6,7,8,9,10"]) == 0
         want = (GOLDEN / "sweep_dac4_four_resistor.csv").read_bytes()
         assert (workdir / "out" / "sweep.csv").read_bytes() == want
+
+    def test_a_standalone_config_sweeps_as_a_two_resistor_one(self, workdir):
+        assert main(["sweep", "-c", str(write_config(workdir)), "--rp", "5,2.35"]) == 0
+        two = write_config(workdir, {"dac.topology": {"kind": "two_resistor", "rpp": 9.0, "rpn": 9.0}})
+        assert main(["sweep", "-c", str(two), "--rp", "5,2.35", "-o", "two"]) == 0
+        standalone = (workdir / "out" / "sweep.csv").read_bytes()
+        assert standalone == (workdir / "two" / "sweep.csv").read_bytes()
+        assert standalone.count(b",ok\n") == 2
 
     def test_bad_rp_list(self, workdir):
         cfg = write_config(workdir)

@@ -1,5 +1,7 @@
 """Parallel-resistor sweeps: trade-off trends and limit behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,10 @@ from gpiodac import explorer, network
 from gpiodac.config import (
     DacConfig,
     DevicePair,
-    FourResistor,
     MetricsError,
     MosfetParams,
+    Network,
     ParallelAttach,
-    Standalone,
-    TwoResistor,
     calibrated_pair,
 )
 from gpiodac.explorer import SWEEP_COLUMNS, _with_rp, sweep_parallel, sweep_rows
@@ -29,7 +29,7 @@ def four_resistor_base() -> DacConfig:
         n_bits=4,
         vdd=VDD,
         devices=PAIR,
-        topology=FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
+        topology=Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
     )
 
 
@@ -59,10 +59,10 @@ class TestTradeOffTrends:
 
     def test_large_rp_approaches_standalone(self):
         standalone = transfer_curve(DacConfig(n_bits=4, vdd=VDD, devices=PAIR))
-        base = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(2.35, 2.35))
+        base = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Network(rpp=2.35, rpn=2.35))
         deviations = []
         for rp in (1e2, 1e3, 1e4):
-            cfg = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(rp, rp))
+            cfg = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Network(rpp=rp, rpn=rp))
             dv = float(np.max(np.abs(transfer_curve(cfg).vdac - standalone.vdac)))
             deviations.append(dv)
         assert deviations[0] > deviations[1] > deviations[2]  # monotone convergence
@@ -84,10 +84,14 @@ class TestSweepMechanics:
         points = sweep_parallel(four_resistor_base(), [9.0, 5.0, 7.0])
         assert [p.rp for p in points] == [9.0, 5.0, 7.0]
 
-    def test_standalone_base_rejected(self):
-        cfg = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Standalone())
-        with pytest.raises(ValueError):
-            sweep_parallel(cfg, [5.0])
+    def test_standalone_base_sweeps_as_a_two_resistor_base(self):
+        standalone = DacConfig(n_bits=4, vdd=VDD, devices=MISMATCHED)
+        two = DacConfig(n_bits=4, vdd=VDD, devices=MISMATCHED, topology=Network(rpp=9.0, rpn=11.0))
+        rp_values = [2.35, 7.0, 2.35]
+        points = sweep_parallel(standalone, rp_values)
+        network._last = None
+        assert points == sweep_parallel(two, rp_values)
+        assert all(p.rs == 0.0 and p.status == "ok" for p in points)
 
     def test_empty_and_negative_values_rejected(self):
         with pytest.raises(ValueError, match="^rp_values must be non-empty$"):
@@ -96,7 +100,8 @@ class TestSweepMechanics:
             sweep_parallel(four_resistor_base(), [5.0, -1.0])
 
     @pytest.mark.parametrize("rp", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("topology", [TwoResistor(2.35, 2.35), FourResistor(10.0, 0.0, 5.0, 5.0)],
+    @pytest.mark.parametrize("topology",
+                             [Network(rpp=2.35, rpn=2.35), Network(10.0, 0.0, 5.0, 5.0)],
                              ids=["two", "four"])
     def test_an_rp_not_above_0_is_refused_naming_rpp_before_anything_solves(
         self, monkeypatch, topology, rp
@@ -109,7 +114,7 @@ class TestSweepMechanics:
         assert solved == []
 
     def test_two_resistor_base_reports_zero_series(self):
-        base = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(2.35, 2.35))
+        base = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Network(rpp=2.35, rpn=2.35))
         points = sweep_parallel(base, [2.0, 3.0])
         assert all(p.rs == 0.0 for p in points)
         assert all(p.status == "ok" for p in points)
@@ -157,8 +162,8 @@ SOMETIMES_FAILING = DacConfig(
         pmos=MosfetParams(0.285, 1.01),
         nmos=MosfetParams(0.629, 0.000296),
     ),
-    topology=FourResistor(rsp=10.8, rsn=0.0, rpp=1.0, rpn=1.0,
-                          parallel_attach=ParallelAttach.SUPPLY_RAILS),
+    topology=Network(rsp=10.8, rsn=0.0, rpp=1.0, rpn=1.0,
+                     parallel_attach=ParallelAttach.SUPPLY_RAILS),
 )
 
 
@@ -200,11 +205,26 @@ class TestBatchedSweep:
             assert point.report == summary(transfer_curve(_with_rp(base, point.rp)))
 
     def test_a_batch_holds_at_most_2_to_the_16_lanes(self, monkeypatch):
-        base = DacConfig(n_bits=12, vdd=VDD, devices=PAIR, topology=TwoResistor(2.35, 2.35))
+        base = DacConfig(n_bits=12, vdd=VDD, devices=PAIR, topology=Network(rpp=2.35, rpn=2.35))
         batches = spy_on_batches(monkeypatch)
         points = sweep_parallel(base, [float(rp) for rp in range(1, 18)])
         assert [len(b) for b in batches] == [16, 1]  # 16 * 4096 lanes = 2^16
         assert all(p.status == "ok" for p in points)
+
+    @pytest.mark.parametrize("name", ["four_supply", "rsn0_supply"])
+    def test_supply_rails_sweep_mixing_absent_and_finite_rp_solves_each_point_alone(
+        self, monkeypatch, name
+    ):
+        # rp = inf solves on the inner-rail path, which a supply-attached finite rp does not:
+        # the points split into one batch per run of either.
+        base = DacConfig(n_bits=10, vdd=VDD, devices=MISMATCHED, topology=TOPOLOGIES[name])
+        rp_values = [7.0, math.inf, math.inf, 5.0, 6.0]
+        batches = spy_on_batches(monkeypatch)
+        points = sweep_parallel(base, rp_values)
+        assert batches == [[7.0], [math.inf, math.inf], [5.0, 6.0]]
+        monkeypatch.undo()
+        for point in points:
+            assert (point.report, point.status) == solved_alone(_with_rp(base, point.rp))[1:]
 
     def test_a_formerly_failing_point_solves_as_it_does_alone(self):
         rp_values = [0.0625, 1390.0, 5.48]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpiodac.config import DacConfig, MetricsError, TwoResistor, calibrated_pair
+from gpiodac.config import DacConfig, MetricsError, Network, calibrated_pair
 from gpiodac.metrics import _linearity, summary
 from gpiodac.network import transfer_curve
 from oracles import naive_dnl, naive_inl
@@ -52,7 +52,7 @@ class TestAgainstModel:
 
     def test_corrected_inl_below_half_lsb(self):
         cfg = DacConfig(
-            n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(rpp=2.35, rpn=2.35)
+            n_bits=4, vdd=VDD, devices=PAIR, topology=Network(rpp=2.35, rpn=2.35)
         )
         rep = summary(transfer_curve(cfg))
         assert rep.inl_max_abs <= 0.5

@@ -15,14 +15,12 @@ from gpiodac.config import (
     DacConfig,
     DevicePair,
     Encoding,
-    FourResistor,
     LinearSwitch,
     MosfetParams,
+    Network,
     OperatingRegion,
     ParallelAttach,
-    Standalone,
     TimingParams,
-    TwoResistor,
     calibrated_pair,
 )
 from gpiodac.network import complement_check, solve_units, transfer_curve
@@ -50,7 +48,7 @@ def switch_pair(g: float) -> DevicePair:
 
 
 def cfg4(topology=None) -> DacConfig:
-    return DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=topology or Standalone())
+    return DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=topology or Network())
 
 
 class TestSolveCode:
@@ -79,7 +77,7 @@ class TestSolveCode:
             solve_units(cfg4(), -1)
 
     def test_node_ordering_invariant(self):
-        cfg = cfg4(FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=5.0))
+        cfg = cfg4(Network(rsp=10.0, rsn=2.0, rpp=5.0, rpn=5.0))
         for code in range(16):
             sol = solve_units(cfg, code)
             assert sol.vs - 1e-9 <= sol.vdac <= sol.vd + 1e-9
@@ -104,7 +102,7 @@ class TestTransferCurve:
         assert np.all(np.diff(v) >= -1e-9)
 
     def test_two_resistor_current_is_flat_and_about_1A(self):
-        cfg = cfg4(TwoResistor(rpp=2.35, rpn=2.35))
+        cfg = cfg4(Network(rpp=2.35, rpn=2.35))
         curve = transfer_curve(cfg)
         mid = curve.rows[8].i_total
         assert mid == pytest.approx(1.0, rel=0.25)
@@ -113,9 +111,9 @@ class TestTransferCurve:
 
     def test_monotone_for_all_topologies(self):
         topologies = [
-            Standalone(),
-            TwoResistor(rpp=2.35, rpn=2.35),
-            FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
+            Network(),
+            Network(rpp=2.35, rpn=2.35),
+            Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
         ]
         for topo in topologies:
             v = transfer_curve(cfg4(topo)).vdac
@@ -125,7 +123,7 @@ class TestTransferCurve:
         standalone = transfer_curve(cfg4())
         assert standalone.rows[0].i_total == 0.0
         assert standalone.rows[15].i_total == 0.0
-        corrected = transfer_curve(cfg4(TwoResistor(rpp=2.35, rpn=2.35)))
+        corrected = transfer_curve(cfg4(Network(rpp=2.35, rpn=2.35)))
         assert corrected.rows[0].i_total > 0.0  # parallel paths conduct at the rails
 
     def test_region_narrative_low_mid_high(self):
@@ -149,7 +147,7 @@ class TestConstantConductanceReduction:
 
     def test_two_resistor_matches_divider_form(self):
         cfg = DacConfig(
-            n_bits=4, vdd=VDD, devices=switch_pair(0.05), topology=TwoResistor(2.0, 4.0)
+            n_bits=4, vdd=VDD, devices=switch_pair(0.05), topology=Network(rpp=2.0, rpn=4.0)
         )
         for row in transfer_curve(cfg).rows:
             expected = divider(row.code, 15 - row.code, 0.05, 0.05, VDD, gpp=0.5, gpn=0.25)
@@ -181,7 +179,7 @@ class TestConstantConductanceReduction:
 
     def test_vanishing_parallel_conductance_approaches_ideal(self):
         cfg = DacConfig(n_bits=4, vdd=VDD, devices=switch_pair(0.025),
-                        topology=TwoResistor(rpp=1e12, rpn=1e12))
+                        topology=Network(rpp=1e12, rpn=1e12))
         assert solve_units(cfg, 5).vdac == pytest.approx(5 / 15 * VDD, abs=1e-9)
 
     @pytest.mark.parametrize("n_bits", [1, 4, 8])
@@ -209,7 +207,7 @@ class TestConstantConductanceReduction:
     ):
         gon = gop * (1.0 - mismatch)
         pair = DevicePair(pmos=LinearSwitch(gop), nmos=LinearSwitch(gon))
-        cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=pair, topology=TwoResistor(rpp, rpn))
+        cfg = DacConfig(n_bits=n_bits, vdd=VDD, devices=pair, topology=Network(rpp=rpp, rpn=rpn))
         code = data.draw(st.integers(0, cfg.d_max))
         expected = divider(code, cfg.d_max - code, gop, gon, VDD, gpp=1 / rpp, gpn=1 / rpn)
         assert solve_units(cfg, code).vdac == pytest.approx(expected, abs=1e-9)
@@ -220,7 +218,7 @@ class TestComplementCheck:
         assert complement_check(transfer_curve(cfg4())) <= 2e-9
 
     def test_symmetric_two_resistor_is_self_complementary(self):
-        curve = transfer_curve(cfg4(TwoResistor(rpp=2.35, rpn=2.35)))
+        curve = transfer_curve(cfg4(Network(rpp=2.35, rpn=2.35)))
         assert complement_check(curve) <= 2e-9
 
     def test_conductance_mismatch_breaks_symmetry(self):
@@ -250,11 +248,11 @@ class TestOracleEquivalence:
             )
             kind = trial % 3
             if kind == 0:
-                topo = Standalone()
+                topo = Network()
             elif kind == 1:
-                topo = TwoResistor(float(rng.uniform(1, 100)), float(rng.uniform(1, 100)))
+                topo = Network(rpp=float(rng.uniform(1, 100)), rpn=float(rng.uniform(1, 100)))
             else:
-                topo = FourResistor(
+                topo = Network(
                     rsp=float(rng.uniform(0.5, 30)),
                     rsn=float(rng.uniform(0.0, 5.0)) if trial % 2 else 0.0,
                     rpp=float(rng.uniform(1, 100)),
@@ -280,12 +278,18 @@ class TestValidation:
             DacConfig(n_bits=4, vdd=vdd, devices=PAIR)
 
     def test_nan_resistances(self):
-        for slot in range(2):
-            with pytest.raises(ValueError):
-                TwoResistor(*[float("nan") if k == slot else 1.0 for k in range(2)])
         for slot in range(4):
             with pytest.raises(ValueError):
-                FourResistor(*[float("nan") if k == slot else 1.0 for k in range(4)])
+                Network(*[float("nan") if k == slot else 1.0 for k in range(4)])
+
+    @pytest.mark.parametrize("values, key", [
+        ({"rsp": -1.0}, "rsp"), ({"rsp": float("nan")}, "rsp"),
+        ({"rsp": 1.0, "rsn": -1.0}, "rsn"), ({"rsp": 1.0, "rsn": float("nan")}, "rsn"),
+        ({"rsn": 2.0}, "rsn"),  # the rails are solved in the current through rsp
+    ])
+    def test_a_refused_series_resistor_is_named(self, values, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            Network(**values)
 
     def test_bad_bit_width(self):
         with pytest.raises(ValueError):
@@ -308,13 +312,13 @@ class TestValidation:
 
     def test_bad_resistances(self):
         with pytest.raises(ValueError):
-            TwoResistor(rpp=0.0, rpn=1.0)
+            Network(rpp=0.0, rpn=1.0)
         with pytest.raises(ValueError):
-            FourResistor(rsp=0.0, rsn=0.0, rpp=1.0, rpn=1.0)
-        with pytest.raises(ValueError):
-            FourResistor(rsp=1.0, rsn=-1.0, rpp=1.0, rpn=1.0)
+            Network(rsp=1.0, rsn=-1.0, rpp=1.0, rpn=1.0)
         # the shared-ground board case: rsn = 0 is legal
-        FourResistor(rsp=1.0, rsn=0.0, rpp=1.0, rpn=1.0)
+        Network(rsp=1.0, rsn=0.0, rpp=1.0, rpn=1.0)
+        # rsp = rsn = 0 is a network without series resistors: the two-resistor one
+        assert Network(rsp=0.0, rsn=0.0, rpp=1.0, rpn=1.0) == Network(rpp=1.0, rpn=1.0)
 
     @pytest.mark.parametrize("name", ["rsp", "rsn", "rpp", "rpn"])
     @pytest.mark.parametrize("tiny", [1e-320, 1e-308, np.float64(0.9 * VDD / np.finfo(float).max)])
@@ -324,15 +328,15 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy scalar is divided as a float, unwarned
             with pytest.raises(ValueError, match=message):
-                DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=FourResistor(**values))
+                DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Network(**values))
             if name.startswith("rp"):
                 with pytest.raises(ValueError, match=f"^{name} = "):
-                    DacConfig(4, VDD, PAIR, TwoResistor(**{"rpp": 5.0, "rpn": 7.0, name: tiny}))
+                    DacConfig(4, VDD, PAIR, Network(**{"rpp": 5.0, "rpn": 7.0, name: tiny}))
 
     def test_smallest_resistance_vdd_allows_is_accepted(self):
         edge = np.float64(1.01 * VDD / np.finfo(float).max)
-        DacConfig(4, VDD, PAIR, FourResistor(rsp=edge, rsn=0.0, rpp=edge, rpn=edge))
-        DacConfig(4, VDD, PAIR, TwoResistor(rpp=edge, rpn=edge))
+        DacConfig(4, VDD, PAIR, Network(rsp=edge, rsn=0.0, rpp=edge, rpn=edge))
+        DacConfig(4, VDD, PAIR, Network(rpp=edge, rpn=edge))
 
 
 MISMATCHED = DevicePair(
@@ -348,18 +352,18 @@ FAILING = DacConfig(
         pmos=MosfetParams(0.09, 0.045),
         nmos=MosfetParams(0.46, 1.5),
     ),
-    topology=FourResistor(rsp=0.014, rsn=27.0, rpp=150.0, rpn=1300.0, parallel_attach=SUPPLY),
+    topology=Network(rsp=0.014, rsn=27.0, rpp=150.0, rpn=1300.0, parallel_attach=SUPPLY),
 )
 
 
 # Every topology, both attach modes, and rsn = 0 (a shared ground rail).
 TOPOLOGIES = {
-    "standalone": Standalone(),
-    "two": TwoResistor(rpp=2.35, rpn=3.1),
-    "four_inner": FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0),
-    "four_supply": FourResistor(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
-    "rsn0_inner": FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0),
-    "rsn0_supply": FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
+    "standalone": Network(),
+    "two": Network(rpp=2.35, rpn=3.1),
+    "four_inner": Network(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0),
+    "four_supply": Network(rsp=10.0, rsn=2.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
+    "rsn0_inner": Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0),
+    "rsn0_supply": Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=7.0, parallel_attach=SUPPLY),
 }
 FOUR = [name for name in TOPOLOGIES if name.startswith(("four", "rsn0"))]
 
@@ -483,13 +487,13 @@ def topology(draw):
 
     kind = draw(st.sampled_from(["standalone", "two_resistor", "four_resistor"]))
     if kind == "standalone":
-        return Standalone()
+        return Network()
     if kind == "two_resistor":
-        return TwoResistor(resistor(), resistor())
+        return Network(rpp=resistor(), rpn=resistor())
     rsp = resistor()
     rsn = resistor() if draw(st.booleans()) else 0.0
     attach = draw(st.sampled_from(list(ParallelAttach)))
-    return FourResistor(rsp, rsn, resistor(), resistor(), attach)
+    return Network(rsp, rsn, resistor(), resistor(), attach)
 
 
 @st.composite
@@ -536,12 +540,72 @@ class TestFuzz:
             rows = solve_units(cfg, codes)
             vdac = np.array([row.vdac for row in rows])
         assert np.all((vdac >= 0.0) & (vdac <= cfg.vdd))
-        for row in rows:  # balanced within rounding of the currents it carries
-            carried = (abs(row.i_total) + abs(row.i_rpp) + abs(row.i_rpn) + row.code * abs(
-                row.i_per_pullup) + (cfg.d_max - row.code) * abs(row.i_per_pulldown))
-            assert row.kcl_residual <= 1e-6 * carried + 1e-18
+        assert_balanced(cfg, rows)
         if check:
             assert_matches_oracle(cfg, rows[:1])
+
+
+def assert_balanced(cfg, rows) -> None:
+    """Each row balanced within rounding of the currents it carries (TestFuzz's bound)."""
+    for row in rows:
+        carried = (abs(row.i_total) + abs(row.i_rpp) + abs(row.i_rpn) + row.code * abs(
+            row.i_per_pullup) + (cfg.d_max - row.code) * abs(row.i_per_pulldown))
+        assert row.kcl_residual <= 1e-6 * carried + 1e-18, row
+
+
+@st.composite
+def series_only_networks(draw):
+    """A config of up to 10 bits with series resistors, drawn as fuzz_cases draws them, and no
+    parallel resistors, attached to the supply rails."""
+    n_bits = draw(st.integers(1, 10))
+    vdd = draw(st.floats(0.8, 5.0, exclude_min=True, exclude_max=True))
+    rsp, rsn = (10 ** draw(st.floats(-2, 5)) for _ in range(2))
+    topo = Network(rsp, rsn if draw(st.booleans()) else 0.0, parallel_attach=SUPPLY)
+    return DacConfig(n_bits, vdd, device_pair(draw, vdd, open_vth=True), topo)
+
+
+def attached_inner(cfg: DacConfig) -> DacConfig:
+    return replace(cfg, topology=replace(cfg.topology, parallel_attach=ParallelAttach.INNER_RAILS))
+
+
+# Weakly tied rails: the nested supply-rail solve once left 417 of its 1,024 rows unbalanced,
+# by up to 0.03 A, with both groups reported cut off.
+WEAK_RAILS = DacConfig(
+    n_bits=10,
+    vdd=VDD,
+    devices=DevicePair(
+        pmos=MosfetParams(1.5398062152510092, 1.1825805479058171),
+        nmos=MosfetParams(0.822559644257621, 0.0056522021227788394),
+    ),
+    topology=Network(rsp=108.41025791129202, rsn=0.8443180176195865, parallel_attach=SUPPLY),
+)
+
+
+class TestAbsentParallel:
+    """Without parallel resistors the attach mode changes no balance: a supply-attached
+    network solves on the inner-rail path, bit for bit the inner-attached one."""
+
+    def test_weakly_tied_supply_rails_balance_as_inner_rails(self):
+        curve = transfer_curve(WEAK_RAILS)
+        assert_balanced(WEAK_RAILS, curve.rows)
+        assert_same_columns(curve, transfer_curve(attached_inner(WEAK_RAILS)))
+
+    @settings(max_examples=150)
+    @given(cfg=series_only_networks())
+    def test_sampled_series_only_networks_balance_in_either_mode(self, cfg):
+        curve = transfer_curve(cfg)
+        assert_balanced(cfg, curve.rows)
+        assert_same_columns(curve, transfer_curve(attached_inner(cfg)))
+
+
+def assert_same_columns(got, want) -> None:
+    """The two curves' columns are equal bit for bit, regions by value."""
+    for name, column in want.columns.items():
+        other = got.columns[name]
+        if column.dtype == object:
+            assert other.tolist() == column.tolist(), name
+        else:
+            assert other.tobytes() == column.tobytes(), name
 
 
 class TestLaneIndependence:
@@ -647,14 +711,14 @@ class TestFormerFailures:
         assert not per_code_solve(base, 435)[4]
         assert_matches_oracle(base, [solve_units(base, 435)])
         for rp in (2.35, 5.0, 12.0):
-            cfg = DacConfig(10, VDD, MISMATCHED, FourResistor(10.0, 2.0, rp, rp, SUPPLY))
+            cfg = DacConfig(10, VDD, MISMATCHED, Network(10.0, 2.0, rp, rp, SUPPLY))
             rows = solve_units(cfg, list(range(439, 452)))
             assert all(row.kcl_residual <= 1e-12 * row.i_total for row in rows)
             assert_matches_oracle(cfg, rows[::6])
         assert not per_code_solve(cfg, 439)[4]
 
     def test_16_bit_supply_attached_rsn0_curve(self):
-        cfg = DacConfig(16, VDD, PAIR, FourResistor(10.0, 0.0, 5.0, 5.0, SUPPLY))
+        cfg = DacConfig(16, VDD, PAIR, Network(10.0, 0.0, 5.0, 5.0, SUPPLY))
         curve = transfer_curve(cfg)
         assert np.all((curve.vdac >= 0.0) & (curve.vdac <= VDD))
         assert_matches_oracle(cfg, [curve.rows[code] for code in sample_codes(np.arange(1 << 16))[::4]])
@@ -663,7 +727,7 @@ class TestFormerFailures:
         # ~1e5 S of devices on a 10 mohm rail: rounding alone leaves residuals of ~1e-10 A,
         # next to the old fixed 1e-9 A tolerance; every rail solve still stops in a few steps.
         pair = DevicePair(MosfetParams(0.5, 10.0), MosfetParams(0.6, 10.0))
-        cfg = DacConfig(16, VDD, pair, FourResistor(0.01, 0.01, 0.01, 0.01))
+        cfg = DacConfig(16, VDD, pair, Network(0.01, 0.01, 0.01, 0.01))
         steps = []
         bracketed = network._bracketed
 
@@ -974,7 +1038,7 @@ class TestRegions:
         ids=["mosfet", "switch"],
     )
     def test_columns_at_chosen_voltages(self, pmos, want):
-        cfg = DacConfig(4, 3.0, DevicePair(pmos, MosfetParams(1.0, 0.01)), Standalone())
+        cfg = DacConfig(4, 3.0, DevicePair(pmos, MosfetParams(1.0, 0.01)), Network())
         count, vdac, vd, vs = (np.array(c) for c in list(zip(*self.EDGES))[:4])
         columns = network._Lanes([cfg], count).columns(vdac, vd, vs)
         got = list(zip(columns["region_p"].tolist(), columns["region_n"].tolist()))
@@ -1053,7 +1117,7 @@ class TestLastSolve:
     @pytest.mark.parametrize("attach", list(ParallelAttach), ids=lambda a: a.value)
     def test_rsn_of_either_zero_sign_solves_to_the_same_bytes(self, attach, solves):
         # The configs compare equal, so one may be served the other's solve.
-        zero, negative = (DacConfig(8, VDD, MISMATCHED, FourResistor(10.0, rsn, 5.0, 7.0, attach))
+        zero, negative = (DacConfig(8, VDD, MISMATCHED, Network(10.0, rsn, 5.0, 7.0, attach))
                           for rsn in (0.0, -0.0))
         assert zero == negative
         want = column_bytes(transfer_curve(zero).columns)

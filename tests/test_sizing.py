@@ -14,11 +14,9 @@ from test_network import MISMATCHED
 from gpiodac import network
 from gpiodac.config import (
     DacConfig,
-    FourResistor,
+    Network,
     ParallelAttach,
     SizingError,
-    Standalone,
-    TwoResistor,
     calibrated_pair,
 )
 from gpiodac.metrics import summary
@@ -74,7 +72,7 @@ class TestExtraction:
 
     def test_corrected_curve_is_rejected(self):
         cfg = DacConfig(
-            n_bits=4, vdd=VDD, devices=PAIR, topology=TwoResistor(rpp=2.35, rpn=2.35)
+            n_bits=4, vdd=VDD, devices=PAIR, topology=Network(rpp=2.35, rpn=2.35)
         )
         with pytest.raises(SizingError):
             extract_parameters(transfer_curve(cfg))
@@ -315,8 +313,8 @@ class TestTwoResistorSizing:
             size_two_resistor(params, 15)
 
     def test_resistance_beyond_float_range_is_refused_naming_it(self):
-        # A config may hold TwoResistor(inf, inf) and solves; a sizing that gives one is refused.
-        open_config = DacConfig(4, VDD, PAIR, topology=TwoResistor(math.inf, math.inf))
+        # A config may hold Network(rpp=inf, rpn=inf) and solves; a sizing that gives one is refused.
+        open_config = DacConfig(4, VDD, PAIR, topology=Network(rpp=math.inf, rpn=math.inf))
         assert np.isfinite(transfer_curve(open_config).vdac).all()
         params = ExtractedParams(vth=1e-300, ron=1e300, vdd=VDD, linear_range=(0.0, VDD))
         with pytest.raises(SizingError, match=r"^rpp = inf is not finite$"):
@@ -332,7 +330,7 @@ class TestTwoResistorSizing:
     def test_result_refuses_a_non_finite_number_naming_it(self, field):
         value = math.nan if field == "alpha_g" else (1.0, math.inf)
         with pytest.raises(SizingError, match=rf"^{field} = .* is not finite$"):
-            SizingResult(TwoResistor(1.0, 1.0), **{"predicted_dynamic_range": (0.0, 1.0),
+            SizingResult(Network(rpp=1.0, rpn=1.0), **{"predicted_dynamic_range": (0.0, 1.0),
                                                    field: value})
 
     def test_smallest_sized_resistance_builds_a_config(self):
@@ -444,7 +442,7 @@ class TestSaturationWindow:
         assert all(type(flag) is bool for flag in flags)
 
     def test_standalone_window_is_empty(self):
-        cfg = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Standalone())
+        cfg = DacConfig(n_bits=4, vdd=VDD, devices=PAIR, topology=Network())
         assert not any(check_saturation_window(cfg))
 
     def test_bench_sized_four_resistor_window_covers_most_codes(self):
@@ -452,7 +450,7 @@ class TestSaturationWindow:
             n_bits=4,
             vdd=VDD,
             devices=PAIR,
-            topology=FourResistor(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
+            topology=Network(rsp=10.0, rsn=0.0, rpp=5.0, rpn=5.0),
         )
         flags = check_saturation_window(cfg)
         assert sum(flags) >= 8  # at least half the codes
@@ -462,6 +460,6 @@ class TestSaturationWindow:
             n_bits=4,
             vdd=VDD,
             devices=PAIR,
-            topology=FourResistor(rsp=1000.0, rsn=0.0, rpp=5.0, rpn=5.0),
+            topology=Network(rsp=1000.0, rsn=0.0, rpp=5.0, rpn=5.0),
         )
         assert not any(check_saturation_window(cfg))

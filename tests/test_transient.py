@@ -14,7 +14,7 @@ from gpiodac.config import (
     MAX_BITS,
     DacConfig,
     Encoding,
-    FourResistor,
+    Network,
     ParallelAttach,
     TimingParams,
     calibrated_pair,
@@ -321,7 +321,7 @@ class TestWaveformContract:
 class TestReplayLevels:
     @pytest.mark.parametrize(
         "topology",
-        [None, *(FourResistor(10.0, 2.0, 5.0, 7.0, attach) for attach in ParallelAttach)],
+        [None, *(Network(10.0, 2.0, 5.0, 7.0, attach) for attach in ParallelAttach)],
         ids=["standalone", *(f"four_{attach.value}" for attach in ParallelAttach)],
     )
     @pytest.mark.parametrize("skew_mode", ["deterministic", "random"])
